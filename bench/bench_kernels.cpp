@@ -204,6 +204,55 @@ int main() {
            },
            hw_threads, solver_tag(false));
 
+  // ---- int8 deploy convs at MobileNet-V1's small-spatial tail ----
+  // IntConv2dOp with the solver Registry::choose picks for a fused
+  // per-channel requant, weights packed outside the timed region as the
+  // plan packs them: a depthwise 3x3 (direct kernel) and a pointwise 1x1
+  // whose batch folds into one GEMM panel.
+  const auto deploy_conv_row = [&](const std::string& name, ConvSpec cspec,
+                                   std::int64_t hw, std::int64_t batch) {
+    const std::int64_t icg = cspec.in_channels / cspec.groups;
+    const std::int64_t taps = icg * cspec.kernel * cspec.kernel;
+    ITensor w({cspec.out_channels, icg, cspec.kernel, cspec.kernel});
+    Rng wr(9);
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = wr.randint(-7, 7);
+    IntConv2dOp op(std::move(w), cspec);
+    solver::Problem sp;
+    sp.op = solver::OpKind::kConvInt;
+    sp.m = cspec.out_channels / cspec.groups;
+    sp.k = taps;
+    sp.groups = cspec.groups;
+    sp.a_max = 127;
+    sp.w_max = 7;
+    sp.epilogue = true;
+    op.set_solver_choice(solver::Registry::instance().choose(sp));
+    const auto packed = op.pack_weights();
+    const MulQuantOp mq(std::vector<std::int64_t>(cspec.out_channels, 181),
+                        std::vector<std::int64_t>(cspec.out_channels, 11), 14,
+                        0, 127, MqLayout::kChannelNCHW);
+    ITensor x({batch, cspec.in_channels, hw, hw});
+    Rng xr(10);
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = xr.randint(-127, 127);
+    ITensor y;
+    const std::int64_t ohw = cspec.out_hw(hw) * cspec.out_hw(hw);
+    gemm_row(name,
+             static_cast<double>(batch * cspec.out_channels * ohw * taps),
+             [&] { op.run_packed({&x}, packed.get(), &mq, y); }, 1,
+             op.kernel());
+  };
+  {
+    ConvSpec dw;
+    dw.in_channels = dw.out_channels = 256;
+    dw.groups = 256;
+    dw.kernel = 3;
+    dw.padding = 1;
+    deploy_conv_row("dwconv_i8_3x3_256_2x2_b8", dw, 2, 8);
+    ConvSpec pw;
+    pw.in_channels = pw.out_channels = 512;
+    pw.kernel = 1;
+    deploy_conv_row("conv_i8_1x1_512_1x1_b8", pw, 1, 8);
+  }
+
   // ---- conv2d forward: ResNet-ish mid-stage shape ----
   const ConvSpec cs = [] {
     ConvSpec s;

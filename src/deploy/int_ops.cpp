@@ -368,10 +368,15 @@ std::string IntConv2dOp::kernel() const {
                                 : "gemm_i64(" + choice_.reason + ")";
 }
 
+bool IntConv2dOp::direct() const {
+  return choice_.i8 && choice_.name.rfind("dwconv_i8", 0) == 0;
+}
+
 std::shared_ptr<const PackedWeights> IntConv2dOp::pack_weights() const {
   if (!choice_.i8) return nullptr;
   const std::int64_t kk =
       (spec_.in_channels / spec_.groups) * spec_.kernel * spec_.kernel;
+  if (direct()) return i8::pack_dw(weight_.data(), spec_.out_channels, kk);
   return i8::pack_a(weight_.data(), spec_.out_channels / spec_.groups, kk,
                     spec_.groups);
 }
@@ -380,51 +385,39 @@ void IntConv2dOp::run_packed(const std::vector<const ITensor*>& ins,
                              const PackedWeights* packed,
                              const MulQuantOp* fused, ITensor& out) const {
   const auto* pa = dynamic_cast<const i8::PackedA*>(packed);
-  if (pa == nullptr) {
+  const auto* pw = dynamic_cast<const i8::PackedDw*>(packed);
+  if (pa == nullptr && pw == nullptr) {
     run_into(ins, out);
     return;
   }
   const ITensor& x = only_input(ins, "IntConv2d");
   check(x.rank() == 4 && x.size(1) == spec_.in_channels,
         "IntConv2d: input must be NCHW with matching channels");
-  const std::int64_t n = x.size(0);
-  const std::int64_t oh = spec_.out_hw(x.size(2));
-  const std::int64_t ow = spec_.out_hw(x.size(3));
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ocg = spec_.out_channels / spec_.groups;
+  const std::int64_t n = x.size(0), h = x.size(2), w = x.size(3);
+  const std::int64_t oh = spec_.out_hw(h);
+  const std::int64_t ow = spec_.out_hw(w);
+  check(oh > 0 && ow > 0, "IntConv2d: output size would be non-positive");
   recycle_tensor(out, {n, spec_.out_channels, oh, ow});
-  i8::Epilogue ep0;
+  i8::Epilogue ep;
   std::atomic<std::int64_t> sats{0};
   const bool prof =
       fused != nullptr &&
       (obs::metrics_enabled() || obs::telemetry_enabled());
   if (fused != nullptr) {
-    ep0 = mq_epilogue(*fused, /*per_row=*/true);
+    ep = mq_epilogue(*fused, /*per_row=*/true);
     if (prof) {
-      ep0.sat = &sats;
-      ep0.count_sat = true;
+      ep.sat = &sats;
+      ep.count_sat = true;
     }
   }
-  // Same (image, group) task split and K order as iconv2d_forward: disjoint
-  // output slices, fixed accumulation order, bit-identical at any thread
-  // count. The im2col scratch is int16 — the planner's range proof covers
-  // the patches, and the narrow scratch halves the dominant memory traffic.
-  const std::int64_t tasks = n * spec_.groups;
-  const bool single = tasks == 1;
-  par::parallel_for(0, tasks, 1, [&](std::int64_t t0, std::int64_t t1) {
-    std::vector<std::int16_t> cols;
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t in = t / spec_.groups;
-      const int grp = static_cast<int>(t % spec_.groups);
-      im2col_i16(x, spec_, in, grp, cols);
-      i8::Epilogue ep = ep0;
-      ep.base = grp * ocg;  // per-row entries index the full channel axis
-      std::int64_t* oslice =
-          out.data() + (in * spec_.out_channels + grp * ocg) * ohw;
-      i8::gemm_a_packed(*pa, grp, cols.data(), oslice, ohw, ep,
-                        /*threaded=*/single, choice_.mk);
-    }
-  });
+  // Both kernels write disjoint output elements, each from one fixed-order
+  // integer accumulation, so results are bit-identical at any thread count.
+  if (pw != nullptr) {
+    i8::dwconv(x.data(), n, h, w, spec_, *pw, out.data(), ep);
+  } else {
+    i8::conv_packed(x.data(), n, h, w, spec_, *pa, out.data(), ep,
+                    /*threaded=*/true, choice_.mk);
+  }
   if (prof) fused->record_sats(sats.load(std::memory_order_relaxed));
 }
 
@@ -785,8 +778,8 @@ obs::OpCost MulQuantOp::cost(const std::vector<const ITensor*>& ins,
 
 // GEMM-backed ops model the packed execution actually performed, not an
 // abstract dense pass (DESIGN.md §3.8/§3.11):
-//   * im2col materializes the patch matrix (written once, then re-read by
-//     the packing step) — that traffic was previously unmodeled;
+//   * im2col materializes the patches (written once, then re-read by the
+//     GEMM) — except on the direct depthwise kernel, which has none;
 //   * packed panels are streamed from cache across every row block, so
 //     each panel counts ONCE, not once per block (packed-panel reuse);
 //   * the int8 kernels move 2-byte lanes for packed operands and skip the
@@ -805,12 +798,15 @@ obs::OpCost IntConv2dOp::cost(const std::vector<const ITensor*>& ins,
   const std::int64_t cols =
       ins[0]->size(0) * spec_.in_channels * k * k * ohw;
   if (choice_.i8) {
-    // im2col reads x (i64) and writes int16 cols directly; the kernel
-    // re-reads cols while panel-packing and streams prepacked int16
-    // weight blocks once.
-    c.bytes_read = lane_bytes(ins[0]->numel()) + 2 * cols +
-                   2 * weight_.numel();
-    c.bytes_written = lane_bytes(out.numel()) + 2 * cols;
+    // Packed GEMM: im2col reads x (i64) and writes int16 panels directly,
+    // the kernel reads each panel back once and streams the prepacked
+    // int16 weight blocks once. Direct kernel: each plane reads its input
+    // channels once (the padded int32 copy stays in cache) plus the int16
+    // weight rows — no patch traffic at all.
+    const std::int64_t patches = direct() ? 0 : 2 * cols;
+    c.bytes_read =
+        lane_bytes(ins[0]->numel()) + patches + 2 * weight_.numel();
+    c.bytes_written = lane_bytes(out.numel()) + patches;
     if (choice_.fuse) {
       c.macs += out.numel();
       c.flops += 3 * out.numel();

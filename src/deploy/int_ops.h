@@ -124,6 +124,10 @@ class IntConv2dOp final : public DeployOp {
   void set_solver_choice(solver::SolverChoice c) { choice_ = std::move(c); }
 
  private:
+  /// True when the chosen solver is the direct one-channel-per-group
+  /// kernel (dwconv_i8*), which packs PackedDw instead of PackedA.
+  bool direct() const;
+
   ITensor weight_;
   ConvSpec spec_;
   solver::SolverChoice choice_;

@@ -242,25 +242,50 @@ std::size_t pass_fold_requants(DeployModel& dm) {
 }
 
 std::size_t pass_dedup(DeployModel& dm) {
+  // An op's full parameter payload (labels excluded), serialized only
+  // once its (kind, operands) bucket already holds another op.
+  const auto params_of = [&dm](int v) {
+    std::ostringstream os;
+    dm.op(static_cast<std::size_t>(v - 1)).save_params(os);
+    return os.str();
+  };
   std::size_t merged = 0;
   bool again = true;
   while (again) {
     again = false;
-    std::map<std::string, int> seen;  // structural key -> first value id
+    // (kind, operand ids) -> the distinct ops seen so far with that
+    // signature, first occurrence first: only these can ever merge.
+    struct Entry {
+      int v;
+      std::string params;  // filled on the first collision
+    };
+    std::map<std::pair<std::string, std::vector<int>>, std::vector<Entry>>
+        buckets;
     for (std::size_t i = 0; i < dm.num_ops(); ++i) {
       const DeployOp& op = dm.op(i);
-      std::ostringstream key;
-      key << op.kind();
-      for (int in : op.inputs) key << ' ' << in;
-      key << '\n';
-      op.save_params(key);  // full parameter payload; labels excluded
       const int v = static_cast<int>(i) + 1;
-      const auto [it, inserted] = seen.emplace(key.str(), v);
-      if (inserted) continue;
+      std::vector<Entry>& bucket = buckets[{op.kind(), op.inputs}];
+      if (bucket.empty()) {
+        bucket.push_back({v, {}});
+        continue;
+      }
+      std::string params = params_of(v);
+      const Entry* first = nullptr;
+      for (Entry& e : bucket) {
+        if (e.params.empty()) e.params = params_of(e.v);
+        if (e.params == params) {
+          first = &e;
+          break;
+        }
+      }
+      if (first == nullptr) {
+        bucket.push_back({v, std::move(params)});
+        continue;
+      }
       // Already-bypassed duplicates linger until dve erases them; merging
       // them again would rewrite nothing and rescan forever.
       if (dm.consumers_of(v).empty() && dm.output_id() != v) continue;
-      dm.replace_uses(v, it->second);
+      dm.replace_uses(v, first->v);
       ++merged;
       again = true;
       break;  // rewiring may expose cascading duplicates downstream

@@ -32,9 +32,7 @@ Geometry geom(const Shape& x_shape, const ConvSpec& s) {
   return g;
 }
 
-// Generic im2col on raw data; shared by float and integer paths. TDst may
-// be narrower than TSrc (the int16 patch scratch of the packed int8 conv)
-// when the caller's value-range analysis proved the cast lossless. The
+// Generic im2col on raw data; shared by float and integer paths. The
 // padding test is hoisted out of the inner loop: the valid ox interval
 // [ox_lo, ox_hi) is computed once per (ki, kj) tap, so the interior is a
 // branch-free strided copy the compiler can vectorize.
@@ -107,17 +105,6 @@ Tensor im2col(const Tensor& x, const ConvSpec& spec, std::int64_t n, int g) {
   Tensor cols({gm.icg * spec.kernel * spec.kernel, gm.oh * gm.ow});
   im2col_raw(x.data(), spec, gm, n, g, cols.data());
   return cols;
-}
-
-void im2col_i16(const ITensor& x, const ConvSpec& spec, std::int64_t n,
-                int g, std::vector<std::int16_t>& cols) {
-  spec.validate();
-  check(x.rank() == 4 && x.size(1) == spec.in_channels,
-        "im2col_i16: input must be NCHW with matching channels");
-  const Geometry gm = geom(x.shape(), spec);
-  cols.resize(static_cast<std::size_t>(gm.icg * spec.kernel * spec.kernel
-                                       * gm.oh * gm.ow));
-  im2col_raw(x.data(), spec, gm, n, g, cols.data());
 }
 
 void col2im_accum(const Tensor& cols, const ConvSpec& spec, std::int64_t n,

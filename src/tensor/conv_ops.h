@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -56,13 +55,5 @@ Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& x,
 /// semantics the deploy graph and the RTL testbench share.
 ITensor iconv2d_forward(const ITensor& x, const ITensor& w,
                         const ITensor* bias, const ConvSpec& spec);
-
-/// Integer im2col into caller-owned int16 scratch `cols` ([ICg*K*K,
-/// OH*OW] flattened, resized as needed) — the patch matrix the packed
-/// int8 conv kernel consumes (tensor/int8_gemm.h). The narrowing cast is
-/// lossless only when the planner's value-range analysis proved the
-/// activations fit int16; callers must check that first.
-void im2col_i16(const ITensor& x, const ConvSpec& spec, std::int64_t n,
-                int g, std::vector<std::int16_t>& cols);
 
 }  // namespace t2c

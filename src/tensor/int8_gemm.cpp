@@ -183,6 +183,27 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::min(hi, std::max(lo, v));
 }
 
+/// Worker-local scratch of `n` lanes, grown on demand and kept for the
+/// thread's lifetime: every pool worker (and every calling thread) owns
+/// one buffer per lane type and reuses it across calls, so steady-state
+/// kernels never touch the heap. Each parallel body takes its pointer
+/// once and calls nothing that asks for the same lane type.
+template <typename T>
+T* worker_scratch(std::int64_t n) {
+  thread_local std::vector<T> buf;
+  if (buf.size() < static_cast<std::size_t>(n)) {
+    buf.resize(static_cast<std::size_t>(n));
+  }
+  return buf.data();
+}
+
+/// Merges one worker's clip count into the epilogue's shared counter.
+void add_sats(const Epilogue& ep, std::int64_t sat) {
+  if (ep.sat != nullptr && sat != 0) {
+    ep.sat->fetch_add(sat, std::memory_order_relaxed);
+  }
+}
+
 #if T2C_I8_AVX2
 // GCC 12's inliner trips -Wmaybe-uninitialized on the _mm*_maskz_* builtins
 // (the masked-off lanes are "uninitialized" by construction); the zeroing
@@ -359,18 +380,16 @@ void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
 
 /// Packs columns [j0, j0 + jn) of a row-major B (all k rows) into a
 /// pair-major kNr-wide int16 panel ([k2][kNr][2]), zero-padded on the
-/// right edge and on an odd-k tail. ST is the caller's lane type (int64
-/// graph values or int16 im2col scratch); narrowing is safe by the
-/// caller's int16 operand proof.
-template <typename ST>
-void pack_b_panel_i16(const ST* b, std::int16_t* dst, std::int64_t k,
-                      std::int64_t jn, std::int64_t b_rs, std::int64_t b_cs,
-                      std::int64_t j0) {
+/// right edge and on an odd-k tail. Narrowing is safe by the caller's
+/// int16 operand proof.
+void pack_b_panel_i16(const std::int64_t* b, std::int16_t* dst,
+                      std::int64_t k, std::int64_t jn, std::int64_t b_rs,
+                      std::int64_t b_cs, std::int64_t j0) {
   const std::int64_t k2 = (k + 1) / 2;
   for (std::int64_t p2 = 0; p2 < k2; ++p2) {
     const std::int64_t p = 2 * p2;
-    const ST* src0 = b + p * b_rs + j0 * b_cs;
-    const ST* src1 = p + 1 < k ? src0 + b_rs : nullptr;
+    const std::int64_t* src0 = b + p * b_rs + j0 * b_cs;
+    const std::int64_t* src1 = p + 1 < k ? src0 + b_rs : nullptr;
     std::int16_t* row = dst + p2 * kNr * 2;
     for (std::int64_t j = 0; j < jn; ++j) {
       row[2 * j] = static_cast<std::int16_t>(src0[j * b_cs]);
@@ -417,22 +436,20 @@ void gemm_b_packed_impl(const AT* a, const PackedB& pb, OutT* c,
   const std::int64_t n = pb.n;
   const std::int64_t mblocks = (m + kMr - 1) / kMr;
   const auto row_blocks = [&](std::int64_t ib0, std::int64_t ib1) {
-    std::vector<std::int16_t> apack(static_cast<std::size_t>(kMr * k2 * 2));
+    std::int16_t* apack = worker_scratch<std::int16_t>(kMr * k2 * 2);
     std::int32_t acc[kMr * kNr];
     std::int64_t sat = 0;
     for (std::int64_t ib = ib0; ib < ib1; ++ib) {
       const std::int64_t i0 = ib * kMr;
       const std::int64_t mr = std::min(kMr, m - i0);
-      pack_a_block_i16(a, apack.data(), i0, mr, k);
+      pack_a_block_i16(a, apack, i0, mr, k);
       for (std::int64_t jp = 0; jp < pb.npanels; ++jp) {
-        kf(apack.data(), pb.panels.data() + jp * k2 * kNr * 2, acc, k2);
+        kf(apack, pb.panels.data() + jp * k2 * kNr * 2, acc, k2);
         write_tile(acc, c + i0 * n + jp * kNr, n, mr,
                    std::min(kNr, n - jp * kNr), i0, jp * kNr, ep, sat);
       }
     }
-    if (ep.sat != nullptr && sat != 0) {
-      ep.sat->fetch_add(sat, std::memory_order_relaxed);
-    }
+    add_sats(ep, sat);
   };
   if (threaded) {
     par::parallel_for(0, mblocks, 1, row_blocks);
@@ -441,46 +458,186 @@ void gemm_b_packed_impl(const AT* a, const PackedB& pb, OutT* c,
   }
 }
 
-template <typename BT>
-void gemm_a_packed_impl(const PackedA& pa, std::int64_t group, const BT* b,
-                        std::int64_t* c, std::int64_t n, const Epilogue& ep,
-                        bool threaded, MicroKernel mk) {
-  const MicroKernelFn kf = resolve_micro_kernel(mk);
-  const std::int64_t k = pa.k;
-  const std::int64_t k2 = pa.k2;
-  const std::int64_t m = pa.m;
-  const std::int64_t npanels = (n + kNr - 1) / kNr;
-  std::vector<std::int16_t> packed(
-      static_cast<std::size_t>(npanels * k2 * kNr * 2));
-  const auto pack = [&](std::int64_t jp0, std::int64_t jp1) {
-    for (std::int64_t jp = jp0; jp < jp1; ++jp) {
-      pack_b_panel_i16(b, packed.data() + jp * k2 * kNr * 2, k,
-                       std::min(kNr, n - jp * kNr), n, 1, jp * kNr);
-    }
-  };
-  const auto row_blocks = [&](std::int64_t ib0, std::int64_t ib1) {
-    std::int32_t acc[kMr * kNr];
-    std::int64_t sat = 0;
-    for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-      const std::int64_t i0 = ib * kMr;
-      const std::int16_t* ablock =
-          pa.blocks.data() + (group * pa.mblocks + ib) * k2 * kMr * 2;
-      for (std::int64_t jp = 0; jp < npanels; ++jp) {
-        kf(ablock, packed.data() + jp * k2 * kNr * 2, acc, k2);
-        write_tile(acc, c + i0 * n + jp * kNr, n, std::min(kMr, m - i0),
-                   std::min(kNr, n - jp * kNr), i0, jp * kNr, ep, sat);
+/// Conv geometry shared by the packed and direct kernels, derived once
+/// per call.
+struct ConvGeom {
+  std::int64_t n, h, w, hw, oh, ow, ohw, ic, oc, icg, ocg, groups;
+  std::int64_t k, stride, pad;
+};
+
+ConvGeom conv_geom(std::int64_t n, std::int64_t h, std::int64_t w,
+                   const ConvSpec& s) {
+  ConvGeom g{};
+  g.n = n;
+  g.h = h;
+  g.w = w;
+  g.hw = h * w;
+  g.oh = s.out_hw(h);
+  g.ow = s.out_hw(w);
+  g.ohw = g.oh * g.ow;
+  g.ic = s.in_channels;
+  g.oc = s.out_channels;
+  g.groups = s.groups;
+  g.icg = s.in_channels / s.groups;
+  g.ocg = s.out_channels / s.groups;
+  g.k = s.kernel;
+  g.stride = s.stride;
+  g.pad = s.padding;
+  return g;
+}
+
+/// Valid output-column range [lo[kj], hi[kj]) of each kernel column kj:
+/// ix = ox*stride + kj - pad lies in [0, w) exactly there. Hoisted out of
+/// the panel fill, which then copies each tap's run without a bounds test.
+void tap_col_bounds(const ConvGeom& g, std::int64_t* lo, std::int64_t* hi) {
+  for (std::int64_t kj = 0; kj < g.k; ++kj) {
+    const std::int64_t off = kj - g.pad;
+    lo[kj] = std::min(off < 0 ? (-off + g.stride - 1) / g.stride : 0, g.ow);
+    const std::int64_t u =
+        g.w - 1 - off < 0 ? 0 : (g.w - 1 - off) / g.stride + 1;
+    hi[kj] = std::min(std::max(u, lo[kj]), g.ow);
+  }
+}
+
+/// im2col of batch columns [j0, j0 + jn) of group `grp` into one
+/// pair-interleaved kNr-wide panel ([k2][kNr][2]). Column j is pixel
+/// j % ohw of image j / ohw; depth p = (c*k + ki)*k + kj. The columns
+/// split into runs along one output row of one image, and each tap of a
+/// run copies its valid span (bounds from tap_col_bounds) into row p of
+/// `rows` ([kdepth][kNr] int16, L1-resident); a second sweep interleaves
+/// row pairs into the panel. Both sweeps are contiguous, so both
+/// vectorize — a direct fill would store every lane at stride 2. The
+/// narrowing cast is lossless by the caller's int16 operand proof.
+T2C_MICROKERNEL_SIMD void fill_conv_panel(
+    const std::int64_t* x, const ConvGeom& g, std::int64_t grp,
+    std::int64_t j0, std::int64_t jn, std::int64_t k2, const std::int64_t* lo,
+    const std::int64_t* hi, std::int16_t* rows, std::int16_t* panel) {
+  const std::int64_t kdepth = g.icg * g.k * g.k;
+  // Padding taps and a partial panel's right edge are the only entries no
+  // run writes.
+  if (g.pad > 0 || jn < kNr) {
+    std::fill(rows, rows + kdepth * kNr, std::int16_t{0});
+  }
+  for (std::int64_t j = 0; j < jn;) {
+    const std::int64_t col = j0 + j;
+    const std::int64_t img = col / g.ohw;
+    const std::int64_t pix = col - img * g.ohw;
+    const std::int64_t oy = pix / g.ow;
+    const std::int64_t ox0 = pix - oy * g.ow;
+    const std::int64_t ox1 = std::min(g.ow, ox0 + (jn - j));
+    const std::int64_t* xg = x + (img * g.ic + grp * g.icg) * g.hw;
+    for (std::int64_t c = 0; c < g.icg; ++c) {
+      for (std::int64_t ki = 0; ki < g.k; ++ki) {
+        const std::int64_t iy = oy * g.stride + ki - g.pad;
+        if (iy < 0 || iy >= g.h) continue;
+        const std::int64_t* row = xg + c * g.hw + iy * g.w;
+        for (std::int64_t kj = 0; kj < g.k; ++kj) {
+          const std::int64_t p = (c * g.k + ki) * g.k + kj;
+          std::int16_t* dst = rows + p * kNr + j - ox0;
+          const std::int64_t a = std::max(ox0, lo[kj]);
+          const std::int64_t b = std::min(ox1, hi[kj]);
+          const std::int64_t ix0 = kj - g.pad;
+          if (g.stride == 1) {
+            for (std::int64_t ox = a; ox < b; ++ox) {
+              dst[ox] = static_cast<std::int16_t>(row[ox + ix0]);
+            }
+          } else {
+            for (std::int64_t ox = a; ox < b; ++ox) {
+              dst[ox] = static_cast<std::int16_t>(row[ox * g.stride + ix0]);
+            }
+          }
+        }
       }
     }
-    if (ep.sat != nullptr && sat != 0) {
-      ep.sat->fetch_add(sat, std::memory_order_relaxed);
+    j += ox1 - ox0;
+  }
+  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
+    const std::int16_t* r0 = rows + 2 * p2 * kNr;
+    std::int16_t* d = panel + p2 * kNr * 2;
+    if (2 * p2 + 1 < kdepth) {
+      const std::int16_t* r1 = r0 + kNr;
+      for (std::int64_t i = 0; i < kNr; ++i) {
+        d[2 * i] = r0[i];
+        d[2 * i + 1] = r1[i];
+      }
+    } else {  // odd-K tail
+      for (std::int64_t i = 0; i < kNr; ++i) {
+        d[2 * i] = r0[i];
+        d[2 * i + 1] = 0;
+      }
     }
-  };
-  if (threaded) {
-    par::parallel_for(0, npanels, 1, pack);
-    par::parallel_for(0, pa.mblocks, 1, row_blocks);
-  } else {
-    pack(0, npanels);
-    row_blocks(0, pa.mblocks);
+  }
+}
+
+/// Planes of at most kNr outputs run as tiles of up to this many
+/// consecutive channels: one accumulator row per channel, kNr lanes apart,
+/// so a whole tile goes through a single write_tile call.
+constexpr std::int64_t kDwTileRows = 32;
+
+/// Minimum multiply-adds per parallel chunk of the conv kernels (about
+/// 10-20 us of work), so small layers stay on one thread instead of paying
+/// a pool dispatch per step.
+constexpr std::int64_t kDwGrain = std::int64_t{1} << 16;
+constexpr std::int64_t kConvGrain = std::int64_t{1} << 19;
+
+// Both direct kernels read a zero-padded int32 copy of their input, so the
+// padding is materialized and no tap needs a bounds test; off[t] is tap
+// t = (ic, ki, kj)'s offset from the window origin in that copy. Products
+// and every partial sum are bounded by the caller's accum_fits_i32 proof,
+// so int32 never wraps and each sum equals the int64 reference in any
+// order.
+
+/// One large output plane: acc [oh × ow] = Σ_t wt[t * wstride] · xp[...],
+/// with xp the plane's input channels (row pitch wp), vectorized along
+/// each output row.
+T2C_MICROKERNEL_SIMD void dw_plane(const std::int32_t* xp,
+                                   const std::int16_t* wt,
+                                   std::int64_t wstride,
+                                   const std::int32_t* off, std::int64_t taps,
+                                   std::int64_t st, std::int64_t wp,
+                                   std::int64_t oh, std::int64_t ow,
+                                   std::int32_t* acc) {
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    std::int32_t* arow = acc + oy * ow;
+    std::fill(arow, arow + ow, 0);
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const auto wv = static_cast<std::int32_t>(wt[t * wstride]);
+      const std::int32_t* s = xp + oy * st * wp + off[t];
+      if (st == 1) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) arow[ox] += wv * s[ox];
+      } else {
+        for (std::int64_t ox = 0; ox < ow; ++ox) arow[ox] += wv * s[ox * st];
+      }
+    }
+  }
+}
+
+/// A tile of `rows` small planes (consecutive channels of one image):
+/// acc[r * kNr + pixel] = Σ_t wt[t * wstride + r] · xp[... + r], with xp
+/// channel-interleaved (`pitch` lanes per padded pixel: kDwTileRows per
+/// input channel of the group), vectorized across the tile's channels.
+T2C_MICROKERNEL_SIMD void dw_tile(const std::int32_t* xp,
+                                  const std::int16_t* wt,
+                                  std::int64_t wstride,
+                                  const std::int32_t* off, std::int64_t taps,
+                                  std::int64_t rows, std::int64_t pitch,
+                                  std::int64_t st, std::int64_t wp,
+                                  std::int64_t oh, std::int64_t ow,
+                                  std::int32_t* acc) {
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      std::int32_t a[kDwTileRows] = {};
+      const std::int32_t* base = xp + (oy * st * wp + ox * st) * pitch;
+      for (std::int64_t t = 0; t < taps; ++t) {
+        const std::int16_t* wr = wt + t * wstride;
+        const std::int32_t* xr = base + off[t];
+        for (std::int64_t r = 0; r < rows; ++r) {
+          a[r] += static_cast<std::int32_t>(wr[r]) * xr[r];
+        }
+      }
+      std::int32_t* col = acc + oy * ow + ox;
+      for (std::int64_t r = 0; r < rows; ++r) col[r * kNr] = a[r];
+    }
   }
 }
 
@@ -575,16 +732,167 @@ void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
   gemm_b_packed_impl(a, pb, c, m, ep, threaded, mk);
 }
 
-void gemm_a_packed(const PackedA& pa, std::int64_t group,
-                   const std::int64_t* b, std::int64_t* c, std::int64_t n,
-                   const Epilogue& ep, bool threaded, MicroKernel mk) {
-  gemm_a_packed_impl(pa, group, b, c, n, ep, threaded, mk);
+std::int64_t PackedDw::bytes() const {
+  return static_cast<std::int64_t>(w.size() * sizeof(std::int16_t));
 }
 
-void gemm_a_packed(const PackedA& pa, std::int64_t group,
-                   const std::int16_t* b, std::int64_t* c, std::int64_t n,
-                   const Epilogue& ep, bool threaded, MicroKernel mk) {
-  gemm_a_packed_impl(pa, group, b, c, n, ep, threaded, mk);
+std::shared_ptr<const PackedDw> pack_dw(const std::int64_t* w,
+                                        std::int64_t channels,
+                                        std::int64_t taps) {
+  auto pw = std::make_shared<PackedDw>();
+  pw->channels = channels;
+  pw->taps = taps;
+  pw->w.resize(static_cast<std::size_t>(channels * taps));
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      pw->w[static_cast<std::size_t>(t * channels + c)] =
+          static_cast<std::int16_t>(w[c * taps + t]);
+    }
+  }
+  return pw;
+}
+
+void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
+                 std::int64_t w, const ConvSpec& spec, const PackedA& pa,
+                 std::int64_t* out, const Epilogue& ep, bool threaded,
+                 MicroKernel mk) {
+  const MicroKernelFn kf = resolve_micro_kernel(mk);
+  const ConvGeom g = conv_geom(n, h, w, spec);
+  const std::int64_t cols = g.n * g.ohw;
+  const std::int64_t npanels = (cols + kNr - 1) / kNr;
+  const std::int64_t panel_tasks = g.groups * npanels;
+  // Too few panels would idle pool workers (a 1x1 map folds a whole batch
+  // into one panel), so then each panel's row blocks split into slices.
+  // A worker fills a panel once for its consecutive slices; a lone thread
+  // never splits, so it never fills twice.
+  const std::int64_t slices = std::clamp<std::int64_t>(
+      threaded ? par::max_threads() / panel_tasks : 1, 1, pa.mblocks);
+  const std::int64_t slice_blocks = (pa.mblocks + slices - 1) / slices;
+  // The caller's int64 scratch holds the tap bounds; tasks take only int16.
+  std::int64_t* lo = worker_scratch<std::int64_t>(2 * g.k);
+  std::int64_t* hi = lo + g.k;
+  tap_col_bounds(g, lo, hi);
+  const auto tasks = [&](std::int64_t t0, std::int64_t t1) {
+    std::int16_t* panel =
+        worker_scratch<std::int16_t>(pa.k2 * kNr * 2 + pa.k * kNr);
+    std::int16_t* rows = panel + pa.k2 * kNr * 2;
+    std::int32_t acc[kMr * kNr];
+    std::int64_t filled = -1;
+    std::int64_t sat = 0;
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t pt = t / slices;
+      const std::int64_t grp = pt / npanels;
+      const std::int64_t j0 = (pt - grp * npanels) * kNr;
+      const std::int64_t jn = std::min(kNr, cols - j0);
+      if (pt != filled) {
+        fill_conv_panel(x, g, grp, j0, jn, pa.k2, lo, hi, rows, panel);
+        filled = pt;
+      }
+      Epilogue epg = ep;
+      epg.base = grp * g.ocg;  // per-row entries index the channel axis
+      const std::int64_t ib0 = (t - pt * slices) * slice_blocks;
+      const std::int64_t ib1 = std::min(ib0 + slice_blocks, pa.mblocks);
+      for (std::int64_t ib = ib0; ib < ib1; ++ib) {
+        const std::int64_t i0 = ib * kMr;
+        const std::int64_t mr = std::min(kMr, pa.m - i0);
+        kf(pa.blocks.data() + (grp * pa.mblocks + ib) * pa.k2 * kMr * 2,
+           panel, acc, pa.k2);
+        // Scatter the tile's column runs back to their images.
+        for (std::int64_t j = 0; j < jn;) {
+          const std::int64_t img = (j0 + j) / g.ohw;
+          const std::int64_t pix = j0 + j - img * g.ohw;
+          const std::int64_t len = std::min(jn - j, g.ohw - pix);
+          write_tile(acc + j,
+                     out + (img * g.oc + grp * g.ocg + i0) * g.ohw + pix,
+                     g.ohw, mr, len, i0, j, epg, sat);
+          j += len;
+        }
+      }
+    }
+    add_sats(ep, sat);
+  };
+  const std::int64_t ntasks = panel_tasks * slices;
+  if (threaded) {
+    par::parallel_for(
+        0, ntasks,
+        std::max<std::int64_t>(1, kConvGrain / (slice_blocks * kMr * pa.k *
+                                                kNr)),
+        tasks);
+  } else {
+    tasks(0, ntasks);
+  }
+}
+
+void dwconv(const std::int64_t* x, std::int64_t n, std::int64_t h,
+            std::int64_t w, const ConvSpec& spec, const PackedDw& pw,
+            std::int64_t* out, const Epilogue& ep) {
+  const ConvGeom g = conv_geom(n, h, w, spec);
+  const std::int64_t wp = g.w + 2 * g.pad;
+  const std::int64_t ppix = (g.h + 2 * g.pad) * wp;  // padded pixels
+  const bool tiled = g.ohw <= kNr;
+  // Lanes per padded pixel: a tile interleaves its channels (kDwTileRows
+  // per input channel of the group); a lone plane keeps each input channel
+  // contiguous.
+  const std::int64_t pitch = tiled ? g.icg * kDwTileRows : 1;
+  const std::int64_t xp_lanes = tiled ? ppix * pitch : g.icg * ppix;
+  const std::int64_t acc_lanes = tiled ? kDwTileRows * kNr : g.ohw;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kDwGrain / std::max<std::int64_t>(1, g.ohw * pw.taps));
+  par::parallel_for(
+      0, g.n * g.oc, grain, [&](std::int64_t p0, std::int64_t p1) {
+        std::int32_t* xp =
+            worker_scratch<std::int32_t>(xp_lanes + acc_lanes + pw.taps);
+        std::int32_t* acc = xp + xp_lanes;
+        std::int32_t* off = acc + acc_lanes;
+        for (std::int64_t ic = 0, t = 0; ic < g.icg; ++ic) {
+          for (std::int64_t ki = 0; ki < g.k; ++ki) {
+            for (std::int64_t kj = 0; kj < g.k; ++kj) {
+              off[t++] = static_cast<std::int32_t>(
+                  tiled ? ((ki * wp + kj) * g.icg + ic) * kDwTileRows
+                        : ic * ppix + ki * wp + kj);
+            }
+          }
+        }
+        // Only interior pixels are rewritten below, so the padding ring
+        // stays zero for the whole chunk.
+        std::fill(xp, xp + xp_lanes, 0);
+        std::int64_t sat = 0;
+        for (std::int64_t p = p0; p < p1;) {
+          const std::int64_t img = p / g.oc;
+          const std::int64_t c0 = p - img * g.oc;  // output channel == group
+          const std::int64_t rows =
+              tiled ? std::min({kDwTileRows, g.oc - c0, p1 - p}) : 1;
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t ic = 0; ic < g.icg; ++ic) {
+              const std::int64_t* src =
+                  x + (img * g.ic + (c0 + r) * g.icg + ic) * g.hw;
+              for (std::int64_t iy = 0; iy < g.h; ++iy) {
+                const std::int64_t row = (iy + g.pad) * wp + g.pad;
+                for (std::int64_t ix = 0; ix < g.w; ++ix) {
+                  const std::int64_t at =
+                      tiled ? (row + ix) * pitch + ic * kDwTileRows + r
+                            : ic * ppix + row + ix;
+                  xp[at] = static_cast<std::int32_t>(src[iy * g.w + ix]);
+                }
+              }
+            }
+          }
+          const std::int16_t* wt = pw.w.data() + c0;
+          if (tiled) {
+            dw_tile(xp, wt, pw.channels, off, pw.taps, rows, pitch,
+                    g.stride, wp, g.oh, g.ow, acc);
+          } else {
+            dw_plane(xp, wt, pw.channels, off, pw.taps, g.stride, wp, g.oh,
+                     g.ow, acc);
+          }
+          // One accumulator row per plane; row0 = c0 makes each row's
+          // requant entry its channel. The planes are contiguous in `out`.
+          write_tile(acc, out + p * g.ohw, g.ohw, rows, g.ohw, c0, 0, ep,
+                     sat);
+          p += rows;
+        }
+        add_sats(ep, sat);
+      });
 }
 
 }  // namespace i8

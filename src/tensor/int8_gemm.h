@@ -29,14 +29,22 @@
 //             [k2][kMr][2], one block run per group (conv weights
 //             [OCg, ICg*K*K]); per-row sums are the matching offsets
 //             for an asymmetric B operand.
+//   PackedDw — the weights of a conv with one output channel per group
+//             (depthwise) for the direct kernel: int16, tap-major
+//             [ICg*K*K][C], so a run of channels reads one contiguous
+//             lane vector per tap.
 // The non-prepacked operand (activations / im2col patches) is narrowed
-// to int16 on the fly while packing, exactly as matmul.cpp packs.
+// to int16 on the fly while packing, exactly as matmul.cpp packs. A conv
+// never materializes its patch matrix: im2col fills one B panel at a time,
+// and the panel columns run over every image of the batch.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "tensor/conv_ops.h"
 
 namespace t2c {
 
@@ -129,6 +137,20 @@ struct PackedA final : public PackedWeights {
 std::shared_ptr<const PackedA> pack_a(const std::int64_t* a, std::int64_t m,
                                       std::int64_t k, std::int64_t groups);
 
+/// Weights of a conv with one output channel per group, narrowed to int16
+/// and stored tap-major, w[t * channels + c] (taps = ICg*K*K), for the
+/// direct kernel. No register-tile padding.
+struct PackedDw final : public PackedWeights {
+  std::int64_t channels = 0, taps = 0;
+  std::vector<std::int16_t> w;  ///< taps * channels
+  std::int64_t bytes() const override;
+};
+
+/// Packs conv weights [channels × taps] (the graph's [OC, ICg, K, K]).
+std::shared_ptr<const PackedDw> pack_dw(const std::int64_t* w,
+                                        std::int64_t channels,
+                                        std::int64_t taps);
+
 // C [m × pb.n] = A [m × pb.k] · packed op(B), epilogue applied at
 // writeback. A rows are packed (and narrowed) on the fly per kMr row
 // block; work splits over row blocks via par::parallel_for when
@@ -146,18 +168,34 @@ void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
                    std::int64_t m, const Epilogue& ep, bool threaded,
                    MicroKernel mk = MicroKernel::kAuto);
 
-/// C [pa.m × n] = packed A block `group` · B [pa.k × n] (row-major,
-/// narrowed while packing into column panels — the conv im2col path).
-/// The int16 overload takes patch scratch already narrowed by im2col_i16,
-/// halving the dominant per-run memory traffic.
-void gemm_a_packed(const PackedA& pa, std::int64_t group,
-                   const std::int64_t* b, std::int64_t* c, std::int64_t n,
-                   const Epilogue& ep, bool threaded,
-                   MicroKernel mk = MicroKernel::kAuto);
-void gemm_a_packed(const PackedA& pa, std::int64_t group,
-                   const std::int16_t* b, std::int64_t* c, std::int64_t n,
-                   const Epilogue& ep, bool threaded,
-                   MicroKernel mk = MicroKernel::kAuto);
+/// Packed int8 conv over a whole batch: out [n, OC, OH, OW] = x [n, IC,
+/// h, w] ⊛ W, with W prepacked per group by pack_a and the epilogue's
+/// per-row entries indexing the full channel axis. Per group the GEMM
+/// runs once with N = n·OH·OW columns: im2col fills each kNr-column run
+/// of that axis into a worker-local B panel (a panel may hold pixels of
+/// several images), every row block of the group's weights
+/// sweeps it, and the writeback scatters each tile's column runs back to
+/// their images' NCHW slices. With `threaded`, tasks are (group, panel)
+/// pairs, split further into row-block slices only when there are fewer
+/// of them than pool threads; each output element is one micro-kernel call
+/// over the full K, so the result is bit-identical at any thread count.
+void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
+                 std::int64_t w, const ConvSpec& spec, const PackedA& pa,
+                 std::int64_t* out, const Epilogue& ep, bool threaded,
+                 MicroKernel mk = MicroKernel::kAuto);
+
+/// Direct int8 conv for one output channel per group (depthwise): every
+/// (image, channel) plane is computed in int32 accumulators from a
+/// zero-padded int32 copy of its input channels — no im2col, no bounds
+/// test per tap — then written through write_tile's requant (per-row
+/// entries = channels). Planes of more than kNr outputs run one at a time,
+/// vectorized along output rows; smaller planes run in tiles of up to 32
+/// consecutive channels of one image, vectorized across the channels.
+/// Requires the same accum_fits_i32 proof as the GEMM path. Tasks are
+/// ranges of planes; bit-identical at any thread count.
+void dwconv(const std::int64_t* x, std::int64_t n, std::int64_t h,
+            std::int64_t w, const ConvSpec& spec, const PackedDw& pw,
+            std::int64_t* out, const Epilogue& ep);
 
 }  // namespace i8
 

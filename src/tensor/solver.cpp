@@ -137,8 +137,9 @@ double bench_i8_linear(const Problem& p, bool fuse, i8::MicroKernel mk) {
   });
 }
 
-/// Conv-shaped int8 bench: prepacked A (one weight group), int16 im2col
-/// scratch as B, per-row requant epilogue when the solver fuses.
+/// Conv-shaped int8 bench: prepacked A (one weight group) over a 1x1
+/// conv whose n output pixels form the folded panel columns, per-row
+/// requant epilogue when the solver fuses.
 double bench_i8_conv(const Problem& p, bool fuse, i8::MicroKernel mk) {
   const std::int64_t m = dim_or(p.m, 16);
   const std::int64_t n = dim_or(p.n, kNominalDim);
@@ -149,8 +150,12 @@ double bench_i8_conv(const Problem& p, bool fuse, i8::MicroKernel mk) {
   std::vector<std::int64_t> w(static_cast<std::size_t>(m * k));
   for (auto& v : w) v = rng.next(wmax);
   const auto pa = i8::pack_a(w.data(), m, k, /*groups=*/1);
-  std::vector<std::int16_t> b(static_cast<std::size_t>(k * n));
-  for (auto& v : b) v = static_cast<std::int16_t>(rng.next(amax));
+  ConvSpec spec;
+  spec.in_channels = k;
+  spec.out_channels = m;
+  spec.kernel = 1;
+  std::vector<std::int64_t> x(static_cast<std::size_t>(k * n));
+  for (auto& v : x) v = rng.next(amax);
   std::vector<std::int64_t> c(static_cast<std::size_t>(m * n));
   std::vector<std::int64_t> mul(static_cast<std::size_t>(m), 16);
   std::vector<std::int64_t> bias(static_cast<std::size_t>(m), 0);
@@ -164,8 +169,8 @@ double bench_i8_conv(const Problem& p, bool fuse, i8::MicroKernel mk) {
     ep.hi = 127;
   }
   return time_best([&] {
-    i8::gemm_a_packed(*pa, 0, b.data(), c.data(), n, ep, /*threaded=*/false,
-                      mk);
+    i8::conv_packed(x.data(), 1, 1, n, spec, *pa, c.data(), ep,
+                    /*threaded=*/false, mk);
     if (!fuse && p.epilogue) requant_sweep(c);
   });
 }
@@ -279,6 +284,30 @@ Registry::Registry() : state_(new State()) {
   };
   for (const OpKind op : {OpKind::kConvInt, OpKind::kLinearInt}) {
     const bool conv = op == OpKind::kConvInt;
+    // A conv with one output channel per group (depthwise) is a 1-row GEMM
+    // per (image, group): the direct kernel skips im2col and the 4x32
+    // register tile entirely. Heuristic-only — its speed depends on the
+    // kernel geometry and spatial size, which the problem key does not
+    // carry — so tuning never trades it for a GEMM variant.
+    for (const bool fuse : {true, false}) {
+      if (!conv) continue;
+      Solver s;
+      s.name = fuse ? "dwconv_i8_fused" : "dwconv_i8";
+      s.op = op;
+      s.i8 = true;
+      s.fuse = fuse;
+      s.gates = std::string("i32 accum proof; one output channel per group") +
+                (fuse ? "; fusable requant" : "");
+      s.applicable = [fuse](const Problem& p) -> std::string {
+        if (!i8::accum_fits_i32(p.k, p.a_max, p.w_max)) return "overflow";
+        if (p.m != 1) return "shape";
+        if (fuse && !p.epilogue) {
+          return p.epilogue_reason.empty() ? "consumer" : p.epilogue_reason;
+        }
+        return "";
+      };
+      solvers_.push_back(std::move(s));
+    }
     for (const bool fuse : {true, false}) {
       for (const Mk& v : kMks) {
         Solver s;
@@ -382,10 +411,11 @@ SolverChoice Registry::choose(const Problem& p) {
     if (s.tunable && s.bench && ntun < 8) tun[ntun++] = &s;
   }
   if (pick == nullptr) return SolverChoice{};  // every op has a fallback
-  // Fast path — lock-free: tuning disabled, or fewer than two tunable
-  // candidates means there is nothing to tune. This is the only path the
-  // f32 training GEMMs ever take.
-  if (mode_ == TuneMode::kOff || ntun < 2) {
+  // Fast path — lock-free: tuning disabled, fewer than two tunable
+  // candidates, or a heuristic-only pick ahead of them means there is
+  // nothing to tune. This is the only path the f32 training GEMMs ever
+  // take.
+  if (mode_ == TuneMode::kOff || ntun < 2 || !pick->tunable) {
     return make_choice(*pick, first_reason, false);
   }
   State& st = *state_;

@@ -19,12 +19,14 @@
 //              problems with >= 2 applicable *tunable* solvers are
 //              resolved through the tuning cache instead (exact-match
 //              key lookup; --tune full benchmarks misses and persists
-//              the winner).
+//              the winner) — unless list order puts a heuristic-only
+//              solver first, which then wins outright.
 //
 // Tuning never changes numerics: only solver sets whose members are
 // bit-identical (exact integer arithmetic) are marked tunable. The f32
 // solvers reorder float summation and the attention solvers re-gate per
-// batch, so those stay heuristic-only.
+// batch, so those stay heuristic-only; so does the direct depthwise conv,
+// whose speed hinges on geometry the key does not carry.
 //
 // The tuning cache is a small JSON file keyed by CPU model + build SHA +
 // ISA tier; any header mismatch is a keyed miss (the file is ignored,
@@ -101,7 +103,8 @@ struct Solver {
   std::string name;  ///< stable tag, grammar [a-z0-9_]+ (json_check --bench)
   OpKind op = OpKind::kGemmF32;
   /// Strategy discriminator the call site dispatches on: raw GEMMs use
-  /// 0 = tiled / 1 = naive; int8 solvers store the MicroKernel value.
+  /// 0 = tiled / 1 = naive; int8 GEMM solvers store the MicroKernel value
+  /// (0 = kAuto for the direct depthwise solvers, which have none).
   int variant = 0;
   bool i8 = false;
   bool fuse = false;

@@ -17,6 +17,7 @@
 #include <map>
 #include <thread>
 
+#include "alloc_count.h"
 #include "audit/dualpath_audit.h"
 #include "core/parallel.h"
 #include "core/registry.h"
@@ -29,6 +30,7 @@
 #include "obs/capture.h"
 #include "obs/metrics.h"
 #include "test_util.h"
+#include "util/cpuinfo.h"
 #include "xport/checkpoint.h"
 
 namespace t2c {
@@ -423,6 +425,211 @@ TEST(KernelGateTest, WideOperandsNeverSelectInt8) {
   EXPECT_EQ(linear_at(act, 0).solver_choice().reason, "overflow");
 }
 
+/// Input [n, c, h, w] -> depthwise 3x3 (pad 1, all weights `wval`) ->
+/// per-tensor MulQuant, with the input range set to +/-`amax`.
+DeployModel depthwise_graph(std::int64_t c, std::int64_t wval,
+                            std::int64_t amax) {
+  ConvSpec s;
+  s.in_channels = s.out_channels = c;
+  s.groups = static_cast<int>(c);
+  s.kernel = 3;
+  s.padding = 1;
+  ITensor w({c, 1, 3, 3});
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = wval;
+  DeployModel dm;
+  dm.input_qmin = -amax;
+  dm.input_qmax = amax;
+  const int v1 = add(dm, std::make_unique<IntConv2dOp>(std::move(w), s), {0});
+  dm.set_output(add(dm, scalar_mq(3, 5, 12, -127, 127), {v1}));
+  return dm;
+}
+
+TEST(KernelGateTest, DepthwiseJustFittingDepthSelectsDirectSolver) {
+  // K = 9 taps against full-magnitude weights: 9 * 7282 * 32767 =
+  // 2147483646 is the largest worst case below 2^31, so +/-7282 inputs
+  // just fit and +/-7283 do not.
+  constexpr std::int64_t kJustFitsInput = 7282;
+  DeployModel ref = depthwise_graph(2, i8::kOperandMax, kJustFitsInput);
+  DeployModel opt = depthwise_graph(2, i8::kOperandMax, kJustFitsInput);
+  EXPECT_GE(pass_select_solvers(opt), 1u);
+  EXPECT_EQ(opt.op(0).kernel(), "dwconv_i8_fused");
+  // Interior outputs of the all-peak input sit 2 below int32 wrap-around.
+  ITensor x({1, 2, 4, 5});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = kJustFitsInput;
+  expect_bit_identical(ref.run_int(x), opt.run_int(x), "dw just-fits peak");
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = i % 3 == 0 ? -kJustFitsInput : kJustFitsInput;
+  }
+  expect_bit_identical(ref.run_int(x), opt.run_int(x), "dw just-fits mixed");
+
+  DeployModel over = depthwise_graph(2, i8::kOperandMax, kJustFitsInput + 1);
+  pass_select_solvers(over);
+  EXPECT_EQ(over.op(0).kernel(), "gemm_i64(overflow)");
+}
+
+/// One cell of the conv bit-identity matrix.
+struct ConvCase {
+  enum class Kind { kDepthwise, kDense, kGrouped } kind;
+  int kernel, stride, padding;
+  std::int64_t h, w, batch;
+  enum class Ep { kNone, kPerTensor, kPerChannelRelu } ep;
+};
+
+std::string describe(const ConvCase& c) {
+  return "kind " + std::to_string(static_cast<int>(c.kind)) + " k" +
+         std::to_string(c.kernel) + " s" + std::to_string(c.stride) + " p" +
+         std::to_string(c.padding) + " " + std::to_string(c.h) + "x" +
+         std::to_string(c.w) + " n" + std::to_string(c.batch) + " ep" +
+         std::to_string(static_cast<int>(c.ep));
+}
+
+/// Input -> IntConv2d ("conv") [-> MulQuant ("mq")]. Depthwise is 4
+/// one-channel groups; dense is 3 -> 6 (a full and a partial 4-row block);
+/// grouped is 4 -> 6 in two groups. The multipliers push part of the
+/// outputs past the clamp, so saturation counts are exercised too.
+DeployModel conv_case_graph(const ConvCase& c) {
+  ConvSpec s;
+  s.kernel = c.kernel;
+  s.stride = c.stride;
+  s.padding = c.padding;
+  switch (c.kind) {
+    case ConvCase::Kind::kDepthwise:
+      s.in_channels = s.out_channels = 4;
+      s.groups = 4;
+      break;
+    case ConvCase::Kind::kDense:
+      s.in_channels = 3;
+      s.out_channels = 6;
+      break;
+    case ConvCase::Kind::kGrouped:
+      s.in_channels = 4;
+      s.out_channels = 6;
+      s.groups = 2;
+      break;
+  }
+  ITensor w({s.out_channels, s.in_channels / s.groups, s.kernel, s.kernel});
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = (i * 7919 + 13) % 19 - 9;
+  DeployModel dm;
+  const int v1 = add(dm, std::make_unique<IntConv2dOp>(std::move(w), s), {0},
+                     "conv");
+  if (c.ep == ConvCase::Ep::kNone) {
+    dm.set_output(v1);
+    return dm;
+  }
+  std::unique_ptr<MulQuantOp> mq;
+  if (c.ep == ConvCase::Ep::kPerTensor) {
+    mq = scalar_mq(45, -3, 8, -127, 127);
+  } else {
+    std::vector<std::int64_t> mul, bias;
+    std::vector<int> frac;
+    for (std::int64_t oc = 0; oc < s.out_channels; ++oc) {
+      mul.push_back(20 + 9 * oc);
+      bias.push_back(oc * 5 - 11);
+      frac.push_back(7 + static_cast<int>(oc % 3));
+    }
+    mq = std::make_unique<MulQuantOp>(std::move(mul), std::move(bias),
+                                      std::move(frac), 0, 127,
+                                      MqLayout::kChannelNCHW, 1);
+  }
+  dm.set_output(add(dm, std::move(mq), {v1}, "mq"));
+  return dm;
+}
+
+/// Output of one run_int plus the clips it added to the MulQuant counter.
+std::pair<ITensor, std::int64_t> run_counting_sats(const DeployModel& dm,
+                                                   const ITensor& x) {
+  obs::Counter& sat = obs::metrics().counter("deploy.sat.MulQuant:mq");
+  const std::int64_t before = sat.value();
+  ITensor y = dm.run_int(x);
+  return {std::move(y), sat.value() - before};
+}
+
+TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
+  // Opt-2 (direct depthwise / batch-folded packed GEMM, every ISA cap and
+  // pool size) against the opt-0 int64 graph at 1 thread: output bits and
+  // saturation counts. Batch 3 at 3x5 folds 45 columns, so a panel edge
+  // falls inside the third image. The pool is resized once per (cap,
+  // threads) pair, not per cell.
+  const ThreadGuard guard;
+  obs::set_metrics_enabled(true);
+  struct Cell {
+    ConvCase c;
+    ITensor x, want;
+    std::int64_t want_sat;
+  };
+  struct Hw {
+    std::int64_t h, w;
+  };
+  std::vector<Cell> cells;
+  par::set_max_threads(1);
+  for (const auto kind :
+       {ConvCase::Kind::kDepthwise, ConvCase::Kind::kDense,
+        ConvCase::Kind::kGrouped}) {
+    for (const int k : {1, 3, 5}) {
+      for (const int st : {1, 2}) {
+        for (const int pad : {0, 1, 2}) {
+          for (const Hw hw : {Hw{1, 1}, Hw{2, 2}, Hw{3, 5}, Hw{16, 16}}) {
+            if (hw.h + 2 * pad < k || hw.w + 2 * pad < k) continue;
+            for (const std::int64_t batch : {1, 3, 8}) {
+              for (const auto ep :
+                   {ConvCase::Ep::kNone, ConvCase::Ep::kPerTensor,
+                    ConvCase::Ep::kPerChannelRelu}) {
+                Cell cell{{kind, k, st, pad, hw.h, hw.w, batch, ep}, {}, {},
+                          0};
+                const std::int64_t ic =
+                    kind == ConvCase::Kind::kDense ? 3 : 4;
+                cell.x = ITensor({batch, ic, hw.h, hw.w});
+                for (std::int64_t i = 0; i < cell.x.numel(); ++i) {
+                  cell.x[i] = (i * 31 + k * 7 + st) % 255 - 127;
+                }
+                auto [want, sat] =
+                    run_counting_sats(conv_case_graph(cell.c), cell.x);
+                cell.want = std::move(want);
+                cell.want_sat = sat;
+                cells.push_back(std::move(cell));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(cells.size(), 3u * 58 * 3 * 3);
+  std::int64_t clips = 0;
+  for (const Cell& cell : cells) clips += cell.want_sat;
+  EXPECT_GT(clips, 0);  // the clip-count comparison is not vacuous
+  for (const util::IsaTier cap :
+       {util::IsaTier::kGeneric, util::IsaTier::kAvx2,
+        util::IsaTier::kAvx512}) {
+    util::set_isa_tier_cap(cap);
+    for (const int threads : {1, 4, 16}) {
+      par::set_max_threads(threads);
+      // One optimized graph alive at a time keeps the footprint small
+      // under the sanitizers.
+      for (const Cell& cell : cells) {
+        const std::string at = describe(cell.c) + " cap " +
+                               util::isa_tier_name(cap) + " @" +
+                               std::to_string(threads);
+        DeployModel opt = conv_case_graph(cell.c);
+        (void)optimize_deploy_graph(opt, 2);
+        const std::string kern = opt.op(0).kernel();
+        if (cell.c.kind == ConvCase::Kind::kDepthwise) {
+          EXPECT_EQ(kern, cell.c.ep == ConvCase::Ep::kNone ? "dwconv_i8"
+                                                           : "dwconv_i8_fused")
+              << at;
+        } else {
+          EXPECT_EQ(kern.rfind("gemm_i8_", 0), 0u) << kern << " " << at;
+        }
+        const auto [got, got_sat] = run_counting_sats(opt, cell.x);
+        expect_bit_identical(cell.want, got, at);
+        EXPECT_EQ(got_sat, cell.want_sat) << at;
+      }
+    }
+  }
+  util::set_isa_tier_cap(util::IsaTier::kAvx512);
+  obs::set_metrics_enabled(false);
+}
+
 // ---- execution plan + arena ----
 
 TEST(DeployPlanTest, ElementwiseChainRunsInOneSlotInPlace) {
@@ -543,6 +750,65 @@ TEST(DeployPlanTest, MemoryGaugesPublishedWhenMetricsEnabled) {
   EXPECT_GT(snap.gauges.at("deploy.mem.naive_bytes"), 0.0);
   EXPECT_GE(snap.gauges.at("deploy.mem.naive_bytes"),
             snap.gauges.at("deploy.mem.peak_bytes"));
+}
+
+/// Depthwise-separable block on [batch, c, 8, 8]: depthwise 3x3 ->
+/// per-channel MulQuant -> pointwise 1x1 -> per-tensor MulQuant, opt 2.
+DeployModel separable_graph(std::int64_t c) {
+  DeployModel dm;
+  ConvSpec dw;
+  dw.in_channels = dw.out_channels = c;
+  dw.groups = static_cast<int>(c);
+  dw.kernel = 3;
+  dw.padding = 1;
+  ITensor wd({c, 1, 3, 3});
+  for (std::int64_t i = 0; i < wd.numel(); ++i) wd[i] = i % 7 - 3;
+  const int v1 = add(dm, std::make_unique<IntConv2dOp>(std::move(wd), dw),
+                     {0});
+  const int v2 = add(dm,
+                     std::make_unique<MulQuantOp>(
+                         std::vector<std::int64_t>(c, 9),
+                         std::vector<std::int64_t>(c, 1), 6, 0, 127,
+                         MqLayout::kChannelNCHW),
+                     {v1});
+  ConvSpec pw;
+  pw.in_channels = pw.out_channels = c;
+  pw.kernel = 1;
+  ITensor wp({c, c, 1, 1});
+  for (std::int64_t i = 0; i < wp.numel(); ++i) wp[i] = i % 5 - 2;
+  const int v3 = add(dm, std::make_unique<IntConv2dOp>(std::move(wp), pw),
+                     {v2});
+  dm.set_output(add(dm, scalar_mq(5, 0, 8, -127, 127), {v3}));
+  (void)optimize_deploy_graph(dm, 2);
+  return dm;
+}
+
+TEST(DeployPlanTest, ConvScratchAllocationsIndependentOfBatchAndChannels) {
+  // Kernel scratch (panels, padded planes, A blocks) is worker-local and
+  // reused, so a steady-state run_int allocates the same count whatever
+  // the batch or channel count — nothing per (image, group) or per plane.
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  const ThreadGuard guard;
+  par::set_max_threads(1);
+  std::vector<std::int64_t> counts;
+  for (const std::int64_t c : {16, 64}) {
+    const DeployModel dm = separable_graph(c);
+    EXPECT_EQ(dm.op(0).kernel(), "dwconv_i8_fused");
+    EXPECT_EQ(dm.op(2).kernel().rfind("gemm_i8_fused_", 0), 0u);
+    for (const std::int64_t batch : {1, 8}) {
+      ITensor x({batch, c, 8, 8});
+      for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = i % 255 - 127;
+      for (int i = 0; i < 3; ++i) (void)dm.run_int(x);  // warm
+      const std::int64_t before = g_t2c_alloc_count.load();
+      (void)dm.run_int(x);
+      counts.push_back(g_t2c_alloc_count.load() - before);
+    }
+  }
+  for (std::size_t i = 1; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], counts[0]) << "config " << i;
+  }
 }
 
 // ---- concurrency (runs under TSan via the t2c_tsan_deploy_parallel entry) ----

@@ -135,6 +135,31 @@ TEST_F(ProfileTest, ConvAndLinearCostsFollowShapes) {
   EXPECT_EQ(ac.bytes_written, 16 * 8);
 }
 
+TEST_F(ProfileTest, DirectDepthwiseCostHasNoPatchTraffic) {
+  // 2x8x8x8 depthwise k3 p1 on the direct solver: the input is read once,
+  // the int16 weight rows once, no im2col patches either way, and the
+  // fused requant adds its per-output work.
+  ConvSpec spec;
+  spec.in_channels = spec.out_channels = 8;
+  spec.groups = 8;
+  spec.kernel = 3;
+  spec.padding = 1;
+  IntConv2dOp conv(ITensor({8, 1, 3, 3}), spec);
+  solver::SolverChoice c;
+  c.name = "dwconv_i8_fused";
+  c.i8 = true;
+  c.fuse = true;
+  conv.set_solver_choice(c);
+  ITensor x({2, 8, 8, 8});
+  ITensor y({2, 8, 8, 8});
+  const obs::OpCost cc = conv.cost({&x}, y);
+  const std::int64_t macs = y.numel() * 1 * 3 * 3;
+  EXPECT_EQ(cc.macs, macs + y.numel());
+  EXPECT_EQ(cc.flops, 2 * macs + 3 * y.numel());
+  EXPECT_EQ(cc.bytes_read, x.numel() * 8 + 2 * 8 * 9);
+  EXPECT_EQ(cc.bytes_written, y.numel() * 8);
+}
+
 TEST_F(ProfileTest, JsonEscapeRoundTripsHostileLabels) {
   const std::string hostile = "layer\"7\\na\tme\n\x01\x1f end";
   // Direct escape -> parse round trip through a JSON document.

@@ -8,7 +8,8 @@
 // host-mismatched, stale winner — all degrade to the heuristic with a
 // warning, never an error), and the headline bit-identity guarantee:
 // integer outputs are identical across --tune off/heuristic/full at any
-// thread count, and across every forced int8 micro-kernel width.
+// thread count, and across every forced int8 micro-kernel width — for the
+// batch-folded conv and the direct depthwise kernel too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "core/parallel.h"
 #include "deploy/int_ops.h"
 #include "deploy/passes.h"
+#include "tensor/conv_ops.h"
 #include "tensor/int8_gemm.h"
 #include "tensor/solver.h"
 #include "util/cpuinfo.h"
@@ -160,6 +162,48 @@ TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
   bad.k = 1 << 20;
   EXPECT_EQ(reg.choose(bad).reason, "overflow");
   util::set_isa_tier_cap(util::IsaTier::kAvx512);
+}
+
+TEST(SolverRegistryTest, DepthwiseSolversPrecedeTheGemmFamily) {
+  RegistryGuard guard;
+  auto& reg = solver::Registry::instance();
+  solver::Problem dw;
+  dw.op = solver::OpKind::kConvInt;
+  dw.m = 1;  // one output channel per group
+  dw.k = 9;
+  dw.groups = 32;
+  dw.a_max = 127;
+  dw.w_max = 127;
+  dw.epilogue = true;
+  dw.threads = 1;
+  for (const solver::TuneMode mode :
+       {solver::TuneMode::kOff, solver::TuneMode::kHeuristic,
+        solver::TuneMode::kFull}) {
+    reg.reset_tuning();
+    reg.set_mode(mode);
+    const solver::SolverChoice c = reg.choose(dw);
+    EXPECT_EQ(c.name, "dwconv_i8_fused");
+    EXPECT_TRUE(c.i8);  // counts as a narrow kernel in solver.narrow_share
+    EXPECT_TRUE(c.fuse);
+    // Heuristic-only: even full tuning never benchmarks it away.
+    EXPECT_FALSE(c.tuned);
+    EXPECT_EQ(reg.stats().benchmarked, 0);
+  }
+  reg.set_mode(solver::TuneMode::kOff);
+  solver::Problem unfused = dw;
+  unfused.epilogue = false;
+  unfused.epilogue_reason = "consumer";
+  EXPECT_EQ(reg.choose(unfused).name, "dwconv_i8");
+  EXPECT_EQ(reg.choose(unfused).reason, "consumer");
+  // More than one output channel per group: the GEMM family takes over.
+  solver::Problem dense = dw;
+  dense.m = 16;
+  EXPECT_EQ(reg.choose(dense).name.rfind("gemm_i8_fused_", 0), 0u);
+  // The overflow proof gates the direct kernel like the GEMMs.
+  solver::Problem deep = dw;
+  deep.a_max = deep.w_max = i8::kOperandMax;
+  EXPECT_EQ(reg.choose(deep).name, "gemm_i64");
+  EXPECT_EQ(reg.choose(deep).reason, "overflow");
 }
 
 TEST(SolverRegistryTest, AttentionGatesOnAuxAndBound) {
@@ -459,6 +503,68 @@ TEST(SolverBitIdentity, ForcedMicroKernelWidthsAgreeBitForBit) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], want[i])
           << "mk " << static_cast<int>(mk) << " element " << i;
+    }
+  }
+}
+
+TEST(SolverBitIdentity, ConvKernelsMatchI64ForEveryMicroKernel) {
+  // Raw accumulators (no epilogue) of the batch-folded packed conv, under
+  // every forced micro-kernel width, and of the direct depthwise kernel,
+  // against iconv2d_forward. 3 images of 3x5 fold 45 columns, so the
+  // second panel starts inside the third image.
+  ThreadGuard tguard;
+  struct Geo {
+    std::int64_t n, ic, oc, h, w;
+    int k, stride, pad, groups;
+  };
+  const Geo geos[] = {
+      {3, 4, 6, 3, 5, 3, 1, 1, 1},    {3, 4, 6, 3, 5, 1, 2, 0, 2},
+      {8, 5, 9, 2, 2, 3, 1, 1, 1},    {8, 8, 8, 1, 1, 1, 1, 0, 1},
+      {2, 3, 5, 16, 16, 5, 2, 2, 1},  {3, 6, 6, 3, 5, 3, 2, 1, 6},
+      {8, 4, 4, 16, 16, 3, 1, 1, 4},  {3, 8, 4, 3, 5, 5, 1, 2, 4},
+  };
+  for (const Geo& g : geos) {
+    ConvSpec s;
+    s.in_channels = g.ic;
+    s.out_channels = g.oc;
+    s.kernel = g.k;
+    s.stride = g.stride;
+    s.padding = g.pad;
+    s.groups = g.groups;
+    const std::int64_t icg = g.ic / g.groups, ocg = g.oc / g.groups;
+    const std::int64_t taps = icg * g.k * g.k;
+    ITensor w({g.oc, icg, g.k, g.k});
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = (i * 37 % 255) - 127;
+    ITensor x({g.n, g.ic, g.h, g.w});
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = (i * 13 % 255) - 127;
+    par::set_max_threads(1);
+    const ITensor want = iconv2d_forward(x, w, nullptr, s);
+    ITensor got(want.shape());
+    const auto expect_same = [&](const std::string& what) {
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+      }
+    };
+    const std::string geo = "k" + std::to_string(g.k) + " s" +
+                            std::to_string(g.stride) + " g" +
+                            std::to_string(g.groups);
+    const auto pa = i8::pack_a(w.data(), ocg, taps, g.groups);
+    for (const int threads : {1, 4}) {
+      par::set_max_threads(threads);
+      for (const i8::MicroKernel mk :
+           {i8::MicroKernel::kScalar, i8::MicroKernel::kAvx2,
+            i8::MicroKernel::kAvx512}) {
+        i8::conv_packed(x.data(), g.n, g.h, g.w, s, *pa, got.data(),
+                        i8::Epilogue{}, /*threaded=*/true, mk);
+        expect_same(geo + " packed mk " + std::to_string(static_cast<int>(mk)) +
+                    " @" + std::to_string(threads));
+      }
+      if (ocg == 1) {
+        const auto pw = i8::pack_dw(w.data(), g.oc, taps);
+        i8::dwconv(x.data(), g.n, g.h, g.w, s, *pw, got.data(),
+                   i8::Epilogue{});
+        expect_same(geo + " direct @" + std::to_string(threads));
+      }
     }
   }
 }

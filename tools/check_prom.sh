@@ -20,7 +20,7 @@ mkdir -p "$WORK"
 cd "$WORK"
 rm -f cli.log live.prom
 "$CLI" --model resnet20 --width 0.25 --epochs 1 --threads 4 --out cli_out \
-       --serve-obs 0 --loop 4000 > cli.log 2>&1 &
+       --serve-obs 0 --loop 16000 > cli.log 2>&1 &
 CLI_PID=$!
 
 PORT=""
