@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,10 +101,10 @@ class DeployOp {
   virtual void run_into(const std::vector<const ITensor*>& ins,
                         ITensor& out) const;
 
-  /// Writes the op's parameters as whitespace-separated tokens — the
-  /// payload of the integer checkpoint (xport/checkpoint.h). Each op kind
-  /// has a matching loader registered there.
-  virtual void save_params(std::ostream& os) const = 0;
+  /// Appends the op's parameters as whitespace-separated tokens (through
+  /// util/textio.h) — the payload of the integer checkpoint
+  /// (xport/checkpoint.h). Each op kind has a matching loader there.
+  virtual void save_params(std::string& out) const = 0;
 
   /// Shape-derived work/traffic of one execution, consumed by the
   /// profiler (obs/profile.h; DESIGN.md §3.8 has the per-kind accounting

@@ -14,6 +14,7 @@
 #include "obs/telemetry.h"
 #include "tensor/matmul.h"
 #include "util/cpuinfo.h"
+#include "util/textio.h"
 
 namespace t2c {
 
@@ -672,68 +673,44 @@ ITensor IntMeanPoolTokensOp::run(
 
 // ---- checkpoint serialization ----
 
-#include <ostream>
-
 namespace t2c {
 
-namespace {
-
-void write_vec(std::ostream& os, const std::vector<std::int64_t>& v) {
-  os << v.size();
-  for (auto x : v) os << ' ' << x;
-  os << '\n';
+void MulQuantOp::save_params(std::string& out) const {
+  textio::put_line(out,
+                   {out_min_, out_max_, static_cast<int>(layout_), bias_frac_});
+  textio::put_vec(out, mul_);
+  textio::put_vec(out, bias_);
+  textio::put_vec(out, frac_);
 }
 
-void write_itensor(std::ostream& os, const ITensor& t) {
-  os << t.rank();
-  for (int d = 0; d < t.rank(); ++d) os << ' ' << t.size(d);
-  os << '\n';
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    os << t[i] << (i + 1 == t.numel() ? '\n' : ' ');
-  }
+void IntConv2dOp::save_params(std::string& out) const {
+  textio::put_line(out, {spec_.in_channels, spec_.out_channels, spec_.kernel,
+                         spec_.stride, spec_.padding, spec_.groups});
+  textio::put_tensor(out, weight_.shape(), weight_.vec());
 }
 
-}  // namespace
-
-void MulQuantOp::save_params(std::ostream& os) const {
-  os << out_min_ << ' ' << out_max_ << ' ' << static_cast<int>(layout_)
-     << ' ' << bias_frac_ << '\n';
-  write_vec(os, mul_);
-  write_vec(os, bias_);
-  os << frac_.size();
-  for (int f : frac_) os << ' ' << f;
-  os << '\n';
+void IntLinearOp::save_params(std::string& out) const {
+  textio::put_tensor(out, weight_.shape(), weight_.vec());
 }
 
-void IntConv2dOp::save_params(std::ostream& os) const {
-  os << spec_.in_channels << ' ' << spec_.out_channels << ' ' << spec_.kernel
-     << ' ' << spec_.stride << ' ' << spec_.padding << ' ' << spec_.groups
-     << '\n';
-  write_itensor(os, weight_);
+void IntAddOp::save_params(std::string& out) const {
+  textio::put_line(out, {out_min_, out_max_});
 }
 
-void IntLinearOp::save_params(std::ostream& os) const {
-  write_itensor(os, weight_);
+void IntMaxPool2dOp::save_params(std::string& out) const {
+  textio::put_line(out, {kernel_, stride_, padding_});
 }
 
-void IntAddOp::save_params(std::ostream& os) const {
-  os << out_min_ << ' ' << out_max_ << '\n';
+void IntGlobalAvgPoolOp::save_params(std::string& out) const {
+  textio::put_line(out, {mul_, frac_bits_, out_min_, out_max_});
 }
 
-void IntMaxPool2dOp::save_params(std::ostream& os) const {
-  os << kernel_ << ' ' << stride_ << ' ' << padding_ << '\n';
+void TokenizeOp::save_params(std::string& out) const {
+  textio::put_line(out, {});
 }
 
-void IntGlobalAvgPoolOp::save_params(std::ostream& os) const {
-  os << mul_ << ' ' << frac_bits_ << ' ' << out_min_ << ' ' << out_max_
-     << '\n';
-}
-
-void TokenizeOp::save_params(std::ostream& os) const { os << '\n'; }
-
-void IntMeanPoolTokensOp::save_params(std::ostream& os) const {
-  os << mul_ << ' ' << frac_bits_ << ' ' << out_min_ << ' ' << out_max_
-     << '\n';
+void IntMeanPoolTokensOp::save_params(std::string& out) const {
+  textio::put_line(out, {mul_, frac_bits_, out_min_, out_max_});
 }
 
 }  // namespace t2c

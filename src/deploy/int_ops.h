@@ -3,8 +3,6 @@
 // the fixed-point rescaling follows Eq. 14/15 of the paper.
 #pragma once
 
-#include <iosfwd>
-
 #include "deploy/deploy_model.h"
 #include "tensor/conv_ops.h"
 #include "tensor/int8_gemm.h"
@@ -60,7 +58,7 @@ class MulQuantOp final : public DeployOp {
   void run_into(const std::vector<const ITensor*>& ins,
                 ITensor& out) const override;
   std::string kind() const override { return "MulQuant"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -113,7 +111,7 @@ class IntConv2dOp final : public DeployOp {
   void run_packed(const std::vector<const ITensor*>& ins,
                   const PackedWeights* packed, const MulQuantOp* fused,
                   ITensor& out) const override;
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -145,7 +143,7 @@ class IntLinearOp final : public DeployOp {
   void run_packed(const std::vector<const ITensor*>& ins,
                   const PackedWeights* packed, const MulQuantOp* fused,
                   ITensor& out) const override;
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -169,7 +167,7 @@ class IntAddOp final : public DeployOp {
   void run_into(const std::vector<const ITensor*>& ins,
                 ITensor& out) const override;
   std::string kind() const override { return "IntAdd"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
 
   std::int64_t out_min() const { return out_min_; }
   std::int64_t out_max() const { return out_max_; }
@@ -188,7 +186,7 @@ class IntMaxPool2dOp final : public DeployOp {
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "IntMaxPool2d"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -206,7 +204,7 @@ class IntGlobalAvgPoolOp final : public DeployOp {
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "IntGlobalAvgPool"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -225,7 +223,7 @@ class TokenizeOp final : public DeployOp {
  public:
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "Tokenize"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 };
@@ -238,7 +236,7 @@ class IntMeanPoolTokensOp final : public DeployOp {
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "IntMeanPoolTokens"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <sstream>
 
 #include "core/parallel.h"
 #include "deploy/int_ops.h"
@@ -162,10 +161,11 @@ std::size_t pass_validate(DeployModel& dm) {
   for (std::size_t i = 0; i < dm.num_ops(); ++i) {
     const DeployOp& op = dm.op(i);
     for (int in : op.inputs) {
-      check(in >= 0 && in <= static_cast<int>(i),
-            "pass_validate: op #" + std::to_string(i) + " (" + op.kind() +
-                ") references value v" + std::to_string(in) +
-                " which is not produced before it");
+      if (in < 0 || in > static_cast<int>(i)) {
+        fail("pass_validate: op #" + std::to_string(i) + " (" + op.kind() +
+             ") references value v" + std::to_string(in) +
+             " which is not produced before it");
+      }
     }
   }
   for (int v = 0; v < dm.num_values(); ++v) {
@@ -245,9 +245,9 @@ std::size_t pass_dedup(DeployModel& dm) {
   // An op's full parameter payload (labels excluded), serialized only
   // once its (kind, operands) bucket already holds another op.
   const auto params_of = [&dm](int v) {
-    std::ostringstream os;
-    dm.op(static_cast<std::size_t>(v - 1)).save_params(os);
-    return os.str();
+    std::string params;
+    dm.op(static_cast<std::size_t>(v - 1)).save_params(params);
+    return params;
   };
   std::size_t merged = 0;
   bool again = true;

@@ -18,6 +18,7 @@
 #include "core/parallel.h"
 #include "nn/activations.h"
 #include "util/cpuinfo.h"
+#include "util/textio.h"
 
 namespace t2c {
 
@@ -690,59 +691,36 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
 
 // ---- checkpoint serialization ----
 
-#include <ostream>
-
 namespace t2c {
 
-namespace {
-
-void write_vec64(std::ostream& os, const std::vector<std::int64_t>& v) {
-  os << v.size();
-  for (auto x : v) os << ' ' << x;
-  os << '\n';
+void LutSoftmaxOp::save_params(std::string& out) const {
+  textio::put_line(out, {p_qmax_});
+  textio::put_vec(out, lut_);
 }
 
-void write_itensor64(std::ostream& os, const ITensor& t) {
-  os << t.rank();
-  for (int d = 0; d < t.rank(); ++d) os << ' ' << t.size(d);
-  os << '\n';
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    os << t[i] << (i + 1 == t.numel() ? '\n' : ' ');
-  }
+void LutGeluOp::save_params(std::string& out) const {
+  textio::put_line(out, {in_min_, in_max_, index_step_});
+  textio::put_vec(out, lut_);
 }
 
-}  // namespace
-
-void LutSoftmaxOp::save_params(std::ostream& os) const {
-  os << p_qmax_ << '\n';
-  write_vec64(os, lut_);
+void IntLayerNormOp::save_params(std::string& out) const {
+  textio::put_line(out, {running_ ? 1 : 0, frac_bits_, out_min_, out_max_,
+                         mean_int_, inv_sigma_fx_, stat_frac_});
+  textio::put_vec(out, gamma_fx_);
+  textio::put_vec(out, beta_fx_);
 }
 
-void LutGeluOp::save_params(std::ostream& os) const {
-  os << in_min_ << ' ' << in_max_ << ' ' << index_step_ << '\n';
-  write_vec64(os, lut_);
-}
-
-void IntLayerNormOp::save_params(std::ostream& os) const {
-  os << (running_ ? 1 : 0) << ' ' << frac_bits_ << ' ' << out_min_ << ' '
-     << out_max_ << ' ' << mean_int_ << ' ' << inv_sigma_fx_ << ' '
-     << stat_frac_ << '\n';
-  write_vec64(os, gamma_fx_);
-  write_vec64(os, beta_fx_);
-}
-
-void IntAttentionOp::save_params(std::ostream& os) const {
-  os << p_.heads << ' ' << p_.frac_bits << ' ' << p_.bias_frac << ' '
-     << p_.stream_min << ' ' << p_.stream_max << ' ' << p_.logit_mul << ' '
-     << p_.p_qmax << ' ' << p_.ctx_mul << ' ' << p_.ctx_min << ' '
-     << p_.ctx_max << ' ' << p_.out_min << ' ' << p_.out_max << '\n';
-  write_itensor64(os, p_.wqkv);
-  write_vec64(os, p_.qkv_mul);
-  write_vec64(os, p_.qkv_bias);
-  write_vec64(os, p_.softmax_lut);
-  write_itensor64(os, p_.wproj);
-  write_vec64(os, p_.proj_mul);
-  write_vec64(os, p_.proj_bias);
+void IntAttentionOp::save_params(std::string& out) const {
+  textio::put_line(out, {p_.heads, p_.frac_bits, p_.bias_frac, p_.stream_min,
+                         p_.stream_max, p_.logit_mul, p_.p_qmax, p_.ctx_mul,
+                         p_.ctx_min, p_.ctx_max, p_.out_min, p_.out_max});
+  textio::put_tensor(out, p_.wqkv.shape(), p_.wqkv.vec());
+  textio::put_vec(out, p_.qkv_mul);
+  textio::put_vec(out, p_.qkv_bias);
+  textio::put_vec(out, p_.softmax_lut);
+  textio::put_tensor(out, p_.wproj.shape(), p_.wproj.vec());
+  textio::put_vec(out, p_.proj_mul);
+  textio::put_vec(out, p_.proj_bias);
 }
 
 }  // namespace t2c

@@ -3,8 +3,6 @@
 // multi-head attention block of Fig. 4(b/c).
 #pragma once
 
-#include <iosfwd>
-
 #include "deploy/deploy_model.h"
 #include "tensor/int8_gemm.h"
 #include "tensor/solver.h"
@@ -33,7 +31,7 @@ class LutSoftmaxOp final : public DeployOp {
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "LutSoftmax"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -56,7 +54,7 @@ class LutGeluOp final : public DeployOp {
   void run_into(const std::vector<const ITensor*>& ins,
                 ITensor& out) const override;
   std::string kind() const override { return "LutGelu"; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -92,7 +90,7 @@ class IntLayerNormOp final : public DeployOp {
   bool running_stats() const { return running_; }
   std::int64_t out_min() const { return out_min_; }
   std::int64_t out_max() const { return out_max_; }
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 
@@ -139,7 +137,7 @@ class IntAttentionOp final : public DeployOp {
   ITensor run(const std::vector<const ITensor*>& ins) const override;
   std::string kind() const override { return "IntAttention"; }
   std::string kernel() const override;
-  void save_params(std::ostream& os) const override;
+  void save_params(std::string& out) const override;
   obs::OpCost cost(const std::vector<const ITensor*>& ins,
                    const ITensor& out) const override;
 

@@ -117,9 +117,8 @@ class TensorT {
     check(rank() >= 1, "select0 on scalar tensor");
     check_index(i >= 0 && i < shape_[0], "select0: index out of range", i);
     const std::int64_t stride = numel() / shape_[0];
-    Shape s(shape_.begin() + 1, shape_.end());
-    if (s.empty()) s = {1};
-    TensorT out(std::move(s));
+    TensorT out(shape_.size() > 1 ? Shape(shape_.begin() + 1, shape_.end())
+                                  : Shape{1});
     std::copy(data_.begin() + i * stride, data_.begin() + (i + 1) * stride,
               out.data_.begin());
     return out;
@@ -137,20 +136,27 @@ class TensorT {
   bool same_shape(const TensorT& o) const { return shape_ == o.shape_; }
 
  private:
+  // The rank diagnostics are composed only on failure: at() runs per
+  // element in set-up loops, so the success path must not allocate.
   std::size_t idx1(std::int64_t i) const {
-    check(rank() == 1, "at(i) on rank-" + std::to_string(rank()) + " tensor");
+    if (rank() != 1) {
+      fail("at(i) on rank-" + std::to_string(rank()) + " tensor");
+    }
     check_index(i >= 0 && i < shape_[0], "index 0 out of range", i);
     return static_cast<std::size_t>(i);
   }
   std::size_t idx2(std::int64_t i, std::int64_t j) const {
-    check(rank() == 2, "at(i,j) on rank-" + std::to_string(rank()) + " tensor");
+    if (rank() != 2) {
+      fail("at(i,j) on rank-" + std::to_string(rank()) + " tensor");
+    }
     check_index(i >= 0 && i < shape_[0], "index 0 out of range", i);
     check_index(j >= 0 && j < shape_[1], "index 1 out of range", j);
     return static_cast<std::size_t>(i * shape_[1] + j);
   }
   std::size_t idx3(std::int64_t i, std::int64_t j, std::int64_t k) const {
-    check(rank() == 3,
-          "at(i,j,k) on rank-" + std::to_string(rank()) + " tensor");
+    if (rank() != 3) {
+      fail("at(i,j,k) on rank-" + std::to_string(rank()) + " tensor");
+    }
     check_index(i >= 0 && i < shape_[0], "index 0 out of range", i);
     check_index(j >= 0 && j < shape_[1], "index 1 out of range", j);
     check_index(k >= 0 && k < shape_[2], "index 2 out of range", k);
@@ -158,8 +164,9 @@ class TensorT {
   }
   std::size_t idx4(std::int64_t i, std::int64_t j, std::int64_t k,
                    std::int64_t l) const {
-    check(rank() == 4,
-          "at(i,j,k,l) on rank-" + std::to_string(rank()) + " tensor");
+    if (rank() != 4) {
+      fail("at(i,j,k,l) on rank-" + std::to_string(rank()) + " tensor");
+    }
     check_index(i >= 0 && i < shape_[0], "index 0 out of range", i);
     check_index(j >= 0 && j < shape_[1], "index 1 out of range", j);
     check_index(k >= 0 && k < shape_[2], "index 2 out of range", k);

@@ -4,8 +4,8 @@ namespace t2c {
 
 void fail(const std::string& msg) { throw Error("t2c: " + msg); }
 
-void check_index(bool cond, const std::string& msg, long long value) {
-  if (!cond) fail(msg + " (got " + std::to_string(value) + ")");
+void fail_index(const std::string& msg, long long value) {
+  fail(msg + " (got " + std::to_string(value) + ")");
 }
 
 }  // namespace t2c

@@ -2,7 +2,10 @@
 //
 // Library code reports contract violations by throwing t2c::Error. We use
 // functions (not macros) per the C++ Core Guidelines; the call site passes
-// its own context string.
+// its own context string. The `const char*` overloads keep the success path
+// free of std::string construction: a literal message is only turned into a
+// string when the check fails. Checks whose message must be composed
+// (std::to_string, concatenation) belong behind `if (!cond) fail(...)`.
 #pragma once
 
 #include <stdexcept>
@@ -19,12 +22,23 @@ class Error : public std::runtime_error {
 /// Throws t2c::Error with the given message.
 [[noreturn]] void fail(const std::string& msg);
 
+/// Throws t2c::Error with `msg` and the offending value appended.
+[[noreturn]] void fail_index(const std::string& msg, long long value);
+
 /// Throws t2c::Error(msg) when `cond` is false.
+inline void check(bool cond, const char* msg) {
+  if (!cond) fail(msg);
+}
 inline void check(bool cond, const std::string& msg) {
   if (!cond) fail(msg);
 }
 
 /// check() variant for index-style arguments; appends the offending value.
-void check_index(bool cond, const std::string& msg, long long value);
+inline void check_index(bool cond, const char* msg, long long value) {
+  if (!cond) fail_index(msg, value);
+}
+inline void check_index(bool cond, const std::string& msg, long long value) {
+  if (!cond) fail_index(msg, value);
+}
 
 }  // namespace t2c

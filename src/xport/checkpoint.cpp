@@ -1,12 +1,8 @@
 #include "xport/checkpoint.h"
 
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
-
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
+#include "util/textio.h"
 
 namespace t2c {
 
@@ -23,44 +19,29 @@ std::string escape_token(const std::string& s) {
   return out;
 }
 
-std::vector<std::int64_t> read_vec(std::istream& is) {
-  std::size_t n = 0;
-  check(static_cast<bool>(is >> n), "checkpoint: truncated vector header");
-  std::vector<std::int64_t> v(n);
-  for (auto& x : v) {
-    check(static_cast<bool>(is >> x), "checkpoint: truncated vector data");
-  }
-  return v;
+std::string unescape_token(std::string_view s) {
+  return s == "-" ? std::string() : std::string(s);
 }
 
-ITensor read_itensor(std::istream& is) {
-  int rank = 0;
-  check(static_cast<bool>(is >> rank) && rank >= 1 && rank <= 8,
-        "checkpoint: bad tensor rank");
-  Shape shape(static_cast<std::size_t>(rank));
-  for (auto& d : shape) {
-    check(static_cast<bool>(is >> d), "checkpoint: truncated tensor shape");
-  }
-  ITensor t(shape);
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    check(static_cast<bool>(is >> t[i]), "checkpoint: truncated tensor data");
-  }
-  return t;
+ITensor read_tensor(textio::Reader& r, const char* field) {
+  Shape shape = r.shape(field);
+  std::vector<std::int64_t> data = r.values(shape, field);
+  return ITensor::from(std::move(shape), std::move(data));
 }
 
-std::unique_ptr<DeployOp> load_op(const std::string& kind, std::istream& is) {
+// Fields are read one statement at a time: the order of evaluation of
+// function arguments is unspecified, the order of the file is not.
+std::unique_ptr<DeployOp> load_op(std::string_view kind, textio::Reader& r) {
   if (kind == "MulQuant") {
-    int layout = 0, bias_frac = 0;
-    std::int64_t lo = 0, hi = 0;
-    is >> lo >> hi >> layout >> bias_frac;
-    auto mul = read_vec(is);
-    auto bias = read_vec(is);
-    std::size_t nf = 0;
-    check(static_cast<bool>(is >> nf), "checkpoint: truncated frac header");
-    std::vector<int> frac(nf);
-    for (auto& f : frac) {
-      check(static_cast<bool>(is >> f), "checkpoint: truncated frac data");
-    }
+    const std::int64_t lo = r.i64("MulQuant out_min");
+    const std::int64_t hi = r.i64("MulQuant out_max");
+    const int layout =
+        r.i32_in("MulQuant layout", static_cast<int>(MqLayout::kPerTensor),
+                 static_cast<int>(MqLayout::kLastDim));
+    const int bias_frac = r.i32("MulQuant bias_frac");
+    auto mul = r.vec<std::int64_t>("MulQuant mul");
+    auto bias = r.vec<std::int64_t>("MulQuant bias");
+    auto frac = r.vec<int>("MulQuant frac_bits");
     return std::make_unique<MulQuantOp>(std::move(mul), std::move(bias),
                                         std::move(frac), lo, hi,
                                         static_cast<MqLayout>(layout),
@@ -68,55 +49,64 @@ std::unique_ptr<DeployOp> load_op(const std::string& kind, std::istream& is) {
   }
   if (kind == "IntConv2d") {
     ConvSpec spec;
-    is >> spec.in_channels >> spec.out_channels >> spec.kernel >>
-        spec.stride >> spec.padding >> spec.groups;
-    ITensor w = read_itensor(is);
+    spec.in_channels = r.i64("IntConv2d in_channels");
+    spec.out_channels = r.i64("IntConv2d out_channels");
+    spec.kernel = r.i32("IntConv2d kernel");
+    spec.stride = r.i32("IntConv2d stride");
+    spec.padding = r.i32("IntConv2d padding");
+    spec.groups = r.i32("IntConv2d groups");
+    ITensor w = read_tensor(r, "IntConv2d weight");
     return std::make_unique<IntConv2dOp>(std::move(w), spec);
   }
   if (kind == "IntLinear") {
-    return std::make_unique<IntLinearOp>(read_itensor(is));
+    return std::make_unique<IntLinearOp>(read_tensor(r, "IntLinear weight"));
   }
   if (kind == "IntAdd") {
-    std::int64_t lo = 0, hi = 0;
-    is >> lo >> hi;
+    const std::int64_t lo = r.i64("IntAdd out_min");
+    const std::int64_t hi = r.i64("IntAdd out_max");
     return std::make_unique<IntAddOp>(lo, hi);
   }
   if (kind == "IntMaxPool2d") {
-    int k = 0, s = 0, p = 0;
-    is >> k >> s >> p;
+    const int k = r.i32("IntMaxPool2d kernel");
+    const int s = r.i32("IntMaxPool2d stride");
+    const int p = r.i32("IntMaxPool2d padding");
     return std::make_unique<IntMaxPool2dOp>(k, s, p);
   }
-  if (kind == "IntGlobalAvgPool") {
-    std::int64_t m = 0, lo = 0, hi = 0;
-    int f = 0;
-    is >> m >> f >> lo >> hi;
-    return std::make_unique<IntGlobalAvgPoolOp>(m, f, lo, hi);
+  if (kind == "IntGlobalAvgPool" || kind == "IntMeanPoolTokens") {
+    const std::int64_t m = r.i64("pool mul");
+    const int f = r.i32("pool frac_bits");
+    const std::int64_t lo = r.i64("pool out_min");
+    const std::int64_t hi = r.i64("pool out_max");
+    if (kind == "IntGlobalAvgPool") {
+      return std::make_unique<IntGlobalAvgPoolOp>(m, f, lo, hi);
+    }
+    return std::make_unique<IntMeanPoolTokensOp>(m, f, lo, hi);
   }
   if (kind == "Tokenize") {
     return std::make_unique<TokenizeOp>();
   }
-  if (kind == "IntMeanPoolTokens") {
-    std::int64_t m = 0, lo = 0, hi = 0;
-    int f = 0;
-    is >> m >> f >> lo >> hi;
-    return std::make_unique<IntMeanPoolTokensOp>(m, f, lo, hi);
-  }
   if (kind == "LutSoftmax") {
-    std::int64_t p_qmax = 0;
-    is >> p_qmax;
-    return std::make_unique<LutSoftmaxOp>(read_vec(is), p_qmax);
+    const std::int64_t p_qmax = r.i64("LutSoftmax p_qmax");
+    return std::make_unique<LutSoftmaxOp>(r.vec<std::int64_t>("LutSoftmax lut"),
+                                          p_qmax);
   }
   if (kind == "LutGelu") {
-    std::int64_t lo = 0, hi = 0, step = 1;
-    is >> lo >> hi >> step;
-    return std::make_unique<LutGeluOp>(read_vec(is), lo, hi, step);
+    const std::int64_t lo = r.i64("LutGelu in_min");
+    const std::int64_t hi = r.i64("LutGelu in_max");
+    const std::int64_t step = r.i64("LutGelu index_step");
+    return std::make_unique<LutGeluOp>(r.vec<std::int64_t>("LutGelu lut"), lo,
+                                       hi, step);
   }
   if (kind == "IntLayerNorm") {
-    int running = 0, frac = 0, stat_frac = 0;
-    std::int64_t lo = 0, hi = 0, mean = 0, inv_sigma = 0;
-    is >> running >> frac >> lo >> hi >> mean >> inv_sigma >> stat_frac;
-    auto gamma = read_vec(is);
-    auto beta = read_vec(is);
+    const int running = r.i32_in("IntLayerNorm running", 0, 1);
+    const int frac = r.i32("IntLayerNorm frac_bits");
+    const std::int64_t lo = r.i64("IntLayerNorm out_min");
+    const std::int64_t hi = r.i64("IntLayerNorm out_max");
+    const std::int64_t mean = r.i64("IntLayerNorm mean");
+    const std::int64_t inv_sigma = r.i64("IntLayerNorm inv_sigma");
+    const int stat_frac = r.i32("IntLayerNorm stat_frac");
+    auto gamma = r.vec<std::int64_t>("IntLayerNorm gamma");
+    auto beta = r.vec<std::int64_t>("IntLayerNorm beta");
     if (running != 0) {
       return std::make_unique<IntLayerNormOp>(std::move(gamma),
                                               std::move(beta), frac, lo, hi,
@@ -127,97 +117,117 @@ std::unique_ptr<DeployOp> load_op(const std::string& kind, std::istream& is) {
   }
   if (kind == "IntAttention") {
     IntAttentionParams p;
-    is >> p.heads >> p.frac_bits >> p.bias_frac >> p.stream_min >>
-        p.stream_max >> p.logit_mul >> p.p_qmax >> p.ctx_mul >> p.ctx_min >>
-        p.ctx_max >> p.out_min >> p.out_max;
-    p.wqkv = read_itensor(is);
-    p.qkv_mul = read_vec(is);
-    p.qkv_bias = read_vec(is);
-    p.softmax_lut = read_vec(is);
-    p.wproj = read_itensor(is);
-    p.proj_mul = read_vec(is);
-    p.proj_bias = read_vec(is);
+    // heads divides the model dim in the constructor: zero must not pass.
+    p.heads = r.i32_in("IntAttention heads", 1, 1 << 20);
+    p.frac_bits = r.i32("IntAttention frac_bits");
+    p.bias_frac = r.i32("IntAttention bias_frac");
+    p.stream_min = r.i64("IntAttention stream_min");
+    p.stream_max = r.i64("IntAttention stream_max");
+    p.logit_mul = r.i64("IntAttention logit_mul");
+    p.p_qmax = r.i64("IntAttention p_qmax");
+    p.ctx_mul = r.i64("IntAttention ctx_mul");
+    p.ctx_min = r.i64("IntAttention ctx_min");
+    p.ctx_max = r.i64("IntAttention ctx_max");
+    p.out_min = r.i64("IntAttention out_min");
+    p.out_max = r.i64("IntAttention out_max");
+    p.wqkv = read_tensor(r, "IntAttention wqkv");
+    p.qkv_mul = r.vec<std::int64_t>("IntAttention qkv_mul");
+    p.qkv_bias = r.vec<std::int64_t>("IntAttention qkv_bias");
+    p.softmax_lut = r.vec<std::int64_t>("IntAttention softmax_lut");
+    p.wproj = read_tensor(r, "IntAttention wproj");
+    p.proj_mul = r.vec<std::int64_t>("IntAttention proj_mul");
+    p.proj_bias = r.vec<std::int64_t>("IntAttention proj_bias");
     return std::make_unique<IntAttentionOp>(std::move(p));
   }
-  fail("checkpoint: unknown op kind '" + kind + "'");
+  r.fail("op kind", "unknown op kind '" + std::string(kind) + "'");
 }
 
 }  // namespace
 
 void save_checkpoint(const DeployModel& dm, const std::string& path) {
-  std::ofstream os(path);
-  check(os.good(), "save_checkpoint: cannot open " + path);
   // Scales must survive the text round trip exactly — optimized graphs are
-  // asserted bit-identical (and audit-identical) after save/load.
-  os << std::setprecision(std::numeric_limits<float>::max_digits10);
-  os << kHeader << '\n';
-  os << "input " << dm.input_scale << ' ' << dm.input_zero << ' '
-     << dm.input_qmin << ' ' << dm.input_qmax << '\n';
-  os << "output " << dm.output_scale << ' ' << dm.output_id() << '\n';
-  os << "ops " << dm.num_ops() << '\n';
+  // asserted bit-identical (and audit-identical) after save/load — so
+  // floats are written at max_digits10.
+  const auto put_float = [](std::string& out, float v) {
+    out += ' ';
+    textio::put_float(out, v);
+  };
+  std::string out = kHeader;
+  out += "\ninput";
+  put_float(out, dm.input_scale);
+  put_float(out, dm.input_zero);
+  out += ' ';
+  textio::put_line(out, {dm.input_qmin, dm.input_qmax});
+  out += "output";
+  put_float(out, dm.output_scale);
+  out += ' ';
+  textio::put_line(out, {dm.output_id()});
+  out += "ops ";
+  textio::put_line(out, {static_cast<std::int64_t>(dm.num_ops())});
   for (std::size_t i = 0; i < dm.num_ops(); ++i) {
     const DeployOp& op = dm.op(i);
-    os << "op " << op.kind() << ' ' << escape_token(op.label) << ' '
-       << op.inputs.size();
-    for (int in : op.inputs) os << ' ' << in;
-    os << '\n';
-    op.save_params(os);
+    out += "op ";
+    out += op.kind();
+    out += ' ';
+    out += escape_token(op.label);
+    out += ' ';
+    textio::put_vec(out, op.inputs);
+    op.save_params(out);
     const OpAuditInfo& a = dm.audit_of(i);
     if (!a.source.empty() || a.out_scale != 0.0F || a.qmin != 0 ||
         a.qmax != 0) {
-      os << "audit " << escape_token(a.source) << ' ' << a.out_scale << ' '
-         << a.qmin << ' ' << a.qmax << '\n';
+      out += "audit ";
+      out += escape_token(a.source);
+      put_float(out, a.out_scale);
+      out += ' ';
+      textio::put_line(out, {a.qmin, a.qmax});
     }
   }
-  check(os.good(), "save_checkpoint: write failed for " + path);
+  textio::write_file(path, out, "save_checkpoint");
 }
 
 DeployModel load_checkpoint(const std::string& path) {
-  std::ifstream is(path);
-  check(is.good(), "load_checkpoint: cannot open " + path);
-  std::string tok;
-  is >> tok;
-  check(tok == kHeader, "load_checkpoint: bad header in " + path);
+  std::string text = textio::read_file(path, "load_checkpoint");
+  // Every field the writer emits is followed by a separator and the file
+  // ends in a newline; without it, the last number may have been cut.
+  if (text.empty() || text.back() != '\n') {
+    fail("load_checkpoint " + path + ": truncated (no final newline)");
+  }
+  textio::Reader r(std::move(text), "load_checkpoint " + path);
+  r.expect(kHeader);
 
   DeployModel dm;
-  is >> tok;
-  check(tok == "input", "load_checkpoint: expected 'input'");
-  is >> dm.input_scale >> dm.input_zero >> dm.input_qmin >> dm.input_qmax;
-  is >> tok;
-  check(tok == "output", "load_checkpoint: expected 'output'");
-  float out_scale = 1.0F;
-  int out_id = -1;
-  is >> out_scale >> out_id;
-  dm.output_scale = out_scale;
-  is >> tok;
-  check(tok == "ops", "load_checkpoint: expected 'ops'");
-  std::size_t n = 0;
-  is >> n;
+  r.expect("input");
+  dm.input_scale = r.f32("input scale");
+  dm.input_zero = r.f32("input zero");
+  dm.input_qmin = r.i64("input qmin");
+  dm.input_qmax = r.i64("input qmax");
+  r.expect("output");
+  dm.output_scale = r.f32("output scale");
+  const int out_id = r.i32("output id");
+  r.expect("ops");
+  const std::size_t n = r.count("ops");
   for (std::size_t i = 0; i < n; ++i) {
-    is >> tok;
-    check(tok == "op", "load_checkpoint: expected 'op'");
-    std::string kind, label;
-    std::size_t nin = 0;
-    is >> kind >> label >> nin;
-    std::vector<int> inputs(nin);
-    for (auto& v : inputs) is >> v;
-    auto op = load_op(kind, is);
+    r.expect("op");
+    const std::string_view kind = r.token("op kind");
+    const std::string_view label = r.token("op label");
+    std::vector<int> inputs = r.vec<int>("op inputs");
+    auto op = load_op(kind, r);
     op->inputs = std::move(inputs);
-    op->label = label == "-" ? "" : label;
+    op->label = unescape_token(label);
     const int id = dm.add_op(std::move(op));
     // Optional audit metadata line (absent in pre-audit checkpoints).
-    const std::streampos pos = is.tellg();
-    if (is >> tok && tok == "audit") {
+    if (r.next_is("audit")) {
+      r.expect("audit");
       OpAuditInfo a;
-      std::string source;
-      is >> source >> a.out_scale >> a.qmin >> a.qmax;
-      a.source = source == "-" ? "" : source;
+      a.source = unescape_token(r.token("audit source"));
+      a.out_scale = r.f32("audit out_scale");
+      a.qmin = r.i64("audit qmin");
+      a.qmax = r.i64("audit qmax");
       dm.set_audit(id, std::move(a));
-    } else {
-      is.clear();
-      is.seekg(pos);
     }
   }
+  if (!r.done()) r.fail("end of file", "unexpected data after the last op");
   dm.set_output(out_id);
   return dm;
 }

@@ -12,6 +12,9 @@ namespace t2c {
 
 void save_checkpoint(const DeployModel& dm, const std::string& path);
 
+/// Throws t2c::Error naming the field and byte offset when the file is
+/// truncated or malformed (util/textio.h); size fields are bounded by the
+/// file's length before anything is allocated.
 DeployModel load_checkpoint(const std::string& path);
 
 }  // namespace t2c

@@ -3,21 +3,11 @@
 #include <filesystem>
 #include <fstream>
 
-#include "deploy/int_ops.h"
-#include "deploy/vit_ops.h"
 #include "xport/writers.h"
 
 namespace t2c {
 
 namespace {
-
-struct MemDecl {
-  std::string name;
-  std::string file;
-  int width;
-  std::int64_t depth;
-  std::string shape;
-};
 
 std::string sanitize(std::string s) {
   for (char& c : s) {
@@ -35,41 +25,12 @@ std::string sanitize(std::string s) {
 
 std::string emit_verilog_testbench(const DeployModel& dm,
                                    const std::string& dir, int word_bits) {
-  // The hex images must exist on disk with matching word widths.
-  const auto files = export_hex_images(dm, dir, word_bits);
-
-  std::vector<MemDecl> mems;
-  std::size_t file_idx = 0;
-  const auto take = [&](const std::string& label, const ITensor& t) {
-    check(file_idx < files.size(), "verilog: hex image list out of sync");
-    MemDecl d;
-    d.file = std::filesystem::path(files[file_idx++]).filename().string();
-    d.name = sanitize("mem_" + label);
-    d.width = std::max(word_bits, required_word_bits(t));
-    d.depth = t.numel();
-    d.shape = shape_str(t.shape());
-    mems.push_back(std::move(d));
+  // The hex images must exist on disk; their records carry the widths.
+  const std::vector<HexImage> images = export_hex_images(dm, dir, word_bits);
+  // sanitize() maps the label's ".wqkv"/".lut" separators to '_'.
+  const auto mem_name = [](const HexImage& img) {
+    return sanitize("mem_" + std::to_string(img.op) + "_" + img.label);
   };
-  for (std::size_t i = 0; i < dm.num_ops(); ++i) {
-    const DeployOp& op = dm.op(i);
-    const std::string tag = std::to_string(i) + "_" + op.label;
-    if (const auto* c = dynamic_cast<const IntConv2dOp*>(&op)) {
-      take(tag, c->weight());
-    } else if (const auto* l = dynamic_cast<const IntLinearOp*>(&op)) {
-      take(tag, l->weight());
-    } else if (const auto* a = dynamic_cast<const IntAttentionOp*>(&op)) {
-      take(tag + "_wqkv", a->params().wqkv);
-      take(tag + "_wproj", a->params().wproj);
-    } else if (const auto* sm = dynamic_cast<const LutSoftmaxOp*>(&op)) {
-      ITensor lut({static_cast<std::int64_t>(sm->lut().size())});
-      for (std::size_t j = 0; j < sm->lut().size(); ++j) lut[j] = sm->lut()[j];
-      take(tag + "_lut", lut);
-    } else if (const auto* ge = dynamic_cast<const LutGeluOp*>(&op)) {
-      ITensor lut({static_cast<std::int64_t>(ge->lut().size())});
-      for (std::size_t j = 0; j < ge->lut().size(); ++j) lut[j] = ge->lut()[j];
-      take(tag + "_lut", lut);
-    }
-  }
 
   const std::string path = dir + "/t2c_tb.sv";
   std::ofstream os(path);
@@ -80,14 +41,16 @@ std::string emit_verilog_testbench(const DeployModel& dm,
      << "// checkpoint (model.t2c).\n"
      << "`timescale 1ns / 1ps\n\n"
      << "module t2c_tb;\n\n";
-  for (const MemDecl& d : mems) {
-    os << "  // shape " << d.shape << "\n";
-    os << "  logic signed [" << d.width - 1 << ":0] " << d.name << " [0:"
-       << d.depth - 1 << "];\n";
+  for (const HexImage& img : images) {
+    os << "  // shape " << shape_str(img.shape) << "\n";
+    os << "  logic signed [" << img.width - 1 << ":0] " << mem_name(img)
+       << " [0:" << img.depth - 1 << "];\n";
   }
   os << "\n  initial begin\n";
-  for (const MemDecl& d : mems) {
-    os << "    $readmemh(\"" << d.file << "\", " << d.name << ");\n";
+  for (const HexImage& img : images) {
+    os << "    $readmemh(\""
+       << std::filesystem::path(img.path).filename().string() << "\", "
+       << mem_name(img) << ");\n";
   }
   os << "  end\n\nendmodule\n";
   check(os.good(), "emit_verilog_testbench: write failed");

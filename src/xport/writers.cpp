@@ -3,68 +3,66 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "util/textio.h"
 
 namespace t2c {
 
 namespace {
 
-std::ofstream open_out(const std::string& path, bool binary = false) {
-  std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
+std::ofstream open_out(const std::string& path) {
+  std::ofstream os(path, std::ios::binary);
   check(os.good(), "cannot open for writing: " + path);
   return os;
 }
 
-std::ifstream open_in(const std::string& path, bool binary = false) {
-  std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
+std::ifstream open_in(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
   check(is.good(), "cannot open for reading: " + path);
   return is;
 }
 
-void write_shape_line(std::ostream& os, const ITensor& t,
-                      const std::string& prefix) {
-  os << prefix << " shape";
-  for (int d = 0; d < t.rank(); ++d) os << ' ' << t.size(d);
-  os << '\n';
+void put_shape_line(std::string& out, const ITensor& t, const char* prefix) {
+  out += prefix;
+  out += " shape";
+  for (const std::int64_t d : t.shape()) {
+    out += ' ';
+    textio::put_int(out, d);
+  }
+  out += '\n';
 }
 
-Shape parse_shape_tokens(std::istringstream& ls) {
+/// The dims after a "shape" keyword, up to the end of the line.
+Shape read_shape_line(textio::Reader& r) {
+  r.expect("shape");
   Shape shape;
-  std::int64_t d;
-  while (ls >> d) shape.push_back(d);
-  check(!shape.empty(), "parse_shape: empty shape header");
+  while (r.more_on_line()) shape.push_back(r.i64("shape"));
+  if (shape.empty()) r.fail("shape", "empty shape header");
   return shape;
 }
 
 }  // namespace
 
 void write_decimal(const std::string& path, const ITensor& t) {
-  auto os = open_out(path);
-  write_shape_line(os, t, "#");
-  for (std::int64_t i = 0; i < t.numel(); ++i) os << t[i] << '\n';
+  std::string out;
+  put_shape_line(out, t, "#");
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    textio::put_int(out, t[i]);
+    out += '\n';
+  }
+  textio::write_file(path, out, "write_decimal");
 }
 
 ITensor read_decimal(const std::string& path) {
-  auto is = open_in(path);
-  std::string line;
-  check(static_cast<bool>(std::getline(is, line)),
-        "read_decimal: empty file " + path);
-  std::istringstream ls(line);
-  std::string hash, kw;
-  ls >> hash >> kw;
-  check(hash == "#" && kw == "shape", "read_decimal: bad header in " + path);
-  Shape shape = parse_shape_tokens(ls);
-  ITensor t(shape);
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    check(static_cast<bool>(is >> t[i]),
-          "read_decimal: truncated data in " + path);
-  }
-  return t;
+  auto r = textio::Reader::from_file(path, "read_decimal");
+  r.expect("#");
+  Shape shape = read_shape_line(r);
+  std::vector<std::int64_t> data = r.values(shape, "value");
+  return ITensor::from(std::move(shape), std::move(data));
 }
 
 void write_hex(const std::string& path, const ITensor& t, int word_bits) {
@@ -72,47 +70,43 @@ void write_hex(const std::string& path, const ITensor& t, int word_bits) {
   const std::int64_t lo = -(std::int64_t{1} << (word_bits - 1));
   const std::int64_t hi = (std::int64_t{1} << (word_bits - 1)) - 1;
   const int digits = (word_bits + 3) / 4;
-  const auto mask = static_cast<std::uint64_t>(
-      (word_bits == 64) ? ~0ULL : ((1ULL << word_bits) - 1));
-  auto os = open_out(path);
-  write_shape_line(os, t, "//");
-  os << "// word_bits " << word_bits << '\n';
-  os << std::uppercase << std::hex;
+  const std::uint64_t mask = (std::uint64_t{1} << word_bits) - 1;
+  std::string out;
+  out.reserve(static_cast<std::size_t>(t.numel()) * (digits + 1) + 64);
+  put_shape_line(out, t, "//");
+  out += "// word_bits ";
+  textio::put_line(out, {word_bits});
   for (std::int64_t i = 0; i < t.numel(); ++i) {
-    check(t[i] >= lo && t[i] <= hi,
-          "write_hex: value does not fit in " + std::to_string(word_bits) +
-              " bits");
-    const std::uint64_t raw = static_cast<std::uint64_t>(t[i]) & mask;
-    os.width(digits);
-    os.fill('0');
-    os << raw << '\n';
+    if (t[i] < lo || t[i] > hi) {
+      fail("write_hex: value does not fit in " + std::to_string(word_bits) +
+           " bits");
+    }
+    textio::put_hex(out, static_cast<std::uint64_t>(t[i]) & mask, digits);
+    out += '\n';
   }
+  textio::write_file(path, out, "write_hex");
 }
 
 ITensor read_hex(const std::string& path, int word_bits) {
-  auto is = open_in(path);
-  std::string line;
+  check(word_bits >= 2 && word_bits <= 32, "read_hex: word_bits in [2,32]");
+  auto r = textio::Reader::from_file(path, "read_hex");
+  const std::uint64_t mask = (std::uint64_t{1} << word_bits) - 1;
+  const std::uint64_t sign_bit = std::uint64_t{1} << (word_bits - 1);
   Shape shape;
   std::vector<std::int64_t> values;
-  const std::uint64_t sign_bit = 1ULL << (word_bits - 1);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("//", 0) == 0) {
-      std::istringstream ls(line.substr(2));
-      std::string kw;
-      ls >> kw;
-      if (kw == "shape") shape = parse_shape_tokens(ls);
+  while (!r.done()) {
+    if (r.consume("//")) {
+      if (r.more_on_line() && r.next_is("shape")) shape = read_shape_line(r);
+      r.skip_line();
       continue;
     }
-    std::uint64_t raw = 0;
-    std::istringstream ls(line);
-    ls >> std::hex >> raw;
-    std::int64_t v = static_cast<std::int64_t>(raw);
-    if (raw & sign_bit) {
-      v = static_cast<std::int64_t>(raw) -
-          static_cast<std::int64_t>(1ULL << word_bits);
-    }
-    values.push_back(v);
+    const std::uint64_t raw = r.hex("word");
+    if (raw > mask) r.fail("word", "wider than word_bits");
+    r.end_line("word");
+    values.push_back((raw & sign_bit) != 0
+                         ? static_cast<std::int64_t>(raw) -
+                               static_cast<std::int64_t>(mask) - 1
+                         : static_cast<std::int64_t>(raw));
   }
   check(!shape.empty(), "read_hex: missing shape header in " + path);
   return ITensor::from(shape, std::move(values));
@@ -123,7 +117,7 @@ constexpr std::uint32_t kBinMagic = 0x54324321u;  // "T2C!"
 }
 
 void write_binary(const std::string& path, const ITensor& t) {
-  auto os = open_out(path, /*binary=*/true);
+  auto os = open_out(path);
   const auto put32 = [&](std::uint32_t v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
@@ -141,7 +135,7 @@ void write_binary(const std::string& path, const ITensor& t) {
 }
 
 ITensor read_binary(const std::string& path) {
-  auto is = open_in(path, /*binary=*/true);
+  auto is = open_in(path);
   const auto get32 = [&]() {
     std::uint32_t v = 0;
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
@@ -202,45 +196,43 @@ std::string memory_image_name(const std::string& label) {
   return name;
 }
 
-std::vector<std::string> export_hex_images(const DeployModel& dm,
-                                           const std::string& dir,
-                                           int word_bits) {
+std::vector<HexImage> export_hex_images(const DeployModel& dm,
+                                        const std::string& dir,
+                                        int word_bits) {
   std::filesystem::create_directories(dir);
-  std::vector<std::string> written;
-  const auto emit = [&](std::size_t idx, const std::string& label,
-                        const ITensor& t, int bits) {
-    const std::string name = memory_image_name(label);
+  std::vector<HexImage> written;
+  const auto emit = [&](std::size_t idx, std::string label,
+                        const ITensor& t) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%03zu_", idx);
-    const std::string path = dir + "/" + buf + name + ".hex";
-    write_hex(path, t, bits);
-    obs::log_trace("xport: wrote ", path, " (", t.numel(), " words, ", bits,
-                   " bits)");
-    written.push_back(path);
+    HexImage img;
+    img.path = dir + "/" + buf + memory_image_name(label) + ".hex";
+    img.op = idx;
+    img.label = std::move(label);
+    img.width = std::max(word_bits, required_word_bits(t));
+    img.depth = t.numel();
+    img.shape = t.shape();
+    write_hex(img.path, t, img.width);
+    obs::log_trace("xport: wrote ", img.path, " (", img.depth, " words, ",
+                   img.width, " bits)");
+    written.push_back(std::move(img));
+  };
+  const auto lut_tensor = [](const std::vector<std::int64_t>& lut) {
+    return ITensor::from({static_cast<std::int64_t>(lut.size())}, lut);
   };
   for (std::size_t i = 0; i < dm.num_ops(); ++i) {
     const DeployOp& op = dm.op(i);
     if (const auto* conv = dynamic_cast<const IntConv2dOp*>(&op)) {
-      emit(i, op.label, conv->weight(),
-           std::max(word_bits, required_word_bits(conv->weight())));
+      emit(i, op.label, conv->weight());
     } else if (const auto* lin = dynamic_cast<const IntLinearOp*>(&op)) {
-      emit(i, op.label, lin->weight(),
-           std::max(word_bits, required_word_bits(lin->weight())));
+      emit(i, op.label, lin->weight());
     } else if (const auto* attn = dynamic_cast<const IntAttentionOp*>(&op)) {
-      emit(i, op.label + ".wqkv", attn->params().wqkv,
-           std::max(word_bits, required_word_bits(attn->params().wqkv)));
-      emit(i, op.label + ".wproj", attn->params().wproj,
-           std::max(word_bits, required_word_bits(attn->params().wproj)));
+      emit(i, op.label + ".wqkv", attn->params().wqkv);
+      emit(i, op.label + ".wproj", attn->params().wproj);
     } else if (const auto* sm = dynamic_cast<const LutSoftmaxOp*>(&op)) {
-      ITensor lut({static_cast<std::int64_t>(sm->lut().size())});
-      for (std::size_t j = 0; j < sm->lut().size(); ++j) lut[j] = sm->lut()[j];
-      emit(i, op.label + ".lut", lut,
-           std::max(word_bits, required_word_bits(lut)));
+      emit(i, op.label + ".lut", lut_tensor(sm->lut()));
     } else if (const auto* ge = dynamic_cast<const LutGeluOp*>(&op)) {
-      ITensor lut({static_cast<std::int64_t>(ge->lut().size())});
-      for (std::size_t j = 0; j < ge->lut().size(); ++j) lut[j] = ge->lut()[j];
-      emit(i, op.label + ".lut", lut,
-           std::max(word_bits, required_word_bits(lut)));
+      emit(i, op.label + ".lut", lut_tensor(ge->lut()));
     }
   }
   if (obs::metrics_enabled()) {

@@ -43,10 +43,22 @@ int required_word_bits(const ITensor& t);
 /// the audit golden-vector dump so both lay out files identically.
 std::string memory_image_name(const std::string& label);
 
+/// One memory image written by export_hex_images.
+struct HexImage {
+  std::string path;
+  std::size_t op = 0;      ///< index of the deploy op it holds
+  std::string label;       ///< op label (+ ".wqkv" / ".wproj" / ".lut")
+  int width = 0;           ///< word width in bits
+  std::int64_t depth = 0;  ///< words
+  Shape shape;             ///< shape of the exported tensor
+};
+
 /// Exports every weight/LUT tensor of a deploy model as hex memory images
-/// into `dir` (one file per op, `NNN_<label>.hex`); returns written paths.
-std::vector<std::string> export_hex_images(const DeployModel& dm,
-                                           const std::string& dir,
-                                           int word_bits);
+/// into `dir` (one file per tensor, `NNN_<label>.hex`, at
+/// max(word_bits, required_word_bits)); returns what was written, in
+/// order.
+std::vector<HexImage> export_hex_images(const DeployModel& dm,
+                                        const std::string& dir,
+                                        int word_bits);
 
 }  // namespace t2c

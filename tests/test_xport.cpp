@@ -4,8 +4,11 @@
 // precisely what an RTL testbench consumes and checks.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 
 #include "audit/dualpath_audit.h"
 #include "core/registry.h"
@@ -190,18 +193,204 @@ TEST(Checkpoint, RejectsCorruptFiles) {
   EXPECT_THROW((void)load_checkpoint(p), Error);
 }
 
+DatasetSpec xport_spec() {
+  DatasetSpec spec;
+  spec.classes = 4;
+  spec.height = spec.width = 8;
+  spec.train_size = 96;
+  spec.test_size = 48;
+  spec.noise = 0.25F;
+  spec.class_sep = 1.2F;
+  spec.seed = 5;
+  return spec;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Checkpoints of a trained ResNet-20 and a trained ViT, written once and
+/// shared by the round-trip and corruption tests (training dominates).
+struct CheckpointCorpus {
+  std::string cnn;
+  std::string vit;
+};
+
+const CheckpointCorpus& corpus() {
+  static const CheckpointCorpus c = [] {
+    SyntheticImageDataset data(xport_spec());
+    ConvertConfig cfg;
+    cfg.input_shape = {3, 8, 8};
+    T2CConverter conv(cfg);
+    ModelConfig mc;
+    mc.num_classes = 4;
+    mc.width_mult = 0.25F;
+    mc.seed = 3;
+    TrainerOptions o;
+    o.train.epochs = 1;
+    auto cnn = make_resnet20(mc);
+    make_trainer("qat", *cnn, data, o)->fit();
+    freeze_quantizers(*cnn);
+    mc.width_mult = 1.0F;
+    mc.vit_dim = 16;
+    mc.vit_depth = 2;
+    mc.vit_heads = 2;
+    mc.vit_patch = 4;
+    o.train.lr = 0.02F;
+    auto vit = make_vit(mc);
+    make_trainer("qat", *vit, data, o)->fit();
+    freeze_quantizers(*vit);
+    CheckpointCorpus out{tmp_path("corpus_cnn.t2c"), tmp_path("corpus_vit.t2c")};
+    save_checkpoint(conv.convert(*cnn), out.cnn);
+    save_checkpoint(conv.convert(*vit), out.vit);
+    return out;
+  }();
+  return c;
+}
+
+TEST(TextIo, CheckpointSaveLoadSaveIsByteIdentical) {
+  for (const std::string& p : {corpus().cnn, corpus().vit}) {
+    const std::string again = p + ".again";
+    save_checkpoint(load_checkpoint(p), again);
+    EXPECT_EQ(read_bytes(again), read_bytes(p)) << p;
+  }
+}
+
+/// Loads `text` as a checkpoint; true when it is rejected with t2c::Error.
+/// Any other exception (bad_alloc, std::length_error, ...) fails the test.
+bool rejected(const std::string& text, const std::string& path) {
+  std::ofstream(path, std::ios::binary) << text;
+  try {
+    (void)load_checkpoint(path);
+  } catch (const Error&) {
+    return true;
+  }
+  return false;
+}
+
+std::vector<std::string_view> split_ws(std::string_view s) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (true) {
+    i = s.find_first_not_of(" \n", i);
+    if (i == std::string_view::npos) return out;
+    const std::size_t j = std::min(s.find_first_of(" \n", i), s.size());
+    out.push_back(s.substr(i, j - i));
+    i = j;
+  }
+}
+
+bool parse_int(std::string_view tok, std::int64_t& v) {
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  return ec == std::errc() && ptr == tok.data() + tok.size();
+}
+
+bool numeric(std::string_view tok) {
+  return tok.find_first_not_of("0123456789-.e") == std::string_view::npos &&
+         tok.find_first_of("0123456789") != std::string_view::npos;
+}
+
+TEST(Checkpoint, TruncatedAndCorruptedFilesThrow) {
+  const std::string scratch = tmp_path("mutant.t2c");
+  const std::string huge = "999999999999";
+  for (const std::string& p : {corpus().vit, corpus().cnn}) {
+    const std::string full = read_bytes(p);
+    ASSERT_FALSE(rejected(full, scratch)) << p;
+    EXPECT_TRUE(rejected(full + "7\n", scratch)) << p << " trailing data";
+
+    // ~256 prefix lengths over the file, plus every cut in the last line.
+    std::vector<std::size_t> cuts;
+    for (std::size_t k = 0; k < 256; ++k) cuts.push_back(full.size() * k / 256);
+    for (std::size_t len = full.rfind('\n', full.size() - 2);
+         len < full.size(); ++len) {
+      cuts.push_back(len);
+    }
+    for (const std::size_t len : cuts) {
+      // Cutting exactly before a final audit line leaves a valid checkpoint:
+      // audit lines are optional.
+      if (full.compare(len, 6, "audit ") == 0 &&
+          full.find('\n', len) + 1 == full.size()) {
+        continue;
+      }
+      EXPECT_TRUE(rejected(full.substr(0, len), scratch))
+          << p << " cut at " << len;
+    }
+
+    // Single digits of numeric fields flipped to a letter.
+    std::vector<std::size_t> digits;
+    for (const std::string_view tok : split_ws(full)) {
+      if (!numeric(tok)) continue;
+      const std::size_t at = static_cast<std::size_t>(tok.data() - full.data());
+      for (std::size_t j = 0; j < tok.size(); ++j) {
+        if (tok[j] >= '0' && tok[j] <= '9') digits.push_back(at + j);
+      }
+    }
+    ASSERT_GT(digits.size(), 256u);
+    for (std::size_t k = 0; k < 256; ++k) {
+      std::string mutant = full;
+      const std::size_t at = digits[digits.size() * k / 256];
+      mutant[at] = 'q';
+      EXPECT_TRUE(rejected(mutant, scratch)) << p << " digit at " << at;
+    }
+
+    // Huge size fields: the op count, each op's input count, every vector
+    // length and tensor rank, and the first dim of every tensor.
+    const std::vector<std::string_view> lines = [&] {
+      std::vector<std::string_view> ls;
+      for (std::size_t i = 0; i < full.size();) {
+        const std::size_t j = full.find('\n', i);
+        ls.emplace_back(full.data() + i, j - i);
+        i = j + 1;
+      }
+      return ls;
+    }();
+    std::size_t mutated = 0;
+    bool data_line = false;  // the line after a tensor shape holds values
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+      const auto toks = split_ws(lines[li]);
+      std::vector<std::string_view> targets;
+      std::int64_t n = 0;
+      if (data_line || toks.empty()) {
+        data_line = false;
+      } else if (toks[0] == "ops" || toks[0] == "op") {
+        targets.push_back(toks[toks[0] == "ops" ? 1 : 3]);
+      } else if (parse_int(toks[0], n) &&
+                 n + 1 == static_cast<std::int64_t>(toks.size())) {
+        targets.push_back(toks[0]);
+        // A shape line: the next line holds exactly numel values.
+        std::int64_t numel = n >= 1 && n <= 8 ? 1 : -1;
+        for (std::size_t d = 1; numel > 0 && d < toks.size(); ++d) {
+          std::int64_t dim = 0;
+          const bool plausible = parse_int(toks[d], dim) && dim > 0 &&
+                                 dim < (1 << 20) && numel < (1 << 30);
+          numel = plausible ? numel * dim : -1;
+        }
+        if (numel > 0 && li + 1 < lines.size() &&
+            static_cast<std::int64_t>(split_ws(lines[li + 1]).size()) ==
+                numel) {
+          targets.push_back(toks[1]);
+          data_line = true;
+        }
+      }
+      for (const std::string_view t : targets) {
+        std::string mutant = full;
+        mutant.replace(static_cast<std::size_t>(t.data() - full.data()),
+                       t.size(), huge);
+        EXPECT_TRUE(rejected(mutant, scratch))
+            << p << " line " << li << ": " << lines[li].substr(0, 40);
+        ++mutated;
+      }
+    }
+    EXPECT_GT(mutated, 20u) << p;
+  }
+}
+
 class ExportedModel : public ::testing::Test {
  protected:
   void SetUp() override {
-    DatasetSpec spec;
-    spec.classes = 4;
-    spec.height = spec.width = 8;
-    spec.train_size = 96;
-    spec.test_size = 48;
-    spec.noise = 0.25F;
-    spec.class_sep = 1.2F;
-    spec.seed = 5;
-    data_ = std::make_unique<SyntheticImageDataset>(spec);
+    data_ = std::make_unique<SyntheticImageDataset>(xport_spec());
     ModelConfig mc;
     mc.num_classes = 4;
     mc.width_mult = 0.25F;
@@ -278,7 +467,9 @@ TEST_F(ExportedModel, HexImagesMatchGraphWeights) {
       std::snprintf(prefix, sizeof(prefix), "%03zu_", i);
       std::string found;
       for (const auto& f : files) {
-        if (f.find(std::string("/") + prefix) != std::string::npos) found = f;
+        if (f.path.find(std::string("/") + prefix) != std::string::npos) {
+          found = f.path;
+        }
       }
       ASSERT_FALSE(found.empty());
       ITensor r = read_hex(found, 8);
@@ -295,15 +486,7 @@ TEST(CheckpointViT, AttentionGraphReplaysBitExact) {
   // Exercises serialization of IntAttention / LutSoftmax / LutGelu /
   // IntLayerNorm / Tokenize — every field, including the logit prescale
   // and fractional-bias units.
-  DatasetSpec spec;
-  spec.classes = 4;
-  spec.height = spec.width = 8;
-  spec.train_size = 96;
-  spec.test_size = 48;
-  spec.noise = 0.25F;
-  spec.class_sep = 1.2F;
-  spec.seed = 5;
-  SyntheticImageDataset data(spec);
+  SyntheticImageDataset data(xport_spec());
   ModelConfig mc;
   mc.num_classes = 4;
   mc.vit_dim = 16;
