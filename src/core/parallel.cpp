@@ -121,10 +121,9 @@ class Pool {
     // after the pool was built.
     const std::string wname = "pool.worker." + std::to_string(part);
     obs::name_current_thread(wname);
-    // Eagerly create this worker's telemetry and flight rings so the
-    // first recorded event inside a pooled region never allocates (and a
-    // postmortem can name the thread).
-    obs::telemetry_register_thread();
+    // Eagerly create this worker's event ring so the first recorded event
+    // inside a pooled region never allocates (and a postmortem can name
+    // the thread).
     obs::flight_register_thread(wname.c_str());
     std::uint64_t seen = 0;
     for (;;) {
@@ -231,7 +230,7 @@ void parallel_for_impl(
   const bool met = obs::metrics_enabled();
   const bool trace = obs::trace_enabled();
   const bool pmu = obs::pmu_enabled();
-  if (obs::flight_enabled()) {
+  if (obs::event_ring_enabled()) {
     // One black-box event per pooled region (caller side, before the
     // fan-out): a crash mid-region shows which thread was dispatching and
     // how wide. Static key: interning is cold and happens exactly once.

@@ -40,24 +40,13 @@ void SatCounterCache::add(const char* kind, const std::string& label,
     op_.load(std::memory_order_acquire)->add(sat);
     total_.load(std::memory_order_acquire)->add(sat);
   }
-  if (obs::telemetry_enabled()) {
-    std::uint32_t k = tele_key_.load(std::memory_order_acquire);
-    if (k == ~std::uint32_t{0}) {
-      std::string key = std::string("deploy.sat.") + kind;
-      if (!label.empty()) key += ":" + label;
-      k = obs::telemetry_key(key);
-      tele_key_.store(k, std::memory_order_release);
-    }
-    obs::telemetry_record(obs::TeleKind::kSaturation, k,
-                          static_cast<double>(sat));
-  }
-  if (obs::flight_enabled()) {
-    std::uint32_t k = flight_key_.load(std::memory_order_acquire);
+  if (obs::event_ring_enabled()) {
+    std::uint32_t k = key_.load(std::memory_order_acquire);
     if (k == ~std::uint32_t{0}) {
       std::string key = std::string("deploy.sat.") + kind;
       if (!label.empty()) key += ":" + label;
       k = obs::flight_key(key.c_str());
-      flight_key_.store(k, std::memory_order_release);
+      key_.store(k, std::memory_order_release);
     }
     obs::flight_record(obs::FlightKind::kSaturation, k,
                        static_cast<double>(sat));

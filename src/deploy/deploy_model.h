@@ -28,11 +28,11 @@ namespace t2c {
 /// and tagged with the registry generation: MetricsRegistry::reset() bumps
 /// the generation (and disables collection), so a stale handle is
 /// re-resolved instead of dereferenced. add() must only be called while
-/// metrics or telemetry are enabled; each sink is gated on its own flag
-/// inside. The live plane gets the same counts as a kSaturation event on
-/// the `deploy.sat.<kind>[:<label>]` series, attributed to the current
-/// request (telemetry keys are interned once and never invalidated, so
-/// that handle needs no generation tag).
+/// metrics or telemetry are enabled (ops count saturation only then); each
+/// sink is gated on its own flag inside. The event ring gets the same
+/// counts as one kSaturation event on the `deploy.sat.<kind>[:<label>]`
+/// key, attributed to the current request (ring keys are interned once and
+/// never invalidated, so that handle needs no generation tag).
 class SatCounterCache {
  public:
   void add(const char* kind, const std::string& label, std::int64_t sat) const;
@@ -42,10 +42,8 @@ class SatCounterCache {
   mutable std::atomic<std::uint64_t> gen_{~std::uint64_t{0}};
   mutable std::atomic<obs::Counter*> op_{nullptr};
   mutable std::atomic<obs::Counter*> total_{nullptr};
-  // ~0 = unresolved (interned ids start at 0).
-  mutable std::atomic<std::uint32_t> tele_key_{~std::uint32_t{0}};
-  // Same series name in the flight recorder's signal-safe key table.
-  mutable std::atomic<std::uint32_t> flight_key_{~std::uint32_t{0}};
+  // Event-ring key (obs/flight.h); ~0 = unresolved.
+  mutable std::atomic<std::uint32_t> key_{~std::uint32_t{0}};
 };
 
 struct PackedWeights;

@@ -110,14 +110,13 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
     p.steps_.push_back(std::move(st));
     // Compile time is the cold path: pack this op's static operands for
     // its narrow kernel (nullptr on the default path) and intern the
-    // step's telemetry series name, so execute() neither repacks weights
-    // nor builds a key string per step.
+    // step's event name, so execute() neither repacks weights nor builds
+    // a key string per step.
     p.packed_.push_back(op.pack_weights());
     const std::string series =
         "deploy.step." + op.kind() +
         (op.label.empty() ? "" : ":" + op.label);
-    p.tele_keys_.push_back(obs::telemetry_key(series));
-    p.flight_keys_.push_back(obs::flight_key(series.c_str()));
+    p.step_keys_.push_back(obs::flight_key(series.c_str()));
   }
   // Pair each fuse-annotated GEMM with its consuming MulQuant. The pass
   // only sets `fuse` when the accumulator has a single MulQuant consumer
@@ -160,8 +159,7 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
   const bool met = obs::metrics_enabled();
   const bool trace = obs::trace_enabled();
   const bool prof = obs::profile_enabled();
-  const bool tele = obs::telemetry_enabled();
-  const bool fly = obs::flight_enabled();
+  const bool ring = obs::event_ring_enabled();
   // PMU samples only matter when someone aggregates them, so measurement
   // is gated on the profiler being live too.
   const bool pmu = prof && obs::pmu_enabled();
@@ -225,7 +223,7 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
         op.run_into(ins, out);
       }
     };
-    if (met || trace || prof || tele || fly) {
+    if (met || trace || prof || ring) {
       const std::int64_t ts = trace ? obs::tracer().now_us() : 0;
       // Step bracket (DESIGN.md §3.9): this thread's counters plus the
       // worker accumulator before and after. The step's sample is the
@@ -247,18 +245,12 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
         sample = obs::pmu_delta(pmu_self0, pmu_self1);
         sample.accumulate(obs::pmu_delta(pmu_acc0, pmu_acc1));
       }
-      if (tele) {
-        // Series key was interned at compile time; the record is a fixed
-        // 32-byte event pushed into this thread's ring (or dropped).
-        obs::telemetry_record(obs::TeleKind::kStep, tele_keys_[si], ms);
-        obs::telemetry_note_step(flight_keys_[si]);
+      if (ring) {
+        // One fixed-size event into this thread's ring, keyed at compile
+        // time: the telemetry hub and the flight recorder both read it.
+        obs::flight_record(obs::FlightKind::kStep, step_keys_[si], ms);
       }
-      if (fly) {
-        // Black-box copy of the same step: overwriting ring, so a crash
-        // seconds later still shows what this thread was executing.
-        obs::flight_record(obs::FlightKind::kStep, flight_keys_[si], ms);
-      }
-      // The legacy pillars key by string; telemetry-only runs skip the
+      // The legacy pillars key by string; ring-only runs skip the
       // concatenation and stay allocation-free per step.
       std::string key;
       if (met || trace || prof) {

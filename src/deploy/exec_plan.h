@@ -83,15 +83,11 @@ class ExecutionPlan {
  private:
   std::vector<Step> steps_;
   std::vector<std::shared_ptr<const PackedWeights>> packed_;
-  /// Interned telemetry series ids, parallel to steps_: one
+  /// Interned event-ring ids (obs/flight.h), parallel to steps_: one
   /// "deploy.step.<kind>[:<label>]" key per step, resolved once at
-  /// compile time so the execute loop records live telemetry without
-  /// building a key string (zero allocations per step).
-  std::vector<std::uint32_t> tele_keys_;
-  /// Interned flight-recorder ids, parallel to steps_ (same names as
-  /// tele_keys_ but in the signal-safe key table, obs/flight.h), so the
-  /// black box records steps without touching the telemetry interner.
-  std::vector<std::uint32_t> flight_keys_;
+  /// compile time so the execute loop records each step without building
+  /// a key string (zero allocations per step).
+  std::vector<std::uint32_t> step_keys_;
   std::size_t num_slots_ = 0;
   std::size_t inplace_steps_ = 0;
   int output_slot_ = -1;  ///< slot of the output value; -1 = the input

@@ -37,7 +37,7 @@ namespace {
 constexpr std::size_t kDirCap = 512;
 constexpr std::size_t kBundleCap = 256 * 1024;
 constexpr std::size_t kBuildInfoCap = 4096;
-constexpr int kMaxBundleEvents = 256;
+constexpr int kMaxBundleEvents = static_cast<int>(kFlightCollectMax);
 constexpr int kMaxBacktrace = 64;
 constexpr int kMaxActiveOut = 256;
 
@@ -138,8 +138,6 @@ std::size_t render_bundle(const char* reason_kind, int sig,
   // Lock-free vitals only: the mutex-guarded metrics registry and window
   // store are off-limits here (the crashing thread may hold their locks).
   const FlightStats st = flight_stats();
-  const std::int64_t last_ns = telemetry().last_step_ns();
-  const std::uint32_t last_key = telemetry().last_step_key();
   j.key("metrics");
   j.begin_obj();
   j.key("requests_started");
@@ -149,16 +147,17 @@ std::size_t render_bundle(const char* reason_kind, int sig,
   j.key("flight_events");
   j.num_u(st.recorded);
   j.key("flight_dropped");
-  j.num_u(st.overwritten + static_cast<std::uint64_t>(st.lost_threads));
+  j.num_u(st.dropped());
   j.key("flight_rings");
   j.num(static_cast<std::int64_t>(st.rings));
   j.key("steps_recorded");
   j.num_u(st.steps);
   j.key("last_step");
-  j.str(last_ns >= 0 ? flight_key_name(last_key) : "none");
+  j.str(st.last_step_ns >= 0 ? flight_key_name(st.last_step_key) : "none");
   j.key("last_step_age_ms");
-  j.num(last_ns >= 0 ? static_cast<double>(mono_now_ns() - last_ns) / 1e6
-                     : -1.0);
+  j.num(st.last_step_ns >= 0
+            ? static_cast<double>(mono_now_ns() - st.last_step_ns) / 1e6
+            : -1.0);
   j.end_obj();
 
   static FlightActiveRequest active[kMaxActiveOut];
@@ -185,7 +184,7 @@ std::size_t render_bundle(const char* reason_kind, int sig,
   j.key("flight");
   j.begin_obj();
   j.key("dropped");
-  j.num_u(st.overwritten + static_cast<std::uint64_t>(st.lost_threads));
+  j.num_u(st.dropped());
   j.key("events");
   j.begin_arr();
   for (std::size_t i = 0; i < nev; ++i) {

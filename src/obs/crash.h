@@ -30,7 +30,7 @@ namespace t2c::obs {
 
 struct CrashConfig {
   std::string dir;        ///< postmortem output directory (created if absent)
-  int max_events = 96;    ///< last-K flight events kept in a bundle
+  int max_events = 96;    ///< last-K events in a bundle (<= kFlightCollectMax)
 };
 
 /// Arms the handlers and enables the flight recorder. Returns false when

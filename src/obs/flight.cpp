@@ -1,5 +1,6 @@
 #include "obs/flight.h"
 
+#include <bit>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -104,34 +105,78 @@ void FlightRing::push(const FlightEvent& e) {
   // that see an odd value or a changed value skip the slot.
   s.seq.store(2 * h + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  s.e = e;
+  s.words[0].store(static_cast<std::uint64_t>(e.t_ns),
+                   std::memory_order_relaxed);
+  s.words[1].store(std::bit_cast<std::uint64_t>(e.value),
+                   std::memory_order_relaxed);
+  s.words[2].store(e.req, std::memory_order_relaxed);
+  s.words[3].store(e.key | static_cast<std::uint64_t>(e.kind) << 32,
+                   std::memory_order_relaxed);
   s.seq.store(2 * (h + 1), std::memory_order_release);
   head_.store(h + 1, std::memory_order_release);
+  if (e.kind == FlightKind::kStep) {
+    // Owner-only writes: plain load + store, no read-modify-write.
+    steps_.store(steps_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    last_step_key_.store(e.key, std::memory_order_relaxed);
+    last_step_ns_.store(e.t_ns, std::memory_order_relaxed);
+  }
 }
 
-std::size_t FlightRing::read_last(FlightEvent* out,
-                                  std::size_t max_out) const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  const std::uint64_t avail = h < kCapacity ? h : kCapacity;
-  std::uint64_t want = avail < max_out ? avail : max_out;
+std::size_t FlightRing::copy_range(std::uint64_t from, std::uint64_t to,
+                                   FlightEvent* out) const {
   std::size_t n = 0;
-  // Oldest first among the newest `want` pushes.
-  for (std::uint64_t i = h - want; i < h; ++i) {
+  for (std::uint64_t i = from; i < to; ++i) {
     const Slot& s = slots_[i & (kCapacity - 1)];
     const std::uint64_t seq0 = s.seq.load(std::memory_order_acquire);
     if (seq0 != 2 * (i + 1)) continue;  // torn or already overwritten
-    FlightEvent e = s.e;
+    const std::uint64_t w0 = s.words[0].load(std::memory_order_relaxed);
+    const std::uint64_t w1 = s.words[1].load(std::memory_order_relaxed);
+    const std::uint64_t w2 = s.words[2].load(std::memory_order_relaxed);
+    const std::uint64_t w3 = s.words[3].load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_relaxed) != seq0) continue;  // torn
-    out[n++] = e;
+    FlightEvent& e = out[n++];
+    e.t_ns = static_cast<std::int64_t>(w0);
+    e.value = std::bit_cast<double>(w1);
+    e.req = w2;
+    e.key = static_cast<std::uint32_t>(w3);
+    e.kind = static_cast<FlightKind>(w3 >> 32);
   }
   return n;
 }
 
+std::size_t FlightRing::read_last(FlightEvent* out,
+                                  std::size_t max_out) const {
+  // Base before head: a reset publishes base = some earlier head, so the
+  // head read after it can never be smaller.
+  const std::uint64_t b = base_.load(std::memory_order_acquire);
+  const std::uint64_t h = head_.load(std::memory_order_acquire);
+  std::uint64_t want = h - b;
+  if (want > kCapacity) want = kCapacity;
+  if (want > max_out) want = max_out;
+  // Oldest first among the newest `want` pushes.
+  return copy_range(h - want, h, out);
+}
+
+std::size_t FlightRing::read_since(std::uint64_t* cursor, FlightEvent* out,
+                                   std::uint64_t* lost) const {
+  const std::uint64_t b = base_.load(std::memory_order_acquire);
+  const std::uint64_t h = head_.load(std::memory_order_acquire);
+  std::uint64_t from = *cursor < b ? b : *cursor;  // reset discarded these
+  if (h - from > kCapacity) from = h - kCapacity;  // overwritten
+  const std::size_t n = copy_range(from, h, out);
+  *lost += (h - *cursor) - n;
+  *cursor = h;
+  return n;
+}
+
 void FlightRing::reset_for_test() {
-  head_.store(0, std::memory_order_release);
-  for (std::size_t i = 0; i < kCapacity; ++i)
-    slots_[i].seq.store(0, std::memory_order_release);
+  base_.store(head_.load(std::memory_order_acquire),
+              std::memory_order_release);
+  steps_.store(0, std::memory_order_relaxed);
+  last_step_key_.store(kFlightNoKey, std::memory_order_relaxed);
+  last_step_ns_.store(-1, std::memory_order_relaxed);
 }
 
 // ---- registry -------------------------------------------------------------
@@ -152,13 +197,11 @@ constexpr int kMaxRings = 192;
 std::atomic<FlightRing*> g_rings[kMaxRings];
 std::atomic<int> g_nrings{0};
 std::atomic<int> g_lost_threads{0};
-std::atomic<std::uint64_t> g_steps{0};
 
 FlightRing* make_ring(const char* name) {
-  const int n = g_nrings.load(std::memory_order_acquire);
-  const int scan = n < kMaxRings ? n : kMaxRings;
-  for (int i = 0; i < scan; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+  const int n = flight_ring_count();
+  for (int i = 0; i < n; ++i) {
+    FlightRing* r = flight_ring(i);
     if (r != nullptr && r->try_claim()) {
       r->set_name(name);
       return r;
@@ -197,6 +240,15 @@ FlightRing* ring_for_thread(const char* name) {
 
 }  // namespace
 
+int flight_ring_count() {
+  const int n = g_nrings.load(std::memory_order_acquire);
+  return n < kMaxRings ? n : kMaxRings;
+}
+
+FlightRing* flight_ring(int i) {
+  return g_rings[i].load(std::memory_order_acquire);
+}
+
 void flight_record(FlightKind kind, std::uint32_t key, double value) {
   FlightRing* r = ring_for_thread(nullptr);
   if (r == nullptr) return;
@@ -207,11 +259,11 @@ void flight_record(FlightKind kind, std::uint32_t key, double value) {
   e.key = key;
   e.kind = kind;
   r->push(e);
-  if (kind == FlightKind::kStep)
-    g_steps.fetch_add(1, std::memory_order_relaxed);
 }
 
-void flight_register_thread(const char* name) { ring_for_thread(name); }
+FlightRing* flight_register_thread(const char* name) {
+  return ring_for_thread(name);
+}
 
 // ---- active request table -------------------------------------------------
 
@@ -262,44 +314,44 @@ std::size_t flight_active_requests(FlightActiveRequest* out,
 
 FlightStats flight_stats() {
   FlightStats st;
-  const int n = g_nrings.load(std::memory_order_acquire);
-  st.rings = n < kMaxRings ? n : kMaxRings;
+  st.rings = flight_ring_count();
   for (int i = 0; i < st.rings; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+    const FlightRing* r = flight_ring(i);
     if (r == nullptr) continue;
     st.recorded += r->pushes();
     st.overwritten += r->overwritten();
+    st.steps += r->steps();
+    const std::int64_t last = r->last_step_ns();
+    if (last > st.last_step_ns) {
+      st.last_step_ns = last;
+      st.last_step_key = r->last_step_key();
+    }
   }
-  st.steps = g_steps.load(std::memory_order_relaxed);
   st.lost_threads = g_lost_threads.load(std::memory_order_relaxed);
   return st;
 }
 
-std::uint64_t flight_dropped_total() {
-  const FlightStats st = flight_stats();
-  return st.overwritten + static_cast<std::uint64_t>(st.lost_threads);
-}
-
 std::size_t flight_collect(FlightTaggedEvent* out, std::size_t cap) {
+  if (cap > kFlightCollectMax) cap = kFlightCollectMax;
   if (cap == 0) return 0;
   std::size_t n = 0;
-  const int nrings = g_nrings.load(std::memory_order_acquire);
-  const int limit = nrings < kMaxRings ? nrings : kMaxRings;
-  FlightEvent scratch[FlightRing::kCapacity];
+  // Runs on the crash handler's 64 KiB alternate stack.
+  FlightEvent scratch[kFlightCollectMax];
+  static_assert(sizeof(scratch) <= 16 * 1024,
+                "flight_collect scratch must fit the signal stack");
+  const int limit = flight_ring_count();
   for (int i = 0; i < limit; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+    const FlightRing* r = flight_ring(i);
     if (r == nullptr) continue;
-    const std::size_t per_ring =
-        cap < FlightRing::kCapacity ? cap : FlightRing::kCapacity;
-    const std::size_t got = r->read_last(scratch, per_ring);
+    const std::size_t got = r->read_last(scratch, cap);
     for (std::size_t j = 0; j < got; ++j) {
       FlightTaggedEvent te;
       te.e = scratch[j];
       te.thread = r->name();
       if (n < cap) {
         // Insertion sort by timestamp keeps the merged view oldest-first;
-        // rings are small and cap is ~100, so quadratic cost is fine for a
-        // crash path that runs once.
+        // cap is at most kFlightCollectMax, so quadratic cost is fine for
+        // a crash path that runs once.
         std::size_t k = n;
         while (k > 0 && out[k - 1].e.t_ns > te.e.t_ns) {
           out[k] = out[k - 1];
@@ -322,13 +374,11 @@ std::size_t flight_collect(FlightTaggedEvent* out, std::size_t cap) {
 }
 
 void flight_clear_for_test() {
-  const int n = g_nrings.load(std::memory_order_acquire);
-  const int limit = n < kMaxRings ? n : kMaxRings;
+  const int limit = flight_ring_count();
   for (int i = 0; i < limit; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+    FlightRing* r = flight_ring(i);
     if (r != nullptr) r->reset_for_test();
   }
-  g_steps.store(0, std::memory_order_relaxed);
   g_lost_threads.store(0, std::memory_order_relaxed);
   for (int i = 0; i < kMaxActive; ++i)
     g_active[i].id.store(0, std::memory_order_release);

@@ -1,15 +1,16 @@
-// Black-box flight recorder (DESIGN.md §3.13).
+// The event ring: black-box flight recorder and telemetry feed
+// (DESIGN.md §3.10, §3.13).
 //
-// The telemetry plane (telemetry.h) answers "what are the aggregates over
-// the last minutes"; its rings *drop* when full because a live aggregator
-// is always draining them. A postmortem needs the opposite retention
-// policy: when the process dies, what matters is the *most recent* history
-// of every thread — so the flight recorder keeps per-thread overwriting
-// rings (newest wins, oldest evicted) that nobody drains. Each slot
-// carries a seqlock-style sequence number published after the payload, so
-// the crash-time reader — which may run on another thread, inside a
-// signal handler, mid-push — can detect and skip torn slots instead of
-// emitting garbage.
+// Every producer (plan steps, requests, saturation counts, pool regions)
+// writes each event once, into its own thread's overwriting ring (newest
+// wins, oldest evicted). Two consumers read the same rings:
+//   * the crash/stall postmortem (crash.h) reads the newest events of every
+//     thread — from another thread or inside a signal handler, mid-push;
+//   * the telemetry hub (telemetry.h) reads each ring from a cursor while
+//     producers write, counting the events it lagged behind as dropped.
+// Each slot carries a seqlock sequence number published after the payload
+// (relaxed-atomic words), so a concurrent reader detects and skips slots
+// torn by an in-flight push instead of emitting garbage.
 //
 // Everything the crash handler touches is engineered for async-signal
 // safety:
@@ -23,8 +24,9 @@
 //   * the active-request table is a fixed array of atomic slots claimed
 //     and released by RequestScope — exact, scannable from a handler.
 //
-// The disabled hot path is one relaxed load (flight_enabled()), same
-// discipline as metrics/trace/telemetry, pinned by the alloc-count test.
+// Producers record while either consumer is on (event_ring_enabled() in
+// telemetry.h); the disabled hot path is two relaxed loads, pinned by the
+// alloc-count tests.
 #pragma once
 
 #include <atomic>
@@ -44,9 +46,10 @@ inline bool flight_enabled() {
 /// callers that want the recorder without the signal handlers.
 void set_flight_enabled(bool on);
 
-/// What one flight event records. Richer than TeleKind: the black box also
-/// marks request boundaries and pool regions so a postmortem shows the
-/// causal shape of the final milliseconds, not just step latencies.
+/// What one event records. Step, request-done and saturation events feed
+/// the telemetry windows too; request starts, pool regions and marks are
+/// for the black box, so a postmortem shows the causal shape of the final
+/// milliseconds, not just step latencies.
 enum class FlightKind : std::uint8_t {
   kStep = 0,
   kRequestStart = 1,
@@ -86,8 +89,10 @@ const char* flight_key_name(std::uint32_t id);
 /// and skip slots torn by an in-flight push.
 class FlightRing {
  public:
-  static constexpr std::size_t kCapacity = 256;  // power of two
+  static constexpr std::size_t kCapacity = 2048;  // power of two
 
+  /// Owner thread only. A kStep event also updates the ring's step vitals
+  /// (steps(), last_step_ns(), last_step_key()) read by the watchdog.
   void push(const FlightEvent& e);
 
   /// Copies up to `max_out` of the newest events into `out`, oldest first.
@@ -95,14 +100,40 @@ class FlightRing {
   /// skipped. Returns the number copied.
   std::size_t read_last(FlightEvent* out, std::size_t max_out) const;
 
+  /// Draining read: copies the events pushed since `*cursor` that are
+  /// still intact into `out` (room for kCapacity events), oldest first,
+  /// and advances `*cursor` to the current head. Events the reader lagged
+  /// behind — overwritten, torn mid-read, or discarded by a reset — are
+  /// added to `*lost`, so copied + lost = pushes since the cursor.
+  std::size_t read_since(std::uint64_t* cursor, FlightEvent* out,
+                         std::uint64_t* lost) const;
+
+  /// Absolute push count, the position a read_since() cursor starts from.
+  std::uint64_t head() const { return head_.load(std::memory_order_acquire); }
+  /// Pushes since the last reset.
   std::uint64_t pushes() const {
-    return head_.load(std::memory_order_acquire);
+    const std::uint64_t b = base_.load(std::memory_order_acquire);
+    return head() - b;
   }
-  /// Events evicted by overwrite (the recorder's "drop" count).
+  /// Events evicted by overwrite since the last reset.
   std::uint64_t overwritten() const {
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    return h > kCapacity ? h - kCapacity : 0;
+    const std::uint64_t n = pushes();
+    return n > kCapacity ? n - kCapacity : 0;
   }
+
+  /// kStep events pushed since the last reset.
+  std::uint64_t steps() const {
+    return steps_.load(std::memory_order_relaxed);
+  }
+  /// Timestamp of the newest kStep event; -1 before any.
+  std::int64_t last_step_ns() const {
+    return last_step_ns_.load(std::memory_order_relaxed);
+  }
+  /// Key of the newest kStep event; kFlightNoKey before any.
+  std::uint32_t last_step_key() const {
+    return last_step_key_.load(std::memory_order_relaxed);
+  }
+
   const char* name() const { return name_; }
   void set_name(const char* n);
 
@@ -117,31 +148,51 @@ class FlightRing {
   }
   void release() { in_use_.store(false, std::memory_order_release); }
 
-  /// Test isolation only: resets head and slot sequences. Caller must
-  /// guarantee no concurrent producer.
+  /// Test isolation only: forgets every event pushed so far and the step
+  /// vitals. Head stays monotone, so a reader's cursor never passes it;
+  /// the forgotten events count as lost to the next read_since().
   void reset_for_test();
 
  private:
+  // seq == 0: empty; odd: write in progress; even > 0: published, the
+  // payload belongs to push number (seq/2 - 1). The payload is relaxed
+  // atomic words (t_ns, value bits, req, key | kind << 32) so a reader
+  // racing the owner's next lap reads torn words, never a data race.
   struct Slot {
-    // seq == 0: empty; odd: write in progress; even > 0: published, the
-    // payload belongs to push number (seq/2 - 1).
     std::atomic<std::uint64_t> seq{0};
-    FlightEvent e;
+    std::atomic<std::uint64_t> words[4];
   };
+  /// Copies the intact events of pushes [from, to) into `out`.
+  std::size_t copy_range(std::uint64_t from, std::uint64_t to,
+                         FlightEvent* out) const;
+
   Slot slots_[kCapacity];
   std::atomic<std::uint64_t> head_{0};  ///< producer-owned push count
+  std::atomic<std::uint64_t> base_{0};  ///< head at the last reset
+  std::atomic<std::uint64_t> steps_{0};
+  std::atomic<std::int64_t> last_step_ns_{-1};
+  std::atomic<std::uint32_t> last_step_key_{kFlightNoKey};
   std::atomic<bool> in_use_{true};      ///< owned by a live thread
   char name_[32] = "thread";
 };
 
-/// Records one event into the calling thread's flight ring, creating and
+/// Records one event into the calling thread's ring, creating and
 /// registering the ring on first use (cold). Callers gate on
-/// flight_enabled(). Never blocks, never allocates after registration.
+/// event_ring_enabled() (telemetry.h). Never blocks, never allocates after
+/// registration.
 void flight_record(FlightKind kind, std::uint32_t key, double value);
 
 /// Eagerly creates/names the calling thread's ring so the first recorded
-/// event is allocation-free. Pool workers call this at startup.
-void flight_register_thread(const char* name = nullptr);
+/// event is allocation-free. Pool workers call this at startup. Returns
+/// the ring (nullptr when the registry is full).
+FlightRing* flight_register_thread(const char* name = nullptr);
+
+/// The ring registry, for readers that walk every ring: slots [0,
+/// flight_ring_count()) in registration order; flight_ring(i) is nullptr
+/// while slot i is still being filled. Rings are never freed, so the
+/// pointers stay valid. Lock-free, async-signal-safe.
+int flight_ring_count();
+FlightRing* flight_ring(int i);
 
 // ---- active request table (exact, signal-safe to read) ----
 
@@ -167,11 +218,21 @@ struct FlightStats {
   std::uint64_t steps = 0;        ///< kStep events recorded
   int rings = 0;                  ///< registered rings
   int lost_threads = 0;           ///< threads refused a ring (table full)
+  std::int64_t last_step_ns = -1;           ///< newest kStep, any thread
+  std::uint32_t last_step_key = kFlightNoKey;  ///< its key
+
+  /// The recorder's lost history: overwritten + lost-thread events, in
+  /// postmortem bundles and /healthz 503 bodies.
+  std::uint64_t dropped() const {
+    return overwritten + static_cast<std::uint64_t>(lost_threads);
+  }
 };
 FlightStats flight_stats();
 
-/// Overwritten + lost-thread events, surfaced in /healthz 503 bodies.
-std::uint64_t flight_dropped_total();
+/// Most events one flight_collect() returns (the postmortem bundle's
+/// cap). It also sizes the collector's stack scratch, which runs on the
+/// crash handler's alternate stack.
+constexpr std::size_t kFlightCollectMax = 256;
 
 /// One event tagged with its producer thread's ring name.
 struct FlightTaggedEvent {
@@ -179,12 +240,14 @@ struct FlightTaggedEvent {
   const char* thread = "";  ///< points into the ring; never freed
 };
 /// Gathers the newest events across every ring into `out`, sorted oldest
-/// first, keeping at most `cap` (the newest ones win). Lock-free,
-/// allocation-free, async-signal-safe. Returns the count.
+/// first, keeping at most `cap` (clamped to kFlightCollectMax; the newest
+/// ones win). Lock-free, allocation-free, async-signal-safe. Returns the
+/// count.
 std::size_t flight_collect(FlightTaggedEvent* out, std::size_t cap);
 
-/// Test isolation: resets every ring and the lost/step counters. Caller
-/// must guarantee producers are quiescent.
+/// Test isolation: resets every ring (events and step vitals), the
+/// lost-thread count and the active-request table. Caller must guarantee
+/// producers are quiescent.
 void flight_clear_for_test();
 
 }  // namespace t2c::obs

@@ -248,10 +248,10 @@ std::string render_prometheus() {
     f.samples.push_back(fam + " " + json_num(v));
   };
   scalar("t2c_tele_events_total", "counter",
-         "Telemetry events drained from the rings.",
+         "Ring events the telemetry hub read.",
          static_cast<double>(tele.events_total));
   scalar("t2c_tele_dropped_total", "counter",
-         "Telemetry events dropped by full rings.",
+         "Ring events overwritten before the telemetry hub read them.",
          static_cast<double>(tele.dropped_total));
   scalar("t2c_requests_started_total", "counter",
          "RequestScope contexts opened.",
@@ -354,7 +354,7 @@ void append_request_json(std::ostringstream& os, const RequestRecord& r,
   for (const TrailStep& st : r.trail) {
     if (!first) os << ',';
     first = false;
-    os << "{\"op\":\"" << json_escape(telemetry_key_name(st.key))
+    os << "{\"op\":\"" << json_escape(flight_key_name(st.key))
        << "\",\"at_ms\":"
        << json_num(static_cast<double>(st.t_ns - t0) / 1e6)
        << ",\"ms\":" << json_num(st.ms) << "}";
@@ -458,12 +458,12 @@ void PromExporter::serve_main() {
         // Triage in one body: how stale, what deadline, which step last
         // completed before the wedge, and whether the black box lost
         // history (overwrites/lost threads) on the way here.
+        const FlightStats st = flight_stats();
         os << "stall: last plan step completed " << json_num(age_ms)
            << " ms ago (deadline " << json_num(telemetry().stall_deadline_ms())
            << " ms)\n"
-           << "last step: " << flight_key_name(telemetry().last_step_key())
-           << "\n"
-           << "flight dropped: " << flight_dropped_total() << "\n";
+           << "last step: " << flight_key_name(st.last_step_key) << "\n"
+           << "flight dropped: " << st.dropped() << "\n";
         send_response(client, 503, "Service Unavailable", kTextPlain,
                       os.str());
       }

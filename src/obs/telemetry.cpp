@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/flight.h"
 #include "obs/metrics.h"
 
 #if defined(__linux__)
@@ -30,38 +29,15 @@ void set_telemetry_enabled(bool on) {
   detail::g_telemetry_enabled.store(on, std::memory_order_relaxed);
 }
 
-// ---- series-name interning ----
-
 namespace {
-
-/// Interned names: id = index into the vector. Lookups during aggregation
-/// copy the string under the lock (names are short; aggregation is cold
-/// relative to the producers).
-struct KeyTable {
-  std::mutex mu;
-  std::vector<std::string> names;
-  std::map<std::string, std::uint32_t> ids;
-};
-
-KeyTable& key_table() {
-  static KeyTable* t = new KeyTable();
-  return *t;
-}
-
-std::string key_name(std::uint32_t id) {
-  KeyTable& t = key_table();
-  const std::lock_guard<std::mutex> lock(t.mu);
-  if (id >= t.names.size()) return "tele.unknown";
-  return t.names[id];
-}
 
 /// How many completed requests the snapshot retains.
 constexpr std::size_t kRecentRequestCap = 64;
 /// Active-request attribution bound: entries whose kRequestDone event was
-/// dropped by a full ring must not leak forever.
+/// overwritten before the hub read it must not leak forever.
 constexpr std::size_t kActiveRequestCap = 1024;
 /// Aggregator tick; also the staleness bound of a scrape that does not
-/// drain on demand (ours always drains, see snapshot()).
+/// read on demand (ours always does, see snapshot()).
 constexpr auto kTick = std::chrono::milliseconds(100);
 /// Process gauges refresh every kProcEveryTicks ticks (~1 s).
 constexpr int kProcEveryTicks = 10;
@@ -72,62 +48,6 @@ constexpr std::size_t kSlowK = 8;
 constexpr std::int64_t kSlowWindowNs = 300'000'000'000;  // 5 m
 
 }  // namespace
-
-std::string telemetry_key_name(std::uint32_t id) { return key_name(id); }
-
-std::uint32_t telemetry_key(const std::string& name) {
-  KeyTable& t = key_table();
-  const std::lock_guard<std::mutex> lock(t.mu);
-  const auto it = t.ids.find(name);
-  if (it != t.ids.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(t.names.size());
-  t.names.push_back(name);
-  t.ids.emplace(name, id);
-  return id;
-}
-
-// ---- event rings ----
-
-std::size_t EventRing::drain(std::vector<TeleEvent>& out) {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-  for (std::uint64_t i = tail; i != head; ++i) {
-    out.push_back(buf_[i & (kCapacity - 1)]);
-  }
-  tail_.store(head, std::memory_order_release);
-  return static_cast<std::size_t>(head - tail);
-}
-
-namespace {
-
-/// Thread-local ring handle. The hub co-owns the ring, so retirement just
-/// flags it; the aggregator frees it once drained.
-struct RingTls {
-  std::shared_ptr<EventRing> ring;
-  ~RingTls() {
-    if (ring) ring->retire();
-  }
-};
-
-EventRing* thread_ring() {
-  thread_local RingTls tls;
-  if (!tls.ring) tls.ring = telemetry().register_thread_ring();
-  return tls.ring.get();
-}
-
-}  // namespace
-
-void telemetry_record(TeleKind kind, std::uint32_t key, double value) {
-  TeleEvent e;
-  e.t_ns = mono_now_ns();
-  e.value = value;
-  e.req = current_request();
-  e.key = key;
-  e.kind = kind;
-  thread_ring()->push(e);
-}
-
-void telemetry_register_thread() { (void)thread_ring(); }
 
 // ---- request attribution ----
 
@@ -144,20 +64,16 @@ RequestScope::RequestScope()
       t0_ns_(mono_now_ns()) {
   g_current_request = id_;
   telemetry().note_request_started();
-  if (flight_enabled()) {
-    flight_slot_ = flight_request_begin(id_);
+  if (flight_enabled()) flight_slot_ = flight_request_begin(id_);
+  if (event_ring_enabled()) {
     static const std::uint32_t kStartKey = flight_key("request.start");
     flight_record(FlightKind::kRequestStart, kStartKey, 0.0);
   }
 }
 
 RequestScope::~RequestScope() {
-  const double ms = static_cast<double>(mono_now_ns() - t0_ns_) / 1e6;
-  if (telemetry_enabled()) {
-    static const std::uint32_t kKey = telemetry_key("request.latency");
-    telemetry_record(TeleKind::kRequestDone, kKey, ms);
-  }
-  if (flight_enabled()) {
+  if (event_ring_enabled()) {
+    const double ms = static_cast<double>(mono_now_ns() - t0_ns_) / 1e6;
     static const std::uint32_t kDoneKey = flight_key("request.latency");
     flight_record(FlightKind::kRequestDone, kDoneKey, ms);
   }
@@ -270,20 +186,13 @@ TelemetryHub& telemetry() {
   return *hub;
 }
 
-TelemetryHub::TelemetryHub() {
+TelemetryHub::TelemetryHub() : scratch_(FlightRing::kCapacity) {
   // Satellite knob: T2C_STALL_MS overrides the built-in 10 s watchdog
   // deadline (the --stall-ms flag overrides both, see t2c_cli).
   if (const char* env = std::getenv("T2C_STALL_MS")) {
     const double v = std::atof(env);
     if (v > 0.0) stall_deadline_ms_.store(v, std::memory_order_relaxed);
   }
-}
-
-std::shared_ptr<EventRing> TelemetryHub::register_thread_ring() {
-  auto ring = std::make_shared<EventRing>();
-  const std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(ring);
-  return ring;
 }
 
 void TelemetryHub::note_request_started() {
@@ -300,6 +209,7 @@ void TelemetryHub::start() {
     if (running_.load(std::memory_order_relaxed)) return;
     stop_requested_ = false;
     running_.store(true, std::memory_order_relaxed);
+    skip_backlog_locked();
   }
   set_telemetry_enabled(true);
   aggregator_ = std::thread([this] { aggregator_main(); });
@@ -315,7 +225,7 @@ void TelemetryHub::stop() {
   cv_.notify_all();
   aggregator_.join();
   const std::lock_guard<std::mutex> lock(mu_);
-  drain_all_locked();
+  read_rings_locked();
   running_.store(false, std::memory_order_relaxed);
 }
 
@@ -329,7 +239,7 @@ void TelemetryHub::aggregator_main() {
   for (;;) {
     cv_.wait_for(lock, kTick, [&] { return stop_requested_; });
     if (stop_requested_) return;
-    drain_all_locked();
+    read_rings_locked();
     if (stall_action_) {
       double age = 0.0;
       if (!healthy(stall_deadline_ms(), &age)) {
@@ -351,36 +261,41 @@ void TelemetryHub::aggregator_main() {
   }
 }
 
-void TelemetryHub::drain_all_locked() {
-  scratch_.clear();
-  bool any_retired = false;
-  for (const auto& ring : rings_) {
-    ring->drain(scratch_);
-    any_retired = any_retired || ring->retired();
-  }
-  if (any_retired) {
-    // Free rings whose producer thread exited, banking their drop counts
-    // so dropped_total stays monotone after the ring is gone.
-    auto keep = rings_.begin();
-    for (auto& ring : rings_) {
-      if (ring->retired() && ring->pending() == 0) {
-        dropped_drained_ += ring->dropped();
-      } else {
-        *keep++ = std::move(ring);
-      }
+void TelemetryHub::skip_backlog_locked() {
+  const int n = flight_ring_count();
+  cursors_.assign(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    if (const FlightRing* r = flight_ring(i)) {
+      cursors_[static_cast<std::size_t>(i)] = r->head();
     }
-    rings_.erase(keep, rings_.end());
   }
-  if (!scratch_.empty()) aggregate_locked(scratch_);
 }
 
-void TelemetryHub::aggregate_locked(const std::vector<TeleEvent>& events) {
-  static const std::uint32_t kStepAgg = telemetry_key("deploy.step.latency");
-  events_total_ += static_cast<std::int64_t>(events.size());
+void TelemetryHub::read_rings_locked() {
+  // Rings registered since the last read start at cursor 0: all of their
+  // events were recorded after the hub last looked.
+  const int n = flight_ring_count();
+  if (cursors_.size() < static_cast<std::size_t>(n)) {
+    cursors_.resize(static_cast<std::size_t>(n), 0);
+  }
+  for (int i = 0; i < n; ++i) {
+    const FlightRing* r = flight_ring(i);
+    if (r == nullptr) continue;
+    std::uint64_t lost = 0;
+    const std::size_t got = r->read_since(
+        &cursors_[static_cast<std::size_t>(i)], scratch_.data(), &lost);
+    dropped_total_ += static_cast<std::int64_t>(lost);
+    events_total_ += static_cast<std::int64_t>(got);
+    for (std::size_t k = 0; k < got; ++k) aggregate_locked(scratch_[k]);
+  }
+}
+
+void TelemetryHub::aggregate_locked(const FlightEvent& e) {
+  static const std::uint32_t kStepAgg = flight_key("deploy.step.latency");
   // Attribution table entry for request `id`. Ids are assigned from one
   // monotone counter, so map order is age order: at the cap (entries whose
-  // kRequestDone event was dropped would otherwise pin slots forever) the
-  // oldest record is evicted, never the incoming one.
+  // kRequestDone event was overwritten would otherwise pin slots forever)
+  // the oldest record is evicted, never the incoming one.
   const auto request_slot = [&](std::uint64_t id) -> RequestRecord& {
     auto it = active_requests_.find(id);
     if (it == active_requests_.end()) {
@@ -392,90 +307,88 @@ void TelemetryHub::aggregate_locked(const std::vector<TeleEvent>& events) {
     }
     return it->second;
   };
-  for (const TeleEvent& e : events) {
-    windows_[key_name(e.key)].observe(e.t_ns, e.value);
-    switch (e.kind) {
-      case TeleKind::kStep: {
-        if (e.key != kStepAgg) {
-          windows_[key_name(kStepAgg)].observe(e.t_ns, e.value);
+  switch (e.kind) {
+    case FlightKind::kStep: {
+      windows_[e.key].observe(e.t_ns, e.value);
+      if (e.key != kStepAgg) windows_[kStepAgg].observe(e.t_ns, e.value);
+      if (e.req != 0) {
+        RequestRecord& rec = request_slot(e.req);
+        ++rec.steps;
+        if (rec.trail.size() < kTrailCap) {
+          rec.trail.push_back(TrailStep{e.key, e.t_ns, e.value});
         }
-        if (e.req != 0) {
-          RequestRecord& rec = request_slot(e.req);
-          ++rec.steps;
-          if (rec.trail.size() < kTrailCap) {
-            rec.trail.push_back(TrailStep{e.key, e.t_ns, e.value});
-          }
-          // Last-write-wins per bucket: a scrape sees the most recent
-          // request that landed an observation there (OpenMetrics
-          // semantics — an exemplar is one representative, not a sample).
-          step_exemplars_[static_cast<std::size_t>(
-              SlidingWindow::bucket_of(e.value))] =
-              TeleExemplar{e.req, e.value, e.t_ns};
-        }
-        break;
+        // Last-write-wins per bucket: a scrape sees the most recent
+        // request that landed an observation there (OpenMetrics
+        // semantics — an exemplar is one representative, not a sample).
+        step_exemplars_[static_cast<std::size_t>(
+            SlidingWindow::bucket_of(e.value))] =
+            TeleExemplar{e.req, e.value, e.t_ns};
       }
-      case TeleKind::kSaturation: {
-        if (e.req != 0) {
-          request_slot(e.req).saturated += static_cast<std::int64_t>(e.value);
-        }
-        break;
-      }
-      case TeleKind::kRequestDone: {
-        RequestRecord rec;
-        const auto it = active_requests_.find(e.req);
-        if (it != active_requests_.end()) {
-          rec = std::move(it->second);
-          active_requests_.erase(it);
-        }
-        rec.id = e.req;
-        rec.latency_ms = e.value;
-        rec.done_ns = e.t_ns;
-        if (e.req != 0) {
-          request_exemplars_[static_cast<std::size_t>(
-              SlidingWindow::bucket_of(e.value))] =
-              TeleExemplar{e.req, e.value, e.t_ns};
-        }
-        // Tail-latency reservoir: keep the k slowest completions of the
-        // trailing window, full trails included. Expired entries are
-        // evicted first so a single historic outlier cannot pin a slot.
-        slow_requests_.erase(
-            std::remove_if(slow_requests_.begin(), slow_requests_.end(),
-                           [&](const RequestRecord& r) {
-                             return r.done_ns < e.t_ns - kSlowWindowNs;
-                           }),
-            slow_requests_.end());
-        if (slow_requests_.size() < kSlowK) {
-          slow_requests_.push_back(rec);
-        } else {
-          auto slowest_min = std::min_element(
-              slow_requests_.begin(), slow_requests_.end(),
-              [](const RequestRecord& a, const RequestRecord& b) {
-                return a.latency_ms < b.latency_ms;
-              });
-          if (slowest_min->latency_ms < rec.latency_ms) *slowest_min = rec;
-        }
-        // The recent FIFO keeps summaries only; trails live in the
-        // reservoir, where retention is by slowness, not recency.
-        rec.trail.clear();
-        rec.trail.shrink_to_fit();
-        recent_requests_.push_back(std::move(rec));
-        if (recent_requests_.size() > kRecentRequestCap) {
-          recent_requests_.erase(recent_requests_.begin());
-        }
-        break;
-      }
+      break;
     }
+    case FlightKind::kSaturation: {
+      windows_[e.key].observe(e.t_ns, e.value);
+      if (e.req != 0) {
+        request_slot(e.req).saturated += static_cast<std::int64_t>(e.value);
+      }
+      break;
+    }
+    case FlightKind::kRequestDone: {
+      windows_[e.key].observe(e.t_ns, e.value);
+      RequestRecord rec;
+      const auto it = active_requests_.find(e.req);
+      if (it != active_requests_.end()) {
+        rec = std::move(it->second);
+        active_requests_.erase(it);
+      }
+      rec.id = e.req;
+      rec.latency_ms = e.value;
+      rec.done_ns = e.t_ns;
+      if (e.req != 0) {
+        request_exemplars_[static_cast<std::size_t>(
+            SlidingWindow::bucket_of(e.value))] =
+            TeleExemplar{e.req, e.value, e.t_ns};
+      }
+      // Tail-latency reservoir: keep the k slowest completions of the
+      // trailing window, full trails included. Expired entries are
+      // evicted first so a single historic outlier cannot pin a slot.
+      slow_requests_.erase(
+          std::remove_if(slow_requests_.begin(), slow_requests_.end(),
+                         [&](const RequestRecord& r) {
+                           return r.done_ns < e.t_ns - kSlowWindowNs;
+                         }),
+          slow_requests_.end());
+      if (slow_requests_.size() < kSlowK) {
+        slow_requests_.push_back(rec);
+      } else {
+        auto slowest_min = std::min_element(
+            slow_requests_.begin(), slow_requests_.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.latency_ms < b.latency_ms;
+            });
+        if (slowest_min->latency_ms < rec.latency_ms) *slowest_min = rec;
+      }
+      // The recent FIFO keeps summaries only; trails live in the
+      // reservoir, where retention is by slowness, not recency.
+      rec.trail.clear();
+      rec.trail.shrink_to_fit();
+      recent_requests_.push_back(std::move(rec));
+      if (recent_requests_.size() > kRecentRequestCap) {
+        recent_requests_.erase(recent_requests_.begin());
+      }
+      break;
+    }
+    default:
+      break;  // request starts, pool regions, marks: black box only
   }
 }
 
 TelemetrySnapshot TelemetryHub::snapshot() {
   const std::lock_guard<std::mutex> lock(mu_);
-  drain_all_locked();
+  read_rings_locked();
   TelemetrySnapshot snap;
   snap.taken_ns = mono_now_ns();
-  std::int64_t dropped = dropped_drained_;
-  for (const auto& ring : rings_) dropped += ring->dropped();
-  snap.dropped_total = dropped;
+  snap.dropped_total = dropped_total_;
   snap.events_total = events_total_;
   snap.requests_started = requests_started_.load(std::memory_order_relaxed);
   snap.requests_done = requests_done_.load(std::memory_order_relaxed);
@@ -489,16 +402,16 @@ TelemetrySnapshot TelemetryHub::snapshot() {
             [](const RequestRecord& a, const RequestRecord& b) {
               return a.latency_ms > b.latency_ms;
             });
-  for (const auto& [name, win] : windows_) {
+  for (const auto& [key, win] : windows_) {
     TelemetrySnapshot::Series s;
-    s.name = name;
+    s.name = flight_key_name(key);
     s.total_count = win.total_count();
     s.total_sum = win.total_sum();
     s.w10s = win.digest(2, snap.taken_ns);
     s.w1m = win.digest(12, snap.taken_ns);
     s.w5m = win.digest(SlidingWindow::kSubWindows, snap.taken_ns);
-    const bool step_series = name == "deploy.step.latency";
-    const bool req_series = name == "request.latency";
+    const bool step_series = s.name == "deploy.step.latency";
+    const bool req_series = s.name == "request.latency";
     if (step_series || req_series) {
       const auto merged =
           win.digest_buckets(SlidingWindow::kSubWindows, snap.taken_ns);
@@ -515,6 +428,9 @@ TelemetrySnapshot TelemetryHub::snapshot() {
     }
     snap.series.push_back(std::move(s));
   }
+  std::sort(snap.series.begin(), snap.series.end(),
+            [](const TelemetrySnapshot::Series& a,
+               const TelemetrySnapshot::Series& b) { return a.name < b.name; });
   return snap;
 }
 
@@ -526,7 +442,7 @@ void TelemetryHub::set_stall_action(std::function<void(double)> action) {
 bool TelemetryHub::request_detail(std::uint64_t id, RequestRecord* out,
                                   bool* active) {
   const std::lock_guard<std::mutex> lock(mu_);
-  drain_all_locked();
+  read_rings_locked();
   if (active != nullptr) *active = false;
   for (const RequestRecord& r : slow_requests_) {
     if (r.id == id) {
@@ -552,7 +468,7 @@ bool TelemetryHub::request_detail(std::uint64_t id, RequestRecord* out,
 }
 
 bool TelemetryHub::healthy(double deadline_ms, double* ago_ms) const {
-  const std::int64_t last = last_step_ns_.load(std::memory_order_relaxed);
+  const std::int64_t last = flight_stats().last_step_ns;
   if (last < 0) {
     if (ago_ms) *ago_ms = -1.0;
     return true;  // idle: no plan step has ever run
@@ -572,10 +488,7 @@ double TelemetryHub::stall_deadline_ms() const {
 
 void TelemetryHub::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  // Discard anything pending so the next drain starts from scratch.
-  scratch_.clear();
-  for (const auto& ring : rings_) ring->drain(scratch_);
-  scratch_.clear();
+  skip_backlog_locked();
   windows_.clear();
   active_requests_.clear();
   recent_requests_.clear();
@@ -583,11 +496,9 @@ void TelemetryHub::clear() {
   step_exemplars_.fill(TeleExemplar{});
   request_exemplars_.fill(TeleExemplar{});
   events_total_ = 0;
-  dropped_drained_ = 0;
+  dropped_total_ = 0;
   requests_started_.store(0, std::memory_order_relaxed);
   requests_done_.store(0, std::memory_order_relaxed);
-  last_step_ns_.store(-1, std::memory_order_relaxed);
-  last_step_key_.store(0xFFFFFFFFu, std::memory_order_relaxed);
 }
 
 // ---- /proc/self process gauges ----

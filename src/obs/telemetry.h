@@ -6,19 +6,19 @@
 // needs the opposite: what happened in the last 10 seconds, scraped while
 // the process runs. This module provides that substrate:
 //
-//   producer side   lock-free per-thread SPSC event rings (fixed capacity,
-//                   drop-counted, zero allocations per event) — many
-//                   threads produce, one consumer drains, so the plane as
-//                   a whole is an MPSC channel;
-//   consumer side   a background aggregator thread draining the rings into
-//                   log-bucketed sliding-window histograms (ring of
-//                   sub-window buckets) giving p50/p95/p99/rate over the
-//                   last 10 s / 1 m / 5 m per series;
+//   producer side   the per-thread event rings of obs/flight.h — each
+//                   event is written once, whichever consumer is on;
+//   consumer side   TelemetryHub reads every ring from its own cursor (a
+//                   background thread every tick, plus on demand per
+//                   scrape) into log-bucketed sliding-window histograms
+//                   (ring of sub-window buckets) giving p50/p95/p99/rate
+//                   over the last 10 s / 1 m / 5 m per series; events the
+//                   hub lagged behind are counted as dropped;
 //   attribution     RequestScope RAII ids stamped on every event (and on
 //                   trace spans), so tail latency and saturation attach to
 //                   a request, not the process;
-//   liveness        a stall watchdog fed by executed plan steps, backing
-//                   the exporter's /healthz.
+//   liveness        a stall watchdog reading the rings' step vitals,
+//                   backing the exporter's /healthz.
 //
 // Collection is gated on `telemetry_enabled()` (default off) with the same
 // one-relaxed-load discipline as metrics/trace/profile: the disabled
@@ -33,12 +33,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/flight.h"
 #include "util/stopwatch.h"
 
 namespace t2c::obs {
@@ -51,103 +51,15 @@ inline bool telemetry_enabled() {
   return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
 }
 /// Normally flipped by TelemetryHub::start()/stop(); exposed for tests
-/// that exercise the ring/record path without an aggregator thread.
+/// that exercise the record path without an aggregator thread.
 void set_telemetry_enabled(bool on);
 
-/// What one event measures. The aggregator fans kinds into series:
-/// kStep feeds both its own per-op series and the "deploy.step.latency"
-/// aggregate; kRequestDone feeds "request.latency" and closes the
-/// request's attribution record; kSaturation adds clipped-value counts to
-/// its series and to the owning request.
-enum class TeleKind : std::uint8_t {
-  kStep = 0,
-  kRequestDone = 1,
-  kSaturation = 2,
-};
-
-/// One fixed-size event. No owned memory: the series name is an interned
-/// id (telemetry_key), resolved back to a string by the aggregator.
-struct TeleEvent {
-  std::int64_t t_ns = 0;   ///< mono_now_ns() at record time
-  double value = 0.0;      ///< latency ms (kStep/kRequestDone) or count
-  std::uint64_t req = 0;   ///< current_request() at record time; 0 = none
-  std::uint32_t key = 0;   ///< interned series name
-  TeleKind kind = TeleKind::kStep;
-};
-
-/// Interns `name`, returning a stable id for TeleEvent::key. Cold path
-/// (takes a lock, may allocate): call at plan-compile / handle-resolve
-/// time, never per event. The same name always returns the same id.
-std::uint32_t telemetry_key(const std::string& name);
-
-/// Resolves an interned id back to its name ("tele.unknown" for ids
-/// never interned). Cold path (takes the interner lock); used by the
-/// /exemplars and /requests/<id> renderers to name trail steps.
-std::string telemetry_key_name(std::uint32_t id);
-
-/// Fixed-capacity single-producer single-consumer event ring. The owning
-/// thread pushes; the aggregator (serialized by the hub mutex) drains.
-/// A full ring drops the event and counts it — the hot path never blocks
-/// and never allocates.
-class EventRing {
- public:
-  static constexpr std::size_t kCapacity = 2048;  // power of two
-
-  /// Producer side. Returns false (and counts a drop) when full.
-  bool push(const TeleEvent& e) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail >= kCapacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    buf_[head & (kCapacity - 1)] = e;
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side (hub-mutex serialized): moves every pending event into
-  /// `out` (appended) and returns how many were drained.
-  std::size_t drain(std::vector<TeleEvent>& out);
-
-  std::int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::size_t pending() const {
-    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
-  }
-
-  /// Marks the producer thread gone; the hub frees the ring once drained.
-  void retire() { retired_.store(true, std::memory_order_release); }
-  bool retired() const { return retired_.load(std::memory_order_acquire); }
-
- private:
-  std::array<TeleEvent, kCapacity> buf_;
-  std::atomic<std::uint64_t> head_{0};  ///< producer-owned
-  std::atomic<std::uint64_t> tail_{0};  ///< consumer-owned
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<bool> retired_{false};
-};
-
-/// Records one event into the calling thread's ring. Callers gate on
-/// telemetry_enabled(); the only allocation ever made is the thread's
-/// ring itself, created on first use (or eagerly for pool workers via
-/// telemetry_register_thread()).
-void telemetry_record(TeleKind kind, std::uint32_t key, double value);
-
-/// Eagerly creates and registers the calling thread's event ring so the
-/// first recorded event is allocation-free. Pool workers call this at
-/// startup (core/parallel.cpp).
-void telemetry_register_thread();
-
-/// Stall-watchdog heartbeat: the planned executor calls this after every
-/// completed step (two relaxed stores). /healthz reports unhealthy when
-/// the last heartbeat is older than the configured deadline.
-/// `flight_step_key` is the step's interned flight-recorder key
-/// (flight_key; ~0u = unknown) so a 503 body and a stall postmortem can
-/// name the step that last completed before the executor wedged.
-void telemetry_note_step(std::uint32_t flight_step_key = 0xFFFFFFFFu);
+/// True while either consumer of the event rings is on — the flight
+/// recorder or the telemetry plane. Producers gate their one
+/// flight_record() per event on this.
+inline bool event_ring_enabled() {
+  return flight_enabled() || telemetry_enabled();
+}
 
 // ---- request attribution ----
 
@@ -155,8 +67,9 @@ void telemetry_note_step(std::uint32_t flight_step_key = 0xFFFFFFFFu);
 std::uint64_t current_request();
 
 /// RAII request context: assigns a process-unique id, makes it the
-/// calling thread's current request, and on destruction records the
-/// request's wall latency as a kRequestDone event (when telemetry is on).
+/// calling thread's current request, and records a kRequestStart event on
+/// entry and the request's wall latency as a kRequestDone event on exit
+/// (when event_ring_enabled()).
 /// Scopes nest; the previous id is restored on exit.
 class RequestScope {
  public:
@@ -237,7 +150,7 @@ class SlidingWindow {
 
 /// One per-op step on a request's causal trail (bounded; see kTrailCap).
 struct TrailStep {
-  std::uint32_t key = 0;   ///< interned series name (telemetry_key)
+  std::uint32_t key = 0;   ///< interned series name (flight_key)
   std::int64_t t_ns = 0;   ///< completion timestamp
   double ms = 0.0;         ///< step latency
 };
@@ -263,8 +176,8 @@ struct TeleExemplar {
 };
 
 /// Point-in-time digest of the whole plane, taken under the hub mutex
-/// after an on-demand drain — a scrape never waits for the next
-/// aggregator tick.
+/// after an on-demand read of every ring — a scrape never waits for the
+/// next aggregator tick.
 struct TelemetrySnapshot {
   struct Series {
     std::string name;
@@ -279,8 +192,10 @@ struct TelemetrySnapshot {
     std::vector<TeleExemplar> exemplars;  ///< parallel to buckets_5m
   };
   std::vector<Series> series;  ///< sorted by name
-  std::int64_t events_total = 0;    ///< drained events, monotone
-  std::int64_t dropped_total = 0;   ///< ring drops, monotone
+  std::int64_t events_total = 0;    ///< ring events read, monotone
+  /// Ring events overwritten (or reset away) before the hub read them,
+  /// monotone; events_total + dropped_total = events pushed since clear().
+  std::int64_t dropped_total = 0;
   std::uint64_t requests_started = 0;
   std::uint64_t requests_done = 0;
   std::vector<RequestRecord> recent_requests;  ///< newest last, bounded
@@ -290,24 +205,26 @@ struct TelemetrySnapshot {
   std::int64_t taken_ns = 0;  ///< mono_now_ns() of the snapshot
 };
 
-/// The plane's owner: ring registry, aggregator thread, window store,
-/// watchdog state, and the request-attribution table.
+/// The plane's owner: ring cursors, aggregator thread, window store and
+/// the request-attribution table. A pure reader of the event rings.
 class TelemetryHub {
  public:
   /// Starts the aggregator thread and enables collection. Idempotent.
+  /// Events recorded before start() (flight-recorder history) are skipped.
   void start();
-  /// Disables collection, drains every ring one last time, and joins the
+  /// Disables collection, reads every ring one last time, and joins the
   /// aggregator. Idempotent.
   void stop();
   bool running() const;
 
-  /// Drains all rings and digests every series (on-demand; also what the
+  /// Reads all rings and digests every series (on-demand; also what the
   /// aggregator does every tick).
   TelemetrySnapshot snapshot();
 
   /// Watchdog: false when steps have run but none completed within
   /// `deadline_ms` (a stalled executor); true while idle (no step ever)
-  /// or fresh. `ago_ms` (optional) receives the age of the heartbeat.
+  /// or fresh. `ago_ms` (optional) receives the age of the newest step
+  /// event in any ring (FlightStats::last_step_ns).
   bool healthy(double deadline_ms, double* ago_ms = nullptr) const;
   void set_stall_deadline_ms(double ms);
   double stall_deadline_ms() const;
@@ -333,22 +250,12 @@ class TelemetryHub {
   std::uint64_t requests_done_count() const {
     return requests_done_.load(std::memory_order_relaxed);
   }
-  std::int64_t last_step_ns() const {
-    return last_step_ns_.load(std::memory_order_relaxed);
-  }
-  /// Flight key of the last completed step (~0u before any step).
-  std::uint32_t last_step_key() const {
-    return last_step_key_.load(std::memory_order_relaxed);
-  }
 
-  /// Drops every window, request record, and counter (test isolation).
-  /// Rings stay registered; enabled state is preserved.
+  /// Drops every window, request record, and counter, and moves every
+  /// ring cursor to its head (test isolation). Enabled state is
+  /// preserved; the rings' step vitals are flight_clear_for_test()'s.
   void clear();
 
-  // Internal producer-side hooks (see free functions above). The hub and
-  // the owning thread each hold a reference, so a ring safely outlives
-  // whichever goes away first.
-  std::shared_ptr<EventRing> register_thread_ring();
   // Request start/done counters live outside the ring: they are bumped by
   // RequestScope directly, so a dropped kRequestDone event loses only its
   // latency sample — the started/done/active arithmetic stays exact.
@@ -359,15 +266,16 @@ class TelemetryHub {
   friend TelemetryHub& telemetry();
   TelemetryHub();  ///< reads T2C_STALL_MS for the watchdog default
 
-  void aggregate_locked(const std::vector<TeleEvent>& events);
-  void drain_all_locked();
+  void aggregate_locked(const FlightEvent& e);
+  void read_rings_locked();
+  void skip_backlog_locked();
   void sample_proc_gauges();
   void aggregator_main();
 
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<EventRing>> rings_;
-  std::vector<TeleEvent> scratch_;  ///< drain buffer, reused every tick
-  std::map<std::string, SlidingWindow> windows_;
+  std::vector<std::uint64_t> cursors_;  ///< per ring registry slot
+  std::vector<FlightEvent> scratch_;    ///< read buffer, reused every tick
+  std::map<std::uint32_t, SlidingWindow> windows_;  ///< by flight_key id
   std::map<std::uint64_t, RequestRecord> active_requests_;
   std::vector<RequestRecord> recent_requests_;  ///< bounded FIFO
   std::vector<RequestRecord> slow_requests_;    ///< top-k, 5 m window
@@ -375,27 +283,17 @@ class TelemetryHub {
   std::array<TeleExemplar, SlidingWindow::kBuckets> request_exemplars_{};
   std::function<void(double)> stall_action_;  ///< under mu_
   std::int64_t events_total_ = 0;
-  std::int64_t dropped_drained_ = 0;  ///< drops from retired, freed rings
+  std::int64_t dropped_total_ = 0;
   std::atomic<std::uint64_t> requests_started_{0};
   std::atomic<std::uint64_t> requests_done_{0};
-  std::atomic<std::int64_t> last_step_ns_{-1};  ///< -1 = no step ever
-  std::atomic<std::uint32_t> last_step_key_{0xFFFFFFFFu};
   std::atomic<double> stall_deadline_ms_{10000.0};
   std::atomic<bool> running_{false};
   bool stop_requested_ = false;       ///< under mu_, woken via cv_
   std::condition_variable cv_;
   std::thread aggregator_;
-
-  friend void telemetry_note_step(std::uint32_t);
 };
 
-/// The process-wide hub all instrumentation writes to.
+/// The process-wide hub that reads the event rings.
 TelemetryHub& telemetry();
-
-inline void telemetry_note_step(std::uint32_t flight_step_key) {
-  TelemetryHub& hub = telemetry();
-  hub.last_step_ns_.store(mono_now_ns(), std::memory_order_relaxed);
-  hub.last_step_key_.store(flight_step_key, std::memory_order_relaxed);
-}
 
 }  // namespace t2c::obs

@@ -1,8 +1,9 @@
 // Flight-recorder / crash-postmortem tests (DESIGN.md §3.13): the
 // async-signal-safe JSON writer (round-trips, hostile labels, zero
 // allocations, truncation that stays parseable), the per-thread seqlock
-// rings (overwrite-oldest retention, torn-slot skipping via the sequence
-// protocol), the signal-safe key table, the active-request table, the
+// rings (overwrite-oldest retention, a lagging cursor reader's drop
+// accounting across overwrites and resets), the signal-safe key table,
+// the active-request table, the
 // cross-ring collector, the disabled hot path staying allocation-free,
 // and the postmortem writer — from normal context and from a forked
 // child dying on a real SIGSEGV.
@@ -253,6 +254,53 @@ TEST_F(FlightTest, RingOverwritesOldestKeepsNewest) {
   ASSERT_EQ(few, 8u);
   EXPECT_EQ(tail[7].t_ns, static_cast<std::int64_t>(n - 1));
   EXPECT_EQ(tail[0].t_ns, static_cast<std::int64_t>(n - 8));
+}
+
+TEST_F(FlightTest, LaggingReaderCountsOverwrittenEvents) {
+  constexpr std::size_t kCap = obs::FlightRing::kCapacity;
+  obs::FlightRing* ring = obs::flight_register_thread("lagging");
+  ASSERT_NE(ring, nullptr);
+  const auto push_n = [&](std::size_t n, std::int64_t first) {
+    for (std::size_t i = 0; i < n; ++i) {
+      obs::FlightEvent e;
+      e.t_ns = first + static_cast<std::int64_t>(i);
+      e.kind = obs::FlightKind::kMark;
+      ring->push(e);
+    }
+  };
+  std::vector<obs::FlightEvent> out(kCap);
+  std::uint64_t cursor = ring->head();
+
+  // Three laps behind: the read returns the newest kCap events, oldest
+  // first, and counts the two laps it missed.
+  push_n(3 * kCap, 0);
+  std::uint64_t lost = 0;
+  ASSERT_EQ(ring->read_since(&cursor, out.data(), &lost), kCap);
+  EXPECT_EQ(lost, 2 * kCap);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    ASSERT_EQ(out[i].t_ns, static_cast<std::int64_t>(2 * kCap + i));
+  }
+  lost = 0;
+  EXPECT_EQ(ring->read_since(&cursor, out.data(), &lost), 0u);
+  EXPECT_EQ(lost, 0u);
+
+  // A reset under the cursor: the 5 unread events are lost to it, and the
+  // reader restarts at the reset — no negative (wrapped) drop count.
+  push_n(5, 10000);
+  obs::flight_clear_for_test();
+  push_n(7, 20000);
+  ASSERT_EQ(ring->read_since(&cursor, out.data(), &lost), 7u);
+  EXPECT_EQ(lost, 5u);
+  EXPECT_EQ(out[0].t_ns, 20000);
+  EXPECT_EQ(ring->pushes(), 7u);
+
+  // A reset with nothing unread loses nothing.
+  obs::flight_clear_for_test();
+  push_n(3, 30000);
+  lost = 0;
+  ASSERT_EQ(ring->read_since(&cursor, out.data(), &lost), 3u);
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(out[2].t_ns, 30002);
 }
 
 TEST_F(FlightTest, ActiveRequestTableClaimsAndReleases) {

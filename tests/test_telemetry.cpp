@@ -1,6 +1,7 @@
-// Live telemetry-plane tests (DESIGN.md §3.10): event-ring push/drain and
-// drop accounting, sliding-window percentiles and aging, monotone window
-// boundaries under rapid scrapes, RequestScope nesting and attribution,
+// Live telemetry-plane tests (DESIGN.md §3.10): the hub reading event
+// rings while a producer writes (no torn events, read + dropped = pushed),
+// sliding-window percentiles and aging, monotone window boundaries under
+// rapid scrapes, RequestScope nesting and attribution,
 // the Prometheus renderer's escaping + cumulative-bucket guarantees, the
 // stall watchdog, the embedded HTTP exporter under concurrent writers
 // (the TSan target for this plane), and the disabled/enabled hot path
@@ -36,17 +37,20 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
-/// Resets the hub, registry, and every toggle around each test.
+/// Resets the hub, the rings' step vitals, the registry, and every toggle
+/// around each test.
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::telemetry().stop();
+    obs::flight_clear_for_test();
     obs::telemetry().clear();
     obs::metrics().reset();
   }
   void TearDown() override {
     obs::set_telemetry_enabled(false);
     obs::telemetry().stop();
+    obs::flight_clear_for_test();
     obs::telemetry().clear();
     obs::telemetry().set_stall_deadline_ms(10000.0);
     obs::set_metrics_enabled(false);
@@ -105,33 +109,88 @@ double body_metric(const std::string& resp, const std::string& name) {
   return std::atof(resp.c_str() + pos + 1 + name.size() + 1);
 }
 
-// ---- event ring ----
+/// One completed plan step on the calling thread's ring: the watchdog's
+/// heartbeat.
+void record_step(const char* name = "test.step") {
+  obs::flight_record(obs::FlightKind::kStep, obs::flight_key(name), 0.0);
+}
 
-TEST_F(TelemetryTest, EventRingPushDrainDropAccounting) {
-  obs::EventRing ring;
-  obs::TeleEvent e;
-  e.kind = obs::TeleKind::kStep;
-  const std::size_t extra = 100;
-  for (std::size_t i = 0; i < obs::EventRing::kCapacity + extra; ++i) {
-    e.value = static_cast<double>(i);
-    ring.push(e);
+// ---- reading the event rings ----
+
+TEST_F(TelemetryTest, ConcurrentReaderSeesNoTornEvents) {
+  // Every field of event i encodes i: t_ns = t0 + i, req = i + 1, and the
+  // key/value pair is (keys[i % 3], kValue[i % 3]). Pushes i and i + 2048
+  // share a slot and differ in i % 3, so an event stitched from two
+  // pushes puts a foreign value into a series or pairs a request id with
+  // another push's timestamp. The producer runs until the reader has taken
+  // all its snapshots, so every snapshot races live pushes.
+  constexpr int kMinEvents = 8 * static_cast<int>(obs::FlightRing::kCapacity);
+  constexpr int kSnapshots = 200;
+  const std::uint32_t keys[3] = {obs::flight_key("test.torn.a"),
+                                 obs::flight_key("test.torn.b"),
+                                 obs::flight_key("test.torn.c")};
+  const char* names[3] = {"test.torn.a", "test.torn.b", "test.torn.c"};
+  constexpr double kValue[3] = {0.25, 1.0, 4.0};  // exact sums
+  const std::int64_t t0 = mono_now_ns();
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> pushed{0};
+  std::thread producer([&] {
+    obs::FlightRing* ring = obs::flight_register_thread("torn.producer");
+    started.store(true, std::memory_order_release);
+    std::int64_t i = 0;
+    for (; ring != nullptr &&
+           (i < kMinEvents || !stop.load(std::memory_order_acquire));
+         ++i) {
+      obs::FlightEvent e;
+      e.t_ns = t0 + i;
+      e.value = kValue[i % 3];
+      e.req = static_cast<std::uint64_t>(i) + 1;
+      e.key = keys[i % 3];
+      e.kind = obs::FlightKind::kStep;
+      ring->push(e);
+    }
+    pushed.store(i, std::memory_order_release);
+  });
+  const auto check_exemplars = [&](const obs::TelemetrySnapshot& snap) {
+    for (const auto& s : snap.series) {
+      for (const obs::TeleExemplar& x : s.exemplars) {
+        if (x.req == 0) continue;
+        const auto i = static_cast<std::int64_t>(x.req - 1);
+        ASSERT_EQ(x.t_ns, t0 + i);
+        ASSERT_EQ(x.value_ms, kValue[i % 3]);
+      }
+    }
+  };
+  while (!started.load(std::memory_order_acquire)) {
   }
-  EXPECT_EQ(ring.pending(), obs::EventRing::kCapacity);
-  EXPECT_EQ(ring.dropped(), static_cast<std::int64_t>(extra));
-
-  std::vector<obs::TeleEvent> out;
-  EXPECT_EQ(ring.drain(out), obs::EventRing::kCapacity);
-  ASSERT_EQ(out.size(), obs::EventRing::kCapacity);
-  // FIFO: the oldest events survive, the newest were dropped.
-  EXPECT_DOUBLE_EQ(out.front().value, 0.0);
-  EXPECT_DOUBLE_EQ(out.back().value,
-                   static_cast<double>(obs::EventRing::kCapacity - 1));
-  EXPECT_EQ(ring.pending(), 0u);
-
-  // Drained capacity is available again, drop count stays monotone.
-  ring.push(e);
-  EXPECT_EQ(ring.pending(), 1u);
-  EXPECT_EQ(ring.dropped(), static_cast<std::int64_t>(extra));
+  std::int64_t read_live = 0;
+  for (int n = 0; n < kSnapshots; ++n) {
+    const obs::TelemetrySnapshot live = obs::telemetry().snapshot();
+    check_exemplars(live);
+    read_live = live.events_total;
+  }
+  stop.store(true, std::memory_order_release);
+  producer.join();
+  ASSERT_GE(pushed.load(), kMinEvents);
+  EXPECT_GT(read_live, 0) << "no snapshot overlapped the producer";
+  const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
+  check_exemplars(snap);
+  EXPECT_EQ(snap.events_total + snap.dropped_total, pushed.load());
+  EXPECT_GT(snap.events_total, 0);
+  std::int64_t per_key = 0;
+  for (const auto& s : snap.series) {
+    for (int j = 0; j < 3; ++j) {
+      if (s.name != names[j]) continue;
+      EXPECT_EQ(s.total_sum, static_cast<double>(s.total_count) * kValue[j])
+          << s.name << " holds a value from another key";
+      per_key += s.total_count;
+    }
+    if (s.name == "deploy.step.latency") {
+      EXPECT_EQ(s.total_count, snap.events_total);
+    }
+  }
+  EXPECT_EQ(per_key, snap.events_total);
 }
 
 // ---- sliding windows ----
@@ -185,8 +244,8 @@ TEST_F(TelemetryTest, SlidingWindowDigestsPercentilesPerWindow) {
 
 TEST_F(TelemetryTest, WindowBoundariesMonotoneUnderRapidSnapshots) {
   obs::set_telemetry_enabled(true);
-  static const std::uint32_t key = obs::telemetry_key("test.window.mono");
-  obs::telemetry_record(obs::TeleKind::kStep, key, 1.0);
+  static const std::uint32_t key = obs::flight_key("test.window.mono");
+  obs::flight_record(obs::FlightKind::kStep, key, 1.0);
   std::int64_t prev_taken = 0;
   std::int64_t prev_start = 0;
   std::int64_t prev_end = 0;
@@ -231,11 +290,11 @@ TEST_F(TelemetryTest, RequestScopeNestsAndRestores) {
 
 TEST_F(TelemetryTest, RequestCountersExactEvenWhenEventsDrop) {
   obs::set_telemetry_enabled(true);
-  // Overflow the calling thread's ring so kRequestDone events drop; the
+  // Overflow the calling thread's ring so the hub lags and drops; the
   // started/done counters must not drift (they bypass the ring).
-  static const std::uint32_t key = obs::telemetry_key("test.req.flood");
-  for (int i = 0; i < 3 * static_cast<int>(obs::EventRing::kCapacity); ++i) {
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.1);
+  static const std::uint32_t key = obs::flight_key("test.req.flood");
+  for (int i = 0; i < 3 * static_cast<int>(obs::FlightRing::kCapacity); ++i) {
+    obs::flight_record(obs::FlightKind::kStep, key, 0.1);
   }
   for (int i = 0; i < 10; ++i) {
     const obs::RequestScope req;
@@ -248,12 +307,12 @@ TEST_F(TelemetryTest, RequestCountersExactEvenWhenEventsDrop) {
 
 TEST_F(TelemetryTest, RequestAttributionJoinsStepsAndLatency) {
   obs::telemetry().start();
-  static const std::uint32_t key = obs::telemetry_key("test.req.steps");
+  static const std::uint32_t key = obs::flight_key("test.req.steps");
   {
     const obs::RequestScope req;
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.5);
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.5);
-    obs::telemetry_record(obs::TeleKind::kSaturation, key, 7.0);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.5);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.5);
+    obs::flight_record(obs::FlightKind::kSaturation, key, 7.0);
   }
   const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
   obs::telemetry().stop();
@@ -330,7 +389,7 @@ TEST_F(TelemetryTest, StallWatchdogIdleFreshAndStalled) {
   double ago = 0.0;
   EXPECT_TRUE(obs::telemetry().healthy(1.0, &ago));  // idle: no step ever
   EXPECT_LT(ago, 0.0);
-  obs::telemetry_note_step();
+  record_step();
   EXPECT_TRUE(obs::telemetry().healthy(10000.0, &ago));
   EXPECT_GE(ago, 0.0);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -360,7 +419,7 @@ TEST_F(TelemetryTest, ExporterServesRoutes) {
 
 TEST_F(TelemetryTest, ExporterReports503OnStall) {
   obs::telemetry().set_stall_deadline_ms(0.001);
-  obs::telemetry_note_step();
+  record_step();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   obs::PromExporter exporter;
   ASSERT_TRUE(exporter.start(0));
@@ -379,23 +438,20 @@ TEST_F(TelemetryTest, ConcurrentScrapesUnderProducerLoadStayConsistent) {
 
   constexpr int kWriters = 4;
   constexpr int kEventsPerWriter = 5000;
-  static const std::uint32_t key = obs::telemetry_key("test.scrape.load");
+  static const std::uint32_t key = obs::flight_key("test.scrape.load");
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&] {
-      obs::telemetry_register_thread();
+      obs::flight_register_thread("writer");
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kEventsPerWriter; ++i) {
-        obs::telemetry_record(obs::TeleKind::kStep, key, 0.25);
-        obs::telemetry_note_step();
+        obs::flight_record(obs::FlightKind::kStep, key, 0.25);
       }
     });
   }
-  // Per-ring drop counters are monotone across TelemetryHub::clear(), so
-  // conservation must be checked on deltas from this baseline.
   const obs::TelemetrySnapshot before = obs::telemetry().snapshot();
   go.store(true, std::memory_order_release);
 
@@ -412,8 +468,7 @@ TEST_F(TelemetryTest, ConcurrentScrapesUnderProducerLoadStayConsistent) {
   exporter.stop();
   obs::telemetry().stop();
 
-  // Conservation: every produced event was either aggregated or dropped
-  // (drops of retired rings are banked before the rings are freed).
+  // Conservation: every produced event was either read or dropped.
   const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
   EXPECT_EQ((snap.events_total - before.events_total) +
                 (snap.dropped_total - before.dropped_total),
@@ -457,7 +512,7 @@ TEST_F(TelemetryTest, TelemetryHotPathAddsNoAllocations) {
   // Telemetry on: events are fixed-size pushes into a pre-built ring with
   // compile-time-interned keys — after the first run warms the thread's
   // ring, the instrumented path allocates exactly as much as the disabled
-  // one (ring-full drops included).
+  // one.
   obs::set_telemetry_enabled(true);
   (void)dm.run_int(q);  // warm: first push creates this thread's ring
   EXPECT_EQ(allocs_per_run(), baseline);
@@ -489,15 +544,15 @@ TEST_F(TelemetryTest, DigestBucketsSumMatchesDigestCount) {
 
 TEST_F(TelemetryTest, ExemplarsDecorateBucketsAndResolveToDetail) {
   obs::set_telemetry_enabled(true);
-  obs::telemetry_register_thread();
-  static const std::uint32_t key = obs::telemetry_key("test.exemplar.step");
+  obs::flight_register_thread();
+  static const std::uint32_t key = obs::flight_key("test.exemplar.step");
   std::uint64_t id = 0;
   {
     const obs::RequestScope req;
     id = obs::current_request();
     ASSERT_NE(id, 0u);
     for (int i = 0; i < 6; ++i) {
-      obs::telemetry_record(obs::TeleKind::kStep, key, 0.25 + 0.05 * i);
+      obs::flight_record(obs::FlightKind::kStep, key, 0.25 + 0.05 * i);
     }
   }
   const std::string prom = obs::render_prometheus();
@@ -526,8 +581,8 @@ TEST_F(TelemetryTest, ExemplarsDecorateBucketsAndResolveToDetail) {
 
 TEST_F(TelemetryTest, SlowReservoirKeepsSlowestWithTrails) {
   obs::set_telemetry_enabled(true);
-  obs::telemetry_register_thread();
-  static const std::uint32_t key = obs::telemetry_key("test.slow.step");
+  obs::flight_register_thread();
+  static const std::uint32_t key = obs::flight_key("test.slow.step");
   // More requests than reservoir slots; remember the slowest id. The
   // recorded latency tracks the loop index, so the last kSlowK are the
   // keepers.
@@ -535,7 +590,7 @@ TEST_F(TelemetryTest, SlowReservoirKeepsSlowestWithTrails) {
   for (int r = 0; r < 24; ++r) {
     const obs::RequestScope req;
     slowest = obs::current_request();
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.1);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.1);
     // Stretch latency artificially: RequestScope measures wall time, so
     // sleep a hair longer each round.
     std::this_thread::sleep_for(std::chrono::microseconds(50 * (r + 1)));
@@ -561,8 +616,7 @@ TEST_F(TelemetryTest, SlowReservoirKeepsSlowestWithTrails) {
 
 TEST_F(TelemetryTest, Stall503BodyNamesStepAndFlightDrops) {
   obs::telemetry().set_stall_deadline_ms(0.001);
-  const std::uint32_t fkey = obs::flight_key("deploy.step.test.stalled");
-  obs::telemetry_note_step(fkey);
+  record_step("deploy.step.test.stalled");
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   obs::PromExporter exporter;
   ASSERT_TRUE(exporter.start(0));
@@ -589,7 +643,7 @@ TEST_F(TelemetryTest, StallActionFiresOutsideHubLock) {
     fired.fetch_add(1);
   });
   obs::telemetry().start();
-  obs::telemetry_note_step();
+  record_step();
   for (int i = 0; i < 200 && fired.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -78,12 +78,12 @@ grep -q '"kind":"stall"' "$STALL_BUNDLE" || {
 CLI_PID=$!
 PORT=""
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   PORT=$(sed -n 's/^obs: serving \/metrics on port \([0-9][0-9]*\)$/\1/p' \
          soak.log 2>/dev/null | head -n 1)
   [ -n "$PORT" ] && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 [ -n "$PORT" ] || {
@@ -92,15 +92,19 @@ done
   exit 1
 }
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   grep -q '^soak: [0-9]' soak.log 2>/dev/null && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 sleep 1
 
-"$CHECK" --fetch "$PORT:/metrics" > live.prom
+"$CHECK" --fetch "$PORT:/metrics" > live.prom || {
+  kill -0 "$CLI_PID" 2>/dev/null ||
+    echo "scrape failed after t2c_cli exited: the soak ended first" >&2
+  exit 1
+}
 "$CHECK" --prom live.prom
 grep -q 't2c_tele_latency_ms_bucket{.*} [0-9][0-9]* # {req="' live.prom || {
   echo "live.prom carries no OpenMetrics exemplar on a latency bucket" >&2

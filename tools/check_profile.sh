@@ -27,12 +27,12 @@ CLI_PID=$!
 # soak marker appears once the deployed graph is taking live traffic.
 PORT=""
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   PORT=$(sed -n 's/^obs: serving \/metrics on port \([0-9][0-9]*\)$/\1/p' \
          cli.log 2>/dev/null | head -n 1)
   [ -n "$PORT" ] && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 [ -n "$PORT" ] || {
@@ -41,16 +41,21 @@ done
   exit 1
 }
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   grep -q '^soak:' cli.log 2>/dev/null && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 
 # One mid-run scrape: raw-socket GET (no curl dependency), 200 required,
-# body dumped and validated as Prometheus text exposition.
-T2C_PROM_DUMP=metrics.prom "$CHECK" --prom-scrape "$PORT"
+# body dumped and validated as Prometheus text exposition. The soak lasts
+# about a second, so both waits above poll every 0.05 s (cap 300 s).
+T2C_PROM_DUMP=metrics.prom "$CHECK" --prom-scrape "$PORT" || {
+  kill -0 "$CLI_PID" 2>/dev/null ||
+    echo "scrape failed after t2c_cli exited: the soak ended first" >&2
+  exit 1
+}
 "$CHECK" --prom metrics.prom
 
 wait "$CLI_PID" || {

@@ -25,12 +25,12 @@ CLI_PID=$!
 
 PORT=""
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   PORT=$(sed -n 's/^obs: serving \/metrics on port \([0-9][0-9]*\)$/\1/p' \
          cli.log 2>/dev/null | head -n 1)
   [ -n "$PORT" ] && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 [ -n "$PORT" ] || {
@@ -39,14 +39,20 @@ done
   exit 1
 }
 i=0
-while [ "$i" -lt 600 ]; do
+while [ "$i" -lt 6000 ]; do
   grep -q '^soak:' cli.log 2>/dev/null && break
   kill -0 "$CLI_PID" 2>/dev/null || break
-  sleep 0.5
+  sleep 0.05
   i=$((i + 1))
 done
 
-T2C_PROM_DUMP=live.prom "$CHECK" --prom-scrape "$PORT"
+# Both waits above poll every 0.05 s (cap 300 s) so the scrape lands
+# inside the soak even when it is short.
+T2C_PROM_DUMP=live.prom "$CHECK" --prom-scrape "$PORT" || {
+  kill -0 "$CLI_PID" 2>/dev/null ||
+    echo "scrape failed after t2c_cli exited: the soak ended first" >&2
+  exit 1
+}
 "$CHECK" --prom live.prom
 
 # The acceptance signal: windowed percentiles of the per-step latency
