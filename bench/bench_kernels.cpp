@@ -111,9 +111,10 @@ int main() {
     return s.mean_ms;
   };
 
-  // Kernel tags come from the solver registry's vocabulary (the same
-  // names --plan-dump and --list-solvers print); t2c_perf_diff treats a
-  // tag switch as a new measurement rather than a regression.
+  // Kernel tags name the code path a row times: the raw GEMM rows name
+  // the loop, the int8 rows below the registry solver (the names
+  // --plan-dump and --list-solvers print); t2c_perf_diff treats a tag
+  // switch as a new measurement rather than a regression.
   const double naive_f_ms =
       gemm_row("gemm_f32_512_naive", gemm_macs,
                [&] { cf.zero(); naive_gemm_f32(af.data(), bf.data(),
@@ -160,7 +161,6 @@ int main() {
   const auto solver_tag = [&](bool fused) {
     solver::Problem sp;
     sp.op = solver::OpKind::kLinearInt;
-    sp.n = n;
     sp.k = n;
     sp.a_max = 127;
     sp.w_max = 127;
@@ -221,7 +221,6 @@ int main() {
     sp.op = solver::OpKind::kConvInt;
     sp.m = cspec.out_channels / cspec.groups;
     sp.k = taps;
-    sp.groups = cspec.groups;
     sp.a_max = 127;
     sp.w_max = 7;
     sp.epilogue = true;

@@ -146,7 +146,8 @@ struct BenchStat {
   double ipc = 0.0;
   double ipc_cv = 0.0;
   /// Which code path produced the timing — a solver-registry name such
-  /// as "gemm_i8_fused_avx512" or "gemm_i64_tiled"; empty = untagged.
+  /// as "gemm_i8_fused_avx512", or a raw loop such as "gemm_i64_tiled";
+  /// empty = untagged.
   /// t2c_perf_diff treats a row whose kernel changed as a new
   /// measurement, not a regression of the old one.
   std::string kernel;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 
-#include "core/parallel.h"
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
 #include "obs/log.h"
@@ -336,26 +335,21 @@ std::size_t pass_select_solvers(DeployModel& dm) {
     auto* ln = dynamic_cast<IntLinearOp*>(&op);
     if (cv == nullptr && ln == nullptr) continue;
     const ITensor& w = cv != nullptr ? cv->weight() : ln->weight();
-    // Assemble the selection key: geometry, value-range bounds (the int8
-    // overflow proof lives in solver applicability now), and whether the
+    // Assemble the problem: geometry, value-range bounds (the int8
+    // overflow proof lives in solver applicability), and whether the
     // accumulator's single consumer offers a fusable requant epilogue.
     solver::Problem p;
     if (cv != nullptr) {
       p.op = solver::OpKind::kConvInt;
       p.m = cv->spec().out_channels / cv->spec().groups;
-      p.n = -1;  // output pixels are batch/input-size dependent
       p.k = (cv->spec().in_channels / cv->spec().groups) * cv->spec().kernel *
             cv->spec().kernel;
-      p.groups = cv->spec().groups;
     } else {
-      p.op = solver::OpKind::kLinearInt;
-      p.m = -1;  // token/row count is batch dependent
-      p.n = w.size(0);
+      p.op = solver::OpKind::kLinearInt;  // rows are batch dependent: m = -1
       p.k = w.size(1);
     }
     p.a_max = in_abs();
     p.w_max = max_abs_elem(w);
-    p.threads = par::max_threads();
     const auto& cons = dm.consumers_of(v);
     const MulQuantOp* mq =
         cons.size() == 1 && v != dm.output_id()

@@ -375,12 +375,10 @@ void IntAttentionOp::set_input_bound(std::int64_t bound) {
   const std::int64_t d = p_.wqkv.size(1);
   solver::Problem p;
   p.op = solver::OpKind::kAttnInt;
-  p.n = d / p_.heads;
   p.k = d;
   p.a_max = bound;
   p.w_max = wq_max_;
   p.aux_ok = static_i16_ok();
-  p.threads = par::max_threads();
   choice_ = solver::Registry::instance().choose(p);
 }
 

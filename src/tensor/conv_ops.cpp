@@ -81,9 +81,8 @@ void im2col_raw(const TSrc* x, const ConvSpec& s, const Geometry& g,
   }
 }
 
-// Typed dispatch onto the shared GEMM entry points (tensor/matmul.h);
-// variant selection (tiled vs naive) happens inside via the solver
-// registry.
+// Typed dispatch onto the shared tiled GEMM entry points
+// (tensor/matmul.h).
 void gemm_any(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
               bool threaded) {

@@ -74,7 +74,8 @@ inline constexpr std::int64_t kOperandMax = 32767;
 /// the best variant the CPU (as capped by util::cpu_isa_tier) supports;
 /// an explicit request is likewise downgraded if the hardware lacks it.
 /// All variants compute the same exact integer arithmetic, so the choice
-/// is purely a performance knob — the solver registry tunes it per shape.
+/// is purely a performance knob — the solver registry picks the widest
+/// one the ISA tier allows.
 enum class MicroKernel { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// True when a K-deep dot product with |a| <= a_max and |w| <= w_max

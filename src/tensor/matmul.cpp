@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/parallel.h"
-#include "tensor/solver.h"
 
 namespace t2c {
 
@@ -132,72 +131,6 @@ void gemm_tiled(const T* a, const T* b, Acc* c, std::int64_t m, std::int64_t n,
   }
 }
 
-/// Reference triple loop, C += op(A) * op(B). Each output element
-/// accumulates over K ascending — for integer lanes that makes it
-/// bit-identical to the tiled kernel (exact associative adds), which is
-/// what lets the registry tune the i64 pair freely.
-template <typename T, typename Acc>
-void gemm_naive(const T* a, const T* b, Acc* c, std::int64_t m, std::int64_t n,
-                std::int64_t k, bool trans_a, bool trans_b, bool threaded) {
-  const std::int64_t a_rs = trans_a ? 1 : k;
-  const std::int64_t a_cs = trans_a ? m : 1;
-  const std::int64_t b_rs = trans_b ? 1 : n;
-  const std::int64_t b_cs = trans_b ? k : 1;
-  const auto rows = [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        Acc acc{};
-        for (std::int64_t p = 0; p < k; ++p) {
-          acc += static_cast<Acc>(a[i * a_rs + p * a_cs]) *
-                 static_cast<Acc>(b[p * b_rs + j * b_cs]);
-        }
-        c[i * n + j] += acc;
-      }
-    }
-  };
-  if (threaded) {
-    par::parallel_for(0, m, 1, rows);
-  } else {
-    rows(0, m);
-  }
-}
-
-/// Registry-routed raw GEMM: asks the solver list for this op kind and
-/// shape, then dispatches on the chosen variant (0 = tiled, 1 = naive).
-template <typename T, typename Acc>
-void gemm_dispatch(solver::OpKind op, const T* a, const T* b, Acc* c,
-                   std::int64_t m, std::int64_t n, std::int64_t k,
-                   bool trans_a, bool trans_b, bool threaded) {
-  solver::Problem p;
-  p.op = op;
-  p.m = m;
-  p.n = n;
-  p.k = k;
-  p.threads = threaded ? par::max_threads() : 1;
-  const solver::SolverChoice choice = solver::Registry::instance().choose(p);
-  if (choice.variant == 1) {
-    gemm_naive<T, Acc>(a, b, c, m, n, k, trans_a, trans_b, threaded);
-  } else {
-    gemm_tiled<T, Acc>(a, b, c, m, n, k, trans_a, trans_b, threaded);
-  }
-}
-
-inline void gemm_any_raw(const float* a, const float* b, float* c,
-                         std::int64_t m, std::int64_t n, std::int64_t k,
-                         bool trans_a, bool trans_b, bool threaded) {
-  gemm_dispatch<float, float>(solver::OpKind::kGemmF32, a, b, c, m, n, k,
-                              trans_a, trans_b, threaded);
-}
-
-inline void gemm_any_raw(const std::int64_t* a, const std::int64_t* b,
-                         std::int64_t* c, std::int64_t m, std::int64_t n,
-                         std::int64_t k, bool trans_a, bool trans_b,
-                         bool threaded) {
-  gemm_dispatch<std::int64_t, std::int64_t>(solver::OpKind::kGemmI64, a, b, c,
-                                            m, n, k, trans_a, trans_b,
-                                            threaded);
-}
-
 template <typename T>
 void check_mm(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
               bool trans_b, std::int64_t& m, std::int64_t& n, std::int64_t& k,
@@ -219,8 +152,8 @@ TensorT<Acc> mm_impl(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
   std::int64_t m = 0, n = 0, k = 0;
   check_mm(a, b, trans_a, trans_b, m, n, k, 0);
   TensorT<Acc> c({m, n});
-  gemm_any_raw(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
-               /*threaded=*/true);
+  gemm_tiled(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
+             /*threaded=*/true);
   return c;
 }
 
@@ -236,17 +169,17 @@ TensorT<Acc> bmm_impl(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
   const std::int64_t a_sz = a.size(1) * a.size(2);
   const std::int64_t b_sz = b.size(1) * b.size(2);
   if (batch == 1) {
-    gemm_any_raw(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
-                 /*threaded=*/true);
+    gemm_tiled(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
+               /*threaded=*/true);
     return c;
   }
   // Parallel over batch entries (attention: one entry per head); per-entry
   // GEMMs run serial to keep one level of parallelism.
   par::parallel_for(0, batch, 1, [&](std::int64_t ib0, std::int64_t ib1) {
     for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-      gemm_any_raw(a.data() + ib * a_sz, b.data() + ib * b_sz,
-                   c.data() + ib * m * n, m, n, k, trans_a, trans_b,
-                   /*threaded=*/false);
+      gemm_tiled(a.data() + ib * a_sz, b.data() + ib * b_sz,
+                 c.data() + ib * m * n, m, n, k, trans_a, trans_b,
+                 /*threaded=*/false);
     }
   });
   return c;
@@ -274,45 +207,13 @@ ITensor ibmm(const ITensor& a, const ITensor& b, bool trans_a, bool trans_b) {
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
               bool threaded) {
-  gemm_any_raw(a, b, c, m, n, k, trans_a, trans_b, threaded);
+  gemm_tiled(a, b, c, m, n, k, trans_a, trans_b, threaded);
 }
 
 void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
               std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
               bool trans_b, bool threaded) {
-  gemm_any_raw(a, b, c, m, n, k, trans_a, trans_b, threaded);
+  gemm_tiled(a, b, c, m, n, k, trans_a, trans_b, threaded);
 }
-
-namespace detail {
-
-void gemm_f32_tiled(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded) {
-  gemm_tiled<float, float>(a, b, c, m, n, k, trans_a, trans_b, threaded);
-}
-
-void gemm_f32_naive(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded) {
-  gemm_naive<float, float>(a, b, c, m, n, k, trans_a, trans_b, threaded);
-}
-
-void gemm_i64_tiled(const std::int64_t* a, const std::int64_t* b,
-                    std::int64_t* c, std::int64_t m, std::int64_t n,
-                    std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded) {
-  gemm_tiled<std::int64_t, std::int64_t>(a, b, c, m, n, k, trans_a, trans_b,
-                                         threaded);
-}
-
-void gemm_i64_naive(const std::int64_t* a, const std::int64_t* b,
-                    std::int64_t* c, std::int64_t m, std::int64_t n,
-                    std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded) {
-  gemm_naive<std::int64_t, std::int64_t>(a, b, c, m, n, k, trans_a, trans_b,
-                                         threaded);
-}
-
-}  // namespace detail
 
 }  // namespace t2c

@@ -29,42 +29,17 @@ ITensor ibmm(const ITensor& a, const ITensor& b, bool trans_a = false,
 
 // Raw GEMM entry points for kernels that own their output buffer (conv
 // im2col product, integer linear): C[M,N] += op(A) * op(B), with C
-// pre-initialized by the caller (zeroed or carrying bias). `threaded`
-// parallelizes over row blocks and B packing — pass false from call sites
-// that already run inside a parallel region. Accumulation over K is always
-// ascending and independent of the partition, so integer results are
-// bit-identical for any thread count.
-//
-// Variant selection (tiled vs naive) goes through the solver registry:
-// the f32 list is heuristic-only (always tiled — float summation order
-// must not change), while the i64 pair is tunable because both variants
-// are exact integer arithmetic and therefore bit-identical.
+// pre-initialized by the caller (zeroed or carrying bias). Both run the
+// cache-blocked, register-tiled kernel. `threaded` parallelizes over row
+// blocks and B packing — pass false from call sites that already run
+// inside a parallel region. Accumulation over K is always ascending and
+// independent of the partition, so integer results are bit-identical for
+// any thread count.
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
               bool threaded);
 void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
               std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
               bool trans_b, bool threaded);
-
-namespace detail {
-
-// Concrete raw-GEMM variants behind the registry: the cache-blocked tiled
-// kernels and the reference triple loops. Call sites should use
-// gemm_f32/gemm_i64 above; these exist for the registry's dispatch, the
-// autotuner's benchmarks, and bit-identity tests.
-void gemm_f32_tiled(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded);
-void gemm_f32_naive(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
-                    bool threaded);
-void gemm_i64_tiled(const std::int64_t* a, const std::int64_t* b,
-                    std::int64_t* c, std::int64_t m, std::int64_t n,
-                    std::int64_t k, bool trans_a, bool trans_b, bool threaded);
-void gemm_i64_naive(const std::int64_t* a, const std::int64_t* b,
-                    std::int64_t* c, std::int64_t m, std::int64_t n,
-                    std::int64_t k, bool trans_a, bool trans_b, bool threaded);
-
-}  // namespace detail
 
 }  // namespace t2c

@@ -31,8 +31,7 @@ std::string detect_compiler() {
 
 BuildInfo build_info() {
   // ISA/model probes live in util::cpuinfo (shared with the solver
-  // registry and the tuning-cache key); only the pool size is re-read
-  // per call.
+  // registry); only the pool size is re-read per call.
   static const std::string compiler = detect_compiler();
   BuildInfo b;
   b.git_sha = T2C_GIT_SHA;

@@ -3,8 +3,8 @@
 // Every kernel family used to repeat its own __builtin_cpu_supports probes
 // (matmul target_clones, the int8 micro-kernel picker, the AVX-512
 // epilogue/elementwise gates, build_info). They are deduplicated here into
-// one ISA *tier* — the coarse level the solver registry keys on — plus the
-// human-readable strings build_info and the tuning cache embed.
+// one ISA *tier* — the coarse level the solver registry gates on — plus
+// the human-readable strings build_info embeds.
 #pragma once
 
 #include <string>
@@ -19,8 +19,8 @@ enum class IsaTier { kGeneric = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// The tier this process runs kernels at: the hardware probe, capped by
 /// set_isa_tier_cap() / the T2C_ISA environment variable
-/// ("generic" | "avx2" | "avx512"). Solver applicability, the tuning-cache
-/// key, and the vectorized elementwise paths all read this one value.
+/// ("generic" | "avx2" | "avx512"). Solver applicability and the
+/// vectorized elementwise paths both read this one value.
 IsaTier cpu_isa_tier();
 
 /// Caps (never raises) the tier cpu_isa_tier() reports — the test hook for
@@ -28,16 +28,16 @@ IsaTier cpu_isa_tier();
 /// safe; kernels already in flight keep their resolved function pointers.
 void set_isa_tier_cap(IsaTier cap);
 
-/// "generic" / "avx2" / "avx512" — the token used in Problem keys and the
-/// tuning-cache header.
+/// "generic" / "avx2" / "avx512" — the token the solver gate summaries
+/// print (--list-solvers).
 const char* isa_tier_name(IsaTier tier);
 
 /// The historical build_info string for the current tier (e.g.
 /// "x86-64-v4 (avx512)"), kept stable for BENCH baselines and perf diffs.
 std::string isa_description();
 
-/// "model name" from /proc/cpuinfo (or "unknown") — feeds build_info and
-/// keys the tuning cache to the machine that produced the measurements.
+/// "model name" from /proc/cpuinfo (or "unknown") — feeds build_info, so
+/// every measurement names the machine that produced it.
 const std::string& cpu_model_name();
 
 }  // namespace t2c::util

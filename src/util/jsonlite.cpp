@@ -99,8 +99,15 @@ class Parser {
     skip_ws();
     JsonValue v;
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxJsonDepth) {
+        fail(err("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                 " levels"));
+      }
+      v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       v.kind = JsonValue::Kind::kString;
       v.str = string();
@@ -243,6 +250,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

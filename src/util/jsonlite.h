@@ -50,9 +50,15 @@ struct JsonValue {
   bool has(const std::string& key) const;
 };
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, so the limit keeps a hostile document from exhausting the
+/// stack; the repo's own documents nest a few levels.
+inline constexpr int kMaxJsonDepth = 512;
+
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected). Throws t2c::Error with a byte offset on malformed
-/// input — exactly what the emitted-artifact validators need.
+/// input or nesting deeper than kMaxJsonDepth — exactly what the
+/// emitted-artifact validators need.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace t2c::jsonlite

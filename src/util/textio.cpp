@@ -107,6 +107,17 @@ void Reader::skip_ws() {
   while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
 }
 
+std::int64_t bounded_numel(const std::vector<std::int64_t>& shape,
+                           std::int64_t room) {
+  // numel stays <= room at every step, so the product cannot overflow.
+  std::int64_t numel = 1;
+  for (const std::int64_t d : shape) {
+    if (d < 0 || (d > 0 && numel > room / d)) return -1;
+    numel *= d;
+  }
+  return numel;
+}
+
 std::int64_t Reader::budget() const {
   return static_cast<std::int64_t>((text_.size() - pos_ + 1) / 2);
 }
@@ -226,14 +237,9 @@ std::vector<std::int64_t> Reader::shape(const char* field) {
 
 std::vector<std::int64_t> Reader::values(
     const std::vector<std::int64_t>& shape, const char* field) {
-  // numel stays <= room at every step, so the product cannot overflow.
-  const std::int64_t room = budget();
-  std::int64_t numel = 1;
-  for (const std::int64_t d : shape) {
-    if (d < 0 || (d > 0 && numel > room / d)) {
-      fail(field, "shape is negative or exceeds the rest of the file");
-    }
-    numel *= d;
+  const std::int64_t numel = bounded_numel(shape, budget());
+  if (numel < 0) {
+    fail(field, "shape is negative or exceeds the rest of the file");
   }
   std::vector<std::int64_t> data(static_cast<std::size_t>(numel));
   for (std::int64_t& x : data) x = i64(field);

@@ -63,6 +63,13 @@ void write_file(const std::string& path, const std::string& text,
 
 // ---- reading ----
 
+/// The element count of `shape` when every dim is non-negative and the
+/// product is at most `room`, else -1. The product never overflows, so a
+/// reader can check a shape header against the bytes it has before it
+/// allocates anything.
+std::int64_t bounded_numel(const std::vector<std::int64_t>& shape,
+                           std::int64_t room);
+
 /// Checked cursor over a text. Tokens are separated by whitespace; a
 /// number must be followed by whitespace or the end of the text.
 class Reader {

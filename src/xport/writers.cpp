@@ -1,6 +1,7 @@
 #include "xport/writers.h"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -18,12 +19,6 @@ std::ofstream open_out(const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   check(os.good(), "cannot open for writing: " + path);
   return os;
-}
-
-std::ifstream open_in(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  check(is.good(), "cannot open for reading: " + path);
-  return is;
 }
 
 void put_shape_line(std::string& out, const ITensor& t, const char* prefix) {
@@ -109,6 +104,10 @@ ITensor read_hex(const std::string& path, int word_bits) {
                          : static_cast<std::int64_t>(raw));
   }
   check(!shape.empty(), "read_hex: missing shape header in " + path);
+  const auto words = static_cast<std::int64_t>(values.size());
+  check(textio::bounded_numel(shape, words) == words,
+        "read_hex: shape header " + shape_str(shape) + " does not match the " +
+            std::to_string(words) + " words in " + path);
   return ITensor::from(shape, std::move(values));
 }
 
@@ -135,11 +134,15 @@ void write_binary(const std::string& path, const ITensor& t) {
 }
 
 ITensor read_binary(const std::string& path) {
-  auto is = open_in(path);
+  const std::string bytes = textio::read_file(path, "read_binary");
+  std::size_t pos = 0;
   const auto get32 = [&]() {
     std::uint32_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    check(is.good(), "read_binary: truncated file " + path);
+    if (bytes.size() - pos < sizeof(v)) {
+      fail("read_binary: truncated file " + path);
+    }
+    std::memcpy(&v, bytes.data() + pos, sizeof(v));
+    pos += sizeof(v);
     return v;
   };
   check(get32() == kBinMagic, "read_binary: bad magic in " + path);
@@ -149,12 +152,15 @@ ITensor read_binary(const std::string& path) {
   for (int d = 0; d < rank; ++d) {
     shape.push_back(static_cast<std::int64_t>(get32()));
   }
+  // Every element is one 4-byte word, so the header may claim no more
+  // elements than the words left in the file.
+  const auto words = static_cast<std::int64_t>((bytes.size() - pos) / 4);
+  check(textio::bounded_numel(shape, words) >= 0,
+        "read_binary: shape " + shape_str(shape) + " exceeds the " +
+            std::to_string(words) + " words in " + path);
   ITensor t(shape);
   for (std::int64_t i = 0; i < t.numel(); ++i) {
-    std::int32_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    check(is.good(), "read_binary: truncated data in " + path);
-    t[i] = v;
+    t[i] = static_cast<std::int32_t>(get32());
   }
   return t;
 }

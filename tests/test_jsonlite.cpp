@@ -1,12 +1,14 @@
 // jsonlite edge cases: escape/parse round trips over hostile strings,
-// \uXXXX decoding to UTF-8, deeply nested containers, number formatting
-// and round-trips, and the parser's rejection diagnostics (these are what
-// the artifact validators and t2c_perf_diff lean on).
+// \uXXXX decoding to UTF-8, deeply nested containers and the nesting
+// limit, number formatting and round-trips, and the parser's rejection
+// diagnostics (these are what the artifact validators and t2c_perf_diff
+// lean on).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <string>
+#include <tuple>
 
 #include "util/check.h"
 #include "util/jsonlite.h"
@@ -71,6 +73,40 @@ TEST(JsonliteTest, DeepNestingParses) {
       parse_json("{ \"a\" : [ { \"b\" : [ [ { \"c\" : null } ] ] } ] }");
   EXPECT_EQ(mixed.at("a").array[0].at("b").array[0].array[0].at("c").kind,
             JsonValue::Kind::kNull);
+}
+
+TEST(JsonliteTest, ExcessiveNestingThrows) {
+  const auto nested = [](int depth, char open, char close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) {
+      text += open;
+      if (open == '{') text += "\"k\":";
+    }
+    text += "0";
+    text += std::string(static_cast<std::size_t>(depth), close);
+    return text;
+  };
+  // The limit itself parses; one level past it throws a diagnostic that
+  // names the offending bracket's byte offset, for arrays and objects.
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, '[', ']')));
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, '{', '}')));
+  for (const auto& [open, close, width] :
+       {std::tuple{'[', ']', 1}, std::tuple{'{', '}', 5}}) {
+    try {
+      parse_json(nested(kMaxJsonDepth + 1, open, close));
+      ADD_FAILURE() << "no throw for " << open;
+    } catch (const Error& e) {
+      const std::string want =
+          "at byte " + std::to_string(kMaxJsonDepth * width);
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+  // Far deeper than any stack could recurse: still a diagnostic, no crash.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), Error);
 }
 
 TEST(JsonliteTest, NumberRoundTrips) {

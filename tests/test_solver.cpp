@@ -1,20 +1,13 @@
-// Kernel-solver registry + autotuning cache tests (DESIGN.md §3.12).
+// Kernel-solver registry tests (DESIGN.md §3.12).
 //
-// Covers the registry's heuristic (first-applicable, list order = the
-// static pre-registry choice), the gate-order contract (semantic decline
-// reasons are never masked by ISA), the canonical problem key, the full
-// tuning flow (benchmark once, memoize, persist, reload, hit without
-// re-benchmarking), every cache-rejection path (corrupt, truncated,
-// host-mismatched, stale winner — all degrade to the heuristic with a
-// warning, never an error), and the headline bit-identity guarantee:
-// integer outputs are identical across --tune off/heuristic/full at any
-// thread count, and across every forced int8 micro-kernel width — for the
-// batch-folded conv and the direct depthwise kernel too.
+// Covers the registry's choice (first applicable solver in list order),
+// the gate-order contract (semantic decline reasons are never masked by
+// ISA), and the headline bit-identity guarantee: integer outputs are
+// identical at any thread count, and across every forced int8
+// micro-kernel width — for the batch-folded conv and the direct depthwise
+// kernel too.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,51 +28,25 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
-/// Restores the registry to its process-default state (heuristic mode, no
-/// cache entries) on scope exit — the registry is a process singleton, so
-/// every test that touches mode or cache state needs this.
-struct RegistryGuard {
-  ~RegistryGuard() {
-    solver::Registry::instance().set_mode(solver::TuneMode::kHeuristic);
-    solver::Registry::instance().reset_tuning();
-  }
-};
-
 /// A linear_int problem deep enough to be interesting but provably safe
 /// for the whole int8 family (k * a_max * w_max far below 2^31).
 solver::Problem safe_linear(bool epilogue) {
   solver::Problem p;
   p.op = solver::OpKind::kLinearInt;
-  p.n = 16;
   p.k = 32;
   p.a_max = 127;
   p.w_max = 127;
   p.epilogue = epilogue;
   if (!epilogue) p.epilogue_reason = "consumer";
-  p.threads = 1;
   return p;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void spit(const std::string& path, const std::string& body) {
-  std::ofstream os(path, std::ios::binary);
-  os << body;
-  ASSERT_TRUE(os.good()) << "cannot write " << path;
-}
-
-// ---- registry heuristic ----
+// ---- registry choice ----
 
 TEST(SolverRegistryTest, EveryOpListEndsInAnUnconditionalFallback) {
   const auto& solvers = solver::Registry::instance().solvers();
   for (const solver::OpKind op :
-       {solver::OpKind::kGemmF32, solver::OpKind::kGemmI64,
-        solver::OpKind::kConvInt, solver::OpKind::kLinearInt,
+       {solver::OpKind::kConvInt, solver::OpKind::kLinearInt,
         solver::OpKind::kAttnInt}) {
     const solver::Solver* last = nullptr;
     for (const auto& s : solvers) {
@@ -106,18 +73,7 @@ TEST(SolverRegistryTest, SolverNamesFollowTheKernelTagGrammar) {
 }
 
 TEST(SolverRegistryTest, HeuristicFollowsStaticListOrder) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.set_mode(solver::TuneMode::kOff);
-
-  solver::Problem f32;
-  f32.op = solver::OpKind::kGemmF32;
-  f32.m = f32.n = f32.k = 64;
-  EXPECT_EQ(reg.choose(f32).name, "gemm_f32_tiled");
-
-  solver::Problem i64 = f32;
-  i64.op = solver::OpKind::kGemmI64;
-  EXPECT_EQ(reg.choose(i64).name, "gemm_i64_tiled");
+  const auto& reg = solver::Registry::instance();
 
   // Fused int8 with the widest micro-kernel this host supports.
   const solver::SolverChoice fused = reg.choose(safe_linear(true));
@@ -135,9 +91,7 @@ TEST(SolverRegistryTest, HeuristicFollowsStaticListOrder) {
 }
 
 TEST(SolverRegistryTest, OverflowReasonSurvivesToTheFallback) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.set_mode(solver::TuneMode::kOff);
+  const auto& reg = solver::Registry::instance();
   solver::Problem p = safe_linear(true);
   p.k = 1 << 20;  // 2^20 * 127 * 127 >> 2^31: the accumulation proof fails
   const solver::SolverChoice c = reg.choose(p);
@@ -147,9 +101,7 @@ TEST(SolverRegistryTest, OverflowReasonSurvivesToTheFallback) {
 }
 
 TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.set_mode(solver::TuneMode::kOff);
+  const auto& reg = solver::Registry::instance();
   // Capped to the generic tier the AVX solvers all decline with "isa" —
   // but an overflow must still be reported as "overflow", and the scalar
   // solver (no ISA gate) must keep the int8 family reachable.
@@ -165,31 +117,18 @@ TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
 }
 
 TEST(SolverRegistryTest, DepthwiseSolversPrecedeTheGemmFamily) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
+  const auto& reg = solver::Registry::instance();
   solver::Problem dw;
   dw.op = solver::OpKind::kConvInt;
   dw.m = 1;  // one output channel per group
   dw.k = 9;
-  dw.groups = 32;
   dw.a_max = 127;
   dw.w_max = 127;
   dw.epilogue = true;
-  dw.threads = 1;
-  for (const solver::TuneMode mode :
-       {solver::TuneMode::kOff, solver::TuneMode::kHeuristic,
-        solver::TuneMode::kFull}) {
-    reg.reset_tuning();
-    reg.set_mode(mode);
-    const solver::SolverChoice c = reg.choose(dw);
-    EXPECT_EQ(c.name, "dwconv_i8_fused");
-    EXPECT_TRUE(c.i8);  // counts as a narrow kernel in solver.narrow_share
-    EXPECT_TRUE(c.fuse);
-    // Heuristic-only: even full tuning never benchmarks it away.
-    EXPECT_FALSE(c.tuned);
-    EXPECT_EQ(reg.stats().benchmarked, 0);
-  }
-  reg.set_mode(solver::TuneMode::kOff);
+  const solver::SolverChoice c = reg.choose(dw);
+  EXPECT_EQ(c.name, "dwconv_i8_fused");
+  EXPECT_TRUE(c.i8);  // counts as a narrow kernel in solver.narrow_share
+  EXPECT_TRUE(c.fuse);
   solver::Problem unfused = dw;
   unfused.epilogue = false;
   unfused.epilogue_reason = "consumer";
@@ -207,12 +146,9 @@ TEST(SolverRegistryTest, DepthwiseSolversPrecedeTheGemmFamily) {
 }
 
 TEST(SolverRegistryTest, AttentionGatesOnAuxAndBound) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.set_mode(solver::TuneMode::kOff);
+  const auto& reg = solver::Registry::instance();
   solver::Problem p;
   p.op = solver::OpKind::kAttnInt;
-  p.n = 8;
   p.k = 64;
   p.w_max = 127;
   p.aux_ok = false;
@@ -226,177 +162,6 @@ TEST(SolverRegistryTest, AttentionGatesOnAuxAndBound) {
   EXPECT_TRUE(c.i8);
 }
 
-TEST(SolverRegistryTest, ProblemKeyIsCanonical) {
-  solver::Problem p = safe_linear(true);
-  p.isa = util::IsaTier::kAvx512;
-  p.threads = 4;
-  EXPECT_EQ(p.key(), "linear_int|m*|n16|k32|g1|a127|w127|e1|x0|avx512|t4");
-  p.epilogue_reason = "shared";  // display metadata: must not key
-  EXPECT_EQ(p.key(), "linear_int|m*|n16|k32|g1|a127|w127|e1|x0|avx512|t4");
-}
-
-// ---- tuning cache ----
-
-TEST(TuneCacheTest, FullModeBenchmarksOncePerProblemAndMemoizes) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  reg.set_mode(solver::TuneMode::kFull);
-  const solver::Problem p = safe_linear(true);
-  const solver::SolverChoice first = reg.choose(p);
-  EXPECT_TRUE(first.tuned);
-  EXPECT_TRUE(first.i8);
-  solver::TuneStats st = reg.stats();
-  EXPECT_EQ(st.problems, 1);
-  EXPECT_EQ(st.hits, 0);
-  EXPECT_EQ(st.benchmarked, 1);
-  // Same problem again: memoized, no second benchmark.
-  const solver::SolverChoice second = reg.choose(p);
-  EXPECT_EQ(second.name, first.name);
-  st = reg.stats();
-  EXPECT_EQ(st.problems, 1);
-  EXPECT_EQ(st.benchmarked, 1);
-}
-
-TEST(TuneCacheTest, RoundTripHitsWithoutRebenchmarking) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  reg.set_mode(solver::TuneMode::kFull);
-  const solver::Problem p = safe_linear(true);
-  const std::string winner = reg.choose(p).name;
-  const std::string path = ::testing::TempDir() + "/t2c_tune_roundtrip.json";
-  std::string warn;
-  ASSERT_TRUE(reg.save_cache(path, &warn)) << warn;
-
-  // A fresh "process": entries dropped, cache reloaded — the stored winner
-  // must be honored as a hit, with zero benchmarking.
-  reg.reset_tuning();
-  ASSERT_TRUE(reg.load_cache(path, &warn)) << warn;
-  const solver::SolverChoice warm = reg.choose(p);
-  EXPECT_EQ(warm.name, winner);
-  EXPECT_TRUE(warm.tuned);
-  const solver::TuneStats st = reg.stats();
-  EXPECT_EQ(st.problems, 1);
-  EXPECT_EQ(st.hits, 1);
-  EXPECT_EQ(st.benchmarked, 0);
-
-  // Heuristic mode consumes the same cache read-only.
-  reg.set_mode(solver::TuneMode::kHeuristic);
-  EXPECT_EQ(reg.choose(p).name, winner);
-  std::remove(path.c_str());
-}
-
-TEST(TuneCacheTest, MissingFileIsASilentMiss) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  std::string warn;
-  EXPECT_FALSE(reg.load_cache(::testing::TempDir() + "/t2c_no_such_cache.json",
-                              &warn));
-  EXPECT_TRUE(warn.empty()) << warn;
-}
-
-TEST(TuneCacheTest, CorruptAndTruncatedFilesDegradeWithAWarning) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  const std::string dir = ::testing::TempDir();
-
-  const std::string garbage = dir + "/t2c_tune_garbage.json";
-  spit(garbage, "this is not json {{{");
-  std::string warn;
-  EXPECT_FALSE(reg.load_cache(garbage, &warn));
-  EXPECT_NE(warn.find("ignored"), std::string::npos) << warn;
-
-  // Truncate a real cache mid-document: parse failure, same degradation.
-  reg.set_mode(solver::TuneMode::kFull);
-  (void)reg.choose(safe_linear(true));
-  const std::string whole = dir + "/t2c_tune_whole.json";
-  ASSERT_TRUE(reg.save_cache(whole, &warn)) << warn;
-  const std::string body = slurp(whole);
-  ASSERT_GT(body.size(), 40u);
-  const std::string truncated = dir + "/t2c_tune_truncated.json";
-  spit(truncated, body.substr(0, body.size() / 2));
-  reg.reset_tuning();
-  warn.clear();
-  EXPECT_FALSE(reg.load_cache(truncated, &warn));
-  EXPECT_NE(warn.find("ignored"), std::string::npos) << warn;
-
-  // Wrong schema string.
-  const std::string schema = dir + "/t2c_tune_schema.json";
-  spit(schema, "{\"schema\":\"t2c.tune.v999\",\"entries\":[]}");
-  warn.clear();
-  EXPECT_FALSE(reg.load_cache(schema, &warn));
-  EXPECT_NE(warn.find("schema"), std::string::npos) << warn;
-
-  // After every rejection the registry still answers heuristically.
-  reg.set_mode(solver::TuneMode::kHeuristic);
-  EXPECT_EQ(reg.choose(safe_linear(true)).name.rfind("gemm_i8_fused_", 0),
-            0u);
-  std::remove(garbage.c_str());
-  std::remove(whole.c_str());
-  std::remove(truncated.c_str());
-  std::remove(schema.c_str());
-}
-
-TEST(TuneCacheTest, HostKeyMismatchIsAKeyedMiss) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  reg.set_mode(solver::TuneMode::kFull);
-  (void)reg.choose(safe_linear(true));
-  const std::string path = ::testing::TempDir() + "/t2c_tune_host.json";
-  std::string warn;
-  ASSERT_TRUE(reg.save_cache(path, &warn)) << warn;
-
-  // Swap the recorded CPU model for another machine's: entries must be
-  // rejected wholesale (a tuning result never migrates across hosts).
-  std::string body = slurp(path);
-  const std::string tag = "\"cpu_model\":\"";
-  const std::size_t at = body.find(tag);
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t end = body.find('"', at + tag.size());
-  body.replace(at + tag.size(), end - (at + tag.size()), "other-cpu-model");
-  spit(path, body);
-
-  reg.reset_tuning();
-  warn.clear();
-  EXPECT_FALSE(reg.load_cache(path, &warn));
-  EXPECT_NE(warn.find("host mismatch"), std::string::npos) << warn;
-  std::remove(path.c_str());
-}
-
-TEST(TuneCacheTest, StaleWinnerNameFallsBackToRebenchmark) {
-  RegistryGuard guard;
-  auto& reg = solver::Registry::instance();
-  reg.reset_tuning();
-  reg.set_mode(solver::TuneMode::kFull);
-  const solver::Problem p = safe_linear(true);
-  (void)reg.choose(p);
-  const std::string path = ::testing::TempDir() + "/t2c_tune_stale.json";
-  std::string warn;
-  ASSERT_TRUE(reg.save_cache(path, &warn)) << warn;
-
-  // Hand-edit the winner to a solver that does not exist: the loader
-  // accepts the file (schema + host match) but choose() must notice the
-  // stale name and re-benchmark rather than trust it.
-  std::string body = slurp(path);
-  const std::size_t at = body.find("gemm_i8");
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::string("gemm_i8").size(), "no_such");
-  spit(path, body);
-
-  reg.reset_tuning();
-  ASSERT_TRUE(reg.load_cache(path, &warn)) << warn;
-  const solver::SolverChoice c = reg.choose(p);
-  EXPECT_TRUE(c.i8) << c.name;
-  const solver::TuneStats st = reg.stats();
-  EXPECT_EQ(st.hits, 0);
-  EXPECT_EQ(st.benchmarked, 1);
-  std::remove(path.c_str());
-}
-
 // ---- bit identity ----
 
 std::unique_ptr<MulQuantOp> scalar_mq() {
@@ -406,8 +171,8 @@ std::unique_ptr<MulQuantOp> scalar_mq() {
 }
 
 /// Input -> IntLinear([4 x 64], mixed weights) -> per-tensor MulQuant: a
-/// graph the int8 family accepts, so tuning has real alternatives.
-DeployModel tunable_graph() {
+/// graph the fused int8 family accepts.
+DeployModel int8_graph() {
   DeployModel dm;
   ITensor w({4, 64});
   for (std::int64_t i = 0; i < w.numel(); ++i) {
@@ -427,48 +192,25 @@ ITensor run_graph(DeployModel& dm, const ITensor& x) {
   return dm.run_int(x);
 }
 
-TEST(SolverBitIdentity, TuneModesAndThreadCountsAgreeBitForBit) {
-  RegistryGuard rguard;
+TEST(SolverBitIdentity, ThreadCountsAgreeBitForBit) {
   ThreadGuard tguard;
-  auto& reg = solver::Registry::instance();
   ITensor x({3, 64});
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = (i * 13 % 255) - 127;
 
-  // Reference: tuning off, single thread.
-  reg.set_mode(solver::TuneMode::kOff);
+  // Reference: single thread.
   par::set_max_threads(1);
-  DeployModel ref = tunable_graph();
+  DeployModel ref = int8_graph();
   const ITensor want = run_graph(ref, x);
 
-  const std::string cache =
-      ::testing::TempDir() + "/t2c_tune_bitident.json";
-  std::remove(cache.c_str());
-  for (const solver::TuneMode mode :
-       {solver::TuneMode::kOff, solver::TuneMode::kHeuristic,
-        solver::TuneMode::kFull}) {
-    for (const int threads : {1, 4, 16}) {
-      reg.reset_tuning();
-      reg.set_mode(mode);
-      if (mode == solver::TuneMode::kFull) {
-        std::string warn;
-        (void)reg.load_cache(cache, &warn);
-      }
-      par::set_max_threads(threads);
-      DeployModel dm = tunable_graph();
-      const ITensor got = run_graph(dm, x);
-      ASSERT_TRUE(got.same_shape(want));
-      for (std::int64_t i = 0; i < got.numel(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "mode " << static_cast<int>(mode) << " threads " << threads
-            << " element " << i;
-      }
-      if (mode == solver::TuneMode::kFull) {
-        std::string warn;
-        ASSERT_TRUE(reg.save_cache(cache, &warn)) << warn;
-      }
+  for (const int threads : {1, 4, 16}) {
+    par::set_max_threads(threads);
+    DeployModel dm = int8_graph();
+    const ITensor got = run_graph(dm, x);
+    ASSERT_TRUE(got.same_shape(want));
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "threads " << threads << " element " << i;
     }
   }
-  std::remove(cache.c_str());
 }
 
 TEST(SolverBitIdentity, ForcedMicroKernelWidthsAgreeBitForBit) {

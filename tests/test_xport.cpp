@@ -1,5 +1,6 @@
 // Export tests (Fig. 5): decimal / hex / binary round-trips are bit-exact,
-// word-width enforcement, PE-tile unrolling, the integer checkpoint, and
+// word-width enforcement, shape headers checked before they size an
+// allocation, PE-tile unrolling, the integer checkpoint, and
 // hex memory-image export of a full deploy model with replay verification —
 // precisely what an RTL testbench consumes and checks.
 #include <gtest/gtest.h>
@@ -87,6 +88,29 @@ TEST(Writers, BinaryRoundTrip) {
   ITensor r = read_binary(p);
   ASSERT_TRUE(r.same_shape(w));
   for (std::int64_t i = 0; i < w.numel(); ++i) ASSERT_EQ(r[i], w[i]);
+}
+
+TEST(Writers, HexRejectsNegativeShape) {
+  // Four words and dims whose product is also 4: only the sign is wrong.
+  const std::string p = tmp_path("neg_shape.hex");
+  std::ofstream(p) << "// shape -2 -2\n// word_bits 8\n01\n02\n03\n04\n";
+  EXPECT_THROW(read_hex(p, 8), Error);
+}
+
+TEST(Writers, HexRejectsOverflowingShape) {
+  // 2^32 * 2^32 wraps to 0 in int64, which would match the empty body.
+  const std::string p = tmp_path("wrap_shape.hex");
+  std::ofstream(p) << "// shape 4294967296 4294967296\n// word_bits 8\n";
+  EXPECT_THROW(read_hex(p, 8), Error);
+}
+
+TEST(Writers, BinaryRejectsShapeBeyondTheFile) {
+  // A 20-byte file whose header claims 65535^3 int32 elements.
+  const std::uint32_t header[] = {0x54324321u, 3, 65535, 65535, 65535};
+  const std::string p = tmp_path("huge_shape.bin");
+  std::ofstream(p, std::ios::binary)
+      .write(reinterpret_cast<const char*>(header), sizeof(header));
+  EXPECT_THROW(read_binary(p), Error);
 }
 
 TEST(Writers, RequiredWordBits) {

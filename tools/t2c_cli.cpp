@@ -41,15 +41,9 @@
 // `--audit-golden-dir DIR` writes per-op golden hex vectors for RTL replay,
 // `--audit-threshold-db DB` sets the first-divergence threshold.
 //
-// Kernel tuning: `--tune off|heuristic|full` selects the solver-registry
-// mode (DESIGN.md §3.12) — heuristic (default) follows the static
-// priority order plus any cached winners, full benchmarks the applicable
-// solvers per problem shape and persists the winners, off ignores the
-// cache entirely. `--tune-cache PATH` overrides the on-disk cache
-// location (default ~/.cache/t2c/tuning.json, or $T2C_TUNE_CACHE);
-// `--list-solvers` prints the registered solver table and exits. Every
-// mode produces bit-identical integer outputs — tuning only ever picks
-// among exact kernels.
+// Kernel solvers: `--list-solvers` prints the solver registry's
+// priority-ordered lists with each solver's gates and exits (DESIGN.md
+// §3.12); every op runs the first solver in its list whose gates accept it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -114,8 +108,6 @@ struct Args {
   std::string plan_dump;  ///< render the execution plan ('-' = stdout)
   int serve_obs = -1;  ///< /metrics port; -1 = off, 0 = ephemeral
   int loop = 0;        ///< soak mode: total run_int iterations after deploy
-  std::string tune = "heuristic";  ///< solver-registry mode
-  std::string tune_cache;          ///< cache override; empty = default path
   bool list_solvers = false;
   std::string postmortem_dir;  ///< crash-handler bundle dir; empty = off
   int stall_ms = 0;            ///< watchdog deadline override; 0 = default
@@ -209,12 +201,6 @@ Args parse(int argc, char** argv) {
       a.loop = std::atoi(want(i++));
       check(a.loop >= 1, "--loop must be >= 1");
     }
-    else if (f == "--tune") {
-      a.tune = want(i++);
-      check(a.tune == "off" || a.tune == "heuristic" || a.tune == "full",
-            "--tune must be off, heuristic, or full");
-    }
-    else if (f == "--tune-cache") a.tune_cache = want(i++);
     else if (f == "--list-solvers") a.list_solvers = true;
     else if (f == "--postmortem-dir") a.postmortem_dir = want(i++);
     else if (f == "--stall-ms") {
@@ -252,7 +238,6 @@ Args parse(int argc, char** argv) {
           "               [--threads N] [--opt-level 0|1|2]\n"
           "               [--plan-dump PATH]\n"
           "               [--serve-obs PORT] [--loop N]\n"
-          "               [--tune off|heuristic|full] [--tune-cache PATH]\n"
           "               [--list-solvers] [--version]\n"
           "               [--postmortem-dir DIR] [--stall-ms MS]\n"
           "               [--stall-fatal]\n"
@@ -281,15 +266,8 @@ Args parse(int argc, char** argv) {
           "--loop N runs N extra integer inferences across two client\n"
           "threads after deployment (soak mode) so the windowed\n"
           "percentiles on /metrics have live traffic to digest.\n"
-          "--tune selects the kernel-solver mode: heuristic (default)\n"
-          "follows the registry's static priority order plus any cached\n"
-          "winners, full benchmarks the applicable solvers per problem\n"
-          "shape and persists the winners to the tuning cache, off\n"
-          "ignores the cache. Outputs are bit-identical in every mode.\n"
-          "--tune-cache overrides the cache path (default\n"
-          "$T2C_TUNE_CACHE, else ~/.cache/t2c/tuning.json); the cache is\n"
-          "keyed by CPU model + build sha and ignored on mismatch.\n"
-          "--list-solvers prints the registered solver table and exits.\n"
+          "--list-solvers prints the registered solver table and exits;\n"
+          "each op runs the first solver in its list whose gates accept it.\n"
           "--version prints the build_info stamp (sha, compiler, flags,\n"
           "ISA level, CPU model, threads) and exits.\n"
           "--postmortem-dir installs async-signal-safe crash handlers\n"
@@ -470,33 +448,12 @@ int main(int argc, char** argv) {
     }
     if (a.list_solvers) {
       std::printf("registered solvers (priority order per op):\n");
-      std::printf("  %-10s %-22s %-8s %s\n", "op", "solver", "tunable",
-                  "gates");
+      std::printf("  %-10s %-22s %s\n", "op", "solver", "gates");
       for (const auto& s : solver::Registry::instance().solvers()) {
-        std::printf("  %-10s %-22s %-8s %s\n", solver::op_kind_name(s.op),
-                    s.name.c_str(), s.tunable ? "yes" : "no",
-                    s.gates.empty() ? "-" : s.gates.c_str());
+        std::printf("  %-10s %-22s %s\n", solver::op_kind_name(s.op),
+                    s.name.c_str(), s.gates.empty() ? "-" : s.gates.c_str());
       }
       return 0;
-    }
-
-    // Solver-registry mode and tuning cache: load before any conversion so
-    // pass_select_solvers sees the cached winners; a corrupt or
-    // host-mismatched cache degrades to the heuristic order with a warning,
-    // never an error.
-    solver::Registry& solvers = solver::Registry::instance();
-    const solver::TuneMode tune_mode =
-        a.tune == "off" ? solver::TuneMode::kOff
-                        : (a.tune == "full" ? solver::TuneMode::kFull
-                                            : solver::TuneMode::kHeuristic);
-    solvers.set_mode(tune_mode);
-    const std::string tune_cache_path =
-        a.tune_cache.empty() ? solver::default_cache_path() : a.tune_cache;
-    if (tune_mode != solver::TuneMode::kOff) {
-      std::string warn;
-      if (!solvers.load_cache(tune_cache_path, &warn) && !warn.empty()) {
-        std::printf("tune: %s\n", warn.c_str());
-      }
     }
 
     const DatasetSpec spec = dataset_by_name(a.dataset);
@@ -653,19 +610,6 @@ int main(int argc, char** argv) {
       print_pool_stats(obs::metrics().snapshot());
       if (!a.profile_json.empty()) {
         emit_json(a.profile_json, "profile", report.to_json());
-      }
-    }
-    if (tune_mode == solver::TuneMode::kFull) {
-      const solver::TuneStats ts = solvers.stats();
-      std::printf("tune: mode=full problems=%lld hits=%lld benchmarked=%lld\n",
-                  static_cast<long long>(ts.problems),
-                  static_cast<long long>(ts.hits),
-                  static_cast<long long>(ts.benchmarked));
-      std::string warn;
-      if (!solvers.save_cache(tune_cache_path, &warn)) {
-        std::printf("tune: %s\n", warn.c_str());
-      } else if (ts.benchmarked > 0) {
-        std::printf("tune: cache written to %s\n", tune_cache_path.c_str());
       }
     }
     if (!a.metrics_json.empty()) {

@@ -16,11 +16,6 @@
 // names are unique per bench, reps >= 5, any optional "kernel" code-path
 // tag is a [a-z0-9_]+ identifier, and the min/mean/p50/p95/stddev
 // fields are present with min <= mean.
-// Tuning-cache checks (--tune-cache FILE, schema t2c.tune.v1): the header
-// carries the schema plus the cpu_model/git_sha/isa host key as non-empty
-// strings, entries is an array whose elements each carry a non-empty
-// "key", a "solver" matching the [a-z0-9_]+ kernel-tag grammar, and a
-// non-negative "ms"; entry keys are unique.
 // Prometheus checks (--prom FILE): text exposition format 0.0.4 — every
 // sample's family has HELP and TYPE lines that precede it, TYPE is one of
 // counter/gauge/histogram, metric and label names match the spec grammar,
@@ -235,38 +230,6 @@ void check_bench(const std::string& path) {
   }
   std::printf("bench ok: %zu benches, %zu rows\n",
               doc.at("benches").object.size(), rows);
-}
-
-void check_tune_cache(const std::string& path) {
-  const JsonValue doc = parse_json(slurp(path));
-  check(doc.has("schema") && doc.at("schema").str == "t2c.tune.v1",
-        path + ": schema is not t2c.tune.v1");
-  for (const char* key : {"cpu_model", "git_sha", "isa"}) {
-    check(doc.has(key) && doc.at(key).is_string() &&
-              !doc.at(key).str.empty(),
-          path + ": missing host key field " + key);
-  }
-  check(doc.has("entries") && doc.at("entries").is_array(),
-        path + ": missing entries array");
-  std::set<std::string> keys;
-  for (const JsonValue& e : doc.at("entries").array) {
-    check(e.is_object() && e.has("key") && e.at("key").is_string() &&
-              !e.at("key").str.empty(),
-          path + ": entry without a key");
-    const std::string& k = e.at("key").str;
-    check(keys.insert(k).second, path + ": duplicate entry key '" + k + "'");
-    check(e.has("solver") && e.at("solver").is_string() &&
-              !e.at("solver").str.empty(),
-          path + ": entry '" + k + "' without a solver");
-    for (const char c : e.at("solver").str) {
-      check((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_',
-            path + ": entry '" + k + "' solver has invalid character '" +
-                std::string(1, c) + "'");
-    }
-    check(e.has("ms") && e.at("ms").is_number() && e.at("ms").number >= 0.0,
-          path + ": entry '" + k + "' bad ms");
-  }
-  std::printf("tune-cache ok: %zu entries\n", doc.at("entries").array.size());
 }
 
 void check_metrics(const std::string& path) {
@@ -684,7 +647,6 @@ int main(int argc, char** argv) {
       else if (flag == "--profile") check_profile(path);
       else if (flag == "--metrics") check_metrics(path);
       else if (flag == "--bench") check_bench(path);
-      else if (flag == "--tune-cache") check_tune_cache(path);
       else if (flag == "--prom") check_prom(path);
       else if (flag == "--prom-scrape") scrape_prom(path);
       else if (flag == "--postmortem") check_postmortem(path);
@@ -693,7 +655,7 @@ int main(int argc, char** argv) {
       any = true;
     }
     check(any, "usage: t2c_json_check [--trace F] [--profile F] "
-               "[--metrics F] [--bench F] [--tune-cache F] [--prom F] "
+               "[--metrics F] [--bench F] [--prom F] "
                "[--prom-scrape PORT] [--postmortem F] [--fetch PORT:/PATH]");
     return 0;
   } catch (const t2c::Error& e) {

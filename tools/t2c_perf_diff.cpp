@@ -20,9 +20,8 @@
 // the code, so the window widens. delta = new/old - 1 beyond +window is
 // `regressed`, beyond -window is `improved`, inside is `noise`. Rows that
 // carry a "kernel" tag on both sides and disagree are classified `added`:
-// a solver switch (e.g. gemm_i64_tiled -> gemm_i8_fused_avx512, whether
-// from a registry reorder or a new tuning-cache winner) is a new
-// measurement, not a delta of the old one.
+// a solver switch (e.g. gemm_i64 -> gemm_i8_fused_avx512 after a registry
+// reorder) is a new measurement, not a delta of the old one.
 //
 // Output is a markdown table (stdout, or --markdown PATH). Exit status: 0
 // when nothing regressed, 1 when any row regressed (suppressed by --soft
