@@ -204,11 +204,12 @@ int main() {
            },
            hw_threads, solver_tag(false));
 
-  // ---- int8 deploy convs at MobileNet-V1's small-spatial tail ----
+  // ---- int8 deploy convs at MobileNet-V1 w0.5's shapes (16x16 input) ----
   // IntConv2dOp with the solver Registry::choose picks for a fused
   // per-channel requant, weights packed outside the timed region as the
-  // plan packs them: a depthwise 3x3 (direct kernel) and a pointwise 1x1
-  // whose batch folds into one GEMM panel.
+  // plan packs them: depthwise 3x3s (direct kernel) in each regime of
+  // mobilenet_b8, from one channel block on a 16x16 map to 32 blocks on
+  // 1x1, and a pointwise 1x1 whose batch folds into one GEMM panel.
   const auto deploy_conv_row = [&](const std::string& name, ConvSpec cspec,
                                    std::int64_t hw, std::int64_t batch) {
     const std::int64_t icg = cspec.in_channels / cspec.groups;
@@ -240,12 +241,24 @@ int main() {
              op.kernel());
   };
   {
-    ConvSpec dw;
-    dw.in_channels = dw.out_channels = 256;
-    dw.groups = 256;
-    dw.kernel = 3;
-    dw.padding = 1;
-    deploy_conv_row("dwconv_i8_3x3_256_2x2_b8", dw, 2, 8);
+    struct Dw {
+      const char* name;
+      std::int64_t c, hw;
+      int stride;
+    };
+    for (const Dw& d : {Dw{"dwconv_i8_3x3_16_16x16_b8", 16, 16, 1},
+                        Dw{"dwconv_i8_3x3_32_16x16_s2_b8", 32, 16, 2},
+                        Dw{"dwconv_i8_3x3_64_8x8_b8", 64, 8, 1},
+                        Dw{"dwconv_i8_3x3_256_2x2_b8", 256, 2, 1},
+                        Dw{"dwconv_i8_3x3_512_1x1_b8", 512, 1, 1}}) {
+      ConvSpec dw;
+      dw.in_channels = dw.out_channels = d.c;
+      dw.groups = static_cast<int>(d.c);
+      dw.kernel = 3;
+      dw.stride = d.stride;
+      dw.padding = 1;
+      deploy_conv_row(d.name, dw, d.hw, 8);
+    }
     ConvSpec pw;
     pw.in_channels = pw.out_channels = 512;
     pw.kernel = 1;

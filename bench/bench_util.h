@@ -6,8 +6,8 @@
 // sized for a single CPU core — see DESIGN.md §4).
 // Set T2C_BENCH_JSON=/path/to/file.json to additionally dump the
 // hand-timed sections as machine-readable rows (name, reps, min/mean/
-// p50/p95/stddev milliseconds) plus the build_info provenance block, for
-// CI trend tracking and the t2c_perf_diff regression gate.
+// p50/p95/stddev milliseconds, pool size) plus the build_info provenance
+// block, for CI trend tracking and the t2c_perf_diff regression gate.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/registry.h"
 #include "core/t2c.h"
 #include "models/models.h"
@@ -139,6 +140,8 @@ struct BenchStat {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double stddev_ms = 0.0;
+  /// Pool size (par::max_threads()) while the row was timed.
+  int threads = 0;
   /// Mean per-rep IPC and its coefficient of variation; 0 unless
   /// T2C_BENCH_PMU is set and the hardware counter tier is available.
   /// ipc_cv feeds the t2c_perf_diff noise window (an unstable IPC means
@@ -191,6 +194,7 @@ BenchStat time_reps(const std::string& name, Fn&& fn, int reps = 20) {
   BenchStat s;
   s.name = name;
   s.reps = reps;
+  s.threads = par::max_threads();
   s.min_ms = ms.front();
   for (double v : ms) s.mean_ms += v;
   s.mean_ms /= static_cast<double>(reps);
@@ -232,10 +236,10 @@ BenchStat time_reps_kernel(const std::string& name, const std::string& kernel,
 inline const char* bench_json_path() { return std::getenv("T2C_BENCH_JSON"); }
 
 /// Writes `{"build_info":{...},"rows":[{"name":...,"reps":N,"min_ms":...,
-/// "mean_ms":...,"p50_ms":...,"p95_ms":...,"stddev_ms":...}]}` to
-/// T2C_BENCH_JSON. No-op (returns false) when the env var is unset.
-/// t2c_perf_diff also reads the legacy bare-array form, so committed
-/// baselines survive schema upgrades.
+/// "mean_ms":...,"p50_ms":...,"p95_ms":...,"stddev_ms":...,
+/// "threads":N}]}` to T2C_BENCH_JSON. No-op (returns false) when the env
+/// var is unset. t2c_perf_diff also reads the legacy bare-array form, so
+/// committed baselines survive schema upgrades.
 inline bool write_bench_json(const std::vector<BenchStat>& stats) {
   const char* path = bench_json_path();
   if (path == nullptr) return false;
@@ -248,10 +252,10 @@ inline bool write_bench_json(const std::vector<BenchStat>& stats) {
     std::fprintf(f,
                  "%s\n  {\"name\":\"%s\",\"reps\":%d,\"min_ms\":%.6f,"
                  "\"mean_ms\":%.6f,\"p50_ms\":%.6f,\"p95_ms\":%.6f,"
-                 "\"stddev_ms\":%.6f",
+                 "\"stddev_ms\":%.6f,\"threads\":%d",
                  i == 0 ? "" : ",", jsonlite::json_escape(s.name).c_str(),
                  s.reps, s.min_ms, s.mean_ms, s.p50_ms, s.p95_ms,
-                 s.stddev_ms);
+                 s.stddev_ms, s.threads);
     if (s.ipc > 0.0) {
       std::fprintf(f, ",\"ipc\":%.4f,\"ipc_cv\":%.4f", s.ipc, s.ipc_cv);
     }

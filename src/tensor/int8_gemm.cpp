@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "core/parallel.h"
+#include "util/check.h"
 #include "util/cpuinfo.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -183,6 +184,18 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::min(hi, std::max(lo, v));
 }
 
+/// MulQuantOp::compute's fixed-point requant of one accumulator with one
+/// entry's constants (f includes bias_frac): returns clamp(y, lo, hi) and,
+/// with ep.count_sat, counts a clip. A zero floor is exempt: it is
+/// activation semantics, not saturation.
+std::int64_t requant1(std::int64_t v, std::int64_t mul, std::int64_t bias,
+                      std::int64_t half, int f, const Epilogue& ep,
+                      std::int64_t& sat) {
+  const std::int64_t y = (mul * ((v << ep.bias_frac) + bias) + half) >> f;
+  if (ep.count_sat && (y > ep.hi || (ep.lo != 0 && y < ep.lo))) ++sat;
+  return clamp64(y, ep.lo, ep.hi);
+}
+
 /// Worker-local scratch of `n` lanes, grown on demand and kept for the
 /// thread's lifetime: every pool worker (and every calling thread) owns
 /// one buffer per lane type and reuses it across calls, so steady-state
@@ -210,11 +223,30 @@ void add_sats(const Epilogue& ep, std::int64_t sat) {
 // semantics are architectural, so the warning is a false positive.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/// AVX-512 requant writeback for int64 C lanes, 8 columns per step. Every
-/// lane op (vpmullq multiply, vpsravq shift, min/max clamp) has the exact
-/// 64-bit wrap semantics of the scalar expression, so the emitted bits —
-/// and the saturation count — match write_tile verbatim. Tail lanes are
-/// masked off before the sat popcount so padding never counts.
+/// write_tile's requant on eight int64 lanes: returns clamp(y, lo, hi) and,
+/// with `count`, adds the lanes of `valid` that clip to `sat` (a zero
+/// floor is exempt, as in write_tile). Every lane op (vpmullq multiply,
+/// vpsravq shift, min/max clamp) has the exact 64-bit wrap semantics of
+/// the scalar expression, so the bits and the count match it verbatim.
+__attribute__((target("avx512f,avx512dq,avx512vl"))) inline __m512i
+requant8_avx512(__m512i v, __m512i vmul, __m512i vbias, __m512i vhalf,
+                __m512i vf, unsigned bias_frac, __m512i vlo, __m512i vhi,
+                bool count, bool check_lo, __mmask8 valid,
+                std::int64_t& sat) {
+  const __m512i t = _mm512_add_epi64(_mm512_slli_epi64(v, bias_frac), vbias);
+  const __m512i y = _mm512_srav_epi64(
+      _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
+  if (count) {
+    __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
+    if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
+    sat += __builtin_popcount(static_cast<unsigned>(sm & valid));
+  }
+  return _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y));
+}
+
+/// AVX-512 requant writeback for int64 C lanes, 8 columns per step, bit-
+/// identical to write_tile through requant8_avx512. Tail lanes are masked
+/// off before the sat popcount so padding never counts.
 __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
     const std::int32_t* acc, std::int64_t* c, std::int64_t ldc,
     std::int64_t mr, std::int64_t jn, std::int64_t row0, std::int64_t col0,
@@ -234,6 +266,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
   const __m512i vlo = _mm512_set1_epi64(ep.lo);
   const __m512i vhi = _mm512_set1_epi64(ep.hi);
   const bool check_lo = ep.lo != 0;
+  const auto bias_frac = static_cast<unsigned>(ep.bias_frac);
   if (ep.mode != Epilogue::Mode::kPerCol) {
     for (std::int64_t r = 0; r < mr; ++r) {
       const auto e = static_cast<std::size_t>(
@@ -250,19 +283,10 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
             jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
         const __m512i v = _mm512_cvtepi32_epi64(
             _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-        const __m512i t = _mm512_add_epi64(
-            _mm512_slli_epi64(v, static_cast<unsigned>(ep.bias_frac)),
-            vbias);
-        const __m512i y = _mm512_srav_epi64(
-            _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
-        if (ep.count_sat) {
-          __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-          if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-          sat += __builtin_popcount(static_cast<unsigned>(sm & m));
-        }
         _mm512_mask_storeu_epi64(
             c + r * ldc + j, m,
-            _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
+            requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo, vhi,
+                            ep.count_sat, check_lo, m, sat));
       }
     }
     return;
@@ -288,18 +312,10 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
     for (std::int64_t r = 0; r < mr; ++r) {
       const __m512i v = _mm512_cvtepi32_epi64(
           _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-      const __m512i t = _mm512_add_epi64(
-          _mm512_slli_epi64(v, static_cast<unsigned>(ep.bias_frac)), vbias);
-      const __m512i y = _mm512_srav_epi64(
-          _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
-      if (ep.count_sat) {
-        __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-        if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-        sat += __builtin_popcount(static_cast<unsigned>(sm & m));
-      }
       _mm512_mask_storeu_epi64(
           c + r * ldc + j, m,
-          _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
+          requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo, vhi,
+                          ep.count_sat, check_lo, m, sat));
     }
   }
 }
@@ -313,11 +329,9 @@ bool avx512_epilogue() {
 }
 #endif
 
-/// Writes one accumulator tile into C, applying the fused requant. The
-/// fixed-point expression is MulQuantOp::compute verbatim (including the
-/// ReLU exemption in the clip count: a zero floor is activation
-/// semantics, not saturation), so a fused run emits the exact bits the
-/// separate GEMM + MulQuant pair would.
+/// Writes one accumulator tile into C, applying the fused requant through
+/// requant1 (MulQuantOp::compute verbatim, clip count included), so a
+/// fused run emits the exact bits the separate GEMM + MulQuant pair would.
 template <typename OutT>
 void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
                 std::int64_t mr, std::int64_t jn, std::int64_t row0,
@@ -350,11 +364,8 @@ void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
       const std::int64_t mul_e = ep.mul[e];
       const std::int64_t bias_e = ep.bias[e];
       for (std::int64_t j = 0; j < jn; ++j) {
-        const auto v = static_cast<std::int64_t>(acc[r * kNr + j]);
-        const std::int64_t y =
-            (mul_e * ((v << ep.bias_frac) + bias_e) + half) >> f;
-        if (ep.count_sat && (y > ep.hi || (ep.lo != 0 && y < ep.lo))) ++sat;
-        c[r * ldc + j] = static_cast<OutT>(clamp64(y, ep.lo, ep.hi));
+        c[r * ldc + j] = static_cast<OutT>(requant1(
+            acc[r * kNr + j], mul_e, bias_e, half, f, ep, sat));
       }
     }
     return;
@@ -369,11 +380,8 @@ void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
     const std::int64_t mul_e = ep.mul[e];
     const std::int64_t bias_e = ep.bias[e];
     for (std::int64_t r = 0; r < mr; ++r) {
-      const auto v = static_cast<std::int64_t>(acc[r * kNr + j]);
-      const std::int64_t y =
-          (mul_e * ((v << ep.bias_frac) + bias_e) + half) >> f;
-      if (ep.count_sat && (y > ep.hi || (ep.lo != 0 && y < ep.lo))) ++sat;
-      c[r * ldc + j] = static_cast<OutT>(clamp64(y, ep.lo, ep.hi));
+      c[r * ldc + j] = static_cast<OutT>(requant1(
+          acc[r * kNr + j], mul_e, bias_e, half, f, ep, sat));
     }
   }
 }
@@ -569,77 +577,229 @@ T2C_MICROKERNEL_SIMD void fill_conv_panel(
   }
 }
 
-/// Planes of at most kNr outputs run as tiles of up to this many
-/// consecutive channels: one accumulator row per channel, kNr lanes apart,
-/// so a whole tile goes through a single write_tile call.
-constexpr std::int64_t kDwTileRows = 32;
-
 /// Minimum multiply-adds per parallel chunk of the conv kernels (about
 /// 10-20 us of work), so small layers stay on one thread instead of paying
 /// a pool dispatch per step.
 constexpr std::int64_t kDwGrain = std::int64_t{1} << 16;
 constexpr std::int64_t kConvGrain = std::int64_t{1} << 19;
 
-// Both direct kernels read a zero-padded int32 copy of their input, so the
-// padding is materialized and no tap needs a bounds test; off[t] is tap
-// t = (ic, ki, kj)'s offset from the window origin in that copy. Products
-// and every partial sum are bounded by the caller's accum_fits_i32 proof,
-// so int32 never wraps and each sum equals the int64 reference in any
-// order.
+/// The requant constants of a channel block, one lane per channel, with
+/// write_tile's entry selection, shift and rounding half. Lanes past the
+/// block's channels stay zero.
+struct DwQuant {
+  std::int64_t mul[kDwBlock] = {}, bias[kDwBlock] = {};
+  std::int64_t half[kDwBlock] = {}, f[kDwBlock] = {};
+};
 
-/// One large output plane: acc [oh × ow] = Σ_t wt[t * wstride] · xp[...],
-/// with xp the plane's input channels (row pitch wp), vectorized along
-/// each output row.
-T2C_MICROKERNEL_SIMD void dw_plane(const std::int32_t* xp,
-                                   const std::int16_t* wt,
-                                   std::int64_t wstride,
-                                   const std::int32_t* off, std::int64_t taps,
-                                   std::int64_t st, std::int64_t wp,
-                                   std::int64_t oh, std::int64_t ow,
-                                   std::int32_t* acc) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    std::int32_t* arow = acc + oy * ow;
-    std::fill(arow, arow + ow, 0);
-    for (std::int64_t t = 0; t < taps; ++t) {
-      const auto wv = static_cast<std::int32_t>(wt[t * wstride]);
-      const std::int32_t* s = xp + oy * st * wp + off[t];
-      if (st == 1) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) arow[ox] += wv * s[ox];
-      } else {
-        for (std::int64_t ox = 0; ox < ow; ++ox) arow[ox] += wv * s[ox * st];
-      }
-    }
+DwQuant dw_quant(const Epilogue& ep, std::int64_t c0, std::int64_t nb) {
+  DwQuant q;
+  if (ep.mode == Epilogue::Mode::kNone) return q;
+  for (std::int64_t b = 0; b < nb; ++b) {
+    const auto e = static_cast<std::size_t>(
+        ep.mode == Epilogue::Mode::kPerRow ? ep.base + c0 + b : 0);
+    const int f = (ep.frac != nullptr ? ep.frac[e] : ep.frac0) +
+                  ep.bias_frac;
+    q.mul[b] = ep.mul[e];
+    q.bias[b] = ep.bias[e];
+    q.half[b] = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
+    q.f[b] = f;
   }
+  return q;
 }
 
-/// A tile of `rows` small planes (consecutive channels of one image):
-/// acc[r * kNr + pixel] = Σ_t wt[t * wstride + r] · xp[... + r], with xp
-/// channel-interleaved (`pitch` lanes per padded pixel: kDwTileRows per
-/// input channel of the group), vectorized across the tile's channels.
-T2C_MICROKERNEL_SIMD void dw_tile(const std::int32_t* xp,
-                                  const std::int16_t* wt,
-                                  std::int64_t wstride,
-                                  const std::int32_t* off, std::int64_t taps,
-                                  std::int64_t rows, std::int64_t pitch,
-                                  std::int64_t st, std::int64_t wp,
-                                  std::int64_t oh, std::int64_t ow,
-                                  std::int32_t* acc) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::int32_t a[kDwTileRows] = {};
-      const std::int32_t* base = xp + (oy * st * wp + ox * st) * pitch;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        const std::int16_t* wr = wt + t * wstride;
-        const std::int32_t* xr = base + off[t];
-        for (std::int64_t r = 0; r < rows; ++r) {
-          a[r] += static_cast<std::int32_t>(wr[r]) * xr[r];
+/// One (image, channel block) task of the direct depthwise kernel. Its
+/// variant first copies the block's input channels (from `src`) into xp,
+/// the zero-padded, channel-interleaved scratch: `pitch` = ICg * kDwBlock
+/// int32 lanes per padded pixel, wp pixels per padded row, lane ic *
+/// kDwBlock + b holding input channel ic of the block's channel b. off[t]
+/// is tap t = (ic, ki, kj)'s lane offset from the window origin. Products
+/// and every partial sum are bounded by the caller's accum_fits_i32 proof,
+/// so int32 never wraps and each sum equals the int64 reference. Lanes
+/// from nb on (a partial block) have zero weights and are never stored.
+struct DwTask {
+  const ConvGeom& g;
+  const Epilogue& ep;
+  const DwQuant& q;
+  const std::int64_t* src;  ///< the image's input channel c0 * ICg
+  std::int32_t* xp;
+  const std::int16_t* w;  ///< the block's weights, [taps][kDwBlock]
+  const std::int32_t* off;
+  std::int64_t taps, wp, pitch, nb;
+  std::int64_t* out;  ///< output channel c0's plane of the image
+};
+
+/// Copies the block's interior lanes b < nb into xp, one input plane at a
+/// time (the padding ring is zeroed once per chunk by the caller).
+void dw_fill_scalar(const DwTask& k) {
+  const ConvGeom& g = k.g;
+  std::int32_t* dst = k.xp + (g.pad * k.wp + g.pad) * k.pitch;
+  for (std::int64_t b = 0; b < k.nb; ++b) {
+    for (std::int64_t ic = 0; ic < g.icg; ++ic) {
+      const std::int64_t* s = k.src + (b * g.icg + ic) * g.hw;
+      std::int32_t* d = dst + ic * kDwBlock + b;
+      for (std::int64_t iy = 0; iy < g.h; ++iy) {
+        for (std::int64_t ix = 0; ix < g.w; ++ix) {
+          d[(iy * k.wp + ix) * k.pitch] =
+              static_cast<std::int32_t>(s[iy * g.w + ix]);
         }
       }
-      std::int32_t* col = acc + oy * ow + ox;
-      for (std::int64_t r = 0; r < rows; ++r) col[r * kNr] = a[r];
     }
   }
 }
+
+/// Requantizes one output pixel's accumulators a[0, nb) and stores channel
+/// b at out[b * OH*OW].
+void dw_store_scalar(const DwTask& k, const std::int32_t* a,
+                     std::int64_t* out, std::int64_t& sat) {
+  for (std::int64_t b = 0; b < k.nb; ++b) {
+    const auto v = static_cast<std::int64_t>(a[b]);
+    out[b * k.g.ohw] =
+        k.ep.mode == Epilogue::Mode::kNone
+            ? v
+            : requant1(v, k.q.mul[b], k.q.bias[b], k.q.half[b],
+                       static_cast<int>(k.q.f[b]), k.ep, sat);
+  }
+}
+
+void dw_block_scalar(const DwTask& k, std::int64_t& sat) {
+  const ConvGeom& g = k.g;
+  dw_fill_scalar(k);
+  for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+      const std::int32_t* base =
+          k.xp + (oy * k.wp + ox) * g.stride * k.pitch;
+      std::int32_t a[kDwBlock] = {};
+      for (std::int64_t t = 0; t < k.taps; ++t) {
+        const std::int32_t* xr = base + k.off[t];
+        const std::int16_t* wr = k.w + t * kDwBlock;
+        for (std::int64_t b = 0; b < kDwBlock; ++b) {
+          a[b] += static_cast<std::int32_t>(wr[b]) * xr[b];
+        }
+      }
+      dw_store_scalar(k, a, k.out + oy * g.ow + ox, sat);
+    }
+  }
+}
+
+#if T2C_I8_AVX2
+// The vector variants multiply with vpmaddwd: an int32 input lane holds
+// its int16-range value sign-extended, the weight lane its int16 zero-
+// extended, so the high halves contribute x_hi * 0 and each lane gets
+// exactly x * w — one instruction where vpmulld takes two.
+
+/// AVX2 variant: the block's 16 channels in two 8-lane accumulators.
+__attribute__((target("avx2"))) void dw_block_avx2(const DwTask& k,
+                                                   std::int64_t& sat) {
+  static_assert(kDwBlock == 16, "two 8-lane vectors per channel block");
+  const ConvGeom& g = k.g;
+  dw_fill_scalar(k);
+  for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+      const std::int32_t* base =
+          k.xp + (oy * k.wp + ox) * g.stride * k.pitch;
+      __m256i a0 = _mm256_setzero_si256();
+      __m256i a1 = _mm256_setzero_si256();
+      for (std::int64_t t = 0; t < k.taps; ++t) {
+        const auto* xr = reinterpret_cast<const __m256i*>(base + k.off[t]);
+        const __m256i wv = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(k.w + t * kDwBlock));
+        a0 = _mm256_add_epi32(
+            a0, _mm256_madd_epi16(
+                    _mm256_loadu_si256(xr),
+                    _mm256_cvtepu16_epi32(_mm256_castsi256_si128(wv))));
+        a1 = _mm256_add_epi32(
+            a1, _mm256_madd_epi16(
+                    _mm256_loadu_si256(xr + 1),
+                    _mm256_cvtepu16_epi32(_mm256_extracti128_si256(wv, 1))));
+      }
+      alignas(32) std::int32_t a[kDwBlock];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(a), a0);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(a + 8), a1);
+      dw_store_scalar(k, a, k.out + oy * g.ow + ox, sat);
+    }
+  }
+}
+
+// The same GCC 12 false positive as write_tile_avx512's.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// AVX-512 variant. The fill gathers each padded pixel's 16 channel lanes
+/// from their planes into one store; the accumulator is one 16-lane vector
+/// per pixel; the requant runs on two 8-lane int64 halves through
+/// requant8_avx512 with the block's constants held in registers, and each
+/// half scatters its channels into their NCHW planes. A partial block
+/// masks its missing lanes off (they gather as zero).
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) void
+dw_block_avx512(const DwTask& k, std::int64_t& sat) {
+  static_assert(kDwBlock == 16, "one 16-lane vector per channel block");
+  const ConvGeom& g = k.g;
+  const Epilogue& ep = k.ep;
+  const auto m0 =
+      static_cast<__mmask8>(k.nb >= 8 ? 0xff : (1u << k.nb) - 1u);
+  const auto m1 = static_cast<__mmask8>(
+      k.nb >= 16 ? 0xff : k.nb > 8 ? (1u << (k.nb - 8)) - 1u : 0u);
+  const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i src0 =
+      _mm512_mullo_epi64(lane, _mm512_set1_epi64(g.icg * g.hw));
+  const __m512i src1 =
+      _mm512_add_epi64(src0, _mm512_set1_epi64(8 * g.icg * g.hw));
+  std::int32_t* dst = k.xp + (g.pad * k.wp + g.pad) * k.pitch;
+  for (std::int64_t ic = 0; ic < g.icg; ++ic) {
+    for (std::int64_t iy = 0; iy < g.h; ++iy) {
+      for (std::int64_t ix = 0; ix < g.w; ++ix) {
+        const std::int64_t* s = k.src + ic * g.hw + iy * g.w + ix;
+        const __m256i lo = _mm512_cvtepi64_epi32(_mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), m0, src0, s, 8));
+        const __m256i hi = _mm512_cvtepi64_epi32(_mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), m1, src1, s, 8));
+        _mm512_storeu_si512(
+            dst + (iy * k.wp + ix) * k.pitch + ic * kDwBlock,
+            _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1));
+      }
+    }
+  }
+  const __m512i idx0 = _mm512_mullo_epi64(lane, _mm512_set1_epi64(g.ohw));
+  const __m512i idx1 = _mm512_add_epi64(idx0, _mm512_set1_epi64(8 * g.ohw));
+  const __m512i vmul0 = _mm512_loadu_si512(k.q.mul);
+  const __m512i vmul1 = _mm512_loadu_si512(k.q.mul + 8);
+  const __m512i vbias0 = _mm512_loadu_si512(k.q.bias);
+  const __m512i vbias1 = _mm512_loadu_si512(k.q.bias + 8);
+  const __m512i vhalf0 = _mm512_loadu_si512(k.q.half);
+  const __m512i vhalf1 = _mm512_loadu_si512(k.q.half + 8);
+  const __m512i vf0 = _mm512_loadu_si512(k.q.f);
+  const __m512i vf1 = _mm512_loadu_si512(k.q.f + 8);
+  const __m512i vlo = _mm512_set1_epi64(ep.lo);
+  const __m512i vhi = _mm512_set1_epi64(ep.hi);
+  const auto bias_frac = static_cast<unsigned>(ep.bias_frac);
+  const bool requant = ep.mode != Epilogue::Mode::kNone;
+  const bool check_lo = ep.lo != 0;
+  for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+      const std::int32_t* base =
+          k.xp + (oy * k.wp + ox) * g.stride * k.pitch;
+      __m512i acc = _mm512_setzero_si512();
+      for (std::int64_t t = 0; t < k.taps; ++t) {
+        const __m512i wv = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(k.w + t * kDwBlock)));
+        acc = _mm512_add_epi32(
+            acc, _mm512_madd_epi16(_mm512_loadu_si512(base + k.off[t]), wv));
+      }
+      __m512i y0 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
+      __m512i y1 = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1));
+      if (requant) {
+        y0 = requant8_avx512(y0, vmul0, vbias0, vhalf0, vf0, bias_frac, vlo,
+                             vhi, ep.count_sat, check_lo, m0, sat);
+        y1 = requant8_avx512(y1, vmul1, vbias1, vhalf1, vf1, bias_frac, vlo,
+                             vhi, ep.count_sat, check_lo, m1, sat);
+      }
+      std::int64_t* o = k.out + oy * g.ow + ox;
+      _mm512_mask_i64scatter_epi64(o, m0, idx0, y0, 8);
+      if (m1 != 0) _mm512_mask_i64scatter_epi64(o, m1, idx1, y1, 8);
+    }
+  }
+}
+#pragma GCC diagnostic pop
+#endif  // T2C_I8_AVX2
 
 }  // namespace
 
@@ -742,10 +902,13 @@ std::shared_ptr<const PackedDw> pack_dw(const std::int64_t* w,
   auto pw = std::make_shared<PackedDw>();
   pw->channels = channels;
   pw->taps = taps;
-  pw->w.resize(static_cast<std::size_t>(channels * taps));
+  pw->blocks = (channels + kDwBlock - 1) / kDwBlock;
+  pw->w.resize(static_cast<std::size_t>(pw->blocks * taps * kDwBlock));
   for (std::int64_t c = 0; c < channels; ++c) {
+    const std::int64_t blk = c / kDwBlock;
     for (std::int64_t t = 0; t < taps; ++t) {
-      pw->w[static_cast<std::size_t>(t * channels + c)] =
+      pw->w[static_cast<std::size_t>((blk * taps + t) * kDwBlock + c -
+                                     blk * kDwBlock)] =
           static_cast<std::int16_t>(w[c * taps + t]);
     }
   }
@@ -826,70 +989,53 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
 void dwconv(const std::int64_t* x, std::int64_t n, std::int64_t h,
             std::int64_t w, const ConvSpec& spec, const PackedDw& pw,
             std::int64_t* out, const Epilogue& ep) {
+  check(ep.mode != Epilogue::Mode::kPerCol,
+        "dwconv: requant entries index channels (kScalar or kPerRow)");
   const ConvGeom g = conv_geom(n, h, w, spec);
   const std::int64_t wp = g.w + 2 * g.pad;
-  const std::int64_t ppix = (g.h + 2 * g.pad) * wp;  // padded pixels
-  const bool tiled = g.ohw <= kNr;
-  // Lanes per padded pixel: a tile interleaves its channels (kDwTileRows
-  // per input channel of the group); a lone plane keeps each input channel
-  // contiguous.
-  const std::int64_t pitch = tiled ? g.icg * kDwTileRows : 1;
-  const std::int64_t xp_lanes = tiled ? ppix * pitch : g.icg * ppix;
-  const std::int64_t acc_lanes = tiled ? kDwTileRows * kNr : g.ohw;
+  const std::int64_t pitch = g.icg * kDwBlock;
+  const std::int64_t xp_lanes = (g.h + 2 * g.pad) * wp * pitch;
+  void (*block)(const DwTask&, std::int64_t&) = dw_block_scalar;
+#if T2C_I8_AVX2
+  const util::IsaTier tier = util::cpu_isa_tier();
+  if (tier >= util::IsaTier::kAvx512) {
+    block = dw_block_avx512;
+  } else if (tier >= util::IsaTier::kAvx2) {
+    block = dw_block_avx2;
+  }
+#endif
   const std::int64_t grain = std::max<std::int64_t>(
-      1, kDwGrain / std::max<std::int64_t>(1, g.ohw * pw.taps));
+      1, kDwGrain / (kDwBlock * g.ohw * pw.taps));
+  // Tasks run block-major, so the tasks of a chunk share their block's
+  // weights and requant constants.
   par::parallel_for(
-      0, g.n * g.oc, grain, [&](std::int64_t p0, std::int64_t p1) {
-        std::int32_t* xp =
-            worker_scratch<std::int32_t>(xp_lanes + acc_lanes + pw.taps);
-        std::int32_t* acc = xp + xp_lanes;
-        std::int32_t* off = acc + acc_lanes;
+      0, pw.blocks * g.n, grain, [&](std::int64_t t0, std::int64_t t1) {
+        std::int32_t* xp = worker_scratch<std::int32_t>(xp_lanes + pw.taps);
+        std::int32_t* off = xp + xp_lanes;
         for (std::int64_t ic = 0, t = 0; ic < g.icg; ++ic) {
           for (std::int64_t ki = 0; ki < g.k; ++ki) {
             for (std::int64_t kj = 0; kj < g.k; ++kj) {
-              off[t++] = static_cast<std::int32_t>(
-                  tiled ? ((ki * wp + kj) * g.icg + ic) * kDwTileRows
-                        : ic * ppix + ki * wp + kj);
+              off[t++] = static_cast<std::int32_t>((ki * wp + kj) * pitch +
+                                                   ic * kDwBlock);
             }
           }
         }
-        // Only interior pixels are rewritten below, so the padding ring
+        // Only interior lanes are rewritten below, so the padding ring
         // stays zero for the whole chunk.
         std::fill(xp, xp + xp_lanes, 0);
+        DwQuant q;
         std::int64_t sat = 0;
-        for (std::int64_t p = p0; p < p1;) {
-          const std::int64_t img = p / g.oc;
-          const std::int64_t c0 = p - img * g.oc;  // output channel == group
-          const std::int64_t rows =
-              tiled ? std::min({kDwTileRows, g.oc - c0, p1 - p}) : 1;
-          for (std::int64_t r = 0; r < rows; ++r) {
-            for (std::int64_t ic = 0; ic < g.icg; ++ic) {
-              const std::int64_t* src =
-                  x + (img * g.ic + (c0 + r) * g.icg + ic) * g.hw;
-              for (std::int64_t iy = 0; iy < g.h; ++iy) {
-                const std::int64_t row = (iy + g.pad) * wp + g.pad;
-                for (std::int64_t ix = 0; ix < g.w; ++ix) {
-                  const std::int64_t at =
-                      tiled ? (row + ix) * pitch + ic * kDwTileRows + r
-                            : ic * ppix + row + ix;
-                  xp[at] = static_cast<std::int32_t>(src[iy * g.w + ix]);
-                }
-              }
-            }
-          }
-          const std::int16_t* wt = pw.w.data() + c0;
-          if (tiled) {
-            dw_tile(xp, wt, pw.channels, off, pw.taps, rows, pitch,
-                    g.stride, wp, g.oh, g.ow, acc);
-          } else {
-            dw_plane(xp, wt, pw.channels, off, pw.taps, g.stride, wp, g.oh,
-                     g.ow, acc);
-          }
-          // One accumulator row per plane; row0 = c0 makes each row's
-          // requant entry its channel. The planes are contiguous in `out`.
-          write_tile(acc, out + p * g.ohw, g.ohw, rows, g.ohw, c0, 0, ep,
-                     sat);
-          p += rows;
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t blk = t / g.n;
+          const std::int64_t img = t - blk * g.n;
+          const std::int64_t c0 = blk * kDwBlock;
+          const std::int64_t nb = std::min(kDwBlock, g.oc - c0);
+          if (t == t0 || img == 0) q = dw_quant(ep, c0, nb);
+          // Output channel c0 + b reads input channels (c0 + b) * ICg + ic.
+          block(DwTask{g, ep, q, x + (img * g.ic + c0 * g.icg) * g.hw, xp,
+                       pw.w.data() + blk * pw.taps * kDwBlock, off, pw.taps,
+                       wp, pitch, nb, out + (img * g.oc + c0) * g.ohw},
+                sat);
         }
         add_sats(ep, sat);
       });

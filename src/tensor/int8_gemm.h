@@ -30,9 +30,9 @@
 //             [OCg, ICg*K*K]); per-row sums are the matching offsets
 //             for an asymmetric B operand.
 //   PackedDw — the weights of a conv with one output channel per group
-//             (depthwise) for the direct kernel: int16, tap-major
-//             [ICg*K*K][C], so a run of channels reads one contiguous
-//             lane vector per tap.
+//             (depthwise) for the direct kernel: int16, channel-blocked
+//             [C / kDwBlock][ICg*K*K][kDwBlock], so each tap of a block
+//             reads one contiguous vector of its kDwBlock channels.
 // The non-prepacked operand (activations / im2col patches) is narrowed
 // to int16 on the fly while packing, exactly as matmul.cpp packs. A conv
 // never materializes its patch matrix: im2col fills one B panel at a time,
@@ -138,12 +138,17 @@ struct PackedA final : public PackedWeights {
 std::shared_ptr<const PackedA> pack_a(const std::int64_t* a, std::int64_t m,
                                       std::int64_t k, std::int64_t groups);
 
+/// Output channels per task of the direct depthwise kernel: one AVX-512
+/// int32 vector (two AVX2 ones). 16 divides every MobileNet channel count.
+inline constexpr std::int64_t kDwBlock = 16;
+
 /// Weights of a conv with one output channel per group, narrowed to int16
-/// and stored tap-major, w[t * channels + c] (taps = ICg*K*K), for the
-/// direct kernel. No register-tile padding.
+/// and stored channel-blocked for the direct kernel: channel c = blk *
+/// kDwBlock + b at tap t (taps = ICg*K*K) is w[(blk * taps + t) * kDwBlock
+/// + b]. Only a last partial block is zero-padded.
 struct PackedDw final : public PackedWeights {
-  std::int64_t channels = 0, taps = 0;
-  std::vector<std::int16_t> w;  ///< taps * channels
+  std::int64_t channels = 0, taps = 0, blocks = 0;
+  std::vector<std::int16_t> w;  ///< blocks * taps * kDwBlock
   std::int64_t bytes() const override;
 };
 
@@ -185,15 +190,17 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
                  std::int64_t* out, const Epilogue& ep, bool threaded,
                  MicroKernel mk = MicroKernel::kAuto);
 
-/// Direct int8 conv for one output channel per group (depthwise): every
-/// (image, channel) plane is computed in int32 accumulators from a
-/// zero-padded int32 copy of its input channels — no im2col, no bounds
-/// test per tap — then written through write_tile's requant (per-row
-/// entries = channels). Planes of more than kNr outputs run one at a time,
-/// vectorized along output rows; smaller planes run in tiles of up to 32
-/// consecutive channels of one image, vectorized across the channels.
-/// Requires the same accum_fits_i32 proof as the GEMM path. Tasks are
-/// ranges of planes; bit-identical at any thread count.
+/// Direct int8 conv for one output channel per group (depthwise). A task
+/// is one image x one block of kDwBlock output channels: it copies the
+/// block's input channels once into a zero-padded, channel-interleaved
+/// int32 scratch (no im2col, no bounds test per tap), accumulates all the
+/// block's channels of each output pixel in one int32 vector over the
+/// ICg*K*K taps, requantizes them together (kNone, kScalar or kPerRow,
+/// whose entries are the channels) and stores them into the NCHW output.
+/// The AVX-512, AVX2 or scalar variant is picked from util::cpu_isa_tier()
+/// on each call. Requires the same accum_fits_i32 proof as the GEMM path;
+/// each output is one fixed-order integer sum, so the result is
+/// bit-identical at any thread count and on any variant.
 void dwconv(const std::int64_t* x, std::int64_t n, std::int64_t h,
             std::int64_t w, const ConvSpec& spec, const PackedDw& pw,
             std::int64_t* out, const Epilogue& ep);

@@ -22,6 +22,7 @@
 #include "core/parallel.h"
 #include "core/registry.h"
 #include "core/t2c.h"
+#include "data/loader.h"
 #include "deploy/exec_plan.h"
 #include "deploy/int_ops.h"
 #include "deploy/passes.h"
@@ -29,6 +30,7 @@
 #include "models/models.h"
 #include "obs/capture.h"
 #include "obs/metrics.h"
+#include "quant/ptq.h"
 #include "test_util.h"
 #include "util/cpuinfo.h"
 #include "xport/checkpoint.h"
@@ -467,12 +469,14 @@ TEST(KernelGateTest, DepthwiseJustFittingDepthSelectsDirectSolver) {
   EXPECT_EQ(over.op(0).kernel(), "gemm_i64(overflow)");
 }
 
-/// One cell of the conv bit-identity matrix.
+/// One cell of the conv bit-identity matrix. A depthwise cell has
+/// `channels` output channels (4 when 0), each reading `icg` inputs.
 struct ConvCase {
   enum class Kind { kDepthwise, kDense, kGrouped } kind;
   int kernel, stride, padding;
   std::int64_t h, w, batch;
   enum class Ep { kNone, kPerTensor, kPerChannelRelu } ep;
+  std::int64_t channels = 0, icg = 1;
 };
 
 std::string describe(const ConvCase& c) {
@@ -480,13 +484,15 @@ std::string describe(const ConvCase& c) {
          std::to_string(c.kernel) + " s" + std::to_string(c.stride) + " p" +
          std::to_string(c.padding) + " " + std::to_string(c.h) + "x" +
          std::to_string(c.w) + " n" + std::to_string(c.batch) + " ep" +
-         std::to_string(static_cast<int>(c.ep));
+         std::to_string(static_cast<int>(c.ep)) + " c" +
+         std::to_string(c.channels) + " icg" + std::to_string(c.icg);
 }
 
-/// Input -> IntConv2d ("conv") [-> MulQuant ("mq")]. Depthwise is 4
-/// one-channel groups; dense is 3 -> 6 (a full and a partial 4-row block);
-/// grouped is 4 -> 6 in two groups. The multipliers push part of the
-/// outputs past the clamp, so saturation counts are exercised too.
+/// Input -> IntConv2d ("conv") [-> MulQuant ("mq")]. Depthwise is
+/// `channels` (default 4) groups of icg inputs and one output; dense is
+/// 3 -> 6 (a full and a partial 4-row block); grouped is 4 -> 6 in two
+/// groups. The multipliers push part of the outputs past the clamp, so
+/// saturation counts are exercised too.
 DeployModel conv_case_graph(const ConvCase& c) {
   ConvSpec s;
   s.kernel = c.kernel;
@@ -494,8 +500,9 @@ DeployModel conv_case_graph(const ConvCase& c) {
   s.padding = c.padding;
   switch (c.kind) {
     case ConvCase::Kind::kDepthwise:
-      s.in_channels = s.out_channels = 4;
-      s.groups = 4;
+      s.out_channels = c.channels > 0 ? c.channels : 4;
+      s.in_channels = s.out_channels * c.icg;
+      s.groups = static_cast<int>(s.out_channels);
       break;
     case ConvCase::Kind::kDense:
       s.in_channels = 3;
@@ -544,59 +551,37 @@ std::pair<ITensor, std::int64_t> run_counting_sats(const DeployModel& dm,
   return {std::move(y), sat.value() - before};
 }
 
-TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
-  // Opt-2 (direct depthwise / batch-folded packed GEMM, every ISA cap and
-  // pool size) against the opt-0 int64 graph at 1 thread: output bits and
-  // saturation counts. Batch 3 at 3x5 folds 45 columns, so a panel edge
-  // falls inside the third image. The pool is resized once per (cap,
-  // threads) pair, not per cell.
-  const ThreadGuard guard;
-  obs::set_metrics_enabled(true);
-  struct Cell {
-    ConvCase c;
-    ITensor x, want;
-    std::int64_t want_sat;
-  };
-  struct Hw {
-    std::int64_t h, w;
-  };
-  std::vector<Cell> cells;
-  par::set_max_threads(1);
-  for (const auto kind :
-       {ConvCase::Kind::kDepthwise, ConvCase::Kind::kDense,
-        ConvCase::Kind::kGrouped}) {
-    for (const int k : {1, 3, 5}) {
-      for (const int st : {1, 2}) {
-        for (const int pad : {0, 1, 2}) {
-          for (const Hw hw : {Hw{1, 1}, Hw{2, 2}, Hw{3, 5}, Hw{16, 16}}) {
-            if (hw.h + 2 * pad < k || hw.w + 2 * pad < k) continue;
-            for (const std::int64_t batch : {1, 3, 8}) {
-              for (const auto ep :
-                   {ConvCase::Ep::kNone, ConvCase::Ep::kPerTensor,
-                    ConvCase::Ep::kPerChannelRelu}) {
-                Cell cell{{kind, k, st, pad, hw.h, hw.w, batch, ep}, {}, {},
-                          0};
-                const std::int64_t ic =
-                    kind == ConvCase::Kind::kDense ? 3 : 4;
-                cell.x = ITensor({batch, ic, hw.h, hw.w});
-                for (std::int64_t i = 0; i < cell.x.numel(); ++i) {
-                  cell.x[i] = (i * 31 + k * 7 + st) % 255 - 127;
-                }
-                auto [want, sat] =
-                    run_counting_sats(conv_case_graph(cell.c), cell.x);
-                cell.want = std::move(want);
-                cell.want_sat = sat;
-                cells.push_back(std::move(cell));
-              }
-            }
-          }
-        }
-      }
-    }
+/// A conv cell with its input and the opt-0 int64 graph's output and clip
+/// count at 1 thread.
+struct ConvCell {
+  ConvCase c;
+  ITensor x, want;
+  std::int64_t want_sat = 0;
+};
+
+ConvCell conv_cell(const ConvCase& c) {
+  ConvCell cell{c, {}, {}, 0};
+  const DeployModel ref = conv_case_graph(c);
+  cell.x = ITensor(
+      {c.batch, dynamic_cast<const IntConv2dOp&>(ref.op(0)).spec().in_channels,
+       c.h, c.w});
+  for (std::int64_t i = 0; i < cell.x.numel(); ++i) {
+    cell.x[i] = (i * 31 + c.kernel * 7 + c.stride) % 255 - 127;
   }
-  ASSERT_EQ(cells.size(), 3u * 58 * 3 * 3);
+  auto [want, sat] = run_counting_sats(ref, cell.x);
+  cell.want = std::move(want);
+  cell.want_sat = sat;
+  return cell;
+}
+
+/// Runs every cell at opt 2 (direct depthwise / batch-folded packed GEMM)
+/// under every ISA cap and pool size and compares output bits and clip
+/// counts with its opt-0 reference. The pool is resized once per (cap,
+/// threads) pair, not per cell; one optimized graph is alive at a time to
+/// keep the footprint small under the sanitizers.
+void expect_cells_match(const std::vector<ConvCell>& cells) {
   std::int64_t clips = 0;
-  for (const Cell& cell : cells) clips += cell.want_sat;
+  for (const ConvCell& cell : cells) clips += cell.want_sat;
   EXPECT_GT(clips, 0);  // the clip-count comparison is not vacuous
   for (const util::IsaTier cap :
        {util::IsaTier::kGeneric, util::IsaTier::kAvx2,
@@ -604,9 +589,7 @@ TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
     util::set_isa_tier_cap(cap);
     for (const int threads : {1, 4, 16}) {
       par::set_max_threads(threads);
-      // One optimized graph alive at a time keeps the footprint small
-      // under the sanitizers.
-      for (const Cell& cell : cells) {
+      for (const ConvCell& cell : cells) {
         const std::string at = describe(cell.c) + " cap " +
                                util::isa_tier_name(cap) + " @" +
                                std::to_string(threads);
@@ -627,6 +610,74 @@ TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
     }
   }
   util::set_isa_tier_cap(util::IsaTier::kAvx512);
+}
+
+TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
+  // Batch 3 at 3x5 folds 45 columns, so a panel edge falls inside the
+  // third image.
+  const ThreadGuard guard;
+  obs::set_metrics_enabled(true);
+  struct Hw {
+    std::int64_t h, w;
+  };
+  std::vector<ConvCell> cells;
+  par::set_max_threads(1);
+  for (const auto kind :
+       {ConvCase::Kind::kDepthwise, ConvCase::Kind::kDense,
+        ConvCase::Kind::kGrouped}) {
+    for (const int k : {1, 3, 5}) {
+      for (const int st : {1, 2}) {
+        for (const int pad : {0, 1, 2}) {
+          for (const Hw hw : {Hw{1, 1}, Hw{2, 2}, Hw{3, 5}, Hw{16, 16}}) {
+            if (hw.h + 2 * pad < k || hw.w + 2 * pad < k) continue;
+            for (const std::int64_t batch : {1, 3, 8}) {
+              for (const auto ep :
+                   {ConvCase::Ep::kNone, ConvCase::Ep::kPerTensor,
+                    ConvCase::Ep::kPerChannelRelu}) {
+                cells.push_back(
+                    conv_cell({kind, k, st, pad, hw.h, hw.w, batch, ep}));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(cells.size(), 3u * 58 * 3 * 3);
+  expect_cells_match(cells);
+  obs::set_metrics_enabled(false);
+}
+
+TEST(KernelGateTest, DepthwiseChannelBlocksMatchI64BitsAndSaturation) {
+  // MobileNet's 3x3 pad-1 depthwise convs at channel counts that fill the
+  // direct kernel's channel blocks: exactly one block, two blocks plus a
+  // partial one that reaches into the block's upper half, and two input
+  // channels per group (one block plus a partial one of 4 channels).
+  const ThreadGuard guard;
+  obs::set_metrics_enabled(true);
+  struct Channels {
+    std::int64_t c, icg;
+  };
+  const Channels channels[] = {{i8::kDwBlock, 1},
+                               {2 * i8::kDwBlock + 12, 1},
+                               {i8::kDwBlock + 4, 2}};
+  std::vector<ConvCell> cells;
+  par::set_max_threads(1);
+  for (const Channels ch : channels) {
+    for (const int st : {1, 2}) {
+      for (const std::int64_t hw : {16, 8, 2, 1}) {
+        for (const std::int64_t batch : {1, 8}) {
+          for (const auto ep :
+               {ConvCase::Ep::kNone, ConvCase::Ep::kPerTensor,
+                ConvCase::Ep::kPerChannelRelu}) {
+            cells.push_back(conv_cell({ConvCase::Kind::kDepthwise, 3, st, 1,
+                                       hw, hw, batch, ep, ch.c, ch.icg}));
+          }
+        }
+      }
+    }
+  }
+  expect_cells_match(cells);
   obs::set_metrics_enabled(false);
 }
 
@@ -793,7 +844,7 @@ TEST(DeployPlanTest, ConvScratchAllocationsIndependentOfBatchAndChannels) {
   const ThreadGuard guard;
   par::set_max_threads(1);
   std::vector<std::int64_t> counts;
-  for (const std::int64_t c : {16, 64}) {
+  for (const std::int64_t c : {16, 40, 64}) {  // 40: a partial block
     const DeployModel dm = separable_graph(c);
     EXPECT_EQ(dm.op(0).kernel(), "dwconv_i8_fused");
     EXPECT_EQ(dm.op(2).kernel().rfind("gemm_i8_fused_", 0), 0u);
@@ -977,6 +1028,46 @@ TEST(PassesE2E, CnnBitIdenticalAcrossOptLevelsAndThreadCounts) {
                          "cnn opt0 @" + std::to_string(threads));
     expect_bit_identical(ref, dm2.run_int(q),
                          "cnn opt2 @" + std::to_string(threads));
+  }
+}
+
+TEST(PassesE2E, MobileNetBitIdenticalAcrossOptLevelsAndThreadCounts) {
+  // PTQ-calibrated MobileNet-V1 w0.5 at 16x16: its 13 depthwise convs run
+  // the direct kernel from 16 channels on a 16x16 map (one channel block)
+  // to 512 on 1x1 (32 blocks); opt 2 must match opt 0 bit for bit.
+  const ThreadGuard guard;
+  DatasetSpec spec = cifar10_sim();
+  spec.classes = 8;
+  spec.train_size = 32;
+  spec.test_size = 8;
+  const SyntheticImageDataset data(spec);
+  ModelConfig mc;
+  mc.num_classes = spec.classes;
+  mc.width_mult = 0.5F;
+  mc.seed = 3;
+  const auto model = make_mobilenet_v1(mc);
+  DataLoader loader(data.train_images(), data.train_labels(), 16,
+                    /*shuffle=*/false, 1);
+  calibrate(*model, loader, 2);
+  ConvertConfig cfg;
+  cfg.input_shape = {spec.channels, spec.height, spec.width};
+  const DeployModel dm2 = T2CConverter(cfg).convert(*model);  // opt 2
+  cfg.opt_level = 0;
+  const DeployModel dm0 = T2CConverter(cfg).convert(*model);
+  std::size_t direct = 0;
+  for (std::size_t i = 0; i < dm2.num_ops(); ++i) {
+    direct += dm2.op(i).kernel().rfind("dwconv_i8", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(direct, 13u);
+
+  par::set_max_threads(1);
+  const ITensor q = dm0.quantize_input(data.test_images());
+  ASSERT_EQ(q.size(0), 8);
+  const ITensor ref = dm0.run_int(q);
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    expect_bit_identical(ref, dm2.run_int(q),
+                         "mobilenet opt2 @" + std::to_string(threads));
   }
 }
 

@@ -14,8 +14,9 @@
 // (non-negative) values, and any pmu block is internally consistent.
 // Bench checks (t2c.bench.v1): every bench carries build_info + rows, row
 // names are unique per bench, reps >= 5, any optional "kernel" code-path
-// tag is a [a-z0-9_]+ identifier, and the min/mean/p50/p95/stddev
-// fields are present with min <= mean.
+// tag is a [a-z0-9_]+ identifier, any optional "threads" pool size is
+// >= 1, and the min/mean/p50/p95/stddev fields are present with
+// min <= mean.
 // Prometheus checks (--prom FILE): text exposition format 0.0.4 — every
 // sample's family has HELP and TYPE lines that precede it, TYPE is one of
 // counter/gauge/histogram, metric and label names match the spec grammar,
@@ -213,6 +214,11 @@ void check_bench(const std::string& path) {
       }
       check(row.at("min_ms").number <= row.at("mean_ms").number + 1e-9,
             path + ": " + bench + "/" + name + " min_ms > mean_ms");
+      if (row.has("threads")) {
+        check(row.at("threads").is_number() &&
+                  row.at("threads").number >= 1.0,
+              path + ": " + bench + "/" + name + " threads must be >= 1");
+      }
       if (row.has("kernel")) {
         // Optional code-path tag (t2c_perf_diff keys kernel switches off
         // it): must be a non-empty [a-z0-9_]+ identifier.

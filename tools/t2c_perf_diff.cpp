@@ -21,14 +21,15 @@
 // `regressed`, beyond -window is `improved`, inside is `noise`. Rows that
 // carry a "kernel" tag on both sides and disagree are classified `added`:
 // a solver switch (e.g. gemm_i64 -> gemm_i8_fused_avx512 after a registry
-// reorder) is a new measurement, not a delta of the old one.
+// reorder) is a new measurement, not a delta of the old one. So are rows
+// whose "threads" (the pool size they ran at) differ between the sides.
 //
 // Output is a markdown table (stdout, or --markdown PATH). Exit status: 0
 // when nothing regressed, 1 when any row regressed (suppressed by --soft
 // for machines where wall time is not trustworthy), 2 on usage or parse
 // errors. --selftest runs the classifier against synthetic documents
-// (injected 20% slowdown => regressed, small jitter => noise) and needs no
-// input files.
+// (injected 20% slowdown => regressed, small jitter => noise, a kernel or
+// pool-size switch => added) and needs no input files.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -52,6 +53,7 @@ struct RowStat {
   double cv = 0.0;       ///< stddev_ms / mean_ms
   double ipc_cv = 0.0;   ///< 0 when the row carries no PMU data
   std::string kernel;    ///< code-path tag; empty for untagged rows
+  int threads = 0;       ///< pool size; 0 for rows that predate the field
 };
 
 struct Options {
@@ -111,6 +113,7 @@ std::map<std::string, RowStat> load_rows(const JsonValue& doc,
       if (mean > 0.0) s.cv = stddev / mean;
       s.ipc_cv = num_or(row, "ipc_cv", 0.0);
       if (row.has("kernel")) s.kernel = row.at("kernel").str;
+      s.threads = static_cast<int>(num_or(row, "threads", 0.0));
       out[bench + "/" + row.at("name").str] = s;
     }
   }
@@ -141,16 +144,17 @@ std::vector<Verdict> classify(const std::map<std::string, RowStat>& olds,
       continue;
     }
     v.new_ms = it->second.stat_ms;
-    if (!o.kernel.empty() && !it->second.kernel.empty() &&
-        o.kernel != it->second.kernel) {
-      // Same row name, different code path: the old timing measured a
-      // kernel that no longer runs, so there is nothing to regress
-      // against — restart the row's history.
+    const RowStat& n = it->second;
+    if ((!o.kernel.empty() && !n.kernel.empty() && o.kernel != n.kernel) ||
+        (o.threads > 0 && n.threads > 0 && o.threads != n.threads)) {
+      // Same row name, different code path or pool size: the old timing
+      // measured a configuration that no longer runs, so there is nothing
+      // to regress against — restart the row's history.
       v.klass = "added";
       out.push_back(std::move(v));
       continue;
     }
-    v.window = window_of(o, it->second, opt);
+    v.window = window_of(o, n, opt);
     v.delta = o.stat_ms > 0.0 ? v.new_ms / v.old_ms - 1.0 : 0.0;
     if (v.delta > v.window) {
       v.klass = "regressed";
@@ -223,7 +227,7 @@ int selftest(const Options& opt) {
   };
   const auto row = [](const char* name, double min_ms, double mean_ms,
                       double stddev_ms, double ipc_cv,
-                      const char* kernel = nullptr) {
+                      const char* kernel = nullptr, int threads = 0) {
     char buf[320];
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"reps\":9,\"min_ms\":%.4f,"
@@ -235,24 +239,35 @@ int selftest(const Options& opt) {
     if (kernel != nullptr) {
       out += std::string(",\"kernel\":\"") + kernel + "\"";
     }
+    if (threads > 0) out += ",\"threads\":" + std::to_string(threads);
     return out + "}";
   };
-  // old: five stable rows. new: slow regressed 20%; jitter moved 3%;
+  // old: seven stable rows. new: slow regressed 20%; jitter moved 3%;
   // shifted moved 20% but with wildly unstable IPC (machine, not code);
   // fast improved 30%; switched improved 4x but on a different kernel
-  // tag, so its history restarts instead of reading as an improvement.
+  // tag, so its history restarts instead of reading as an improvement;
+  // rethreaded ran 2x slower on a 1-thread pool where the old side had 4
+  // (restarts too), and pooled moved 3% at the same pool size.
   const JsonValue olds = doc(row("slow", 10.0, 10.2, 0.05, 0.01) + "," +
                              row("jitter", 5.0, 5.1, 0.04, 0.01) + "," +
                              row("shifted", 8.0, 8.1, 0.05, 0.01) + "," +
                              row("fast", 20.0, 20.3, 0.1, 0.01) + "," +
                              row("switched", 8.0, 8.1, 0.05, 0.01,
-                                 "gemm_i64"));
+                                 "gemm_i64") + "," +
+                             row("rethreaded", 2.0, 2.1, 0.02, 0.01,
+                                 "gemm_i8_fused", 4) + "," +
+                             row("pooled", 2.0, 2.1, 0.02, 0.01,
+                                 "gemm_i8_fused", 4));
   const JsonValue news = doc(row("slow", 12.0, 12.2, 0.05, 0.01) + "," +
                              row("jitter", 5.15, 5.3, 0.04, 0.01) + "," +
                              row("shifted", 9.6, 9.8, 0.05, 0.08) + "," +
                              row("fast", 14.0, 14.2, 0.1, 0.01) + "," +
                              row("switched", 2.0, 2.1, 0.02, 0.01,
                                  "gemm_i8_fused") + "," +
+                             row("rethreaded", 4.0, 4.1, 0.02, 0.01,
+                                 "gemm_i8_fused", 1) + "," +
+                             row("pooled", 2.06, 2.1, 0.02, 0.01,
+                                 "gemm_i8_fused", 4) + "," +
                              row("brand_new", 1.0, 1.0, 0.01, 0.0));
   const std::vector<Verdict> vs =
       classify(load_rows(olds, "old"), load_rows(news, "new"), opt);
@@ -275,8 +290,10 @@ int selftest(const Options& opt) {
   expect("shifted", "noise");
   expect("fast", "improved");
   expect("switched", "added");
+  expect("rethreaded", "added");
+  expect("pooled", "noise");
   expect("brand_new", "added");
-  std::printf(failures == 0 ? "selftest OK (6 cases)\n"
+  std::printf(failures == 0 ? "selftest OK (8 cases)\n"
                             : "selftest: %d failure(s)\n",
               failures);
   return failures == 0 ? 0 : 1;
