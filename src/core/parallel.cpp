@@ -12,7 +12,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/pmu.h"
-#include "obs/telemetry.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -196,11 +196,69 @@ const std::vector<double>& imbalance_buckets() {
   return kBuckets;
 }
 
+using Body = std::function<void(std::int64_t, std::int64_t, int)>;
+
+/// One pooled region. The pool's job closure captures only a pointer to
+/// it, which fits std::function's inline buffer: dispatch never allocates.
+struct Region {
+  const Body& fn;
+  const std::int64_t begin, base, rem;
+  const bool met, trace, pmu;
+  std::atomic<double> total_ms;
+  obs::Gauge slowest_ms;  ///< the region's critical path
+
+  void run_part(int part) {
+    const std::int64_t i0 =
+        begin + part * base + std::min<std::int64_t>(part, rem);
+    const std::int64_t i1 = i0 + base + (part < rem ? 1 : 0);
+    if (!met && !trace && !pmu) {
+      run_chunk(i0, i1, part);
+      return;
+    }
+    const bool sample_pmu = pmu && part != 0;
+    obs::PmuCounts pmu0;
+    if (sample_pmu) obs::thread_pmu().read(pmu0);
+    const std::int64_t t0 = mono_now_ns();
+    run_chunk(i0, i1, part);
+    const std::int64_t t1 = mono_now_ns();
+    if (sample_pmu) {
+      obs::PmuCounts pmu1;
+      obs::thread_pmu().read(pmu1);
+      obs::pmu_worker_acc().add(obs::pmu_delta(pmu0, pmu1));
+    }
+    if (met) {
+      const double ms = static_cast<double>(t1 - t0) * 1e-6;
+      obs::detail::atomic_add(total_ms, ms);
+      slowest_ms.set_max(ms);
+    }
+    if (trace) {
+      static const obs::Name* const kChunk = obs::intern("chunk");
+      obs::TraceRecorder::Event e;
+      e.key = kChunk;
+      e.cat = "pool";
+      e.ts_us = obs::tracer().us_at(t0);
+      e.dur_us = obs::tracer().us_at(t1) - e.ts_us;
+      e.tid = obs::trace_tid();
+      obs::tracer().record(std::move(e));
+    }
+  }
+
+  void run_chunk(std::int64_t i0, std::int64_t i1, int part) {
+    g_in_parallel = true;
+    try {
+      fn(i0, i1, part);
+    } catch (...) {
+      g_in_parallel = false;
+      throw;
+    }
+    g_in_parallel = false;
+  }
+};
+
 }  // namespace
 
-void parallel_for_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t, int)>& fn) {
+void parallel_for_impl(std::int64_t begin, std::int64_t end,
+                       std::int64_t grain, const Body& fn) {
   const std::int64_t range = end - begin;
   if (range <= 0) return;
   const std::int64_t g = std::max<std::int64_t>(1, grain);
@@ -211,12 +269,6 @@ void parallel_for_impl(
     fn(begin, end, 0);
     return;
   }
-  const std::int64_t base = range / nparts;
-  const std::int64_t rem = range % nparts;
-  const auto chunk_of = [&](int part, std::int64_t& i0, std::int64_t& i1) {
-    i0 = begin + part * base + std::min<std::int64_t>(part, rem);
-    i1 = i0 + base + (part < rem ? 1 : 0);
-  };
   // Pooled dispatch is the instrumented boundary: per-worker busy spans
   // ("X" on each worker's track), pool.occupancy counter samples, and
   // per-region chunk stats feeding pool.* metrics. With the PMU on, every
@@ -225,12 +277,19 @@ void parallel_for_impl(
   // group before/after and lands the delta in the worker accumulator so
   // the executor can attribute it to the current step (DESIGN.md §3.9).
   // Nested/inline regions stay uninstrumented — they run inside a chunk
-  // that is already accounted for. Cost when everything is off: the three
-  // relaxed loads.
-  const bool met = obs::metrics_enabled();
-  const bool trace = obs::trace_enabled();
-  const bool pmu = obs::pmu_enabled();
-  if (obs::event_ring_enabled()) {
+  // that is already accounted for. Cost when everything is off: one tier
+  // load.
+  const std::uint32_t tiers = obs::tiers();
+  Region r{fn,
+           begin,
+           range / nparts,
+           range % nparts,
+           (tiers & obs::kTierMetrics) != 0,
+           (tiers & obs::kTierTrace) != 0,
+           (tiers & obs::kTierPmu) != 0,
+           {0.0},
+           {}};
+  if (tiers & obs::kRingTiers) {
     // One black-box event per pooled region (caller side, before the
     // fan-out): a crash mid-region shows which thread was dispatching and
     // how wide. Static key: interning is cold and happens exactly once.
@@ -238,72 +297,15 @@ void parallel_for_impl(
     obs::flight_record(obs::FlightKind::kPoolRegion, kRegionKey,
                        static_cast<double>(nparts));
   }
-  if (!met && !trace && !pmu) {
-    pool().run(nparts, [&](int part) {
-      std::int64_t i0 = 0;
-      std::int64_t i1 = 0;
-      chunk_of(part, i0, i1);
-      g_in_parallel = true;
-      try {
-        fn(i0, i1, part);
-      } catch (...) {
-        g_in_parallel = false;
-        throw;
-      }
-      g_in_parallel = false;
-    });
-    return;
-  }
-  std::vector<double> chunk_ms(static_cast<std::size_t>(nparts), 0.0);
-  if (trace) {
-    obs::tracer().counter("pool.occupancy", "pool",
-                          static_cast<double>(nparts));
-  }
-  pool().run(nparts, [&](int part) {
-    std::int64_t i0 = 0;
-    std::int64_t i1 = 0;
-    chunk_of(part, i0, i1);
-    const std::int64_t ts = trace ? obs::tracer().now_us() : 0;
-    const bool sample_pmu = pmu && part != 0;
-    obs::PmuCounts pmu0;
-    if (sample_pmu) obs::thread_pmu().read(pmu0);
-    Stopwatch sw;
-    g_in_parallel = true;
-    try {
-      fn(i0, i1, part);
-    } catch (...) {
-      g_in_parallel = false;
-      throw;
-    }
-    g_in_parallel = false;
-    chunk_ms[static_cast<std::size_t>(part)] = sw.millis();
-    if (sample_pmu) {
-      obs::PmuCounts pmu1;
-      obs::thread_pmu().read(pmu1);
-      obs::pmu_worker_acc().add(obs::pmu_delta(pmu0, pmu1));
-    }
-    if (trace) {
-      obs::TraceRecorder::Event e;
-      e.name = "chunk";
-      e.cat = "pool";
-      e.ts_us = ts;
-      e.dur_us = obs::tracer().now_us() - ts;
-      e.tid = obs::trace_tid();
-      obs::tracer().record(std::move(e));
-    }
-  });
-  if (trace) obs::tracer().counter("pool.occupancy", "pool", 0.0);
-  if (met) {
-    double total = 0.0;
-    double slowest = 0.0;
-    for (const double ms : chunk_ms) {
-      total += ms;
-      slowest = std::max(slowest, ms);
-    }
-    const double mean = total / static_cast<double>(nparts);
+  static const obs::Name* const kOccupancy = obs::intern("pool.occupancy");
+  if (r.trace) obs::tracer().counter(kOccupancy, "pool", nparts);
+  pool().run(nparts, [&r](int part) { r.run_part(part); });
+  if (r.trace) obs::tracer().counter(kOccupancy, "pool", 0.0);
+  if (r.met) {
+    const double slowest = r.slowest_ms.value();
+    const double mean = r.total_ms.load() / static_cast<double>(nparts);
     obs::metrics().counter("pool.regions").add(1);
     obs::metrics().counter("pool.chunks").add(nparts);
-    // The region's wall time is its critical path — the slowest chunk.
     obs::metrics().histogram("pool.region_ms").observe(slowest);
     if (mean > 0.0) {
       obs::metrics()

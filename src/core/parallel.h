@@ -24,7 +24,7 @@
 // and the region brackets a `pool.occupancy` counter; with metrics on,
 // per-region stats land in `pool.regions`/`pool.chunks` counters and the
 // `pool.region_ms`/`pool.imbalance` (slowest/mean chunk) histograms.
-// Disabled cost: two relaxed loads per pooled region.
+// Disabled cost: one tier-word load per pooled region.
 #pragma once
 
 #include <cstdint>

@@ -6,14 +6,8 @@
 
 #include "deploy/int_ops.h"
 #include "obs/capture.h"
-#include "obs/metrics.h"
-#include "obs/pmu.h"
 #include "obs/profile.h"
-#include "obs/flight.h"
-#include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace t2c {
 
@@ -110,13 +104,11 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
     p.steps_.push_back(std::move(st));
     // Compile time is the cold path: pack this op's static operands for
     // its narrow kernel (nullptr on the default path) and intern the
-    // step's event name, so execute() neither repacks weights nor builds
-    // a key string per step.
+    // step's name and kernel tag, so execute() neither repacks weights nor
+    // builds a string per step.
     p.packed_.push_back(op.pack_weights());
-    const std::string series =
-        "deploy.step." + op.kind() +
-        (op.label.empty() ? "" : ":" + op.label);
-    p.step_keys_.push_back(obs::flight_key(series.c_str()));
+    p.step_keys_.push_back(obs::step_key(
+        op.kind() + (op.label.empty() ? "" : ":" + op.label), op.kernel()));
   }
   // Pair each fuse-annotated GEMM with its consuming MulQuant. The pass
   // only sets `fuse` when the accumulator has a single MulQuant consumer
@@ -156,14 +148,11 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
                                Arena& arena,
                                DeployModel::MemoryStats& stats) const {
   arena.slots.resize(num_slots_);
-  const bool met = obs::metrics_enabled();
-  const bool trace = obs::trace_enabled();
-  const bool prof = obs::profile_enabled();
-  const bool ring = obs::event_ring_enabled();
-  // PMU samples only matter when someone aggregates them, so measurement
-  // is gated on the profiler being live too.
-  const bool pmu = prof && obs::pmu_enabled();
-  const bool cap = obs::capture_enabled();
+  // One tier load per run; with no step tier on, every step takes the
+  // plain dispatch below.
+  const std::uint32_t tiers = obs::tiers();
+  const bool record = (tiers & obs::kStepTiers) != 0;
+  const bool cap = (tiers & obs::kTierCapture) != 0;
   if (cap) {
     obs::int_taps().record(obs::kInputTapLabel, input.data(), input.numel(),
                            input.shape());
@@ -177,9 +166,9 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
   stats.naive_bytes = input.numel() * kElemBytes;
   std::int64_t live = 0;
   // Hoisted out of the loop: the operand list reuses its capacity across
-  // steps, keeping the disabled-observability path free of per-step heap
-  // traffic from the executor itself.
+  // steps, keeping the executor itself free of per-step heap traffic.
   std::vector<const ITensor*> ins;
+  obs::StepSample sample;
   for (std::size_t si = 0; si < steps_.size(); ++si) {
     const Step& st = steps_[si];
     const DeployOp& op = dm.op(static_cast<std::size_t>(st.op));
@@ -223,101 +212,18 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
         op.run_into(ins, out);
       }
     };
-    if (met || trace || prof || ring) {
-      const std::int64_t ts = trace ? obs::tracer().now_us() : 0;
-      // Step bracket (DESIGN.md §3.9): this thread's counters plus the
-      // worker accumulator before and after. The step's sample is the
-      // main-thread delta (covers inline work and part 0 of every pooled
-      // region) plus whatever the pool workers deposited meanwhile.
-      obs::PmuCounts pmu_self0, pmu_acc0;
-      if (pmu) {
-        obs::pmu_worker_acc().snapshot(pmu_acc0);
-        obs::thread_pmu().read(pmu_self0);
-      }
-      Stopwatch sw;
+    if (record) {
+      sample.start(tiers);
       run_step();
-      const double ms = sw.millis();
-      obs::PmuSample sample;
-      if (pmu) {
-        obs::PmuCounts pmu_self1, pmu_acc1;
-        obs::thread_pmu().read(pmu_self1);
-        obs::pmu_worker_acc().snapshot(pmu_acc1);
-        sample = obs::pmu_delta(pmu_self0, pmu_self1);
-        sample.accumulate(obs::pmu_delta(pmu_acc0, pmu_acc1));
+      sample.stop();
+      // cost() is shape-derived, so the aggregated totals are identical
+      // at any thread count even though the timings are not. A skipped
+      // (fused-away) step reports zero cost — its work is charged to the
+      // producer's fused kernel.
+      if ((tiers & obs::kTierProfile) && !skip) {
+        sample.cost = op.cost(ins, out);
       }
-      if (ring) {
-        // One fixed-size event into this thread's ring, keyed at compile
-        // time: the telemetry hub and the flight recorder both read it.
-        obs::flight_record(obs::FlightKind::kStep, step_keys_[si], ms);
-      }
-      // The legacy pillars key by string; ring-only runs skip the
-      // concatenation and stay allocation-free per step.
-      std::string key;
-      if (met || trace || prof) {
-        key = op.kind() + (op.label.empty() ? "" : ":" + op.label);
-      }
-      if (met) {
-        obs::metrics().histogram("deploy.op_ms." + key).observe(ms);
-      }
-      if (prof) {
-        // cost() is shape-derived, so the aggregated totals are identical
-        // at any thread count even though the timings are not. A skipped
-        // (fused-away) step reports zero cost — its work is charged to the
-        // producer's fused kernel.
-        const obs::OpCost c = skip ? obs::OpCost{} : op.cost(ins, out);
-        // The profiler tag is the solver name chosen at compile time
-        // (kernel() reports it for GEMM-backed ops), so plan dump, bench
-        // and profile all speak the registry's vocabulary.
-        const std::string kstr = skip ? "fused" : op.kernel();
-        obs::profiler().record_step(key, ms, c, pmu ? &sample : nullptr,
-                                    kstr);
-        if (met) {
-          obs::metrics().counter("profile.flops." + op.kind()).add(c.flops);
-          obs::metrics().counter("profile.macs." + op.kind()).add(c.macs);
-          obs::metrics()
-              .counter("profile.bytes." + op.kind())
-              .add(c.bytes_read + c.bytes_written);
-        }
-      }
-      if (pmu) {
-        if (met) {
-          obs::metrics().counter("pmu.cpu_ns").add(sample.cpu_ns);
-          if (sample.hw) {
-            obs::metrics().counter("pmu.cycles").add(sample.cycles);
-            obs::metrics().counter("pmu.instructions").add(sample.instructions);
-            obs::metrics().counter("pmu.cache_refs").add(sample.cache_refs);
-            obs::metrics().counter("pmu.cache_misses").add(sample.cache_misses);
-            obs::metrics()
-                .counter("pmu.branch_misses")
-                .add(sample.branch_misses);
-          }
-        }
-        if (trace && sample.hw) {
-          // Per-step counter tracks: IPC and cache-miss rate over the run
-          // timeline, next to the op spans they describe.
-          if (sample.cycles > 0) {
-            obs::tracer().counter("pmu.ipc", "pmu",
-                                  static_cast<double>(sample.instructions) /
-                                      static_cast<double>(sample.cycles));
-          }
-          if (sample.cache_refs > 0) {
-            obs::tracer().counter(
-                "pmu.cache_miss_rate", "pmu",
-                static_cast<double>(sample.cache_misses) /
-                    static_cast<double>(sample.cache_refs));
-          }
-        }
-      }
-      if (trace) {
-        obs::TraceRecorder::Event e;
-        e.name = key;
-        e.cat = "deploy";
-        e.ts_us = ts;
-        e.dur_us = obs::tracer().now_us() - ts;
-        e.tid = obs::trace_tid();
-        e.req = obs::current_request();
-        obs::tracer().record(std::move(e));
-      }
+      sample.fused = skip;
     } else {
       run_step();
     }
@@ -339,18 +245,9 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
       }
       dead = ITensor();
     }
-    if (trace) {
-      // Arena occupancy after this step — a counter track charting the
-      // liveness plan's high-water profile over the run — plus, when the
-      // saturation counters are live, cumulative clipped values over time.
-      obs::tracer().counter("deploy.arena.live_bytes", "deploy",
-                            static_cast<double>(live));
-      if (met) {
-        obs::tracer().counter(
-            "deploy.sat.total", "deploy",
-            static_cast<double>(
-                obs::metrics().counter("deploy.sat.total").value()));
-      }
+    if (record) {
+      sample.live_bytes = live;
+      obs::record_step(tiers, step_keys_[si], sample);
     }
   }
   ITensor result =

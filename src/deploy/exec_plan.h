@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "deploy/deploy_model.h"
+#include "obs/profile.h"
 #include "tensor/tensor.h"
 
 namespace t2c {
@@ -83,11 +84,11 @@ class ExecutionPlan {
  private:
   std::vector<Step> steps_;
   std::vector<std::shared_ptr<const PackedWeights>> packed_;
-  /// Interned event-ring ids (obs/flight.h), parallel to steps_: one
-  /// "deploy.step.<kind>[:<label>]" key per step, resolved once at
-  /// compile time so the execute loop records each step without building
-  /// a key string (zero allocations per step).
-  std::vector<std::uint32_t> step_keys_;
+  /// Step identities (obs/profile.h), parallel to steps_: the
+  /// `<kind>[:<label>]` name, kernel tag and event-ring key, interned once
+  /// at compile time so the execute loop records each step without
+  /// building a string (zero allocations per step).
+  std::vector<obs::StepKey> step_keys_;
   std::size_t num_slots_ = 0;
   std::size_t inplace_steps_ = 0;
   int output_slot_ = -1;  ///< slot of the output value; -1 = the input

@@ -7,14 +7,6 @@
 
 namespace t2c::obs {
 
-namespace detail {
-std::atomic<bool> g_capture_enabled{false};
-}  // namespace detail
-
-void set_capture_enabled(bool on) {
-  detail::g_capture_enabled.store(on, std::memory_order_relaxed);
-}
-
 void TapRegistry::set_sample_cap(std::int64_t cap) {
   const std::lock_guard<std::mutex> lock(mu_);
   cap_ = cap;

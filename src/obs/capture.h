@@ -13,24 +13,19 @@
 // consumers can tell a truncated capture from a complete one.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/tier.h"
+
 namespace t2c::obs {
 
-namespace detail {
-extern std::atomic<bool> g_capture_enabled;
-}  // namespace detail
-
 /// Global switch for all tensor capture (default: disabled).
-inline bool capture_enabled() {
-  return detail::g_capture_enabled.load(std::memory_order_relaxed);
-}
-void set_capture_enabled(bool on);
+inline bool capture_enabled() { return tier_on(kTierCapture); }
+inline void set_capture_enabled(bool on) { set_tier(kTierCapture, on); }
 
 /// One captured tensor stream. Values are stored as doubles: every integer
 /// the deploy path produces (|v| < 2^53) and every float the training path

@@ -11,14 +11,6 @@
 
 namespace t2c::obs {
 
-namespace detail {
-std::atomic<bool> g_flight_enabled{false};
-}  // namespace detail
-
-void set_flight_enabled(bool on) {
-  detail::g_flight_enabled.store(on, std::memory_order_relaxed);
-}
-
 const char* flight_kind_name(FlightKind k) {
   switch (k) {
     case FlightKind::kStep:

@@ -25,7 +25,7 @@
 //     and released by RequestScope — exact, scannable from a handler.
 //
 // Producers record while either consumer is on (event_ring_enabled() in
-// telemetry.h); the disabled hot path is two relaxed loads, pinned by the
+// telemetry.h); the disabled hot path is one tier-word load, pinned by the
 // alloc-count tests.
 #pragma once
 
@@ -33,18 +33,14 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "obs/tier.h"
+
 namespace t2c::obs {
 
-namespace detail {
-extern std::atomic<bool> g_flight_enabled;
-}  // namespace detail
-
-inline bool flight_enabled() {
-  return detail::g_flight_enabled.load(std::memory_order_relaxed);
-}
+inline bool flight_enabled() { return tier_on(kTierFlight); }
 /// Flipped on by install_crash_handlers(); exposed for tests and for
 /// callers that want the recorder without the signal handlers.
-void set_flight_enabled(bool on);
+inline void set_flight_enabled(bool on) { set_tier(kTierFlight, on); }
 
 /// What one event records. Step, request-done and saturation events feed
 /// the telemetry windows too; request starts, pool regions and marks are

@@ -7,19 +7,12 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/profile.h"
 #include "util/build_info.h"
 #include "util/check.h"
 #include "util/jsonlite.h"
 
 namespace t2c::obs {
-
-namespace detail {
-std::atomic<bool> g_metrics_enabled{false};
-}  // namespace detail
-
-void set_metrics_enabled(bool on) {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
 
 void Gauge::set_max(double v) {
   double cur = v_.load(std::memory_order_relaxed);
@@ -40,7 +33,6 @@ void Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(sum_, v);
   double cur = min_.load(std::memory_order_relaxed);
   while (v < cur &&
@@ -50,6 +42,14 @@ void Histogram::observe(double v) {
   while (v > cur &&
          !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
+}
+
+std::int64_t Histogram::count() const {
+  std::int64_t n = 0;
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    n += counts_[i].load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 double Histogram::mean() const {
@@ -103,7 +103,6 @@ void Histogram::reset() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     counts_[i].store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
@@ -117,6 +116,21 @@ using jsonlite::json_escape;
 using jsonlite::json_num;
 
 }  // namespace
+
+HistogramStats::HistogramStats(const Histogram& h)
+    : sum(h.sum()),
+      mean(h.mean()),
+      min(h.min()),
+      max(h.max()),
+      p50(h.percentile(0.50)),
+      p95(h.percentile(0.95)),
+      p99(h.percentile(0.99)),
+      bounds(h.bounds()),
+      bucket_counts(h.bucket_counts()) {
+  // Counted from this one bucket copy, so the exposition's +Inf bucket
+  // equals _count even while observe() runs on other threads.
+  for (const std::int64_t c : bucket_counts) count += c;
+}
 
 std::vector<std::int64_t> HistogramStats::cumulative_counts() const {
   std::vector<std::int64_t> cum(bucket_counts.size(), 0);
@@ -170,47 +184,51 @@ std::string MetricsSnapshot::to_json() const {
   return os.str();
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+/// Get-or-create under the registry lock: a hit is one heterogeneous
+/// lookup, and only a miss builds the key string.
+template <typename T, typename... Args>
+T& get_or_create(std::map<std::string, std::unique_ptr<T>, std::less<>>& m,
+                 std::string_view name, Args&&... args) {
+  auto it = m.find(name);
+  if (it == m.end()) {
+    it = m.emplace(std::string(name),
+                   std::make_unique<T>(std::forward<Args>(args)...))
+             .first;
+  }
+  return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return get_or_create(counters_, name);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return get_or_create(gauges_, name);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const std::vector<double>& bounds) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(bounds);
-  return *slot;
+  return get_or_create(histograms_, name, bounds);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    HistogramStats s;
-    s.count = h->count();
-    s.sum = h->sum();
-    s.mean = h->mean();
-    s.min = h->min();
-    s.max = h->max();
-    s.p50 = h->percentile(0.50);
-    s.p95 = h->percentile(0.95);
-    s.p99 = h->percentile(0.99);
-    s.bounds = h->bounds();
-    s.bucket_counts = h->bucket_counts();
-    snap.histograms[name] = std::move(s);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
+    for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
+    for (const auto& [name, h] : histograms_) {
+      snap.histograms.emplace(name, HistogramStats(*h));
+    }
   }
+  add_step_metrics(snap);
   return snap;
 }
 
@@ -226,6 +244,7 @@ void MetricsRegistry::reset() {
   // disabled flag keeps gated hot paths from re-registering half a run's
   // worth of metrics against a cleared registry.
   set_metrics_enabled(false);
+  clear_step_metrics();
   const std::lock_guard<std::mutex> lock(mu_);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   counters_.clear();

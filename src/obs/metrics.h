@@ -5,6 +5,9 @@
 // gated on `metrics_enabled()` (default off): hot paths check the flag
 // once per op/step and accumulate per-element statistics in locals, so a
 // disabled build path pays one relaxed load and one predictable branch.
+// The per-step series (`deploy.op_ms.*`, `profile.*.<kind>`, `pmu.*`) are
+// not registry instruments: snapshot() reads them from the step rows
+// (profile.h), which the executor writes without a lock or a name lookup.
 //
 // Naming convention (see README "Observability"): dot-separated
 // `<stage>.<metric>[.<kind>][:<layer label>]`, e.g.
@@ -18,13 +21,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/tier.h"
 
 namespace t2c::obs {
 
 namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
-
 /// fetch_add for atomic<double> without relying on C++20 FP atomics.
 inline void atomic_add(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
@@ -34,10 +38,8 @@ inline void atomic_add(std::atomic<double>& a, double v) {
 }  // namespace detail
 
 /// Global switch for all metric collection (default: disabled).
-inline bool metrics_enabled() {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-void set_metrics_enabled(bool on);
+inline bool metrics_enabled() { return tier_on(kTierMetrics); }
+inline void set_metrics_enabled(bool on) { set_tier(kTierMetrics, on); }
 
 /// Monotonic event count.
 class Counter {
@@ -72,7 +74,9 @@ class Histogram {
 
   void observe(double v);
 
-  std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// The sum of the bucket counts, so a count read alongside
+  /// bucket_counts() never disagrees with them by an observe() in flight.
+  std::int64_t count() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const;
   double min() const;
@@ -87,7 +91,6 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::int64_t>[]> counts_;
-  std::atomic<std::int64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
   std::atomic<double> max_{0.0};
@@ -97,6 +100,9 @@ class Histogram {
 /// p99 rides along with p50/p95 because profiler tail latency needs more
 /// than the median and one shoulder percentile.
 struct HistogramStats {
+  HistogramStats() = default;
+  explicit HistogramStats(const Histogram& h);
+
   std::int64_t count = 0;
   double sum = 0.0;
   double mean = 0.0;
@@ -128,13 +134,15 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// Get-or-create; the same name always returns the same instance.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// Get-or-create; the same name always returns the same instance. A hit
+  /// takes the registry lock but never allocates.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// `bounds` applies only on first creation of `name`.
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        const std::vector<double>& bounds = latency_ms_buckets());
 
+  /// The registry's instruments plus the step rows' metrics view.
   MetricsSnapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
   void write_json(const std::string& path) const;
@@ -148,10 +156,10 @@ class MetricsRegistry {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Drops every registered metric and disables collection (the global
-  /// enable flag is cleared first, so gated hot paths stop touching the
-  /// registry). References obtained earlier dangle; intended for test
-  /// isolation and between CLI runs only.
+  /// Drops every registered metric, empties the step rows' metrics view
+  /// and disables collection (the global enable flag is cleared first, so
+  /// gated hot paths stop touching the registry). References obtained
+  /// earlier dangle; intended for test isolation and between CLI runs only.
   void reset();
 
   /// Default buckets for millisecond latencies (sub-us .. multi-second).
@@ -159,9 +167,9 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::atomic<std::uint64_t> generation_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "obs/pmu.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -16,10 +17,6 @@
 #endif
 
 namespace t2c::obs {
-
-namespace detail {
-std::atomic<bool> g_pmu_enabled{false};
-}  // namespace detail
 
 namespace {
 
@@ -98,31 +95,34 @@ bool probe_hardware() {
 #endif
 }
 
+/// A sample's counter fields, in perf group order (the five named events,
+/// then the raw ones; PerfCounterGroup::open's event index) and cpu_ns.
+template <typename Sample>
+auto fields(Sample& s) {
+  static_assert(kMaxRawEvents == 4, "fields() lists every raw event");
+  return std::array<decltype(&s.cycles), kPmuFields>{
+      &s.cycles, &s.instructions, &s.cache_refs, &s.cache_misses,
+      &s.branch_misses, &s.raw[0], &s.raw[1], &s.raw[2], &s.raw[3],
+      &s.cpu_ns};
+}
+
 }  // namespace
 
 void PmuSample::accumulate(const PmuSample& other) {
-  cycles += other.cycles;
-  instructions += other.instructions;
-  cache_refs += other.cache_refs;
-  cache_misses += other.cache_misses;
-  branch_misses += other.branch_misses;
-  for (int i = 0; i < kMaxRawEvents; ++i) raw[i] += other.raw[i];
-  cpu_ns += other.cpu_ns;
+  const auto a = fields(*this);
+  const auto b = fields(other);
+  for (int i = 0; i < kPmuFields; ++i) *a[i] += *b[i];
   hw = hw || other.hw;
 }
 
 PmuSample pmu_delta(const PmuCounts& begin, const PmuCounts& end) {
-  const auto d = [](std::int64_t b, std::int64_t e) {
-    return std::max<std::int64_t>(0, e - b);
-  };
   PmuSample s;
-  s.cycles = d(begin.cycles, end.cycles);
-  s.instructions = d(begin.instructions, end.instructions);
-  s.cache_refs = d(begin.cache_refs, end.cache_refs);
-  s.cache_misses = d(begin.cache_misses, end.cache_misses);
-  s.branch_misses = d(begin.branch_misses, end.branch_misses);
-  for (int i = 0; i < kMaxRawEvents; ++i) s.raw[i] = d(begin.raw[i], end.raw[i]);
-  s.cpu_ns = d(begin.cpu_ns, end.cpu_ns);
+  const auto d = fields(s);
+  const auto b = fields(begin);
+  const auto e = fields(end);
+  for (int i = 0; i < kPmuFields; ++i) {
+    *d[i] = std::max<std::int64_t>(0, *e[i] - *b[i]);
+  }
   s.hw = begin.hw && end.hw;
   return s;
 }
@@ -197,12 +197,9 @@ void PerfCounterGroup::read(PmuCounts& out) const {
       (running > 0 && running < enabled)
           ? static_cast<double>(enabled) / static_cast<double>(running)
           : 1.0;
-  std::int64_t* fields[5 + kMaxRawEvents] = {
-      &out.cycles,        &out.instructions, &out.cache_refs,
-      &out.cache_misses,  &out.branch_misses, &out.raw[0],
-      &out.raw[1],        &out.raw[2],        &out.raw[3]};
+  const auto f = fields(out);
   for (int i = 0; i < n_open_; ++i) {
-    *fields[field_of_[i]] = static_cast<std::int64_t>(
+    *f[field_of_[i]] = static_cast<std::int64_t>(
         static_cast<double>(buf[3 + i]) * scale);
   }
   out.hw = true;
@@ -236,8 +233,7 @@ void set_pmu_mode(PmuMode mode) {
   g_mode.store(mode, std::memory_order_relaxed);
   g_tier.store(tier, std::memory_order_relaxed);
   g_generation.fetch_add(1, std::memory_order_acq_rel);
-  detail::g_pmu_enabled.store(tier != PmuTier::kDisabled,
-                              std::memory_order_relaxed);
+  set_tier(kTierPmu, tier != PmuTier::kDisabled);
 }
 
 PmuMode pmu_mode() { return g_mode.load(std::memory_order_relaxed); }
@@ -287,29 +283,24 @@ PerfCounterGroup& thread_pmu() {
 }
 
 void PmuAccumulator::add(const PmuSample& s) {
-  cycles_.fetch_add(s.cycles, std::memory_order_relaxed);
-  instructions_.fetch_add(s.instructions, std::memory_order_relaxed);
-  cache_refs_.fetch_add(s.cache_refs, std::memory_order_relaxed);
-  cache_misses_.fetch_add(s.cache_misses, std::memory_order_relaxed);
-  branch_misses_.fetch_add(s.branch_misses, std::memory_order_relaxed);
-  for (int i = 0; i < kMaxRawEvents; ++i) {
-    raw_[i].fetch_add(s.raw[i], std::memory_order_relaxed);
+  const auto f = fields(s);
+  for (int i = 0; i < kPmuFields; ++i) {
+    sums_[i].fetch_add(*f[i], std::memory_order_relaxed);
   }
-  cpu_ns_.fetch_add(s.cpu_ns, std::memory_order_relaxed);
   if (s.hw) hw_.store(true, std::memory_order_relaxed);
 }
 
 void PmuAccumulator::snapshot(PmuCounts& out) const {
-  out.cycles = cycles_.load(std::memory_order_relaxed);
-  out.instructions = instructions_.load(std::memory_order_relaxed);
-  out.cache_refs = cache_refs_.load(std::memory_order_relaxed);
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  out.branch_misses = branch_misses_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kMaxRawEvents; ++i) {
-    out.raw[i] = raw_[i].load(std::memory_order_relaxed);
+  const auto f = fields(out);
+  for (int i = 0; i < kPmuFields; ++i) {
+    *f[i] = sums_[i].load(std::memory_order_relaxed);
   }
-  out.cpu_ns = cpu_ns_.load(std::memory_order_relaxed);
   out.hw = hw_.load(std::memory_order_relaxed);
+}
+
+void PmuAccumulator::reset() {
+  for (auto& s : sums_) s.store(0, std::memory_order_relaxed);
+  hw_.store(false, std::memory_order_relaxed);
 }
 
 PmuAccumulator& pmu_worker_acc() {

@@ -31,6 +31,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "obs/tier.h"
+
 namespace t2c::obs {
 
 /// What the user asked for (t2c_cli --pmu MODE, default auto).
@@ -39,13 +41,7 @@ enum class PmuMode { kOff, kAuto, kCpuTime, kHardware };
 /// What the probe actually got.
 enum class PmuTier { kDisabled, kCpuTime, kHardware };
 
-namespace detail {
-extern std::atomic<bool> g_pmu_enabled;
-}  // namespace detail
-
-inline bool pmu_enabled() {
-  return detail::g_pmu_enabled.load(std::memory_order_relaxed);
-}
+inline bool pmu_enabled() { return tier_on(kTierPmu); }
 
 /// Applies a mode: probes the tier (kAuto/kHardware try the full hardware
 /// group on the calling thread and degrade to kCpuTime when the syscall
@@ -63,28 +59,20 @@ PmuMode parse_pmu_mode(const char* text);
 
 /// Raw events configured via T2C_PMU_RAW ("r11,rc5", hex perf configs).
 constexpr int kMaxRawEvents = 4;
+/// Counter fields of a PmuSample: five named events, the raw events and
+/// cpu_ns.
+constexpr int kPmuFields = 5 + kMaxRawEvents + 1;
 /// Number of configured raw events (0 when unset/invalid); stable after
 /// the first set_pmu_mode().
 int pmu_num_raw_events();
 /// Config code of raw event `i` (for labelling, e.g. "r11").
 std::uint64_t pmu_raw_event_config(int i);
 
-/// One cumulative per-thread reading. Fixed-size — reading never
-/// allocates. `hw` marks the cycle/instruction/cache/branch fields valid
-/// (tier kHardware with an open group on this thread); cpu_ns is valid at
-/// every enabled tier.
-struct PmuCounts {
-  std::int64_t cycles = 0;
-  std::int64_t instructions = 0;
-  std::int64_t cache_refs = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t branch_misses = 0;
-  std::int64_t raw[kMaxRawEvents] = {0, 0, 0, 0};
-  std::int64_t cpu_ns = 0;
-  bool hw = false;
-};
-
-/// The delta of two readings (same thread) or a sum of such deltas.
+/// One cumulative per-thread reading (PmuCounts), the delta of two
+/// readings on the same thread, or a sum of such deltas. Fixed-size —
+/// reading never allocates. `hw` marks the cycle/instruction/cache/branch
+/// fields valid (tier kHardware with an open group on this thread); cpu_ns
+/// is valid at every enabled tier.
 struct PmuSample {
   std::int64_t cycles = 0;
   std::int64_t instructions = 0;
@@ -97,6 +85,7 @@ struct PmuSample {
 
   void accumulate(const PmuSample& other);
 };
+using PmuCounts = PmuSample;
 
 /// end - begin, clamped at zero per field (counter wraps and multiplex
 /// scaling can produce tiny negative deltas).
@@ -139,25 +128,21 @@ class PerfCounterGroup {
 /// relaxed load and a compare.
 PerfCounterGroup& thread_pmu();
 
-/// Process-wide sum of pooled-worker chunk samples (parts >= 1 only; see
-/// the attribution rules above). The executor snapshots it around each
-/// step and charges the difference to that step.
+/// Lock-free sum of samples. pmu_worker_acc() is the process-wide sum of
+/// pooled-worker chunk samples (parts >= 1 only; see the attribution
+/// rules above): the executor snapshots it around each step and charges
+/// the difference to that step. Step rows (profile.h) keep one per view.
 class PmuAccumulator {
  public:
   void add(const PmuSample& s);
-  /// Cumulative totals since process start; monotone, so two snapshots
-  /// bracket a step. `out.hw` reports whether any hardware sample ever
-  /// landed (cleared fields stay zero at lower tiers).
+  /// Cumulative totals since the last reset(); monotone, so two snapshots
+  /// bracket a step. `out.hw` reports whether any hardware sample landed
+  /// (cleared fields stay zero at lower tiers).
   void snapshot(PmuCounts& out) const;
+  void reset();
 
  private:
-  std::atomic<std::int64_t> cycles_{0};
-  std::atomic<std::int64_t> instructions_{0};
-  std::atomic<std::int64_t> cache_refs_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
-  std::atomic<std::int64_t> branch_misses_{0};
-  std::atomic<std::int64_t> raw_[kMaxRawEvents] = {};
-  std::atomic<std::int64_t> cpu_ns_{0};
+  std::atomic<std::int64_t> sums_[kPmuFields] = {};
   std::atomic<bool> hw_{false};
 };
 

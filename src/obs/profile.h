@@ -1,38 +1,34 @@
-// Execution profiler — per-op roofline accounting for the integer deploy
-// path (DESIGN.md §3.8).
+// Step records and the execution profiler — per-op roofline accounting
+// for the integer deploy path (DESIGN.md §3.8).
 //
-// The planned executor (deploy/exec_plan) feeds one sample per executed
-// step: wall milliseconds plus an OpCost (FLOPs, MACs, bytes moved)
-// derived purely from operand/output *shapes* via DeployOp::cost(). Shape
-//-derived costs make profiles thread-count-invariant: run the same model
-// at --threads 1 and 16 and every count/FLOP/byte column diffs clean —
-// only the timing columns move.
+// Every executed plan step has one record path. ExecutionPlan::execute
+// loads the tier word once per run; with a step tier on, each step makes
+// one record_step() call keyed by the StepKey interned at plan compile.
+// That call pushes the event-ring event, writes the step's per-name row
+// (relaxed atomics: no lock, no string, no allocation once the row exists)
+// and, with tracing on, one trace event carrying the interned name. The
+// profiler report, the metrics snapshot (`deploy.op_ms.*`,
+// `profile.{flops,macs,bytes}.<kind>`, `pmu.*`, hence /metrics) and the
+// trace export read names from the rows at report time.
 //
-// Collection is gated on `profile_enabled()` (default off) with the same
-// one-relaxed-load-per-step discipline as metrics/tracing: a disabled run
-// takes the un-instrumented executor branch and never touches the
-// profiler (no allocation, no lock).
+// Costs are OpCosts (FLOPs, MACs, bytes moved) derived purely from
+// operand/output *shapes* via DeployOp::cost(), so profiles are
+// thread-count-invariant: run the same model at --threads 1 and 16 and
+// every count/FLOP/byte column diffs clean — only the timing columns move.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/pmu.h"
 
 namespace t2c::obs {
 
-namespace detail {
-extern std::atomic<bool> g_profile_enabled;
-}  // namespace detail
-
-inline bool profile_enabled() {
-  return detail::g_profile_enabled.load(std::memory_order_relaxed);
-}
-void set_profile_enabled(bool on);
+inline bool profile_enabled() { return tier_on(kTierProfile); }
+inline void set_profile_enabled(bool on) { set_tier(kTierProfile, on); }
 
 /// Work and traffic of one op execution, derived from shapes only (never
 /// from timings or the thread partition). Conventions in DESIGN.md §3.8:
@@ -106,46 +102,83 @@ struct ProfileReport {
   std::string to_json() const;
 };
 
-/// Aggregates per-op samples. Keys follow the deploy.op_ms convention
-/// (`<kind>[:<label>]`); repeated executions of the same key (multiple
-/// batches, repeated layers with empty labels) accumulate.
+// ---- step records ----
+
+struct MetricsSnapshot;
+struct StepRow;
+
+/// A name interned at full length: never truncated, never merged, never
+/// freed, so its address is the id rows, kernel tags and trace events
+/// carry. A step name's row is created by its first instrumented record.
+struct Name {
+  std::string str;
+  mutable std::atomic<StepRow*> row{nullptr};
+};
+/// Interns `s` (cold: takes a lock; call at plan compile or once per
+/// site). The same string always returns the same Name.
+const Name* intern(std::string_view s);
+
+/// One plan step's identity, interned at plan compile.
+struct StepKey {
+  const Name* name = nullptr;    ///< `<kind>[:<label>]`: the row's name
+  const Name* kernel = nullptr;  ///< compile-time kernel tag; null = none
+  std::uint32_t ring = 0;        ///< flight_key("deploy.step.<name>")
+};
+/// `name` is `<kind>[:<label>]`; `kernel` is DeployOp::kernel().
+StepKey step_key(std::string_view name, std::string_view kernel = {});
+
+/// What one executed step reports.
+struct StepSample {
+  std::int64_t t0_ns = 0;  ///< start, mono_now_ns()
+  double ms = 0.0;         ///< wall time
+  OpCost cost;             ///< modeled work (profile tier)
+  bool has_pmu = false;    ///< `pmu` holds the step's counter deltas
+  PmuSample pmu;
+  /// The step's work ran in its producer's epilogue: kernel tag "fused".
+  bool fused = false;
+  std::int64_t live_bytes = 0;  ///< arena occupancy after the step
+
+  /// Resets the sample and opens the clock bracket, plus the PMU bracket
+  /// (DESIGN.md §3.9) when both the profile and PMU tiers are on.
+  void start(std::uint32_t tiers);
+  /// Closes the brackets into t0_ns, ms and pmu.
+  void stop();
+
+ private:
+  PmuCounts self0_, acc0_;
+};
+
+/// The one record call per executed step, under the caller's tier word:
+/// the ring event (flight, telemetry), the row's metrics view (metrics),
+/// its profile view (profile; cost and PMU sums, the capped sample
+/// reservoir, the kernel tag) and the trace span and counters (trace).
+void record_step(std::uint32_t tiers, const StepKey& key,
+                 const StepSample& s);
+
+/// Adds the rows' metrics view to a snapshot (MetricsRegistry::snapshot).
+void add_step_metrics(MetricsSnapshot& snap);
+/// Empties the rows' metrics view (MetricsRegistry::reset).
+void clear_step_metrics();
+
+/// The profile view of the step rows: every row recorded with profile on
+/// since the last clear(), one ProfileRow per name. Repeated executions of
+/// a name (multiple batches, repeated layers sharing a label) accumulate;
+/// the sample reservoir keeps the first kMaxSamples latencies of a row
+/// (the cap affects tail percentiles of very long runs only, never the
+/// call/FLOP/byte totals); the last non-empty kernel tag wins.
 class Profiler {
  public:
-  /// Records one executed step. Costs add; `ms` lands in the per-key
-  /// sample set (capped at kMaxSamples per key to bound memory — the cap
-  /// affects tail percentiles of very long runs only, never the
-  /// call/FLOP/byte totals). `pmu` (optional) attaches the measured
-  /// counter deltas attributed to this step; its fields sum per key.
-  /// `kernel` names the kernel the executor dispatched (empty for single-
-  /// implementation ops; the last non-empty value per key wins).
-  void record_step(const std::string& key, double ms, const OpCost& cost,
-                   const PmuSample* pmu = nullptr,
-                   const std::string& kernel = {});
-
   ProfileReport report() const;
 
   std::size_t num_keys() const;
 
-  /// Drops every aggregate (test isolation and between CLI phases).
+  /// Empties the profile view (test isolation and between CLI phases).
   void clear();
 
   static constexpr std::size_t kMaxSamples = 8192;
-
- private:
-  struct Agg {
-    std::int64_t calls = 0;
-    double total_ms = 0.0;
-    std::vector<double> samples_ms;
-    OpCost cost;
-    std::string kernel;
-    std::int64_t pmu_steps = 0;
-    PmuSample pmu;
-  };
-  mutable std::mutex mu_;
-  std::map<std::string, Agg> agg_;
 };
 
-/// The process-wide profiler the planned executor writes to.
+/// The process-wide profiler view.
 Profiler& profiler();
 
 }  // namespace t2c::obs

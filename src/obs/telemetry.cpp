@@ -21,14 +21,6 @@ namespace t2c::obs {
 static_assert(MonotonicClock::is_steady,
               "telemetry requires the repo-wide monotonic clock");
 
-namespace detail {
-std::atomic<bool> g_telemetry_enabled{false};
-}  // namespace detail
-
-void set_telemetry_enabled(bool on) {
-  detail::g_telemetry_enabled.store(on, std::memory_order_relaxed);
-}
-
 namespace {
 
 /// How many completed requests the snapshot retains.

@@ -43,23 +43,15 @@
 
 namespace t2c::obs {
 
-namespace detail {
-extern std::atomic<bool> g_telemetry_enabled;
-}  // namespace detail
-
-inline bool telemetry_enabled() {
-  return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
-}
+inline bool telemetry_enabled() { return tier_on(kTierTelemetry); }
 /// Normally flipped by TelemetryHub::start()/stop(); exposed for tests
 /// that exercise the record path without an aggregator thread.
-void set_telemetry_enabled(bool on);
+inline void set_telemetry_enabled(bool on) { set_tier(kTierTelemetry, on); }
 
 /// True while either consumer of the event rings is on — the flight
 /// recorder or the telemetry plane. Producers gate their one
 /// flight_record() per event on this.
-inline bool event_ring_enabled() {
-  return flight_enabled() || telemetry_enabled();
-}
+inline bool event_ring_enabled() { return tier_on(kRingTiers); }
 
 // ---- request attribution ----
 

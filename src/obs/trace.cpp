@@ -4,32 +4,21 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <type_traits>
 
+#include "obs/profile.h"
 #include "util/build_info.h"
 #include "util/check.h"
 #include "util/jsonlite.h"
 
 namespace t2c::obs {
 
-// Every trace timestamp must come from the same monotonic clock the
-// stopwatch and the telemetry plane use (DESIGN.md §3.10).
-static_assert(std::is_same_v<TraceRecorder::Clock, MonotonicClock>,
-              "TraceRecorder must use the repo-wide monotonic clock");
-static_assert(MonotonicClock::is_steady,
-              "the shared timing clock must be monotonic");
-
-namespace detail {
-std::atomic<bool> g_trace_enabled{false};
-
 namespace {
 std::atomic<int> g_next_tid{1};
 }  // namespace
-}  // namespace detail
 
 int trace_tid() {
   thread_local const int tid =
-      detail::g_next_tid.fetch_add(1, std::memory_order_relaxed);
+      g_next_tid.fetch_add(1, std::memory_order_relaxed);
   return tid;
 }
 
@@ -44,14 +33,12 @@ void name_current_thread(const std::string& name) {
 }
 
 void set_trace_enabled(bool on) {
-  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
+  set_tier(kTierTrace, on);
   if (on) name_current_thread("main");
 }
 
-std::int64_t TraceRecorder::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               epoch_)
-      .count();
+std::int64_t TraceRecorder::us_at(std::int64_t mono_ns) const {
+  return (mono_ns - epoch_ns_.load(std::memory_order_relaxed)) / 1000;
 }
 
 void TraceRecorder::record(Event e) {
@@ -59,10 +46,10 @@ void TraceRecorder::record(Event e) {
   events_.push_back(std::move(e));
 }
 
-void TraceRecorder::counter(std::string name, std::string cat, double value) {
+void TraceRecorder::counter(const Name* key, const char* cat, double value) {
   Event e;
-  e.name = std::move(name);
-  e.cat = std::move(cat);
+  e.key = key;
+  e.cat = cat;
   e.ph = 'C';
   e.ts_us = now_us();
   e.tid = trace_tid();
@@ -78,7 +65,9 @@ std::size_t TraceRecorder::size() const {
 TraceRecorder::Event TraceRecorder::event(std::size_t i) const {
   const std::lock_guard<std::mutex> lock(mu_);
   check(i < events_.size(), "TraceRecorder::event: index out of range");
-  return events_[i];
+  Event e = events_[i];
+  if (e.key != nullptr) e.name = e.key->str;
+  return e;
 }
 
 std::string TraceRecorder::to_json() const {
@@ -119,8 +108,9 @@ std::string TraceRecorder::to_json() const {
                    });
   for (const Event* ep : ordered) {
     const Event& e = *ep;
-    os << ",{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-       << json_escape(e.cat) << "\",\"ph\":\"" << e.ph
+    os << ",{\"name\":\""
+       << json_escape(e.key != nullptr ? e.key->str : e.name)
+       << "\",\"cat\":\"" << json_escape(e.cat) << "\",\"ph\":\"" << e.ph
        << "\",\"ts\":" << e.ts_us;
     if (e.ph == 'X') os << ",\"dur\":" << e.dur_us;
     os << ",\"pid\":1,\"tid\":" << e.tid;
@@ -146,7 +136,7 @@ void TraceRecorder::write_json(const std::string& path) const {
 void TraceRecorder::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  epoch_ = Clock::now();
+  epoch_ns_.store(mono_now_ns(), std::memory_order_relaxed);
 }
 
 TraceRecorder& tracer() {
@@ -154,8 +144,8 @@ TraceRecorder& tracer() {
   return *rec;
 }
 
-TraceSpan::TraceSpan(std::string name, std::string cat)
-    : name_(std::move(name)), cat_(std::move(cat)) {
+TraceSpan::TraceSpan(std::string name, const char* cat)
+    : name_(std::move(name)), cat_(cat) {
   if (trace_enabled()) start_us_ = tracer().now_us();
 }
 
@@ -164,7 +154,7 @@ TraceSpan::~TraceSpan() {
   const std::int64_t end = tracer().now_us();
   TraceRecorder::Event e;
   e.name = std::move(name_);
-  e.cat = std::move(cat_);
+  e.cat = cat_;
   e.ts_us = start_us_;
   e.dur_us = end - start_us_;
   e.tid = trace_tid();

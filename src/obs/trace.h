@@ -8,28 +8,27 @@
 // workers register as `pool.worker.N`), and "C" counter events chart
 // time-series values (arena bytes, pool occupancy, saturation) alongside
 // the spans. Collection is gated on `trace_enabled()` (default off); a
-// disabled span costs one relaxed load per constructor.
+// disabled span costs one relaxed load per constructor. Spans own their
+// names (coarse but unbounded: `train.epoch.N`); plan steps, pool chunks
+// and per-step counters carry an interned name (profile.h) resolved only
+// at export, so recording them never builds a string.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/tier.h"
 #include "util/stopwatch.h"
 
 namespace t2c::obs {
 
-namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-}  // namespace detail
+struct Name;
 
-inline bool trace_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
+inline bool trace_enabled() { return tier_on(kTierTrace); }
 /// Enabling also names the calling thread "main" when it has no name yet,
 /// so single-threaded traces come out fully labelled.
 void set_trace_enabled(bool on);
@@ -46,14 +45,10 @@ void name_current_thread(const std::string& name);
 
 class TraceRecorder {
  public:
-  /// The recorder's timebase. Must stay the repo-wide monotonic clock
-  /// (util/stopwatch.h): exporter windows and trace spans are compared
-  /// against each other, so they must never disagree about time.
-  using Clock = MonotonicClock;
-
   struct Event {
-    std::string name;
-    std::string cat;
+    std::string name;         ///< owned name; empty when `key` names it
+    const Name* key = nullptr;  ///< interned name (steps, chunks, counters)
+    const char* cat = "t2c";  ///< static category string
     char ph = 'X';            ///< 'X' complete span or 'C' counter sample
     std::int64_t ts_us = 0;   ///< start, microseconds since the epoch mark
     std::int64_t dur_us = 0;  ///< duration in microseconds ('X' only)
@@ -62,16 +57,21 @@ class TraceRecorder {
     std::uint64_t req = 0;    ///< request id ('X' only; 0 = unattributed)
   };
 
-  /// Microseconds since the recorder epoch (reset by clear()).
-  std::int64_t now_us() const;
+  /// Microseconds since the recorder epoch (reset by clear()). The
+  /// timebase is mono_now_ns(), the repo-wide monotonic clock the
+  /// exporter's windows also use (DESIGN.md §3.10).
+  std::int64_t now_us() const { return us_at(mono_now_ns()); }
+  /// The recorder time of a mono_now_ns() reading.
+  std::int64_t us_at(std::int64_t mono_ns) const;
 
   void record(Event e);
 
   /// Records one "C" counter sample at now_us() on the calling thread's
   /// track. Callers gate on trace_enabled().
-  void counter(std::string name, std::string cat, double value);
+  void counter(const Name* key, const char* cat, double value);
 
   std::size_t size() const;
+  /// Event `i` in record order, its interned name (if any) resolved.
   Event event(std::size_t i) const;
 
   /// {"traceEvents":[...],"displayTimeUnit":"ms"} — the Chrome trace_event
@@ -89,7 +89,7 @@ class TraceRecorder {
   friend void name_current_thread(const std::string& name);
 
   mutable std::mutex mu_;
-  Clock::time_point epoch_ = Clock::now();
+  std::atomic<std::int64_t> epoch_ns_{mono_now_ns()};
   std::vector<Event> events_;
   std::vector<std::pair<int, std::string>> thread_names_;  ///< tid -> name
 };
@@ -102,14 +102,15 @@ TraceRecorder& tracer();
 /// construction time.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name, std::string cat = "t2c");
+  /// `cat` must be a static string (a literal).
+  explicit TraceSpan(std::string name, const char* cat = "t2c");
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
   std::string name_;
-  std::string cat_;
+  const char* cat_;
   std::int64_t start_us_ = -1;  ///< -1 = span inactive (tracing was off)
 };
 

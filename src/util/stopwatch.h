@@ -5,9 +5,10 @@
 // and the telemetry plane's event/window timestamps all derive from
 // MonotonicClock (std::chrono::steady_clock). Mixing clocks would let a
 // wall-clock adjustment tear a sliding window or produce a trace whose
-// spans disagree with the exporter's rates; trace.cpp and telemetry.cpp
-// static_assert against this alias so a drive-by clock swap fails to
-// compile instead of corrupting artifacts.
+// spans disagree with the exporter's rates. The trace recorder and the
+// event rings stamp with mono_now_ns(), and telemetry.cpp static_asserts
+// that this alias is steady, so a drive-by clock swap fails to compile
+// instead of corrupting artifacts.
 #pragma once
 
 #include <chrono>

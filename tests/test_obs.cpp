@@ -3,11 +3,14 @@
 // run producing per-op latency and saturation metrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_count.h"
+#include "core/parallel.h"
 #include "deploy/deploy_model.h"
 #include "deploy/int_ops.h"
 #include "obs/log.h"
@@ -111,6 +114,50 @@ TEST_F(ObsTest, SnapshotJsonIsDeterministicAndSorted) {
   EXPECT_NE(j1.find("\"histograms\":{"), std::string::npos);
   EXPECT_NE(j1.find("\"z.gauge\":1.5"), std::string::npos);
   EXPECT_NE(j1.find("\"le\":\"inf\""), std::string::npos);
+}
+
+// run_int sets its deploy.mem.* gauges on every instrumented run; their
+// names outgrow the small-string buffer, so a hit must not build a key.
+TEST_F(ObsTest, RegistryHitsWithLongNamesAllocateNothing) {
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  // Pool workers allocate as they start (track names, event rings). One
+  // pooled region returns only once every worker is up, so none of that
+  // lands inside the count below.
+  par::parallel_for(0, par::max_threads(), 1,
+                    [](std::int64_t, std::int64_t) {});
+  obs::metrics().gauge("deploy.mem.naive_bytes").set(1.0);
+  obs::metrics().counter("deploy.mem.naive_count").add(1);
+  obs::metrics().histogram("deploy.mem.naive_histo").observe(1.0);
+  const std::int64_t before = g_t2c_alloc_count.load();
+  obs::metrics().gauge("deploy.mem.naive_bytes").set(2.0);
+  obs::metrics().counter("deploy.mem.naive_count").add(1);
+  obs::metrics().histogram("deploy.mem.naive_histo").observe(2.0);
+  EXPECT_EQ(g_t2c_alloc_count.load(), before);
+  EXPECT_DOUBLE_EQ(obs::metrics().gauge("deploy.mem.naive_bytes").value(),
+                   2.0);
+}
+
+// A snapshot taken while another thread observes stays self-consistent:
+// the Prometheus exposition requires the +Inf bucket to equal _count.
+TEST_F(ObsTest, SnapshotCountsMatchBucketsDuringObserves) {
+  obs::Histogram& h = obs::metrics().histogram("race.h", {1.0, 10.0});
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      h.observe(static_cast<double>(i % 20));
+    }
+  });
+  int mismatches = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const obs::HistogramStats s =
+        obs::metrics().snapshot().histograms.at("race.h");
+    if (s.cumulative_counts().back() != s.count) ++mismatches;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST_F(ObsTest, SnapshotCopiesValues) {

@@ -171,12 +171,13 @@ TEST_F(PmuTest, WorkerChunksLandInAccumulator) {
 }
 
 TEST_F(PmuTest, ProfilerAggregatesExplicitHardwareSamples) {
-  obs::Profiler p;
-  obs::OpCost c;
-  c.flops = 1000;
-  c.bytes_read = 512;
-  c.bytes_written = 128;  // modeled bytes = 640 = 10 lines x 64B
-  obs::PmuSample s;
+  obs::StepSample g;
+  g.ms = 4.0;
+  g.cost.flops = 1000;
+  g.cost.bytes_read = 512;
+  g.cost.bytes_written = 128;  // modeled bytes = 640 = 10 lines x 64B
+  g.has_pmu = true;
+  obs::PmuSample& s = g.pmu;
   s.cycles = 1000;
   s.instructions = 2000;
   s.cache_refs = 100;
@@ -184,11 +185,14 @@ TEST_F(PmuTest, ProfilerAggregatesExplicitHardwareSamples) {
   s.branch_misses = 3;
   s.cpu_ns = 5'000'000;
   s.hw = true;
-  p.record_step("gemm", 4.0, c, &s);
-  p.record_step("gemm", 4.0, c, &s);
-  p.record_step("untracked", 1.0, obs::OpCost{});
+  const obs::StepKey gemm_key = obs::step_key("gemm");
+  obs::record_step(obs::kTierProfile, gemm_key, g);
+  obs::record_step(obs::kTierProfile, gemm_key, g);
+  obs::StepSample untracked;
+  untracked.ms = 1.0;
+  obs::record_step(obs::kTierProfile, obs::step_key("untracked"), untracked);
 
-  const obs::ProfileReport r = p.report();
+  const obs::ProfileReport r = obs::profiler().report();
   EXPECT_TRUE(r.has_hw_pmu);
   EXPECT_TRUE(r.has_cpu_pmu);
   ASSERT_EQ(r.rows.size(), 2u);

@@ -1,14 +1,17 @@
 // Execution profiler tests (DESIGN.md §3.8): aggregation and percentiles,
 // shape-derived cost models, multi-track trace export, JSON escaping
-// round-trips, the disabled path staying allocation-free, and the headline
+// round-trips, the step record path staying allocation-free and exact
+// under concurrent runs, full-length step names, and the headline
 // guarantee — CNN and ViT profiles report identical op counts, FLOPs, and
 // bytes at 1, 4, and 16 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "core/parallel.h"
 #include "core/registry.h"
 #include "core/t2c.h"
+#include "deploy/exec_plan.h"
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
 #include "models/models.h"
@@ -43,6 +47,7 @@ class ProfileTest : public ::testing::Test {
     obs::profiler().clear();
   }
   void TearDown() override {
+    obs::set_pmu_mode(obs::PmuMode::kOff);
     obs::set_metrics_enabled(false);
     obs::set_trace_enabled(false);
     obs::set_profile_enabled(false);
@@ -53,16 +58,20 @@ class ProfileTest : public ::testing::Test {
 };
 
 TEST_F(ProfileTest, RecordStepAggregatesAndRanksByTotalTime) {
-  obs::Profiler p;
-  obs::OpCost c;
-  c.flops = 100;
-  c.macs = 50;
-  c.bytes_read = 800;
-  c.bytes_written = 80;
+  obs::Profiler& p = obs::profiler();
+  obs::StepSample s;
+  s.cost.flops = 100;
+  s.cost.macs = 50;
+  s.cost.bytes_read = 800;
+  s.cost.bytes_written = 80;
+  const obs::StepKey conv_key = obs::step_key("conv");
   for (int i = 1; i <= 100; ++i) {
-    p.record_step("conv", static_cast<double>(i), c);
+    s.ms = static_cast<double>(i);
+    obs::record_step(obs::kTierProfile, conv_key, s);
   }
-  p.record_step("cheap", 1.0, obs::OpCost{});
+  obs::StepSample cheap;
+  cheap.ms = 1.0;
+  obs::record_step(obs::kTierProfile, obs::step_key("cheap"), cheap);
   EXPECT_EQ(p.num_keys(), 2u);
 
   const obs::ProfileReport r = p.report();
@@ -168,11 +177,12 @@ TEST_F(ProfileTest, JsonEscapeRoundTripsHostileLabels) {
   EXPECT_EQ(doc.at("k").str, hostile);
 
   // The same label must survive the profile writer end to end.
-  obs::Profiler p;
-  obs::OpCost c;
-  c.flops = 7;
-  p.record_step(hostile, 1.0, c);
-  const jsonlite::JsonValue prof = jsonlite::parse_json(p.report().to_json());
+  obs::StepSample s;
+  s.ms = 1.0;
+  s.cost.flops = 7;
+  obs::record_step(obs::kTierProfile, obs::step_key(hostile), s);
+  const jsonlite::JsonValue prof =
+      jsonlite::parse_json(obs::profiler().report().to_json());
   ASSERT_EQ(prof.at("ops").array.size(), 1u);
   EXPECT_EQ(prof.at("ops").array[0].at("op").str, hostile);
 
@@ -365,6 +375,11 @@ TEST_F(ProfileTest, CnnAndVitProfilesThreadCountInvariant) {
   }
 }
 
+// The step record path allocates nothing per step once its rows exist: at
+// 4 threads, after one warm instrumented run, a run allocates exactly the
+// all-off baseline — with metrics, profile and PMU on, with tracing on too
+// (after tracer().clear(), which keeps the buffer's capacity), and with
+// everything off again.
 TEST_F(ProfileTest, DisabledPathAddsNoAllocations) {
   if (!kT2cAllocCounting) {
     GTEST_SKIP() << "operator new/delete not replaced under ASan";
@@ -386,19 +401,122 @@ TEST_F(ProfileTest, DisabledPathAddsNoAllocations) {
   const std::int64_t baseline = allocs_per_run();
   ASSERT_EQ(allocs_per_run(), baseline) << "baseline not stable";
 
-  // Instrumented runs allocate (samples, event strings, metric keys)...
+  // The warm run creates the rows, their reservoirs and the registry
+  // instruments; later runs only write them.
   obs::set_metrics_enabled(true);
-  obs::set_trace_enabled(true);
   obs::set_profile_enabled(true);
-  EXPECT_GT(allocs_per_run(), baseline);
+  obs::set_pmu_mode(obs::PmuMode::kCpuTime);
+  (void)dm.run_int(q);
+  EXPECT_EQ(allocs_per_run(), baseline) << "metrics + profile + pmu";
 
-  // ...and flipping everything off returns to the exact baseline: the
-  // disabled path never touches the profiler, recorder, or registry.
+  obs::set_trace_enabled(true);
+  (void)dm.run_int(q);
+  obs::tracer().clear();
+  EXPECT_EQ(allocs_per_run(), baseline) << "with tracing";
+
+  obs::set_trace_enabled(false);
+  obs::set_pmu_mode(obs::PmuMode::kOff);
+  obs::set_profile_enabled(false);
   obs::set_metrics_enabled(false);
+  EXPECT_EQ(allocs_per_run(), baseline) << "everything off";
+}
+
+/// `<kind>[:<label>]` of every plan step, with its occurrences per run.
+std::map<std::string, std::int64_t> step_names(const DeployModel& dm) {
+  std::map<std::string, std::int64_t> names;
+  for (const ExecutionPlan::Step& st : dm.plan().steps()) {
+    const DeployOp& op = dm.op(static_cast<std::size_t>(st.op));
+    ++names[op.kind() + (op.label.empty() ? "" : ":" + op.label)];
+  }
+  return names;
+}
+
+/// Names of the plan-step spans ("X" events in category "deploy").
+std::multiset<std::string> step_spans() {
+  std::multiset<std::string> spans;
+  for (std::size_t i = 0; i < obs::tracer().size(); ++i) {
+    const obs::TraceRecorder::Event e = obs::tracer().event(i);
+    if (e.ph == 'X' && std::string(e.cat) == "deploy") spans.insert(e.name);
+  }
+  return spans;
+}
+
+TEST_F(ProfileTest, ConcurrentRunsKeepExactRowCounts) {
+  const ThreadGuard guard;
+  par::set_max_threads(4);
+  SyntheticImageDataset data(tiny_spec());
+  const DeployModel dm = tiny_resnet_deploy(data);
+  const ITensor q = dm.quantize_input(test_batch(data, 2));
+  const std::map<std::string, std::int64_t> per_run = step_names(dm);
+
+  obs::set_metrics_enabled(true);
+  obs::set_profile_enabled(true);
+  obs::set_trace_enabled(true);
+  constexpr int kClients = 2;
+  constexpr int kRuns = 50;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kRuns; ++i) (void)dm.run_int(q);
+    });
+  }
+  for (std::thread& t : clients) t.join();
   obs::set_trace_enabled(false);
   obs::set_profile_enabled(false);
-  (void)dm.run_int(q);  // re-warm (the instrumented run grew the arena)
-  EXPECT_EQ(allocs_per_run(), baseline);
+  obs::set_metrics_enabled(false);
+
+  const obs::ProfileReport r = obs::profiler().report();
+  const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  ASSERT_EQ(r.rows.size(), per_run.size());
+  for (const obs::ProfileRow& row : r.rows) {
+    ASSERT_EQ(per_run.count(row.key), 1u) << row.key;
+    EXPECT_EQ(row.calls, kClients * kRuns * per_run.at(row.key)) << row.key;
+    const auto h = snap.histograms.find("deploy.op_ms." + row.key);
+    ASSERT_NE(h, snap.histograms.end()) << row.key;
+    EXPECT_EQ(h->second.count, row.calls) << row.key;
+  }
+  EXPECT_EQ(step_spans().size(),
+            static_cast<std::size_t>(kClients * kRuns) *
+                dm.plan().steps().size());
+}
+
+// Two steps whose names share their first 70 bytes, past the event ring's
+// 63-byte key width, keep separate profile rows, histograms and spans.
+TEST_F(ProfileTest, LongLabelsStayDistinct) {
+  const std::string stem(70, 'L');
+  DeployModel dm;
+  for (const char* tail : {".a", ".b"}) {
+    auto mq = std::make_unique<MulQuantOp>(
+        std::vector<std::int64_t>{1}, std::vector<std::int64_t>{0}, 0,
+        /*out_min=*/-127, /*out_max=*/127, MqLayout::kPerTensor);
+    mq->inputs = {static_cast<int>(dm.num_ops())};
+    mq->label = stem + tail;
+    dm.set_output(dm.add_op(std::move(mq)));
+  }
+  obs::set_metrics_enabled(true);
+  obs::set_profile_enabled(true);
+  obs::set_trace_enabled(true);
+  (void)dm.run_int(ITensor({1, 4}));
+  obs::set_trace_enabled(false);
+  obs::set_profile_enabled(false);
+  obs::set_metrics_enabled(false);
+
+  const std::set<std::string> names = {"MulQuant:" + stem + ".a",
+                                       "MulQuant:" + stem + ".b"};
+  std::set<std::string> rows;
+  for (const obs::ProfileRow& row : obs::profiler().report().rows) {
+    EXPECT_EQ(row.calls, 1) << row.key;
+    rows.insert(row.key);
+  }
+  EXPECT_EQ(rows, names);
+  const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  for (const std::string& n : names) {
+    ASSERT_EQ(snap.histograms.count("deploy.op_ms." + n), 1u) << n;
+    EXPECT_EQ(snap.histograms.at("deploy.op_ms." + n).count, 1) << n;
+  }
+  const std::multiset<std::string> spans = step_spans();
+  EXPECT_EQ(std::set<std::string>(spans.begin(), spans.end()), names);
+  EXPECT_EQ(spans.size(), 2u);
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 // thread_name metadata record, at least two distinct named tracks exist
 // (main + a pool worker) and at least one counter track is present.
 // Profile checks: the document parses, the build_info/pmu_tier stamps are
-// present, every row carries the call/FLOP/byte fields with sane
-// (non-negative) values, and any pmu block is internally consistent.
+// present, op keys are unique, every row carries the call/FLOP/byte fields
+// with sane (non-negative) values, and any pmu block is internally
+// consistent. Given --metrics in the same call, every profile row also
+// needs a `deploy.op_ms.<op>` histogram whose count equals its calls.
 // Bench checks (t2c.bench.v1): every bench carries build_info + rows, row
 // names are unique per bench, reps >= 5, any optional "kernel" code-path
 // tag is a [a-z0-9_]+ identifier, any optional "threads" pool size is
@@ -40,6 +42,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -131,7 +134,11 @@ void check_trace(const std::string& path) {
               events.array.size(), track_names.size(), counter_names.size());
 }
 
-void check_profile(const std::string& path) {
+/// Op key -> calls of a profile document, or histogram name -> count of a
+/// metrics document, for the profile/metrics cross-check.
+using Counts = std::map<std::string, double>;
+
+Counts check_profile(const std::string& path) {
   const JsonValue doc = parse_json(slurp(path));
   check_build_info(doc, path);
   check(doc.has("pmu_tier") && doc.at("pmu_tier").is_string(),
@@ -148,6 +155,7 @@ void check_profile(const std::string& path) {
             !doc.at("ops").array.empty(),
         path + ": no ops rows");
   std::size_t pmu_rows = 0;
+  Counts calls;
   for (const JsonValue& row : doc.at("ops").array) {
     check(row.has("op") && row.at("op").is_string(), path + ": row w/o op");
     for (const char* key : {"calls", "total_ms", "p50_ms", "p95_ms", "p99_ms",
@@ -158,6 +166,8 @@ void check_profile(const std::string& path) {
             path + ": row '" + row.at("op").str + "' bad field " + key);
     }
     check(row.at("calls").number > 0, path + ": zero-call row");
+    check(calls.emplace(row.at("op").str, row.at("calls").number).second,
+          path + ": duplicate op row '" + row.at("op").str + "'");
     if (row.has("pmu")) {
       // Measured-counter block: only present at an enabled tier; the
       // hardware-only fields (cycles, ipc, ...) ride along as a unit.
@@ -181,6 +191,7 @@ void check_profile(const std::string& path) {
   }
   std::printf("profile ok: %zu op rows (%zu with pmu, tier %s)\n",
               doc.at("ops").array.size(), pmu_rows, tier.c_str());
+  return calls;
 }
 
 void check_bench(const std::string& path) {
@@ -238,20 +249,39 @@ void check_bench(const std::string& path) {
               doc.at("benches").object.size(), rows);
 }
 
-void check_metrics(const std::string& path) {
+Counts check_metrics(const std::string& path) {
   const JsonValue doc = parse_json(slurp(path));
   check_build_info(doc, path);
   check(doc.has("counters") && doc.has("gauges") && doc.has("histograms"),
         path + ": missing registry sections");
   const JsonValue& hists = doc.at("histograms");
   check(hists.is_object(), path + ": histograms is not an object");
+  Counts counts;
   for (const auto& [name, h] : hists.object) {
     for (const char* key :
          {"count", "sum", "mean", "min", "max", "p50", "p95", "p99"}) {
       check(h.has(key), path + ": histogram '" + name + "' missing " + key);
     }
+    counts[name] = h.at("count").number;
   }
   std::printf("metrics ok: %zu histograms\n", hists.object.size());
+  return counts;
+}
+
+/// Every profile row and its deploy.op_ms histogram count the same steps.
+void check_profile_vs_metrics(const Counts& calls, const Counts& hists) {
+  for (const auto& [op, n] : calls) {
+    const auto it = hists.find("deploy.op_ms." + op);
+    check(it != hists.end(),
+          "profile row '" + op + "' has no deploy.op_ms histogram");
+    check(it->second == n,
+          "profile row '" + op + "' has " +
+              std::to_string(static_cast<long long>(n)) +
+              " calls but its deploy.op_ms histogram counts " +
+              std::to_string(static_cast<long long>(it->second)));
+  }
+  std::printf("profile/metrics ok: %zu rows match their histograms\n",
+              calls.size());
 }
 
 // Postmortem-bundle checks (--postmortem FILE, schema t2c.postmortem.v1):
@@ -646,12 +676,14 @@ void fetch_url(const std::string& spec) {
 int main(int argc, char** argv) {
   try {
     bool any = false;
+    std::optional<Counts> calls;
+    std::optional<Counts> hists;
     for (int i = 1; i + 1 < argc; i += 2) {
       const std::string flag = argv[i];
       const std::string path = argv[i + 1];
       if (flag == "--trace") check_trace(path);
-      else if (flag == "--profile") check_profile(path);
-      else if (flag == "--metrics") check_metrics(path);
+      else if (flag == "--profile") calls = check_profile(path);
+      else if (flag == "--metrics") hists = check_metrics(path);
       else if (flag == "--bench") check_bench(path);
       else if (flag == "--prom") check_prom(path);
       else if (flag == "--prom-scrape") scrape_prom(path);
@@ -660,6 +692,7 @@ int main(int argc, char** argv) {
       else t2c::fail("unknown flag '" + flag + "'");
       any = true;
     }
+    if (calls && hists) check_profile_vs_metrics(*calls, *hists);
     check(any, "usage: t2c_json_check [--trace F] [--profile F] "
                "[--metrics F] [--bench F] [--prom F] "
                "[--prom-scrape PORT] [--postmortem F] [--fetch PORT:/PATH]");
