@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -51,6 +52,50 @@ void SatCounterCache::add(const char* kind, const std::string& label,
     obs::flight_record(obs::FlightKind::kSaturation, k,
                        static_cast<double>(sat));
   }
+}
+
+namespace {
+
+/// |v| as an unsigned word: exact for every int64, INT64_MIN included.
+std::uint64_t uabs(std::int64_t v) {
+  const auto u = static_cast<std::uint64_t>(v);
+  return v < 0 ? 0 - u : u;
+}
+
+constexpr auto kI64MaxU =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
+}  // namespace
+
+std::int64_t abs_bound(std::int64_t lo, std::int64_t hi) {
+  return static_cast<std::int64_t>(
+      std::min(std::max(uabs(lo), uabs(hi)), kI64MaxU));
+}
+
+WeightFacts WeightFacts::scan(const ITensor& w) {
+  WeightFacts f;
+  if (w.numel() == 0) return f;
+  const std::int64_t rows = w.size(0);
+  const std::int64_t per = w.numel() / rows;
+  f.lo = f.hi = w[0];
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t* p = w.data() + r * per;
+    std::int64_t lo = p[0], hi = p[0];
+    // Each |w| is at most 2^63 and a row has under 2^63 elements, so the
+    // 128-bit sum never wraps; it saturates once, at the end of the row.
+    unsigned __int128 sum = 0;
+    for (std::int64_t i = 0; i < per; ++i) {
+      lo = std::min(lo, p[i]);
+      hi = std::max(hi, p[i]);
+      sum += uabs(p[i]);
+    }
+    f.lo = std::min(f.lo, lo);
+    f.hi = std::max(f.hi, hi);
+    f.abs_row_sum = std::max(
+        f.abs_row_sum,
+        static_cast<std::int64_t>(std::min<unsigned __int128>(sum, kI64MaxU)));
+  }
+  return f;
 }
 
 void DeployOp::run_into(const std::vector<const ITensor*>& ins,
@@ -365,20 +410,20 @@ DeployModel::Summary DeployModel::summarize() const {
   Summary s;
   s.total_ops = ops_.size();
   std::map<std::string, std::size_t> counts;
-  const auto weight = [&](const ITensor& t) {
+  const auto weight = [&](const ITensor& t, const WeightFacts& f) {
     s.weight_elements += t.numel();
     s.weight_storage_bits +=
-        t.numel() * static_cast<std::int64_t>(required_word_bits(t));
+        t.numel() * static_cast<std::int64_t>(required_word_bits(f.lo, f.hi));
   };
   for (const auto& op : ops_) {
     ++counts[op->kind()];
     if (const auto* cv = dynamic_cast<const IntConv2dOp*>(op.get())) {
-      weight(cv->weight());
+      weight(cv->weight(), cv->weight_facts());
     } else if (const auto* ln = dynamic_cast<const IntLinearOp*>(op.get())) {
-      weight(ln->weight());
+      weight(ln->weight(), ln->weight_facts());
     } else if (const auto* at = dynamic_cast<const IntAttentionOp*>(op.get())) {
-      weight(at->params().wqkv);
-      weight(at->params().wproj);
+      weight(at->params().wqkv, at->wqkv_facts());
+      weight(at->params().wproj, at->wproj_facts());
       s.lut_entries += static_cast<std::int64_t>(at->params().softmax_lut.size());
     } else if (const auto* sm = dynamic_cast<const LutSoftmaxOp*>(op.get())) {
       s.lut_entries += static_cast<std::int64_t>(sm->lut().size());

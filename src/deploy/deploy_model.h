@@ -46,6 +46,25 @@ class SatCounterCache {
   mutable std::atomic<std::uint32_t> key_{~std::uint32_t{0}};
 };
 
+/// Largest |v| over v in [lo, hi]; |INT64_MIN| counts as INT64_MAX.
+std::int64_t abs_bound(std::int64_t lo, std::int64_t hi);
+
+/// Static facts of one int64 weight tensor whose leading dim is the output
+/// channel/feature, taken by one saturating scan when its op is built (the
+/// weights never change afterwards). Range analysis, solver selection and
+/// summarize() (storage width = xport's required_word_bits(lo, hi)) read
+/// these instead of rescanning the weights.
+struct WeightFacts {
+  /// Largest Σ|w| over the leading-dim rows, saturating at INT64_MAX:
+  /// the worst-case accumulator magnitude per unit of input bound.
+  std::int64_t abs_row_sum = 0;
+  std::int64_t lo = 0;  ///< smallest element (0 for an empty tensor)
+  std::int64_t hi = 0;  ///< largest element (0 for an empty tensor)
+
+  static WeightFacts scan(const ITensor& w);
+  std::int64_t abs_max() const { return abs_bound(lo, hi); }
+};
+
 struct PackedWeights;
 class MulQuantOp;
 
@@ -200,7 +219,7 @@ class DeployModel {
   /// mutations call this internally; passes that change *op-level* state
   /// the plan bakes in (kernel annotations, prepacked weights) without
   /// touching the graph must call it explicitly, or a plan compiled
-  /// mid-pipeline (e.g. by summarize()) would keep serving stale kernel
+  /// before the pass (e.g. by summarize()) would keep serving stale kernel
   /// selections.
   void invalidate_plan();
 
@@ -249,7 +268,8 @@ class DeployModel {
                   std::int64_t batch_size = 32) const;
 
   /// Static graph statistics (op mix, parameter storage) — the numbers a
-  /// hardware designer sizes memories from.
+  /// hardware designer sizes memories from. Weight storage comes from each
+  /// op's WeightFacts; with no run yet, the plan is compiled for its width.
   struct Summary {
     std::size_t total_ops = 0;
     std::vector<std::pair<std::string, std::size_t>> op_counts;  ///< by kind

@@ -356,6 +356,7 @@ IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
   spec_.validate();
   check(weight_.rank() == 4 && weight_.size(0) == spec_.out_channels,
         "IntConv2dOp: weight shape mismatch");
+  facts_ = WeightFacts::scan(weight_);
 }
 
 ITensor IntConv2dOp::run(const std::vector<const ITensor*>& ins) const {
@@ -424,6 +425,9 @@ void IntConv2dOp::run_packed(const std::vector<const ITensor*>& ins,
 
 IntLinearOp::IntLinearOp(ITensor weight) : weight_(std::move(weight)) {
   check(weight_.rank() == 2, "IntLinearOp: weight must be [OUT, IN]");
+  check(weight_.size(0) > 0 && weight_.size(1) > 0,
+        "IntLinearOp: weight [OUT, IN] has a zero extent");
+  facts_ = WeightFacts::scan(weight_);
 }
 
 ITensor IntLinearOp::run(const std::vector<const ITensor*>& ins) const {
@@ -597,6 +601,7 @@ ITensor IntGlobalAvgPoolOp::run(const std::vector<const ITensor*>& ins) const {
   ITensor out({n, c});
   const std::int64_t half =
       frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;
+  check(hw > 0, "IntGlobalAvgPool: empty spatial extent (H*W == 0)");
   const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
   SlotSats sats;
   par::parallel_for(
@@ -644,6 +649,7 @@ ITensor IntMeanPoolTokensOp::run(
   const ITensor& x = only_input(ins, "IntMeanPoolTokens");
   check(x.rank() == 3, "IntMeanPoolTokens: input must be [N,T,D]");
   const std::int64_t n = x.size(0), t = x.size(1), d = x.size(2);
+  check(t > 0, "IntMeanPoolTokens: no tokens to pool (T == 0)");
   ITensor out({n, d});
   const std::int64_t half =
       frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;

@@ -116,6 +116,7 @@ class IntConv2dOp final : public DeployOp {
                    const ITensor& out) const override;
 
   const ITensor& weight() const { return weight_; }
+  const WeightFacts& weight_facts() const { return facts_; }
   const ConvSpec& spec() const { return spec_; }
 
   const solver::SolverChoice& solver_choice() const { return choice_; }
@@ -127,11 +128,13 @@ class IntConv2dOp final : public DeployOp {
   bool direct() const;
 
   ITensor weight_;
+  WeightFacts facts_;
   ConvSpec spec_;
   solver::SolverChoice choice_;
 };
 
-/// Integer fully-connected layer over [..., IN] token/feature rows.
+/// Integer fully-connected layer over [..., IN] token/feature rows. The
+/// weight must have nonzero extents.
 class IntLinearOp final : public DeployOp {
  public:
   explicit IntLinearOp(ITensor weight /* [OUT, IN] */);
@@ -148,12 +151,14 @@ class IntLinearOp final : public DeployOp {
                    const ITensor& out) const override;
 
   const ITensor& weight() const { return weight_; }
+  const WeightFacts& weight_facts() const { return facts_; }
 
   const solver::SolverChoice& solver_choice() const { return choice_; }
   void set_solver_choice(solver::SolverChoice c) { choice_ = std::move(c); }
 
  private:
   ITensor weight_;
+  WeightFacts facts_;
   solver::SolverChoice choice_;
 };
 

@@ -36,44 +36,20 @@ std::int64_t sat_shl(std::int64_t v, int k) {
   return sat_i64(static_cast<__int128>(v) << k);
 }
 
-/// Largest absolute-value row sum of a weight tensor whose leading dim is
-/// the output channel/feature — the worst-case accumulator magnitude per
-/// unit of input bound.
-std::int64_t max_abs_row_sum(const ITensor& w) {
-  const std::int64_t rows = w.size(0);
-  const std::int64_t per = rows > 0 ? w.numel() / rows : 0;
-  std::int64_t best = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int64_t acc = 0;
-    for (std::int64_t i = r * per; i < (r + 1) * per; ++i) {
-      acc = sat_add(acc, w[i] < 0 ? sat_i64(-static_cast<__int128>(w[i]))
-                                  : w[i]);
-    }
-    best = std::max(best, acc);
-  }
-  return best;
-}
-
 ValueRange clamp_range(std::int64_t lo_pre, std::int64_t hi_pre,
                        std::int64_t lo, std::int64_t hi) {
   return {std::clamp(lo_pre, lo, hi), std::clamp(hi_pre, lo, hi)};
 }
 
-/// Largest magnitude inside a value range (kI64Min/kI64Max-safe).
-std::int64_t range_abs(const ValueRange& r) {
-  const std::int64_t alo =
-      r.lo == kI64Min ? kI64Max : (r.lo < 0 ? -r.lo : r.lo);
-  const std::int64_t ahi =
-      r.hi == kI64Min ? kI64Max : (r.hi < 0 ? -r.hi : r.hi);
-  return std::max(alo, ahi);
-}
-
-std::int64_t max_abs_elem(const ITensor& w) {
-  std::int64_t m = 0;
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    m = std::max(m, w[i] < 0 ? sat_i64(-static_cast<__int128>(w[i])) : w[i]);
+/// Cached weight facts of a conv/linear accumulator op; nullptr otherwise.
+const WeightFacts* gemm_facts(const DeployOp& op) {
+  if (const auto* cv = dynamic_cast<const IntConv2dOp*>(&op)) {
+    return &cv->weight_facts();
   }
-  return m;
+  if (const auto* ln = dynamic_cast<const IntLinearOp*>(&op)) {
+    return &ln->weight_facts();
+  }
+  return nullptr;
 }
 
 /// True when the per-tensor MulQuant `mq` computes exactly y = x << k
@@ -124,19 +100,11 @@ std::vector<ValueRange> compute_value_ranges(const DeployModel& dm) {
       out = {mp->out_min(), mp->out_max()};
     } else if (dynamic_cast<const TokenizeOp*>(&op) != nullptr) {
       out = in_range(0);
-    } else if (const auto* cv = dynamic_cast<const IntConv2dOp*>(&op)) {
+    } else if (const WeightFacts* wf = gemm_facts(op)) {
       const ValueRange a = in_range(0);
-      const std::int64_t m = std::max(
-          a.lo == kI64Min ? kI64Max : sat_i64(-static_cast<__int128>(a.lo)),
-          a.hi);
-      const std::int64_t bound = sat_mul(max_abs_row_sum(cv->weight()), m);
-      out = {sat_i64(-static_cast<__int128>(bound)), bound};
-    } else if (const auto* ln = dynamic_cast<const IntLinearOp*>(&op)) {
-      const ValueRange a = in_range(0);
-      const std::int64_t m = std::max(
-          a.lo == kI64Min ? kI64Max : sat_i64(-static_cast<__int128>(a.lo)),
-          a.hi);
-      const std::int64_t bound = sat_mul(max_abs_row_sum(ln->weight()), m);
+      const std::int64_t m =
+          std::max(sat_i64(-static_cast<__int128>(a.lo)), a.hi);
+      const std::int64_t bound = sat_mul(wf->abs_row_sum, m);
       out = {sat_i64(-static_cast<__int128>(bound)), bound};
     } else if (const auto* sm = dynamic_cast<const LutSoftmaxOp*>(&op)) {
       out = {0, sm->p_qmax()};
@@ -323,7 +291,8 @@ std::size_t pass_select_solvers(DeployModel& dm) {
     DeployOp& op = dm.mutable_op(i);
     const int v = static_cast<int>(i) + 1;
     const auto in_abs = [&] {
-      return range_abs(ranges[static_cast<std::size_t>(op.inputs[0])]);
+      const ValueRange& r = ranges[static_cast<std::size_t>(op.inputs[0])];
+      return abs_bound(r.lo, r.hi);
     };
     if (auto* at = dynamic_cast<IntAttentionOp*>(&op)) {
       const std::int64_t b = in_abs();
@@ -349,7 +318,7 @@ std::size_t pass_select_solvers(DeployModel& dm) {
       p.k = w.size(1);
     }
     p.a_max = in_abs();
-    p.w_max = max_abs_elem(w);
+    p.w_max = gemm_facts(op)->abs_max();
     const auto& cons = dm.consumers_of(v);
     const MulQuantOp* mq =
         cons.size() == 1 && v != dm.output_id()
@@ -391,60 +360,46 @@ std::size_t pass_select_solvers(DeployModel& dm) {
   return changes;
 }
 
-PassManager& PassManager::add(std::string name, PassFn fn) {
-  passes_.emplace_back(std::move(name), std::move(fn));
-  return *this;
-}
-
-std::vector<PassStats> PassManager::run(DeployModel& dm) const {
-  std::vector<PassStats> out;
-  out.reserve(passes_.size());
-  for (const auto& [name, fn] : passes_) {
-    PassStats st;
-    st.name = name;
-    st.ops_before = dm.num_ops();
-    const DeployModel::Summary before = dm.summarize();
-    st.changes = fn(dm);
-    st.ops_after = dm.num_ops();
-    const DeployModel::Summary after = dm.summarize();
-    st.bytes_saved =
-        (before.weight_storage_bits - after.weight_storage_bits) / 8 +
-        (before.lut_entries - after.lut_entries) *
-            static_cast<std::int64_t>(sizeof(std::int64_t));
-    if (obs::metrics_enabled()) {
-      obs::metrics().counter("deploy.pass." + name + ".changes")
-          .add(static_cast<std::int64_t>(st.changes));
-      obs::metrics().counter("deploy.pass.ops_removed")
-          .add(static_cast<std::int64_t>(st.ops_before - st.ops_after));
-      obs::metrics().counter("deploy.pass.bytes_saved").add(st.bytes_saved);
+std::size_t optimize_deploy_graph(DeployModel& dm, int opt_level) {
+  const std::size_t ops_before = dm.num_ops();
+  // Summaries feed only the deploy.pass.* counters, so they are taken only
+  // while metrics are on: once before the first pass and once after the
+  // last. Per-pass op and byte deltas telescope into that one pair.
+  const bool counted = obs::metrics_enabled();
+  const DeployModel::Summary before =
+      counted ? dm.summarize() : DeployModel::Summary{};
+  const auto run = [&](const char* name, std::size_t (*pass)(DeployModel&)) {
+    const std::size_t n = dm.num_ops();
+    const std::size_t changes = pass(dm);
+    if (counted) {
+      obs::metrics().counter(std::string("deploy.pass.") + name + ".changes")
+          .add(static_cast<std::int64_t>(changes));
     }
-    if (st.changes > 0) {
-      obs::log_debug("pass ", name, ": ", st.changes, " rewrites, ",
-                     st.ops_before, " -> ", st.ops_after, " ops");
+    if (changes > 0) {
+      obs::log_debug("pass ", name, ": ", changes, " rewrites, ", n, " -> ",
+                     dm.num_ops(), " ops");
     }
-    out.push_back(std::move(st));
-  }
-  return out;
-}
-
-PassManager PassManager::pipeline(int opt_level) {
-  PassManager pm;
-  pm.add("validate", pass_validate);
-  if (opt_level >= 2) pm.add("fold_requants", pass_fold_requants);
+  };
+  run("validate", pass_validate);
+  if (opt_level >= 2) run("fold_requants", pass_fold_requants);
   if (opt_level >= 1) {
-    pm.add("dedup", pass_dedup);
-    pm.add("dve", pass_dve);
+    run("dedup", pass_dedup);
+    run("dve", pass_dve);
   }
   // Solver selection runs on the final graph shape so the single-consumer
   // fusion test sees the post-DVE use lists.
-  if (opt_level >= 2) pm.add("select_solvers", pass_select_solvers);
-  return pm;
-}
-
-std::size_t optimize_deploy_graph(DeployModel& dm, int opt_level) {
-  const std::size_t before = dm.num_ops();
-  PassManager::pipeline(opt_level).run(dm);
-  return before - dm.num_ops();
+  if (opt_level >= 2) run("select_solvers", pass_select_solvers);
+  const std::size_t removed = ops_before - dm.num_ops();
+  if (counted) {
+    const DeployModel::Summary after = dm.summarize();
+    obs::metrics().counter("deploy.pass.ops_removed")
+        .add(static_cast<std::int64_t>(removed));
+    obs::metrics().counter("deploy.pass.bytes_saved")
+        .add((before.weight_storage_bits - after.weight_storage_bits) / 8 +
+             (before.lut_entries - after.lut_entries) *
+                 static_cast<std::int64_t>(sizeof(std::int64_t)));
+  }
+  return removed;
 }
 
 }  // namespace t2c

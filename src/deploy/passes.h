@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "deploy/deploy_model.h"
@@ -33,9 +31,10 @@ namespace t2c {
 
 /// Conservative static bounds of each SSA value, indexed by value id.
 /// Value 0 uses the model's input clamp range; clamped ops report their
-/// clamp window; accumulator ops bound |acc| by the weight's absolute row
-/// sums times the input bound (saturating, never wrapping). Unknown kinds
-/// degrade to the full int64 range.
+/// clamp window; accumulator ops bound |acc| by the largest absolute row
+/// sum of their weight (WeightFacts, cached at op construction) times the
+/// input bound (saturating, never wrapping). Unknown kinds degrade to the
+/// full int64 range.
 struct ValueRange {
   std::int64_t lo = 0;
   std::int64_t hi = 0;
@@ -63,38 +62,16 @@ std::size_t pass_dve(DeployModel& dm);
 /// narrow kernel.
 std::size_t pass_select_solvers(DeployModel& dm);
 
-/// Outcome of one pass over one graph.
-struct PassStats {
-  std::string name;
-  std::size_t ops_before = 0;
-  std::size_t ops_after = 0;
-  std::size_t changes = 0;
-  std::int64_t bytes_saved = 0;  ///< static parameter/LUT storage freed
-};
-
-/// Ordered, named pass list. run() executes the passes in order and
-/// reports per-pass stats; with metrics enabled each pass also feeds the
-/// deploy.pass.* counters (ops removed, bytes saved).
-class PassManager {
- public:
-  using PassFn = std::function<std::size_t(DeployModel&)>;
-
-  PassManager& add(std::string name, PassFn fn);
-  std::vector<PassStats> run(DeployModel& dm) const;
-
-  /// The standard pipeline:
-  ///   0: validate only (the graph exactly as emitted)
-  ///   1: validate + dedup + dve
-  ///   2: validate + fold_requants + dedup + dve + select_solvers
-  ///      (default; solver selection runs last, on the final graph shape)
-  static PassManager pipeline(int opt_level);
-
- private:
-  std::vector<std::pair<std::string, PassFn>> passes_;
-};
-
-/// Runs the standard pipeline at `opt_level` on `dm`; returns the total
-/// number of ops removed.
+/// The standard pipeline, called pass by pass at `opt_level`:
+///   0: validate only (the graph exactly as emitted)
+///   1: validate + dedup + dve
+///   2: validate + fold_requants + dedup + dve + select_solvers
+///      (default; solver selection runs last, on the final graph shape)
+/// Returns the number of ops removed. With metrics enabled it feeds
+/// deploy.pass.<pass>.changes per pass and deploy.pass.ops_removed /
+/// deploy.pass.bytes_saved (static weight/LUT storage freed) from one
+/// summarize() before the first pass and one after the last; with metrics
+/// off it never summarizes, so no plan is compiled before the first run.
 std::size_t optimize_deploy_graph(DeployModel& dm, int opt_level);
 
 }  // namespace t2c

@@ -42,14 +42,6 @@ std::int64_t isqrt64(std::int64_t v) {
   return x;
 }
 
-/// Largest magnitude inside a clamp window [lo, hi] (overflow-safe).
-std::int64_t abs_bound(std::int64_t lo, std::int64_t hi) {
-  const std::int64_t alo = lo == std::numeric_limits<std::int64_t>::min()
-                               ? std::numeric_limits<std::int64_t>::max()
-                               : (lo < 0 ? -lo : lo);
-  return std::max(alo, hi < 0 ? -hi : hi);
-}
-
 #if T2C_LN_AVX512
 // Same -Wmaybe-uninitialized false positive on _mm*_maskz_* as
 // tensor/int8_gemm.cpp; the masked-lane zeroing is architectural.
@@ -146,6 +138,7 @@ ITensor LutSoftmaxOp::run(const std::vector<const ITensor*>& ins) const {
   check(ins.size() == 1 && ins[0] != nullptr, "LutSoftmax: one input");
   const ITensor& x = *ins[0];
   const std::int64_t d = x.size(x.rank() - 1);
+  check(d > 0, "LutSoftmax: empty softmax axis (last dim == 0)");
   const std::int64_t rows = x.numel() / d;
   const auto last = static_cast<std::int64_t>(lut_.size()) - 1;
   ITensor out(x.shape());
@@ -340,17 +333,14 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
             p_.proj_bias.size() == p_.proj_mul.size(),
         "IntAttentionOp: proj requant arity mismatch");
   check(!p_.softmax_lut.empty(), "IntAttentionOp: missing softmax LUT");
-  for (std::int64_t i = 0; i < p_.wqkv.numel(); ++i) {
-    wq_max_ = std::max(wq_max_, p_.wqkv[i] < 0 ? -p_.wqkv[i] : p_.wqkv[i]);
-  }
-  for (std::int64_t i = 0; i < p_.wproj.numel(); ++i) {
-    wp_max_ = std::max(wp_max_, p_.wproj[i] < 0 ? -p_.wproj[i] : p_.wproj[i]);
-  }
+  wqkv_facts_ = WeightFacts::scan(p_.wqkv);
+  wproj_facts_ = WeightFacts::scan(p_.wproj);
   // Both projections consume W as B^T ([rows=out, cols=in] row-major), the
   // same orientation IntLinearOp packs. Panels are only built when the
   // weights fit int16; whether they are ever used is decided by the solver
   // registry once the pass proves an input bound.
-  if (wq_max_ <= i8::kOperandMax && wp_max_ <= i8::kOperandMax) {
+  if (wqkv_facts_.abs_max() <= i8::kOperandMax &&
+      wproj_facts_.abs_max() <= i8::kOperandMax) {
     pbqkv_ = i8::pack_b(p_.wqkv.data(), d, 3 * d, /*trans_b=*/true);
     pbproj_ = i8::pack_b(p_.wproj.data(), d, d, /*trans_b=*/true);
   }
@@ -367,7 +357,7 @@ bool IntAttentionOp::static_i16_ok() const {
          i8::accum_fits_i32(dh, sb, sb) &&                 // q * k^T logits
          p_.p_qmax <= i8::kOperandMax &&                   // probs as int16
          cb <= i8::kOperandMax &&
-         i8::accum_fits_i32(d, cb, wp_max_);               // out projection
+         i8::accum_fits_i32(d, cb, wproj_facts_.abs_max());  // out projection
 }
 
 void IntAttentionOp::set_input_bound(std::int64_t bound) {
@@ -377,7 +367,7 @@ void IntAttentionOp::set_input_bound(std::int64_t bound) {
   p.op = solver::OpKind::kAttnInt;
   p.k = d;
   p.a_max = bound;
-  p.w_max = wq_max_;
+  p.w_max = wqkv_facts_.abs_max();
   p.aux_ok = static_i16_ok();
   choice_ = solver::Registry::instance().choose(p);
 }

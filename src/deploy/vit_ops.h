@@ -142,6 +142,8 @@ class IntAttentionOp final : public DeployOp {
                    const ITensor& out) const override;
 
   const IntAttentionParams& params() const { return p_; }
+  const WeightFacts& wqkv_facts() const { return wqkv_facts_; }
+  const WeightFacts& wproj_facts() const { return wproj_facts_; }
 
   /// Proven bound on |input| from value-range analysis, set by
   /// pass_select_solvers; 0 (the default) keeps the int64 path. The bound
@@ -167,7 +169,7 @@ class IntAttentionOp final : public DeployOp {
   IntAttentionParams p_;
   solver::SolverChoice choice_;
   std::int64_t input_bound_ = 0;
-  std::int64_t wq_max_ = 0, wp_max_ = 0;  ///< max |w| of wqkv / wproj
+  WeightFacts wqkv_facts_, wproj_facts_;
   /// Weight panels packed once at construction when the weights fit int16
   /// (the op owns its static operands, unlike the exec-plan-cached
   /// conv/linear packs).

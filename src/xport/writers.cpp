@@ -1,5 +1,6 @@
 #include "xport/writers.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -184,14 +185,21 @@ ITensor unroll_tiled(const ITensor& w, int tile) {
   return out;
 }
 
-int required_word_bits(const ITensor& t) {
-  std::int64_t mx = 0;
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    mx = std::max(mx, t[i] >= 0 ? t[i] : -(t[i] + 1));
-  }
+int required_word_bits(std::int64_t lo, std::int64_t hi) {
+  // A negative v needs the bits of ~v = -(v + 1); 64 bits hold any value.
+  const std::int64_t mx = std::max({std::int64_t{0}, hi, ~lo});
   int bits = 2;
-  while (((std::int64_t{1} << (bits - 1)) - 1) < mx) ++bits;
+  while (bits < 64 && (std::int64_t{1} << (bits - 1)) - 1 < mx) ++bits;
   return bits;
+}
+
+int required_word_bits(const ITensor& t) {
+  std::int64_t lo = 0, hi = 0;  // 0 needs no more bits than any value
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    lo = std::min(lo, t[i]);
+    hi = std::max(hi, t[i]);
+  }
+  return required_word_bits(lo, hi);
 }
 
 std::string memory_image_name(const std::string& label) {

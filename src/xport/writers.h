@@ -37,6 +37,8 @@ ITensor unroll_tiled(const ITensor& w, int tile);
 
 /// Minimum word width (bits, two's complement) that can hold every value.
 int required_word_bits(const ITensor& t);
+/// The same width for values spanning [lo, hi].
+int required_word_bits(std::int64_t lo, std::int64_t hi);
 
 /// Filesystem-safe memory-image stem for an op label ('/', ' ', ':' become
 /// '_'; empty labels become "op"). Shared by the weight-image exporter and

@@ -104,6 +104,23 @@ TEST(IntOps, TokenizeMatchesPatchLayout) {
   EXPECT_EQ(y.at(0, 1, 1), 4);
 }
 
+TEST(IntOps, EmptyReductionAxesThrow) {
+  // An empty reduction extent is a diagnostic, never a division by zero.
+  IntGlobalAvgPoolOp gap(1024, 12, -1000, 1000);
+  const ITensor xg({1, 1, 0, 4});
+  EXPECT_THROW(gap.run({&xg}), Error);
+  IntMeanPoolTokensOp mean(1024, 12, -1000, 1000);
+  const ITensor xt({1, 0, 4});
+  EXPECT_THROW(mean.run({&xt}), Error);
+  LutSoftmaxOp sm(build_exp_lut(0.1F, 16, 15), 255);
+  const ITensor xs({1, 2, 0});
+  EXPECT_THROW(sm.run({&xs}), Error);
+  // A linear weight with a zero extent is rejected when the op is built,
+  // before any request can reach its [rows, 0] feature split.
+  EXPECT_THROW(IntLinearOp(ITensor({4, 0})), Error);
+  EXPECT_THROW(IntLinearOp(ITensor({0, 4})), Error);
+}
+
 TEST(LutSoftmax, ApproximatesFloatSoftmax) {
   const float in_scale = 0.05F;
   auto lut = build_exp_lut(in_scale, 256, 15);

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -26,6 +27,7 @@
 #include "deploy/exec_plan.h"
 #include "deploy/int_ops.h"
 #include "deploy/passes.h"
+#include "deploy/vit_ops.h"
 #include "fusion/mulquant.h"
 #include "models/models.h"
 #include "obs/capture.h"
@@ -34,6 +36,7 @@
 #include "test_util.h"
 #include "util/cpuinfo.h"
 #include "xport/checkpoint.h"
+#include "xport/writers.h"
 
 namespace t2c {
 namespace {
@@ -318,21 +321,204 @@ TEST(PassesTest, CheckpointRoundTripsAtEveryOptLevel) {
   }
 }
 
-TEST(PassesTest, PassManagerReportsPerPassStats) {
+TEST(PassesTest, PipelineCountsEachPassUnderMetrics) {
+  obs::metrics().reset();
+  obs::set_metrics_enabled(true);
   DeployModel dm = foldable_graph();
-  const auto stats = PassManager::pipeline(2).run(dm);
-  // validate, fold_requants, dedup, dve, select_solvers
-  ASSERT_EQ(stats.size(), 5u);
-  EXPECT_EQ(stats[0].name, "validate");
-  EXPECT_EQ(stats[0].changes, 0u);
-  EXPECT_EQ(stats[1].name, "fold_requants");
-  EXPECT_GE(stats[1].changes, 1u);
-  EXPECT_EQ(stats[3].name, "dve");
-  EXPECT_GE(stats[3].changes, 1u);
-  EXPECT_LT(stats[3].ops_after, stats[0].ops_before);
-  EXPECT_EQ(stats[4].name, "select_solvers");
-  // The annotation pass never rewrites the graph shape.
-  EXPECT_EQ(stats[4].ops_after, stats[4].ops_before);
+  // A dead [2, 3] linear: dve frees its 6 weights at 4 bits = 3 bytes.
+  add(dm, std::make_unique<IntLinearOp>(
+              ITensor::from({2, 3}, {1, -2, 3, 4, 5, 6})),
+      {0}, "dead");
+  const std::size_t ops_before = dm.num_ops();
+  const std::size_t removed = optimize_deploy_graph(dm, 2);
+  const auto snap = obs::metrics().snapshot();
+  obs::set_metrics_enabled(false);
+  obs::metrics().reset();
+  const auto counter = [&snap](const std::string& name) -> std::int64_t {
+    const auto it = snap.counters.find(name);
+    EXPECT_NE(it, snap.counters.end()) << name;
+    return it == snap.counters.end() ? -1 : it->second;
+  };
+  EXPECT_EQ(counter("deploy.pass.validate.changes"), 0);
+  EXPECT_GE(counter("deploy.pass.fold_requants.changes"), 1);
+  EXPECT_EQ(counter("deploy.pass.dedup.changes"), 0);
+  // dve removes the bypassed requant and the dead linear...
+  EXPECT_EQ(counter("deploy.pass.dve.changes"), 2);
+  EXPECT_EQ(counter("deploy.pass.ops_removed"), 2);
+  EXPECT_EQ(removed, 2u);
+  EXPECT_EQ(counter("deploy.pass.bytes_saved"), 3);
+  // ...and the annotation pass after it keeps the op count.
+  EXPECT_EQ(counter("deploy.pass.select_solvers.changes"), 0);
+  EXPECT_EQ(dm.num_ops(), ops_before - 2);
+}
+
+TEST(PassesTest, PipelineWithMetricsOffCountsNothingAndCompilesNoPlan) {
+  obs::metrics().reset();
+  ASSERT_FALSE(obs::metrics_enabled());
+  DeployModel dm = foldable_graph();
+  EXPECT_GE(optimize_deploy_graph(dm, 2), 1u);
+  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
+    EXPECT_NE(name.rfind("deploy.pass.", 0), 0u) << name << " = " << value;
+  }
+  // The plan is compiled by the first run, not by the pipeline.
+  EXPECT_EQ(dm.memory_stats().plan_slots, 0u);
+  (void)dm.run_int(ITensor::from({1, 2}, {3, -4}));
+  EXPECT_GT(dm.memory_stats().plan_slots, 0u);
+}
+
+TEST(PassesTest, FoldSeesRangesTightenedByAnEarlierFold) {
+  // input (+/-127) -> identity requant clamping to [-1000, 1000] -> 1x1
+  // conv (w = 2) -> x16 upshift requant clamping to +/-4096 -> MulQuant.
+  // Read through the identity requant's window the conv accumulator spans
+  // +/-2000, whose x16 upshift would engage the +/-4096 clamp. Once the
+  // identity requant is folded the conv reads the input directly: +/-254,
+  // so the upshift peaks at 4064 and folds too, but only if the ranges are
+  // recomputed after the first fold.
+  const auto build = [] {
+    DeployModel dm;
+    const FixedPointFormat fmt{8, 8};
+    const int v1 = add(dm, make_requant(1.0, 1.0, fmt, -1000, 1000), {0},
+                       "identity");
+    ConvSpec spec;
+    spec.in_channels = 1;
+    spec.out_channels = 1;
+    spec.kernel = 1;
+    const int v2 = add(dm,
+                       std::make_unique<IntConv2dOp>(
+                           ITensor::from({1, 1, 1, 1}, {2}), spec),
+                       {v1}, "conv");
+    const int v3 = add(dm, make_requant(16.0, 1.0, fmt, -4096, 4096), {v2},
+                       "upshift");
+    dm.set_output(add(dm, scalar_mq(100, 37, 8, -127, 127, 6), {v3}, "post"));
+    return dm;
+  };
+  DeployModel ref = build();
+  DeployModel opt = build();
+  EXPECT_EQ(pass_fold_requants(opt), 2u);
+  EXPECT_EQ(pass_dve(opt), 2u);
+  ASSERT_EQ(opt.num_ops(), 2u);
+  EXPECT_EQ(opt.op(0).label, "conv");
+  EXPECT_EQ(opt.op(0).inputs[0], 0);
+  EXPECT_EQ(opt.op(1).label, "post");
+
+  DeployModel full = build();
+  EXPECT_EQ(optimize_deploy_graph(full, 2), 2u);
+  for (std::int64_t v = -127; v <= 127; ++v) {
+    const ITensor x = ITensor::from({1, 1, 1, 1}, {v});
+    const ITensor y = ref.run_int(x);
+    const std::string at = " at x=" + std::to_string(v);
+    expect_bit_identical(y, opt.run_int(x), "two folds" + at);
+    expect_bit_identical(y, full.run_int(x), "opt 2" + at);
+  }
+}
+
+/// Reference for WeightFacts: per-row Σ|w| and max |w| in __int128,
+/// saturating at every step, with |INT64_MIN| read as INT64_MAX.
+struct ReferenceFacts {
+  std::int64_t abs_row_sum = 0;
+  std::int64_t abs_max = 0;
+};
+
+ReferenceFacts reference_scan(const ITensor& w) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto sat = [](__int128 v) {
+    return static_cast<std::int64_t>(std::min<__int128>(v, kMax));
+  };
+  const auto sat_abs = [&](std::int64_t v) {
+    return sat(v < 0 ? -static_cast<__int128>(v) : v);
+  };
+  ReferenceFacts f;
+  const std::int64_t rows = w.size(0);
+  const std::int64_t per = w.numel() / rows;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::int64_t acc = 0;
+    for (std::int64_t i = r * per; i < (r + 1) * per; ++i) {
+      acc = sat(static_cast<__int128>(acc) + sat_abs(w[i]));
+      f.abs_max = std::max(f.abs_max, sat_abs(w[i]));
+    }
+    f.abs_row_sum = std::max(f.abs_row_sum, acc);
+  }
+  return f;
+}
+
+/// A row holding INT64_MIN, a row whose absolute sum passes INT64_MAX,
+/// one whose absolute sum passes 2^64, and an all-zero row.
+constexpr std::int64_t kExtremeRows[4][4] = {
+    {5, std::numeric_limits<std::int64_t>::min(), -7, 0},
+    {std::numeric_limits<std::int64_t>::max() / 2,
+     -(std::numeric_limits<std::int64_t>::max() / 2), 3, -2},
+    {std::numeric_limits<std::int64_t>::max(),
+     -std::numeric_limits<std::int64_t>::max(),
+     std::numeric_limits<std::int64_t>::max(), 1},
+    {0, 0, 0, 0}};
+
+/// A [rows >= 4, 4] weight: the extreme rows, then random rows.
+ITensor extreme_weight(std::int64_t rows, std::uint64_t seed) {
+  ITensor w({rows, 4});
+  Rng rng(seed);
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.randint(-300, 300);
+  for (std::int64_t r = 0; r < 4; ++r) {
+    for (std::int64_t i = 0; i < 4; ++i) w[r * 4 + i] = kExtremeRows[r][i];
+  }
+  return w;
+}
+
+void expect_facts(const WeightFacts& got, const ITensor& w,
+                  const std::string& what) {
+  const ReferenceFacts want = reference_scan(w);
+  EXPECT_EQ(got.abs_row_sum, want.abs_row_sum) << what;
+  EXPECT_EQ(got.abs_max(), want.abs_max) << what;
+  EXPECT_EQ(got.lo, *std::min_element(w.data(), w.data() + w.numel())) << what;
+  EXPECT_EQ(got.hi, *std::max_element(w.data(), w.data() + w.numel())) << what;
+  EXPECT_EQ(required_word_bits(got.lo, got.hi), required_word_bits(w)) << what;
+}
+
+TEST(PassesTest, WeightFactsMatchAReferenceScan) {
+  DeployModel dm;
+  ITensor cw = extreme_weight(6, 11);
+  cw.reshape({6, 1, 2, 2});
+  ConvSpec spec;
+  spec.in_channels = 1;
+  spec.out_channels = 6;
+  spec.kernel = 2;
+  const int vc = add(dm, std::make_unique<IntConv2dOp>(cw, spec), {0}, "conv");
+  const int vl = add(dm, std::make_unique<IntLinearOp>(extreme_weight(5, 12)),
+                     {0}, "linear");
+  IntAttentionParams ap;
+  ap.heads = 2;
+  ap.wqkv = extreme_weight(12, 13);  // [3D, D] with D = 4
+  ap.wproj = extreme_weight(4, 14);
+  ap.qkv_mul.assign(12, 1);
+  ap.qkv_bias.assign(12, 0);
+  ap.proj_mul.assign(4, 1);
+  ap.proj_bias.assign(4, 0);
+  ap.softmax_lut = build_exp_lut(0.1F, 16, 8);
+  const int va = add(dm, std::make_unique<IntAttentionOp>(ap), {0}, "attn");
+  dm.set_output(va);
+
+  const auto& conv = dynamic_cast<const IntConv2dOp&>(dm.op(vc - 1));
+  const auto& lin = dynamic_cast<const IntLinearOp&>(dm.op(vl - 1));
+  const auto& attn = dynamic_cast<const IntAttentionOp&>(dm.op(va - 1));
+  expect_facts(conv.weight_facts(), conv.weight(), "conv");
+  expect_facts(lin.weight_facts(), lin.weight(), "linear");
+  expect_facts(attn.wqkv_facts(), attn.params().wqkv, "attention wqkv");
+  expect_facts(attn.wproj_facts(), attn.params().wproj, "attention wproj");
+  EXPECT_EQ(conv.weight_facts().abs_row_sum,
+            std::numeric_limits<std::int64_t>::max());
+  // Each extreme row alone, so no other row's sum can mask it.
+  for (const auto& row : kExtremeRows) {
+    const IntLinearOp one(
+        ITensor::from({1, 4}, {row[0], row[1], row[2], row[3]}));
+    expect_facts(one.weight_facts(), one.weight(),
+                 "row {" + std::to_string(row[0]) + ", ...}");
+  }
+
+  std::int64_t bits = 0;
+  for (const ITensor* w : {&conv.weight(), &lin.weight(), &attn.params().wqkv,
+                           &attn.params().wproj}) {
+    bits += w->numel() * required_word_bits(*w);
+  }
+  EXPECT_EQ(dm.summarize().weight_storage_bits, bits);
 }
 
 // ---- int8 kernel selection (overflow gating) ----

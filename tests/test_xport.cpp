@@ -342,6 +342,21 @@ TEST(Checkpoint, TruncatedAndCorruptedFilesThrow) {
           << p << " cut at " << len;
     }
 
+    // A linear weight cut to a zero extent ([OUT, 0], no data line) still
+    // parses; building the op must reject it.
+    {
+      const std::size_t op = full.find("\nop IntLinear ");
+      ASSERT_NE(op, std::string::npos) << p;
+      const std::size_t shape = full.find('\n', op + 1) + 1;
+      const std::size_t data = full.find('\n', shape) + 1;
+      const std::size_t end = full.find('\n', data) + 1;
+      const std::size_t last_dim = full.rfind(' ', data - 1);
+      ASSERT_GT(last_dim, shape) << p;
+      const std::string mutant =
+          full.substr(0, last_dim) + " 0\n" + full.substr(end);
+      EXPECT_TRUE(rejected(mutant, scratch)) << p << " zero-extent IntLinear";
+    }
+
     // Single digits of numeric fields flipped to a letter.
     std::vector<std::size_t> digits;
     for (const std::string_view tok : split_ws(full)) {

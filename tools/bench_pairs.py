@@ -20,10 +20,16 @@ and a verdict, checked in this order:
                 change run beats every parent run;
     ok          otherwise.
 
-It also prints failed/attempted operations for each side. It reads only
-BENCHMARK.json and deploybench/; each tree builds into its own .bench_build/
-on the first run. --workload defaults to every workload in BENCHMARK.json.
---selftest checks every verdict on canned result lines and needs no tree.
+It also prints failed/attempted operations for each side, and a
+failed_share row (failed / attempted over all runs of a side, in percent;
+the delta is in percentage points) whose verdict is worse when the change's
+share is above the parent's. A run that exits 1 after printing its result
+line (deploybench counted a failed operation) is a result; any other
+nonzero status, or a missing or unparseable result line, aborts. It reads
+only BENCHMARK.json and deploybench/; each tree builds into its own
+.bench_build/ on the first run. --workload defaults to every workload in
+BENCHMARK.json. --selftest checks every verdict and the exit-status rule
+on canned result lines and needs no tree.
 """
 
 import argparse
@@ -76,17 +82,29 @@ def parse_result(stdout):
     return result
 
 
+def result_of(status, stdout):
+    """The result of one run.py exit. Status 1 means deploybench counted a
+    failed operation after printing its result line; any other nonzero
+    status is a crash."""
+    if status not in (0, 1):
+        raise ValueError(f"exited {status}")
+    return parse_result(stdout)
+
+
 def run_once(tree, workload, seed, seconds):
     cmd = [sys.executable, os.path.join(tree, "deploybench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
-    if run.returncode != 0:
-        sys.exit(f"bench_pairs: {' '.join(cmd)} exited {run.returncode}")
     try:
-        return parse_result(run.stdout)
+        return result_of(run.returncode, run.stdout)
     except ValueError as e:
-        sys.exit(f"bench_pairs: {tree} {workload}: {e}")
+        sys.exit(f"bench_pairs: {' '.join(cmd)}: {e}")
+
+
+def failed_share(runs):
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
 
 
 def table(workload, metrics, parent_runs, change_runs):
@@ -113,6 +131,11 @@ def table(workload, metrics, parent_runs, change_runs):
                    f"| {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}] | {delta:+.1f}% "
                    f"| {wins}/{pairs} "
                    f"| {verdict(parent, change, direction, m['bound'])} |")
+    p_share = 100.0 * failed_share(parent_runs)
+    c_share = 100.0 * failed_share(change_runs)
+    out.append(f"| failed_share | {p_share:.4g}% | {c_share:.4g}% "
+               f"| {c_share - p_share:+.4g} pp | - "
+               f"| {'worse' if c_share > p_share else 'ok'} |")
     return "\n".join(out)
 
 
@@ -163,13 +186,37 @@ def selftest():
     if "w parent: 1/100" not in text or "w change: 0/100" not in text:
         print("selftest FAIL: failed/attempted line missing:\n" + text)
         failures += 1
-    try:
-        parse_result("build noise\n{\"metrics\": {}}")
-        print("selftest FAIL: a result line without counts was accepted")
-        failures += 1
-    except ValueError:
-        pass
-    total = len(cases) + 3
+    # failed_share: worse only when the change fails a larger share.
+    shares = [
+        ("share_fell", 1, 0, "| failed_share | 1% | 0% | -1 pp | - | ok |"),
+        ("share_rose", 0, 2, "| failed_share | 0% | 2% | +2 pp | - | worse |"),
+        ("share_equal", 3, 3, "| failed_share | 3% | 3% | +0 pp | - | ok |"),
+    ]
+    for name, p_failed, c_failed, want in shares:
+        text = table("w", [metric], [parse_result(line(2.0, p_failed))],
+                     [parse_result(line(2.0, c_failed))])
+        if want not in text.splitlines():
+            print(f"selftest FAIL: {name}: no row '{want}' in:\n{text}")
+            failures += 1
+    # Exit status: 1 after a result line is a result; anything else aborts.
+    statuses = [
+        ("status_0", 0, line(2.0), 0),
+        ("status_1_result", 1, "build noise\n" + line(2.0, failed=4), 4),
+        ("status_1_no_result", 1, "Traceback (most recent call last):", None),
+        ("status_1_empty", 1, "", None),
+        ("status_2_result", 2, line(2.0), None),
+        ("no_counts", 0, "build noise\n{\"metrics\": {}}", None),
+    ]
+    for name, status, stdout, want_failed in statuses:
+        try:
+            got = result_of(status, stdout)["failed"]
+        except ValueError:
+            got = None
+        if got != want_failed:
+            print(f"selftest FAIL: {name}: failed={got}, expected "
+                  f"{want_failed} (None = abort)")
+            failures += 1
+    total = len(cases) + 2 + len(shares) + len(statuses)
     print(f"selftest OK ({total} cases)" if failures == 0
           else f"selftest: {failures} of {total} cases failed")
     return 1 if failures else 0
