@@ -204,12 +204,12 @@ int main() {
            },
            hw_threads, solver_tag(false));
 
-  // ---- int8 deploy convs at MobileNet-V1 w0.5's shapes (16x16 input) ----
+  // ---- int8 deploy convs at MobileNet-V1 w0.5 and ResNet-50 w0.25 shapes ----
   // IntConv2dOp with the solver Registry::choose picks for a fused
   // per-channel requant, weights packed outside the timed region as the
   // plan packs them: depthwise 3x3s (direct kernel) in each regime of
   // mobilenet_b8, from one channel block on a 16x16 map to 32 blocks on
-  // 1x1, and a pointwise 1x1 whose batch folds into one GEMM panel.
+  // 1x1, then the packed-GEMM convs below.
   const auto deploy_conv_row = [&](const std::string& name, ConvSpec cspec,
                                    std::int64_t hw, std::int64_t batch) {
     const std::int64_t icg = cspec.in_channels / cspec.groups;
@@ -259,10 +259,32 @@ int main() {
       dw.padding = 1;
       deploy_conv_row(d.name, dw, d.hw, 8);
     }
-    ConvSpec pw;
-    pw.in_channels = pw.out_channels = 512;
-    pw.kernel = 1;
-    deploy_conv_row("conv_i8_1x1_512_1x1_b8", pw, 1, 8);
+    // Packed-GEMM convs in each regime of resnet50_sparse24_b8 (w0.25)
+    // and mobilenet_b8: 16x16 maps fill a panel from two output rows, 8x8
+    // and smaller ones from four or more rows or several images.
+    struct Dense {
+      const char* name;
+      std::int64_t ic, oc, hw;
+      int k;
+    };
+    for (const Dense& d :
+         {Dense{"conv_i8_3x3_3to16_16x16_b8", 3, 16, 16, 3},
+          Dense{"conv_i8_3x3_16_16x16_b8", 16, 16, 16, 3},
+          Dense{"conv_i8_1x1_16to64_16x16_b8", 16, 64, 16, 1},
+          Dense{"conv_i8_1x1_16to32_16x16_b8", 16, 32, 16, 1},
+          Dense{"conv_i8_3x3_32_8x8_b8", 32, 32, 8, 3},
+          Dense{"conv_i8_1x1_128to32_8x8_b8", 128, 32, 8, 1},
+          Dense{"conv_i8_3x3_64_4x4_b8", 64, 64, 4, 3},
+          Dense{"conv_i8_1x1_256to64_4x4_b8", 256, 64, 4, 1},
+          Dense{"conv_i8_1x1_256_2x2_b8", 256, 256, 2, 1},
+          Dense{"conv_i8_1x1_512_1x1_b8", 512, 512, 1, 1}}) {
+      ConvSpec cs;
+      cs.in_channels = d.ic;
+      cs.out_channels = d.oc;
+      cs.kernel = d.k;
+      cs.padding = d.k / 2;
+      deploy_conv_row(d.name, cs, d.hw, 8);
+    }
   }
 
   // ---- conv2d forward: ResNet-ish mid-stage shape ----

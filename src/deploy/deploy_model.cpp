@@ -116,9 +116,13 @@ obs::OpCost DeployOp::cost(const std::vector<const ITensor*>& ins,
 
 void recycle_tensor(ITensor& out, const Shape& shape) {
   if (out.shape() == shape) return;
-  std::vector<std::int64_t> buf = std::move(out.vec());
-  buf.resize(static_cast<std::size_t>(shape_numel(shape)));
-  out = ITensor::from(shape, std::move(buf));
+  const auto n = static_cast<std::size_t>(shape_numel(shape));
+  if (out.vec().size() < n) {
+    out = ITensor(shape);
+    return;
+  }
+  out.vec().resize(n);  // truncating keeps the elements: no fill
+  out.reshape(shape);
 }
 
 DeployModel::DeployModel() : exec_(std::make_unique<ExecState>()) {

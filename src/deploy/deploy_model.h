@@ -111,6 +111,15 @@ class DeployOp {
   /// their first input's buffer (the planner checks the value is dead).
   virtual bool elementwise() const { return false; }
 
+  /// True when run_into() — run_packed() when `packed` — writes every
+  /// element of `out` into the storage it was handed (recycle_tensor), so
+  /// the executor may hand it a parked buffer with stale contents.
+  /// Element-wise ops do; the packed int8 kernels override this.
+  virtual bool recycles_output(bool packed) const {
+    (void)packed;
+    return elementwise();
+  }
+
   /// Runs the op writing into `out`, reusing out's heap storage when the
   /// op supports it. `out` may alias *ins[0] (in-place execution) only
   /// when elementwise() is true. The default discards out's storage and
@@ -137,9 +146,12 @@ class DeployOp {
   std::string label;        ///< provenance ("stage1.block0.conv1", ...)
 };
 
-/// run_into() helper: gives `out` the target shape, reusing its heap block
-/// when the capacity suffices. When out already has that shape (in-place
-/// execution aliasing the input) the data is left untouched.
+/// run_into() helper: gives `out` the target shape without zero-filling
+/// reused storage, so the caller must write every element. When out
+/// already has that shape (in-place execution aliasing the input) the
+/// data is left untouched; when it holds at least as many elements it is
+/// truncated; a smaller one is replaced by a fresh zero-filled tensor —
+/// never grown, which would copy its stale contents.
 void recycle_tensor(ITensor& out, const Shape& shape);
 
 /// Converter-attached metadata mapping one deploy op's integer output back

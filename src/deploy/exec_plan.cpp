@@ -16,9 +16,29 @@ namespace {
 constexpr std::int64_t kElemBytes =
     static_cast<std::int64_t>(sizeof(std::int64_t));
 
-/// Spare buffers kept per arena. Element-wise steps that cannot run in
-/// place (live forks) draw from the pool, so a handful covers a graph.
+/// Spare buffers kept per arena. Only values live at once need distinct
+/// buffers, so a handful covers a graph.
 constexpr std::size_t kSpareCap = 8;
+
+/// Moves into `out` the parked tensor that best fits a step whose output
+/// had `want` elements last run: the smallest holding at least that many,
+/// which recycle_tensor then truncates without a fill. With no fit, or no
+/// previous run, `out` stays empty and the step allocates.
+void take_spare(Arena& arena, std::int64_t want, ITensor& out) {
+  if (want == 0) return;
+  std::size_t best = arena.spare.size();
+  for (std::size_t i = 0; i < arena.spare.size(); ++i) {
+    const std::int64_t have = arena.spare[i].numel();
+    if (have >= want &&
+        (best == arena.spare.size() || have < arena.spare[best].numel())) {
+      best = i;
+    }
+  }
+  if (best == arena.spare.size()) return;
+  std::swap(arena.spare[best], arena.spare.back());
+  out = std::move(arena.spare.back());
+  arena.spare.pop_back();
+}
 
 }  // namespace
 
@@ -32,8 +52,8 @@ std::int64_t ExecutionPlan::packed_bytes() const {
 
 std::int64_t Arena::retained_bytes() const {
   std::int64_t bytes = 0;
-  for (const auto& buf : spare) {
-    bytes += static_cast<std::int64_t>(buf.capacity()) * kElemBytes;
+  for (const auto& t : spare) {
+    bytes += static_cast<std::int64_t>(t.vec().capacity()) * kElemBytes;
   }
   for (const auto& t : slots) bytes += t.numel() * kElemBytes;
   return bytes;
@@ -60,7 +80,6 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
     const DeployOp& op = dm.op(static_cast<std::size_t>(i));
     Step st;
     st.op = i;
-    st.elementwise = op.elementwise();
     st.in_slots.reserve(op.inputs.size());
     for (int in : op.inputs) {
       st.in_slots.push_back(in == 0 ? -1
@@ -69,7 +88,7 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
     // In-place: element-wise op whose first operand is a non-input value
     // read exactly once, dying here — the output takes over its buffer.
     const int first = op.inputs.empty() ? 0 : op.inputs[0];
-    if (st.elementwise && first != 0 &&
+    if (op.elementwise() && first != 0 &&
         last_use[static_cast<std::size_t>(first)] == i &&
         std::count(op.inputs.begin(), op.inputs.end(), first) == 1) {
       st.inplace = true;
@@ -101,12 +120,13 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
       st.release.push_back(st.out_slot);
       free_slots.push_back(st.out_slot);
     }
-    p.steps_.push_back(std::move(st));
     // Compile time is the cold path: pack this op's static operands for
     // its narrow kernel (nullptr on the default path) and intern the
     // step's name and kernel tag, so execute() neither repacks weights nor
     // builds a string per step.
     p.packed_.push_back(op.pack_weights());
+    st.recycles = op.recycles_output(p.packed_.back() != nullptr);
+    p.steps_.push_back(std::move(st));
     p.step_keys_.push_back(obs::step_key(
         op.kind() + (op.label.empty() ? "" : ":" + op.label), op.kernel()));
   }
@@ -141,6 +161,17 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
       dm.output_id() == 0
           ? -1
           : slot_of[static_cast<std::size_t>(dm.output_id())];
+  // The output's buffer leaves the arena with the result, so the step that
+  // first writes it (the in-place steps traced back from the output)
+  // allocates it instead of draining the spare pool run after run.
+  for (int v = dm.output_id(); v > 0;) {
+    Step& st = p.steps_[static_cast<std::size_t>(v - 1)];
+    if (!st.inplace) {
+      st.recycles = false;
+      break;
+    }
+    v = dm.op(static_cast<std::size_t>(v - 1)).inputs[0];
+  }
   return p;
 }
 
@@ -148,6 +179,7 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
                                Arena& arena,
                                DeployModel::MemoryStats& stats) const {
   arena.slots.resize(num_slots_);
+  arena.last_numel.resize(steps_.size());
   // One tier load per run; with no step tier on, every step takes the
   // plain dispatch below.
   const std::uint32_t tiers = obs::tiers();
@@ -179,16 +211,11 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
                           : &arena.slots[static_cast<std::size_t>(s)]);
     }
     ITensor out;
-    if (st.elementwise) {
-      if (st.inplace) {
-        out = std::move(arena.slots[static_cast<std::size_t>(st.out_slot)]);
-        ins[0] = &out;  // first operand and output share the buffer
-      } else if (!arena.spare.empty()) {
-        std::vector<std::int64_t> buf = std::move(arena.spare.back());
-        arena.spare.pop_back();
-        buf.clear();
-        out = ITensor::from({0}, std::move(buf));
-      }
+    if (st.inplace) {
+      out = std::move(arena.slots[static_cast<std::size_t>(st.out_slot)]);
+      ins[0] = &out;  // first operand and output share the buffer
+    } else if (st.recycles) {
+      take_spare(arena, arena.last_numel[si], out);
     }
     // Kernel dispatch. Under artifact capture the fused pair runs unfused
     // (packed GEMM with a raw-accumulator epilogue + the MulQuant step),
@@ -232,6 +259,7 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
           obs::op_tap_key(static_cast<std::size_t>(st.op), op.label),
           out.data(), out.numel(), out.shape());
     }
+    arena.last_numel[si] = out.numel();
     const std::int64_t out_bytes = out.numel() * kElemBytes;
     stats.naive_bytes += out_bytes;
     if (!st.inplace) live += out_bytes;  // in place: buffer already counted
@@ -241,7 +269,7 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
       ITensor& dead = arena.slots[static_cast<std::size_t>(s)];
       live -= dead.numel() * kElemBytes;
       if (arena.spare.size() < kSpareCap && dead.numel() > 0) {
-        arena.spare.push_back(std::move(dead.vec()));
+        arena.spare.push_back(std::move(dead));
       }
       dead = ITensor();
     }

@@ -7,9 +7,12 @@
 // residual fork) instead of one buffer per op. Element-wise ops whose
 // first input dies at them run *in place* on that input's buffer — no
 // allocation at all. Buffers released mid-run are parked in the arena's
-// spare pool and re-issued to later element-wise steps and to the next
-// run(), so steady-state serving does not touch the allocator for the
-// element-wise half of the graph.
+// spare pool, still holding their values, and re-issued to later steps
+// and to the next run(): each step whose kernel writes every output
+// element (element-wise and packed int8 ops, attention) takes the
+// smallest parked buffer that held at least as many elements as its
+// output did last run and truncates it, so steady-state serving neither
+// allocates nor zero-fills those outputs.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +27,14 @@
 namespace t2c {
 
 /// Per-run buffer store. Slots hold the currently-live values; spare holds
-/// released heap blocks awaiting reuse. Owned by one run at a time (the
-/// model keeps an idle pool and hands one arena to each concurrent run).
+/// released tensors awaiting reuse (contents stale); last_numel is each
+/// step's output size in the previous run, the size it asks the pool
+/// for. Owned by one run at a time (the model keeps an idle pool and
+/// hands one arena to each concurrent run).
 struct Arena {
   std::vector<ITensor> slots;
-  std::vector<std::vector<std::int64_t>> spare;
+  std::vector<ITensor> spare;
+  std::vector<std::int64_t> last_numel;
 
   /// Heap bytes the arena retains between runs (spare capacities).
   std::int64_t retained_bytes() const;
@@ -42,8 +48,8 @@ class ExecutionPlan {
   struct Step {
     int op = 0;
     int out_slot = 0;
-    bool inplace = false;      ///< output reuses the (dead) first input's slot
-    bool elementwise = false;  ///< op recycles storage via run_into
+    bool inplace = false;   ///< output reuses the (dead) first input's slot
+    bool recycles = false;  ///< output may take a parked buffer
     /// Op index of the MulQuant fused into this GEMM step's epilogue, or
     /// -1. Fusion is kernel-level only: the graph keeps both ops, and
     /// under artifact capture the pair runs unfused so every tapped

@@ -108,6 +108,7 @@ class IntConv2dOp final : public DeployOp {
   std::string kind() const override { return "IntConv2d"; }
   std::string kernel() const override;
   std::shared_ptr<const PackedWeights> pack_weights() const override;
+  bool recycles_output(bool packed) const override { return packed; }
   void run_packed(const std::vector<const ITensor*>& ins,
                   const PackedWeights* packed, const MulQuantOp* fused,
                   ITensor& out) const override;
@@ -143,6 +144,7 @@ class IntLinearOp final : public DeployOp {
   std::string kind() const override { return "IntLinear"; }
   std::string kernel() const override;
   std::shared_ptr<const PackedWeights> pack_weights() const override;
+  bool recycles_output(bool packed) const override { return packed; }
   void run_packed(const std::vector<const ITensor*>& ins,
                   const PackedWeights* packed, const MulQuantOp* fused,
                   ITensor& out) const override;

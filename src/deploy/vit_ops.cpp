@@ -28,6 +28,31 @@ namespace {
 // int_ops.cpp): below this, partitioning overhead dwarfs the work.
 constexpr std::int64_t kElemGrain = 4096;
 
+/// Per-thread scratch of the narrow attention path, grown on demand and
+/// kept for the thread's lifetime, so a steady-state call allocates
+/// nothing. The calling thread's int16 streams (qkv, ctx) and each
+/// worker's per-query rows (logits, exp values, probabilities) are
+/// separate buffers, so the calling thread can run chunks too.
+struct AttnScratch {
+  std::vector<std::int16_t> qkv, ctx, probs;
+  std::vector<std::int32_t> logits;
+  std::vector<std::int64_t> expv;
+};
+
+AttnScratch& attn_scratch() {
+  thread_local AttnScratch s;
+  return s;
+}
+
+/// v's storage with at least n lanes; stale contents are kept.
+template <typename T>
+T* grown(std::vector<T>& v, std::int64_t n) {
+  if (v.size() < static_cast<std::size_t>(n)) {
+    v.resize(static_cast<std::size_t>(n));
+  }
+  return v.data();
+}
+
 std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::min(hi, std::max(lo, v));
 }
@@ -375,15 +400,24 @@ void IntAttentionOp::set_input_bound(std::int64_t bound) {
 std::string IntAttentionOp::kernel() const { return choice_.name; }
 
 ITensor IntAttentionOp::run(const std::vector<const ITensor*>& ins) const {
+  ITensor out;
+  run_into(ins, out);
+  return out;
+}
+
+void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
+                              ITensor& out) const {
   check(ins.size() == 1 && ins[0] != nullptr, "IntAttention: one input");
   const ITensor& x = *ins[0];
   check(x.rank() == 3, "IntAttention: input must be [N,T,D]");
+  recycle_tensor(out, x.shape());
   // The p*v accumulation depth is the (runtime) token count, so its int32
   // bound is the one eligibility term checked per run.
   if (choice_.i8 &&
       i8::accum_fits_i32(x.size(1), p_.p_qmax,
                          abs_bound(p_.stream_min, p_.stream_max))) {
-    return run_i16(x);
+    run_i16(x, out);
+    return;
   }
   const std::int64_t n = x.size(0), t = x.size(1), d = x.size(2);
   const std::int64_t h = p_.heads, dh = d / h;
@@ -471,7 +505,6 @@ ITensor IntAttentionOp::run(const std::vector<const ITensor*>& ins) const {
   });
 
   // 6. output projection + requant to the residual-stream grid.
-  ITensor out({n, t, d});
   par::parallel_for(0, n * t, 1, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const std::int64_t* row = ctx.data() + r * d;
@@ -489,7 +522,6 @@ ITensor IntAttentionOp::run(const std::vector<const ITensor*>& ins) const {
       }
     }
   });
-  return out;
 }
 
 // Narrow-lane twin of run(): identical stage structure and identical
@@ -501,7 +533,7 @@ ITensor IntAttentionOp::run(const std::vector<const ITensor*>& ins) const {
 // arithmetic, narrowing only the stream operands and accumulators that
 // the solver gate proved safe. Integer arithmetic without overflow is
 // exact, so outputs match the int64 path bit for bit at any thread count.
-ITensor IntAttentionOp::run_i16(const ITensor& x) const {
+void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
   const std::int64_t n = x.size(0), t = x.size(1), d = x.size(2);
   const std::int64_t h = p_.heads, dh = d / h;
   const int f = p_.frac_bits;
@@ -509,7 +541,7 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
 
   // 1. qkv projection + per-stream requant, fused; clamped streams land in
   // int16 scratch.
-  std::vector<std::int16_t> qkv(static_cast<std::size_t>(n * t * 3 * d));
+  std::int16_t* qkv = grown(attn_scratch().qkv, n * t * 3 * d);
   i8::Epilogue eq;
   eq.mode = i8::Epilogue::Mode::kPerCol;
   eq.mul = p_.qkv_mul.data();
@@ -518,8 +550,7 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
   eq.bias_frac = p_.bias_frac;
   eq.lo = p_.stream_min;
   eq.hi = p_.stream_max;
-  i8::gemm_b_packed(x.data(), *pbqkv_, qkv.data(), n * t, eq,
-                    /*threaded=*/true);
+  i8::gemm_b_packed(x.data(), *pbqkv_, qkv, n * t, eq, /*threaded=*/true);
 
   // 2-4. logits, LUT softmax, context per (sample, head); int32 logit and
   // context accumulators, int16 normalized probabilities (<= p_qmax). On
@@ -529,18 +560,20 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
   // so the reassociated sums match the scalar loops bit for bit.
   const auto last = static_cast<std::int64_t>(p_.softmax_lut.size()) - 1;
   const std::int64_t rs = 3 * d;  // token row stride inside the qkv scratch
-  std::vector<std::int16_t> ctx(static_cast<std::size_t>(n * t * d));
+  std::int16_t* ctx = grown(attn_scratch().ctx, n * t * d);
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
-    std::vector<std::int32_t> logits(static_cast<std::size_t>(t));
-    std::vector<std::int64_t> expv(static_cast<std::size_t>(t));
+    AttnScratch& ws = attn_scratch();
+    std::int32_t* logits = grown(ws.logits, t);
+    std::int64_t* expv = grown(ws.expv, t);
     // One zero pad slot so the paired context kernel can read an even
     // number of probability lanes.
-    std::vector<std::int16_t> probs(static_cast<std::size_t>(t + 1), 0);
+    std::int16_t* probs = grown(ws.probs, t + 1);
+    probs[t] = 0;
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t in = p / h, ih = p % h;
-      const std::int16_t* qbase = qkv.data() + in * t * rs + 0 * d + ih * dh;
-      const std::int16_t* kbase = qkv.data() + in * t * rs + 1 * d + ih * dh;
-      const std::int16_t* vbase = qkv.data() + in * t * rs + 2 * d + ih * dh;
+      const std::int16_t* qbase = qkv + in * t * rs + 0 * d + ih * dh;
+      const std::int16_t* kbase = qkv + in * t * rs + 1 * d + ih * dh;
+      const std::int16_t* vbase = qkv + in * t * rs + 2 * d + ih * dh;
       for (std::int64_t iq = 0; iq < t; ++iq) {
         const std::int16_t* qrow = qbase + iq * rs;
         std::int32_t m = std::numeric_limits<std::int32_t>::min();
@@ -602,9 +635,9 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
                 static_cast<std::int16_t>(q);
           }
         } else {
-          std::fill(probs.begin(), probs.begin() + t, std::int16_t{0});
+          std::fill(probs, probs + t, std::int16_t{0});
         }
-        std::int16_t* crow = ctx.data() + (in * t + iq) * d + ih * dh;
+        std::int16_t* crow = ctx + (in * t + iq) * d + ih * dh;
         std::int64_t e0 = 0;
 #if defined(__x86_64__)
         for (; e0 + 8 <= dh; e0 += 8) {
@@ -661,7 +694,6 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
   });
 
   // 5. output projection + requant, fused, widening back to int64 lanes.
-  ITensor out({n, t, d});
   i8::Epilogue ep;
   ep.mode = i8::Epilogue::Mode::kPerCol;
   ep.mul = p_.proj_mul.data();
@@ -670,9 +702,7 @@ ITensor IntAttentionOp::run_i16(const ITensor& x) const {
   ep.bias_frac = p_.bias_frac;
   ep.lo = p_.out_min;
   ep.hi = p_.out_max;
-  i8::gemm_b_packed(ctx.data(), *pbproj_, out.data(), n * t, ep,
-                    /*threaded=*/true);
-  return out;
+  i8::gemm_b_packed(ctx, *pbproj_, out.data(), n * t, ep, /*threaded=*/true);
 }
 
 }  // namespace t2c

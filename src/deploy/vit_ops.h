@@ -135,6 +135,9 @@ class IntAttentionOp final : public DeployOp {
   explicit IntAttentionOp(IntAttentionParams params);
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
+  bool recycles_output(bool) const override { return true; }
+  void run_into(const std::vector<const ITensor*>& ins,
+                ITensor& out) const override;
   std::string kind() const override { return "IntAttention"; }
   std::string kernel() const override;
   void save_params(std::string& out) const override;
@@ -164,7 +167,7 @@ class IntAttentionOp final : public DeployOp {
   /// proof lives in the registry's attn_i16 applicability gate, and the
   /// token-count-dependent p*v bound is re-checked per run.
   bool static_i16_ok() const;
-  ITensor run_i16(const ITensor& x) const;
+  void run_i16(const ITensor& x, ITensor& out) const;
 
   IntAttentionParams p_;
   solver::SolverChoice choice_;

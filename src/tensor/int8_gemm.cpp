@@ -1,6 +1,7 @@
 #include "tensor/int8_gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "core/parallel.h"
@@ -62,82 +63,113 @@ T2C_MICROKERNEL_SIMD void micro_kernel_i16(const std::int16_t* apack,
 }
 
 #if T2C_I8_AVX2
+/// The depth pair (a[2r], a[2r+1]) of row r as one int32 broadcast lane.
+inline std::int32_t a_pair(const std::int16_t* ap, std::int64_t r) {
+  std::int32_t pair;
+  std::memcpy(&pair, ap + 2 * r, sizeof(pair));
+  return pair;
+}
+
 /// vpmaddwd micro-kernel: each madd multiplies 16 int16 lanes and adds
 /// adjacent products, yielding a0*b0 + a1*b1 for eight columns — exactly
 /// one packed depth pair. The pairwise sum is wrap-free unconditionally
 /// (operands are clamped to kOperandMax, and 2 · 32767² < 2^31); the
 /// running int32 adds are covered by the caller's accum_fits_i32 proof.
-/// Pure integer arithmetic in a fixed order: bit-identical to the scalar
-/// kernel at any thread count.
+/// 16 ymm accumulators hold four rows, so the 8-row block runs as two
+/// 4-row halves over the same panel. Pure integer arithmetic in a fixed
+/// order: bit-identical to the scalar kernel at any thread count.
 __attribute__((target("avx2"))) void micro_kernel_avx2(
     const std::int16_t* apack, const std::int16_t* bpanel, std::int32_t* acc,
     std::int64_t k2) {
-  static_assert(kMr == 4 && kNr == 32, "register tiling assumes 4x32");
-  __m256i vacc[kMr][kNr / 8];
-  for (auto& row : vacc) {
-    for (auto& v : row) v = _mm256_setzero_si256();
-  }
-  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
-    const auto* bp =
-        reinterpret_cast<const __m256i*>(bpanel + p2 * kNr * 2);
-    const __m256i b0 = _mm256_loadu_si256(bp + 0);
-    const __m256i b1 = _mm256_loadu_si256(bp + 1);
-    const __m256i b2 = _mm256_loadu_si256(bp + 2);
-    const __m256i b3 = _mm256_loadu_si256(bp + 3);
-    const std::int16_t* ap = apack + p2 * kMr * 2;
-    for (std::int64_t r = 0; r < kMr; ++r) {
-      const auto pair = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(static_cast<std::uint16_t>(ap[2 * r])) |
-          (static_cast<std::uint32_t>(
-               static_cast<std::uint16_t>(ap[2 * r + 1]))
-           << 16));
-      const __m256i av = _mm256_set1_epi32(pair);
-      vacc[r][0] =
-          _mm256_add_epi32(vacc[r][0], _mm256_madd_epi16(av, b0));
-      vacc[r][1] =
-          _mm256_add_epi32(vacc[r][1], _mm256_madd_epi16(av, b1));
-      vacc[r][2] =
-          _mm256_add_epi32(vacc[r][2], _mm256_madd_epi16(av, b2));
-      vacc[r][3] =
-          _mm256_add_epi32(vacc[r][3], _mm256_madd_epi16(av, b3));
+  static_assert(kMr == 8 && kNr == 32, "register tiling assumes 8x32");
+  constexpr std::int64_t kHalf = kMr / 2;
+  for (std::int64_t r0 = 0; r0 < kMr; r0 += kHalf) {
+    __m256i vacc[kHalf][kNr / 8];
+    for (auto& row : vacc) {
+      for (auto& v : row) v = _mm256_setzero_si256();
     }
-  }
-  for (std::int64_t r = 0; r < kMr; ++r) {
-    auto* out = reinterpret_cast<__m256i*>(acc + r * kNr);
-    for (std::int64_t v = 0; v < kNr / 8; ++v) {
-      _mm256_storeu_si256(out + v, vacc[r][v]);
+    for (std::int64_t p2 = 0; p2 < k2; ++p2) {
+      const auto* bp =
+          reinterpret_cast<const __m256i*>(bpanel + p2 * kNr * 2);
+      const __m256i b0 = _mm256_loadu_si256(bp + 0);
+      const __m256i b1 = _mm256_loadu_si256(bp + 1);
+      const __m256i b2 = _mm256_loadu_si256(bp + 2);
+      const __m256i b3 = _mm256_loadu_si256(bp + 3);
+      const std::int16_t* ap = apack + (p2 * kMr + r0) * 2;
+      for (std::int64_t r = 0; r < kHalf; ++r) {
+        const __m256i av = _mm256_set1_epi32(a_pair(ap, r));
+        vacc[r][0] =
+            _mm256_add_epi32(vacc[r][0], _mm256_madd_epi16(av, b0));
+        vacc[r][1] =
+            _mm256_add_epi32(vacc[r][1], _mm256_madd_epi16(av, b1));
+        vacc[r][2] =
+            _mm256_add_epi32(vacc[r][2], _mm256_madd_epi16(av, b2));
+        vacc[r][3] =
+            _mm256_add_epi32(vacc[r][3], _mm256_madd_epi16(av, b3));
+      }
+    }
+    for (std::int64_t r = 0; r < kHalf; ++r) {
+      auto* out = reinterpret_cast<__m256i*>(acc + (r0 + r) * kNr);
+      for (std::int64_t v = 0; v < kNr / 8; ++v) {
+        _mm256_storeu_si256(out + v, vacc[r][v]);
+      }
     }
   }
 }
-/// AVX-512 variant: one 512-bit load covers a full 32-column pair row, so
-/// each depth pair is 2 loads + per row (broadcast, 2 madd, 2 add) — half
-/// the instruction count of the AVX2 kernel. Same exact integer
-/// arithmetic, same wrap-free bounds.
+
+/// AVX-512 variant: one 512-bit load covers 16 columns of a pair row, so
+/// each depth pair is 2 loads + per row (broadcast, 2 madd, 2 add), and
+/// the 8x32 tile is 16 zmm accumulators. Same exact integer arithmetic,
+/// same wrap-free bounds.
 __attribute__((target("avx512bw"))) void micro_kernel_avx512(
     const std::int16_t* apack, const std::int16_t* bpanel, std::int32_t* acc,
     std::int64_t k2) {
-  static_assert(kMr == 4 && kNr == 32, "register tiling assumes 4x32");
+  static_assert(kMr == 8 && kNr == 32, "register tiling assumes 8x32");
   __m512i vacc[kMr][kNr / 16];
   for (auto& row : vacc) {
     for (auto& v : row) v = _mm512_setzero_si512();
   }
   for (std::int64_t p2 = 0; p2 < k2; ++p2) {
-    const auto* bp =
-        reinterpret_cast<const __m512i*>(bpanel + p2 * kNr * 2);
+    const auto* bp = reinterpret_cast<const __m512i*>(bpanel + p2 * kNr * 2);
     const __m512i b0 = _mm512_loadu_si512(bp + 0);
     const __m512i b1 = _mm512_loadu_si512(bp + 1);
     const std::int16_t* ap = apack + p2 * kMr * 2;
     for (std::int64_t r = 0; r < kMr; ++r) {
-      const auto pair = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(static_cast<std::uint16_t>(ap[2 * r])) |
-          (static_cast<std::uint32_t>(
-               static_cast<std::uint16_t>(ap[2 * r + 1]))
-           << 16));
-      const __m512i av = _mm512_set1_epi32(pair);
-      vacc[r][0] =
-          _mm512_add_epi32(vacc[r][0], _mm512_madd_epi16(av, b0));
-      vacc[r][1] =
-          _mm512_add_epi32(vacc[r][1], _mm512_madd_epi16(av, b1));
+      const __m512i av = _mm512_set1_epi32(a_pair(ap, r));
+      vacc[r][0] = _mm512_add_epi32(vacc[r][0], _mm512_madd_epi16(av, b0));
+      vacc[r][1] = _mm512_add_epi32(vacc[r][1], _mm512_madd_epi16(av, b1));
+    }
+  }
+  for (std::int64_t r = 0; r < kMr; ++r) {
+    auto* out = reinterpret_cast<__m512i*>(acc + r * kNr);
+    _mm512_storeu_si512(out + 0, vacc[r][0]);
+    _mm512_storeu_si512(out + 1, vacc[r][1]);
+  }
+}
+
+/// micro_kernel_avx512 with one vpdpwssd per multiply-add instead of
+/// vpmaddwd + vpaddd. It is the non-saturating form, so it wraps exactly
+/// like vpaddd — and never wraps here, by the caller's accum_fits_i32
+/// proof — hence the same bits. (vpdpwssds would differ only past that
+/// proof.) A separate function, not a template over the add: with VNNI
+/// enabled the compiler may fuse the plain kernel's madd + add as well.
+__attribute__((target("avx512bw,avx512vnni"))) void micro_kernel_vnni(
+    const std::int16_t* apack, const std::int16_t* bpanel, std::int32_t* acc,
+    std::int64_t k2) {
+  static_assert(kMr == 8 && kNr == 32, "register tiling assumes 8x32");
+  __m512i vacc[kMr][kNr / 16];
+  for (auto& row : vacc) {
+    for (auto& v : row) v = _mm512_setzero_si512();
+  }
+  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
+    const auto* bp = reinterpret_cast<const __m512i*>(bpanel + p2 * kNr * 2);
+    const __m512i b0 = _mm512_loadu_si512(bp + 0);
+    const __m512i b1 = _mm512_loadu_si512(bp + 1);
+    const std::int16_t* ap = apack + p2 * kMr * 2;
+    for (std::int64_t r = 0; r < kMr; ++r) {
+      const __m512i av = _mm512_set1_epi32(a_pair(ap, r));
+      vacc[r][0] = _mm512_dpwssd_epi32(vacc[r][0], av, b0);
+      vacc[r][1] = _mm512_dpwssd_epi32(vacc[r][1], av, b1);
     }
   }
   for (std::int64_t r = 0; r < kMr; ++r) {
@@ -153,7 +185,8 @@ using MicroKernelFn = void (*)(const std::int16_t*, const std::int16_t*,
 
 /// Maps the caller's MicroKernel request onto a function pointer,
 /// downgrading to the best variant the CPU tier supports. kAuto picks the
-/// widest available — the pre-registry behavior. The resolved pointer is
+/// widest available — the pre-registry behavior — and kAvx512 takes the
+/// vpdpwssd kernel at the avx512vnni rung. The resolved pointer is
 /// captured once per GEMM call and shared by every worker, so all threads
 /// run the same variant and the determinism contract holds; the variants
 /// compute identical integer arithmetic anyway, so even a mid-run tier
@@ -172,7 +205,10 @@ MicroKernelFn resolve_micro_kernel(MicroKernel mk) {
   if (mk == MicroKernel::kAvx2 && tier < util::IsaTier::kAvx2) {
     mk = MicroKernel::kScalar;
   }
-  if (mk == MicroKernel::kAvx512) return micro_kernel_avx512;
+  if (mk == MicroKernel::kAvx512) {
+    return tier >= util::IsaTier::kAvx512Vnni ? micro_kernel_vnni
+                                              : micro_kernel_avx512;
+  }
   if (mk == MicroKernel::kAvx2) return micro_kernel_avx2;
 #else
   (void)mk;
@@ -494,9 +530,27 @@ ConvGeom conv_geom(std::int64_t n, std::int64_t h, std::int64_t w,
   return g;
 }
 
-/// Valid output-column range [lo[kj], hi[kj]) of each kernel column kj:
-/// ix = ox*stride + kj - pad lies in [0, w) exactly there. Hoisted out of
-/// the panel fill, which then copies each tap's run without a bounds test.
+/// The offset table of one kNr-column conv panel (batch columns [j0, j0 +
+/// jn) of one group). src[j] is the x offset of column j's window origin:
+/// its image, the group's first input channel, input row oy*stride - pad
+/// and input column ox*stride - pad. Bit j of vy[ki] (vx[kj]) is set when
+/// that column's input row (column) under kernel row ki (column kj) lies
+/// inside the map; columns at or past jn have no bit set. Depth row p =
+/// (c*k + ki)*k + kj of the panel — PackedA's K order — then reads
+/// x[src[j] + c*h*w + ki*w + kj] where bit j of vy[ki] & vx[kj] is set
+/// and 0 elsewhere. Bit q of `contig` marks an 8-column group whose
+/// sources are consecutive (stride 1 within one output row).
+struct PanelTable {
+  static_assert(kNr == 32, "one 32-bit validity mask per panel");
+  std::int64_t src[kNr];
+  std::uint32_t* vy;  ///< [k], worker scratch
+  std::uint32_t* vx;  ///< [k], worker scratch
+  unsigned contig;
+};
+
+/// Output columns [lo[kj], hi[kj]) whose input column ox*stride - pad + kj
+/// lies in [0, w), per kernel column kj: derived once per call, so the
+/// table build divides by the stride nowhere else.
 void tap_col_bounds(const ConvGeom& g, std::int64_t* lo, std::int64_t* hi) {
   for (std::int64_t kj = 0; kj < g.k; ++kj) {
     const std::int64_t off = kj - g.pad;
@@ -507,75 +561,215 @@ void tap_col_bounds(const ConvGeom& g, std::int64_t* lo, std::int64_t* hi) {
   }
 }
 
-/// im2col of batch columns [j0, j0 + jn) of group `grp` into one
-/// pair-interleaved kNr-wide panel ([k2][kNr][2]). Column j is pixel
-/// j % ohw of image j / ohw; depth p = (c*k + ki)*k + kj. The columns
-/// split into runs along one output row of one image, and each tap of a
-/// run copies its valid span (bounds from tap_col_bounds) into row p of
-/// `rows` ([kdepth][kNr] int16, L1-resident); a second sweep interleaves
-/// row pairs into the panel. Both sweeps are contiguous, so both
-/// vectorize — a direct fill would store every lane at stride 2. The
-/// narrowing cast is lossless by the caller's int16 operand proof.
-T2C_MICROKERNEL_SIMD void fill_conv_panel(
-    const std::int64_t* x, const ConvGeom& g, std::int64_t grp,
-    std::int64_t j0, std::int64_t jn, std::int64_t k2, const std::int64_t* lo,
-    const std::int64_t* hi, std::int16_t* rows, std::int16_t* panel) {
-  const std::int64_t kdepth = g.icg * g.k * g.k;
-  // Padding taps and a partial panel's right edge are the only entries no
-  // run writes.
-  if (g.pad > 0 || jn < kNr) {
-    std::fill(rows, rows + kdepth * kNr, std::int16_t{0});
-  }
+/// Columns [a, b) of a panel as a mask (0 <= a <= b <= kNr).
+std::uint32_t column_bits(std::int64_t a, std::int64_t b) {
+  return static_cast<std::uint32_t>(((std::uint64_t{1} << b) - 1) &
+                                    ~((std::uint64_t{1} << a) - 1));
+}
+
+/// Builds the table one output-row run at a time: two divisions per
+/// panel, and per run K mask updates for the rows and K for the columns
+/// (bounds from tap_col_bounds) instead of 2K per column.
+void build_panel_table(const ConvGeom& g, std::int64_t grp, std::int64_t j0,
+                       std::int64_t jn, const std::int64_t* lo,
+                       const std::int64_t* hi, PanelTable& t) {
+  std::fill(t.vy, t.vy + g.k, 0u);
+  std::fill(t.vx, t.vx + g.k, 0u);
+  std::int64_t img = j0 / g.ohw;
+  const std::int64_t pix = j0 - img * g.ohw;
+  std::int64_t oy = pix / g.ow;
+  std::int64_t ox = pix - oy * g.ow;
   for (std::int64_t j = 0; j < jn;) {
-    const std::int64_t col = j0 + j;
-    const std::int64_t img = col / g.ohw;
-    const std::int64_t pix = col - img * g.ohw;
-    const std::int64_t oy = pix / g.ow;
-    const std::int64_t ox0 = pix - oy * g.ow;
-    const std::int64_t ox1 = std::min(g.ow, ox0 + (jn - j));
-    const std::int64_t* xg = x + (img * g.ic + grp * g.icg) * g.hw;
-    for (std::int64_t c = 0; c < g.icg; ++c) {
-      for (std::int64_t ki = 0; ki < g.k; ++ki) {
-        const std::int64_t iy = oy * g.stride + ki - g.pad;
-        if (iy < 0 || iy >= g.h) continue;
-        const std::int64_t* row = xg + c * g.hw + iy * g.w;
-        for (std::int64_t kj = 0; kj < g.k; ++kj) {
-          const std::int64_t p = (c * g.k + ki) * g.k + kj;
-          std::int16_t* dst = rows + p * kNr + j - ox0;
-          const std::int64_t a = std::max(ox0, lo[kj]);
-          const std::int64_t b = std::min(ox1, hi[kj]);
-          const std::int64_t ix0 = kj - g.pad;
-          if (g.stride == 1) {
-            for (std::int64_t ox = a; ox < b; ++ox) {
-              dst[ox] = static_cast<std::int16_t>(row[ox + ix0]);
-            }
-          } else {
-            for (std::int64_t ox = a; ox < b; ++ox) {
-              dst[ox] = static_cast<std::int16_t>(row[ox * g.stride + ix0]);
-            }
-          }
-        }
+    const std::int64_t len = std::min(jn - j, g.ow - ox);
+    const std::int64_t iy = oy * g.stride - g.pad;
+    const std::int64_t origin =
+        (img * g.ic + grp * g.icg) * g.hw + iy * g.w - g.pad;
+    for (std::int64_t i = 0; i < len; ++i) {
+      t.src[j + i] = origin + (ox + i) * g.stride;
+    }
+    const std::uint32_t run = column_bits(j, j + len);
+    for (std::int64_t ki = 0; ki < g.k; ++ki) {
+      if (iy + ki >= 0 && iy + ki < g.h) t.vy[ki] |= run;
+    }
+    for (std::int64_t kj = 0; kj < g.k; ++kj) {
+      const std::int64_t a = std::max(ox, lo[kj]);
+      const std::int64_t b = std::min(ox + len, hi[kj]);
+      if (a < b) t.vx[kj] |= column_bits(j + a - ox, j + b - ox);
+    }
+    j += len;
+    ox += len;
+    if (ox == g.ow) {
+      ox = 0;
+      if (++oy == g.oh) {
+        oy = 0;
+        ++img;
       }
     }
-    j += ox1 - ox0;
   }
-  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
-    const std::int16_t* r0 = rows + 2 * p2 * kNr;
-    std::int16_t* d = panel + p2 * kNr * 2;
-    if (2 * p2 + 1 < kdepth) {
-      const std::int16_t* r1 = r0 + kNr;
-      for (std::int64_t i = 0; i < kNr; ++i) {
-        d[2 * i] = r0[i];
-        d[2 * i + 1] = r1[i];
-      }
-    } else {  // odd-K tail
-      for (std::int64_t i = 0; i < kNr; ++i) {
-        d[2 * i] = r0[i];
-        d[2 * i + 1] = 0;
-      }
+  std::fill(t.src + jn, t.src + kNr, 0);  // never read: no mask bit
+  t.contig = 0;
+  for (std::int64_t q = 0; q < kNr / 8; ++q) {
+    bool run = true;
+    for (std::int64_t i = 1; i < 8 && 8 * q + i < jn; ++i) {
+      run = run && t.src[8 * q + i] == t.src[8 * q] + i;
+    }
+    if (run) t.contig |= 1u << q;
+  }
+}
+
+/// Walks the depth rows p = (c, ki, kj) in order, tracking row p's offset
+/// c*h*w + ki*w + kj from a column's window origin.
+struct DepthCursor {
+  explicit DepthCursor(const ConvGeom& geom)
+      : g(geom), kdepth(geom.icg * geom.k * geom.k) {}
+  /// Row p's valid columns; none past the last row (an odd-K tail).
+  std::uint32_t mask(const PanelTable& t) const {
+    return p < kdepth ? t.vy[ki] & t.vx[kj] : 0u;
+  }
+  void next() {
+    ++p;
+    ++off;
+    if (++kj < g.k) return;
+    kj = 0;
+    off += g.w - g.k;  // to (c, ki + 1, 0)
+    if (++ki < g.k) return;
+    ki = 0;
+    off += g.hw - g.k * g.w;  // to (c + 1, 0, 0)
+  }
+
+  const ConvGeom& g;
+  std::int64_t kdepth, p = 0, ki = 0, kj = 0, off = 0;
+};
+
+/// Fills the pair-interleaved panel ([k2][kNr][2]) from the table, one
+/// lane at a time: the generic rung's fill, and (gathers are not
+/// instrumented) the one a sanitized build checks the table's bounds with.
+/// The narrowing cast is lossless by the caller's int16 operand proof.
+void fill_panel_generic(const std::int64_t* x, const ConvGeom& g,
+                        const PanelTable& t, std::int64_t k2,
+                        std::int16_t* panel) {
+  for (DepthCursor cur(g); cur.p < 2 * k2; cur.next()) {
+    const std::uint32_t m = cur.mask(t);
+    const std::int64_t* base = x + cur.off;
+    std::int16_t* d = panel + (cur.p / 2) * kNr * 2 + cur.p % 2;
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      d[2 * j] = ((m >> j) & 1u) != 0
+                     ? static_cast<std::int16_t>(base[t.src[j]])
+                     : std::int16_t{0};
     }
   }
 }
+
+#if T2C_I8_AVX2
+/// Four columns [4u, 4u + 4) of one depth row as int64 lanes, for the AVX2
+/// fill: a masked load when their group is consecutive, a masked gather
+/// through the table's offsets otherwise, zero when none is valid.
+/// Masked-off lanes are never read, so a load's start may lie before x.
+__attribute__((target("avx2"))) inline __m256i fill_quad_avx2(
+    const std::int64_t* base, std::uint32_t m, std::int64_t u,
+    const PanelTable& t) {
+  // Lane i of entry b is all ones where bit i of b is set.
+  alignas(32) static constexpr std::int64_t kLanes[16][4] = {
+      {0, 0, 0, 0},   {-1, 0, 0, 0},   {0, -1, 0, 0},   {-1, -1, 0, 0},
+      {0, 0, -1, 0},  {-1, 0, -1, 0},  {0, -1, -1, 0},  {-1, -1, -1, 0},
+      {0, 0, 0, -1},  {-1, 0, 0, -1},  {0, -1, 0, -1},  {-1, -1, 0, -1},
+      {0, 0, -1, -1}, {-1, 0, -1, -1}, {0, -1, -1, -1}, {-1, -1, -1, -1}};
+  const std::uint32_t mq = (m >> (4 * u)) & 0xfu;
+  if (mq == 0) return _mm256_setzero_si256();
+  const __m256i lanes =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(kLanes[mq]));
+  if (((t.contig >> (u / 2)) & 1u) != 0) {
+    return _mm256_maskload_epi64(
+        reinterpret_cast<const long long*>(base + t.src[4 * u]), lanes);
+  }
+  return _mm256_mask_i64gather_epi64(
+      _mm256_setzero_si256(), reinterpret_cast<const long long*>(base),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.src + 4 * u)),
+      lanes, 8);
+}
+
+/// AVX2 fill: per depth pair and 4-column quad, row p+1's lanes shift up
+/// one int16 and blend over row p's, so each int64 lane's low int32 is
+/// the column's (p, p+1) pair; vpermd packs the four pairs into 16 bytes
+/// of the panel.
+__attribute__((target("avx2"))) void fill_panel_avx2(const std::int64_t* x,
+                                                     const ConvGeom& g,
+                                                     const PanelTable& t,
+                                                     std::int64_t k2,
+                                                     std::int16_t* panel) {
+  const __m256i low_dwords = _mm256_set_epi32(7, 5, 3, 1, 6, 4, 2, 0);
+  DepthCursor cur(g);
+  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
+    const std::uint32_t m0 = cur.mask(t);
+    const std::int64_t* b0 = x + cur.off;
+    cur.next();
+    const std::uint32_t m1 = cur.mask(t);
+    const std::int64_t* b1 = x + cur.off;
+    cur.next();
+    std::int16_t* d = panel + p2 * kNr * 2;
+    for (std::int64_t u = 0; u < kNr / 4; ++u) {
+      const __m256i pairs = _mm256_blend_epi16(
+          fill_quad_avx2(b0, m0, u, t),
+          _mm256_slli_epi64(fill_quad_avx2(b1, m1, u, t), 16), 0xaa);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + 8 * u),
+                       _mm256_castsi256_si128(
+                           _mm256_permutevar8x32_epi32(pairs, low_dwords)));
+    }
+  }
+}
+
+/// One depth row of the AVX-512 fill as four 8-column groups of int64
+/// lanes: a consecutive group is one masked load, any other a masked
+/// gather through the table's offsets, and a group with no valid column
+/// is zero. Masked-off lanes are never read, so a load's start may lie
+/// before x.
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline void
+fill_row_avx512(const std::int64_t* base, std::uint32_t m,
+                const PanelTable& t, const __m512i* vsrc, __m512i* row) {
+  for (std::int64_t q = 0; q < kNr / 8; ++q) {
+    const auto mq = static_cast<__mmask8>(m >> (8 * q));
+    if (mq == 0) {
+      row[q] = _mm512_setzero_si512();
+    } else if (((t.contig >> q) & 1u) != 0) {
+      row[q] = _mm512_maskz_loadu_epi64(mq, base + t.src[8 * q]);
+    } else {
+      row[q] = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), mq,
+                                           vsrc[q], base, 8);
+    }
+  }
+}
+
+/// AVX-512 fill: per depth pair, rows p and p+1 load as 8-column groups
+/// (fill_row_avx512), and one vpermt2w per group picks each lane's low
+/// int16 from both rows in pair order — narrowing and interleaving in one
+/// shuffle — and stores the 16 int16 of its low half straight into the
+/// panel.
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
+fill_panel_avx512(const std::int64_t* x, const ConvGeom& g,
+                  const PanelTable& t, std::int64_t k2, std::int16_t* panel) {
+  // Word 4i of a group holds column i's low int16; source 2 starts at 32.
+  alignas(64) static constexpr std::int16_t kPick[32] = {
+      0, 32, 4, 36, 8, 40, 12, 44, 16, 48, 20, 52, 24, 56, 28, 60};
+  const __m512i pick = _mm512_load_si512(kPick);
+  __m512i vsrc[kNr / 8];
+  for (std::int64_t q = 0; q < kNr / 8; ++q) {
+    vsrc[q] = _mm512_loadu_si512(t.src + 8 * q);
+  }
+  DepthCursor cur(g);
+  __m512i r0[kNr / 8], r1[kNr / 8];
+  for (std::int64_t p2 = 0; p2 < k2; ++p2) {
+    fill_row_avx512(x + cur.off, cur.mask(t), t, vsrc, r0);
+    cur.next();
+    fill_row_avx512(x + cur.off, cur.mask(t), t, vsrc, r1);
+    cur.next();
+    std::int16_t* d = panel + p2 * kNr * 2;
+    for (std::int64_t q = 0; q < kNr / 8; ++q) {
+      _mm512_mask_storeu_epi16(d + 16 * q, 0xffff,
+                               _mm512_permutex2var_epi16(r0[q], pick, r1[q]));
+    }
+  }
+}
+#endif  // T2C_I8_AVX2
 
 /// Minimum multiply-adds per parallel chunk of the conv kernels (about
 /// 10-20 us of work), so small layers stay on one thread instead of paying
@@ -920,6 +1114,16 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
                  std::int64_t* out, const Epilogue& ep, bool threaded,
                  MicroKernel mk) {
   const MicroKernelFn kf = resolve_micro_kernel(mk);
+  void (*fill)(const std::int64_t*, const ConvGeom&, const PanelTable&,
+               std::int64_t, std::int16_t*) = fill_panel_generic;
+#if T2C_I8_AVX2
+  const util::IsaTier tier = util::cpu_isa_tier();
+  if (tier >= util::IsaTier::kAvx512) {
+    fill = fill_panel_avx512;
+  } else if (tier >= util::IsaTier::kAvx2) {
+    fill = fill_panel_avx2;
+  }
+#endif
   const ConvGeom g = conv_geom(n, h, w, spec);
   const std::int64_t cols = g.n * g.ohw;
   const std::int64_t npanels = (cols + kNr - 1) / kNr;
@@ -931,14 +1135,15 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
   const std::int64_t slices = std::clamp<std::int64_t>(
       threaded ? par::max_threads() / panel_tasks : 1, 1, pa.mblocks);
   const std::int64_t slice_blocks = (pa.mblocks + slices - 1) / slices;
-  // The caller's int64 scratch holds the tap bounds; tasks take only int16.
+  // The caller's int64 scratch holds the tap bounds; tasks take none.
   std::int64_t* lo = worker_scratch<std::int64_t>(2 * g.k);
   std::int64_t* hi = lo + g.k;
   tap_col_bounds(g, lo, hi);
   const auto tasks = [&](std::int64_t t0, std::int64_t t1) {
-    std::int16_t* panel =
-        worker_scratch<std::int16_t>(pa.k2 * kNr * 2 + pa.k * kNr);
-    std::int16_t* rows = panel + pa.k2 * kNr * 2;
+    std::int16_t* panel = worker_scratch<std::int16_t>(pa.k2 * kNr * 2);
+    PanelTable tab;
+    tab.vy = worker_scratch<std::uint32_t>(2 * g.k);
+    tab.vx = tab.vy + g.k;
     std::int32_t acc[kMr * kNr];
     std::int64_t filled = -1;
     std::int64_t sat = 0;
@@ -948,7 +1153,8 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
       const std::int64_t j0 = (pt - grp * npanels) * kNr;
       const std::int64_t jn = std::min(kNr, cols - j0);
       if (pt != filled) {
-        fill_conv_panel(x, g, grp, j0, jn, pa.k2, lo, hi, rows, panel);
+        build_panel_table(g, grp, j0, jn, lo, hi, tab);
+        fill(x, g, tab, pa.k2, panel);
         filled = pt;
       }
       Epilogue epg = ep;

@@ -63,8 +63,9 @@ struct PackedWeights {
 
 namespace i8 {
 
-/// Register tile of the int16 micro-kernel: kMr × kNr int32 accumulators.
-inline constexpr std::int64_t kMr = 4;
+/// Register tile of the int16 micro-kernel: kMr × kNr int32 accumulators
+/// (16 zmm registers on AVX-512; AVX2 runs the block as two 4-row halves).
+inline constexpr std::int64_t kMr = 8;
 inline constexpr std::int64_t kNr = 32;
 
 /// Largest operand magnitude an int16 lane holds.
@@ -73,9 +74,10 @@ inline constexpr std::int64_t kOperandMax = 32767;
 /// Which int16 micro-kernel variant a GEMM call runs. kAuto resolves to
 /// the best variant the CPU (as capped by util::cpu_isa_tier) supports;
 /// an explicit request is likewise downgraded if the hardware lacks it.
-/// All variants compute the same exact integer arithmetic, so the choice
-/// is purely a performance knob — the solver registry picks the widest
-/// one the ISA tier allows.
+/// kAvx512 runs the vpdpwssd kernel at the avx512vnni rung and the
+/// vpmaddwd + vpaddd one below it. All variants compute the same exact
+/// integer arithmetic, so the choice is purely a performance knob — the
+/// solver registry picks the widest one the ISA tier allows.
 enum class MicroKernel { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// True when a K-deep dot product with |a| <= a_max and |w| <= w_max
@@ -179,9 +181,11 @@ void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
 /// per-row entries indexing the full channel axis. Per group the GEMM
 /// runs once with N = n·OH·OW columns: im2col fills each kNr-column run
 /// of that axis into a worker-local B panel (a panel may hold pixels of
-/// several images), every row block of the group's weights
-/// sweeps it, and the writeback scatters each tile's column runs back to
-/// their images' NCHW slices. With `threaded`, tasks are (group, panel)
+/// several images) from one offset table per panel — each column's
+/// window origin in x plus a validity bitmask per kernel row and per
+/// kernel column — every row block of the group's weights sweeps it, and
+/// the writeback scatters each tile's column runs back to their images'
+/// NCHW slices. With `threaded`, tasks are (group, panel)
 /// pairs, split further into row-block slices only when there are fewer
 /// of them than pool threads; each output element is one micro-kernel call
 /// over the full K, so the result is bit-identical at any thread count.

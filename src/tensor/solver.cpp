@@ -38,7 +38,7 @@ Registry::Registry() {
   };
   for (const OpKind op : {OpKind::kConvInt, OpKind::kLinearInt}) {
     // A conv with one output channel per group (depthwise) is a 1-row GEMM
-    // per (image, group): the direct kernel skips im2col and the 4x32
+    // per (image, group): the direct kernel skips im2col and the 8x32
     // register tile entirely, and beat the GEMM on every measured
     // depthwise layer, so it leads the conv list.
     for (const bool fuse : {true, false}) {

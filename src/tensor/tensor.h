@@ -104,12 +104,13 @@ class TensorT {
     return t;
   }
 
-  /// In-place reshape (same element count).
-  void reshape(Shape new_shape) {
+  /// In-place reshape (same element count). Copy-assigns the shape, so a
+  /// tensor whose shape storage is large enough does not allocate.
+  void reshape(const Shape& new_shape) {
     check(shape_numel(new_shape) == numel(),
           "reshape: element count mismatch " + shape_str(shape_) + " -> " +
               shape_str(new_shape));
-    shape_ = std::move(new_shape);
+    shape_ = new_shape;
   }
 
   /// Copy of slice `i` along dim 0 (shape = shape()[1:]).

@@ -13,28 +13,24 @@ IsaTier probe_hw_tier() {
   __builtin_cpu_init();
   // All AVX-512 kernels in the repo (int8 micro-kernel, epilogue stores,
   // elementwise requant/LN) need F+DQ+BW+VL together; anything less runs
-  // the AVX2 paths.
+  // the AVX2 paths. VNNI on top of those is the rung above.
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl"))
-    return IsaTier::kAvx512;
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl")) {
+    return __builtin_cpu_supports("avx512vnni") ? IsaTier::kAvx512Vnni
+                                                : IsaTier::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return IsaTier::kAvx2;
 #endif
   return IsaTier::kGeneric;
 }
 
-IsaTier env_tier_cap() {
-  const char* e = std::getenv("T2C_ISA");
-  if (e == nullptr) return IsaTier::kAvx512;
-  std::string s(e);
-  if (s == "generic" || s == "sse2" || s == "scalar") return IsaTier::kGeneric;
-  if (s == "avx2") return IsaTier::kAvx2;
-  return IsaTier::kAvx512;  // "avx512" or unrecognized: no cap
-}
-
-std::atomic<int> g_cap{static_cast<int>(IsaTier::kAvx512)};
+std::atomic<int> g_cap{static_cast<int>(kTopIsaTier)};
 
 struct EnvCapInit {
-  EnvCapInit() { g_cap.store(static_cast<int>(env_tier_cap())); }
+  EnvCapInit() {
+    const char* e = std::getenv("T2C_ISA");
+    if (e != nullptr) g_cap.store(static_cast<int>(isa_tier_cap_from_name(e)));
+  }
 };
 EnvCapInit g_env_cap_init;
 
@@ -57,6 +53,15 @@ std::string read_cpu_model() {
 
 }  // namespace
 
+IsaTier isa_tier_cap_from_name(const std::string& name) {
+  if (name == "generic" || name == "sse2" || name == "scalar") {
+    return IsaTier::kGeneric;
+  }
+  if (name == "avx2") return IsaTier::kAvx2;
+  if (name == "avx512") return IsaTier::kAvx512;
+  return kTopIsaTier;  // "avx512vnni" or unrecognized: no cap
+}
+
 IsaTier cpu_isa_tier() {
   static const IsaTier hw = probe_hw_tier();
   int cap = g_cap.load(std::memory_order_relaxed);
@@ -69,6 +74,7 @@ void set_isa_tier_cap(IsaTier cap) {
 
 const char* isa_tier_name(IsaTier tier) {
   switch (tier) {
+    case IsaTier::kAvx512Vnni: return "avx512vnni";
     case IsaTier::kAvx512: return "avx512";
     case IsaTier::kAvx2: return "avx2";
     default: return "generic";
@@ -78,6 +84,7 @@ const char* isa_tier_name(IsaTier tier) {
 std::string isa_description() {
 #if defined(__x86_64__) || defined(_M_X64)
   switch (cpu_isa_tier()) {
+    case IsaTier::kAvx512Vnni: return "x86-64-v4 (avx512vnni)";
     case IsaTier::kAvx512: return "x86-64-v4 (avx512)";
     case IsaTier::kAvx2: return "haswell (avx2)";
     default: return "x86-64 (sse2)";

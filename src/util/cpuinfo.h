@@ -14,22 +14,31 @@ namespace t2c::util {
 /// Coarse x86-64 capability levels, ordered: a kernel compiled for tier T
 /// runs on any CPU whose tier is >= T. kAvx512 additionally requires the
 /// DQ/BW/VL extensions every AVX-512 kernel in this repo uses, so a single
-/// tier check covers micro-kernels and epilogues alike.
-enum class IsaTier { kGeneric = 0, kAvx2 = 1, kAvx512 = 2 };
+/// tier check covers micro-kernels and epilogues alike. kAvx512Vnni adds
+/// AVX512_VNNI (vpdpwssd), which only the int16 GEMM micro-kernel uses.
+enum class IsaTier { kGeneric = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Vnni = 3 };
+
+/// The highest rung: the default cap, i.e. no cap at all.
+inline constexpr IsaTier kTopIsaTier = IsaTier::kAvx512Vnni;
 
 /// The tier this process runs kernels at: the hardware probe, capped by
 /// set_isa_tier_cap() / the T2C_ISA environment variable
-/// ("generic" | "avx2" | "avx512"). Solver applicability and the
-/// vectorized elementwise paths both read this one value.
+/// ("generic" | "avx2" | "avx512" | "avx512vnni"). Solver applicability
+/// and the vectorized elementwise paths both read this one value.
 IsaTier cpu_isa_tier();
+
+/// The cap a T2C_ISA value names: "generic" (or "sse2", "scalar"),
+/// "avx2", "avx512"; "avx512vnni" and any unrecognized value are the top
+/// rung, i.e. no cap.
+IsaTier isa_tier_cap_from_name(const std::string& name);
 
 /// Caps (never raises) the tier cpu_isa_tier() reports — the test hook for
 /// exercising the scalar/AVX2 solver variants on wider machines. Thread-
 /// safe; kernels already in flight keep their resolved function pointers.
 void set_isa_tier_cap(IsaTier cap);
 
-/// "generic" / "avx2" / "avx512" — the token the solver gate summaries
-/// print (--list-solvers).
+/// "generic" / "avx2" / "avx512" / "avx512vnni" — the token the solver
+/// gate summaries print (--list-solvers) and T2C_ISA accepts.
 const char* isa_tier_name(IsaTier tier);
 
 /// The historical build_info string for the current tier (e.g.

@@ -4,6 +4,7 @@
 #include <new>
 
 std::atomic<std::int64_t> g_t2c_alloc_count{0};
+std::atomic<std::int64_t> g_t2c_large_alloc_count{0};
 
 #if !defined(__SANITIZE_ADDRESS__)
 
@@ -15,6 +16,9 @@ std::atomic<std::int64_t> g_t2c_alloc_count{0};
 
 void* operator new(std::size_t n) {
   g_t2c_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (n >= kT2cLargeAlloc) {
+    g_t2c_large_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }

@@ -10,9 +10,15 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 extern std::atomic<std::int64_t> g_t2c_alloc_count;
+
+/// Allocations of at least kT2cLargeAlloc bytes: tensor-sized blocks, as
+/// opposed to shapes, closures and other small bookkeeping.
+extern std::atomic<std::int64_t> g_t2c_large_alloc_count;
+inline constexpr std::size_t kT2cLargeAlloc = 1024;
 
 #if defined(__SANITIZE_ADDRESS__)
 inline constexpr bool kT2cAllocCounting = false;

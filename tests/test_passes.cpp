@@ -676,7 +676,7 @@ std::string describe(const ConvCase& c) {
 
 /// Input -> IntConv2d ("conv") [-> MulQuant ("mq")]. Depthwise is
 /// `channels` (default 4) groups of icg inputs and one output; dense is
-/// 3 -> 6 (a full and a partial 4-row block); grouped is 4 -> 6 in two
+/// 3 -> 10 (a full and a partial 8-row block); grouped is 4 -> 6 in two
 /// groups. The multipliers push part of the outputs past the clamp, so
 /// saturation counts are exercised too.
 DeployModel conv_case_graph(const ConvCase& c) {
@@ -692,7 +692,7 @@ DeployModel conv_case_graph(const ConvCase& c) {
       break;
     case ConvCase::Kind::kDense:
       s.in_channels = 3;
-      s.out_channels = 6;
+      s.out_channels = 10;
       break;
     case ConvCase::Kind::kGrouped:
       s.in_channels = 4;
@@ -770,8 +770,8 @@ void expect_cells_match(const std::vector<ConvCell>& cells) {
   for (const ConvCell& cell : cells) clips += cell.want_sat;
   EXPECT_GT(clips, 0);  // the clip-count comparison is not vacuous
   for (const util::IsaTier cap :
-       {util::IsaTier::kGeneric, util::IsaTier::kAvx2,
-        util::IsaTier::kAvx512}) {
+       {util::IsaTier::kGeneric, util::IsaTier::kAvx2, util::IsaTier::kAvx512,
+        util::IsaTier::kAvx512Vnni}) {
     util::set_isa_tier_cap(cap);
     for (const int threads : {1, 4, 16}) {
       par::set_max_threads(threads);
@@ -795,12 +795,14 @@ void expect_cells_match(const std::vector<ConvCell>& cells) {
       }
     }
   }
-  util::set_isa_tier_cap(util::IsaTier::kAvx512);
+  util::set_isa_tier_cap(util::kTopIsaTier);
 }
 
 TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
   // Batch 3 at 3x5 folds 45 columns, so a panel edge falls inside the
-  // third image.
+  // third image. 16x16 maps fill a panel's 8-column groups by loads, 1x1,
+  // 2x2 and 3x5 maps by gathers, and the 6x12 map's 8- to 16-wide output
+  // rows mix both within one panel.
   const ThreadGuard guard;
   obs::set_metrics_enabled(true);
   struct Hw {
@@ -814,7 +816,8 @@ TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
     for (const int k : {1, 3, 5}) {
       for (const int st : {1, 2}) {
         for (const int pad : {0, 1, 2}) {
-          for (const Hw hw : {Hw{1, 1}, Hw{2, 2}, Hw{3, 5}, Hw{16, 16}}) {
+          for (const Hw hw :
+               {Hw{1, 1}, Hw{2, 2}, Hw{3, 5}, Hw{6, 12}, Hw{16, 16}}) {
             if (hw.h + 2 * pad < k || hw.w + 2 * pad < k) continue;
             for (const std::int64_t batch : {1, 3, 8}) {
               for (const auto ep :
@@ -829,7 +832,7 @@ TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
       }
     }
   }
-  ASSERT_EQ(cells.size(), 3u * 58 * 3 * 3);
+  ASSERT_EQ(cells.size(), 3u * 76 * 3 * 3);
   expect_cells_match(cells);
   obs::set_metrics_enabled(false);
 }
@@ -1045,6 +1048,88 @@ TEST(DeployPlanTest, ConvScratchAllocationsIndependentOfBatchAndChannels) {
   }
   for (std::size_t i = 1; i < counts.size(); ++i) {
     EXPECT_EQ(counts[i], counts[0]) << "config " << i;
+  }
+}
+
+/// `depth` residual blocks on [batch, 8, 6, 6] at opt 2: 3x3 conv 8 -> 8,
+/// 1x1 expand 8 -> 16, 1x1 reduce 16 -> 8, each with a fused MulQuant,
+/// then an IntAdd with the block input. Outputs of two sizes alternate,
+/// and the residual keeps a third value live.
+DeployModel residual_chain_graph(int depth) {
+  DeployModel dm;
+  const auto conv = [&](int in, std::int64_t ic, std::int64_t oc, int k) {
+    ConvSpec s;
+    s.in_channels = ic;
+    s.out_channels = oc;
+    s.kernel = k;
+    s.padding = k / 2;
+    ITensor w({oc, ic, k, k});
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = (i * 7 + oc) % 9 - 4;
+    const int v = add(dm, std::make_unique<IntConv2dOp>(std::move(w), s),
+                      {in});
+    return add(dm, scalar_mq(11, 3, 6, -127, 127), {v});
+  };
+  int v = 0;
+  for (int b = 0; b < depth; ++b) {
+    const int y = conv(conv(conv(v, 8, 8, 3), 8, 16, 1), 16, 8, 1);
+    v = add(dm, std::make_unique<IntAddOp>(-127, 127), {y, v});
+  }
+  dm.set_output(v);
+  (void)optimize_deploy_graph(dm, 2);
+  return dm;
+}
+
+ITensor residual_input(std::int64_t batch, std::int64_t salt) {
+  ITensor x({batch, 8, 6, 6});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = (i * 13 + salt) % 255 - 127;
+  }
+  return x;
+}
+
+TEST(DeployPlanTest, SteadyStateOutputsReuseParkedBuffers) {
+  // Every packed conv step takes a parked buffer sized by its previous
+  // run, so once warm the only tensor-sized allocation of a run, at any
+  // depth and pool size, is the result that leaves the arena.
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  const ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    for (const int depth : {1, 4}) {
+      const DeployModel dm = residual_chain_graph(depth);
+      EXPECT_EQ(dm.op(0).kernel().rfind("gemm_i8_fused_", 0), 0u);
+      const ITensor x = residual_input(8, 0);
+      for (int i = 0; i < 2; ++i) (void)dm.run_int(x);  // warm
+      for (int run = 0; run < 3; ++run) {
+        const std::int64_t before = g_t2c_large_alloc_count.load();
+        (void)dm.run_int(x);
+        EXPECT_EQ(g_t2c_large_alloc_count.load() - before, 1)
+            << "depth " << depth << " run " << run << " @" << threads;
+      }
+    }
+  }
+}
+
+TEST(DeployPlanTest, RecycledBuffersNeverLeakIntoOutputs) {
+  // Reused outputs are not zero-filled, so every kernel must overwrite
+  // them: back-to-back runs with different inputs (and a larger batch
+  // whose outputs outgrow the parked buffers) match fresh models.
+  const ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    const DeployModel warm = residual_chain_graph(2);
+    for (const auto& [batch, salt] :
+         {std::pair<std::int64_t, std::int64_t>{2, 0}, {2, 5}, {3, 9},
+          {2, 0}, {3, 1}}) {
+      const ITensor x = residual_input(batch, salt);
+      const DeployModel fresh = residual_chain_graph(2);
+      expect_bit_identical(fresh.run_int(x), warm.run_int(x),
+                           "batch " + std::to_string(batch) + " salt " +
+                               std::to_string(salt) + " @" +
+                               std::to_string(threads));
+    }
   }
 }
 

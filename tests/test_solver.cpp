@@ -28,6 +28,32 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
+/// Lifts the ISA cap back to the top rung on scope exit.
+struct IsaCapGuard {
+  ~IsaCapGuard() { util::set_isa_tier_cap(util::kTopIsaTier); }
+};
+
+/// Every int16 micro-kernel a GEMM can run: each forced width uncapped,
+/// and kAvx512 both at the avx512 rung (vpmaddwd + vpaddd) and at the
+/// avx512vnni rung (vpdpwssd; the avx512 kernel again on a host without
+/// VNNI, which IsaCapNamesParseToTheirRungs reports as a skip).
+struct KernelRun {
+  util::IsaTier cap;
+  i8::MicroKernel mk;
+};
+constexpr KernelRun kKernelRuns[] = {
+    {util::kTopIsaTier, i8::MicroKernel::kScalar},
+    {util::kTopIsaTier, i8::MicroKernel::kAvx2},
+    {util::IsaTier::kAvx512, i8::MicroKernel::kAvx512},
+    {util::IsaTier::kAvx512Vnni, i8::MicroKernel::kAvx512},
+    {util::kTopIsaTier, i8::MicroKernel::kAuto},
+};
+
+std::string describe(const KernelRun& run) {
+  return "mk " + std::to_string(static_cast<int>(run.mk)) + " cap " +
+         util::isa_tier_name(run.cap);
+}
+
 /// A linear_int problem deep enough to be interesting but provably safe
 /// for the whole int8 family (k * a_max * w_max far below 2^31).
 solver::Problem safe_linear(bool epilogue) {
@@ -105,6 +131,7 @@ TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
   // Capped to the generic tier the AVX solvers all decline with "isa" —
   // but an overflow must still be reported as "overflow", and the scalar
   // solver (no ISA gate) must keep the int8 family reachable.
+  const IsaCapGuard cap_guard;
   util::set_isa_tier_cap(util::IsaTier::kGeneric);
   solver::Problem ok = safe_linear(true);
   ok.isa = util::cpu_isa_tier();
@@ -113,7 +140,32 @@ TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
   solver::Problem bad = ok;
   bad.k = 1 << 20;
   EXPECT_EQ(reg.choose(bad).reason, "overflow");
-  util::set_isa_tier_cap(util::IsaTier::kAvx512);
+}
+
+TEST(SolverRegistryTest, IsaCapNamesParseToTheirRungs) {
+  const IsaCapGuard cap_guard;
+  for (const util::IsaTier tier :
+       {util::IsaTier::kGeneric, util::IsaTier::kAvx2, util::IsaTier::kAvx512,
+        util::IsaTier::kAvx512Vnni}) {
+    EXPECT_EQ(util::isa_tier_cap_from_name(util::isa_tier_name(tier)), tier)
+        << util::isa_tier_name(tier);
+  }
+  EXPECT_STREQ(util::isa_tier_name(util::kTopIsaTier), "avx512vnni");
+  EXPECT_EQ(util::isa_tier_cap_from_name("scalar"), util::IsaTier::kGeneric);
+  EXPECT_EQ(util::isa_tier_cap_from_name("bogus"), util::kTopIsaTier);
+  // The VNNI kernel keeps the avx512 solvers' names and gates: the rung
+  // changes which kernel gemm_i8_*_avx512 runs, not which solver wins.
+  solver::Problem p = safe_linear(true);
+  p.isa = util::IsaTier::kAvx512Vnni;
+  EXPECT_EQ(solver::Registry::instance().choose(p).name,
+            "gemm_i8_fused_avx512");
+  util::set_isa_tier_cap(util::IsaTier::kAvx512Vnni);
+  const util::IsaTier got = util::cpu_isa_tier();
+  if (got != util::IsaTier::kAvx512Vnni) {
+    GTEST_SKIP() << "no AVX512_VNNI on this host: the avx512vnni cap runs at "
+                 << util::isa_tier_name(got);
+  }
+  EXPECT_EQ(util::isa_description(), "x86-64-v4 (avx512vnni)");
 }
 
 TEST(SolverRegistryTest, DepthwiseSolversPrecedeTheGemmFamily) {
@@ -214,37 +266,40 @@ TEST(SolverBitIdentity, ThreadCountsAgreeBitForBit) {
 }
 
 TEST(SolverBitIdentity, ForcedMicroKernelWidthsAgreeBitForBit) {
-  const std::int64_t m = 7, n = 33, k = 65;
-  std::vector<std::int64_t> a(static_cast<std::size_t>(m * k));
-  std::vector<std::int64_t> w(static_cast<std::size_t>(k * n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<std::int64_t>(i * 31 % 255) - 127;
-  }
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] = static_cast<std::int64_t>(i * 17 % 255) - 127;
-  }
-  const auto pb = i8::pack_b(w.data(), k, n, /*trans_b=*/false);
-  const std::int64_t mul[1] = {16};
-  const std::int64_t bias[1] = {7};
-  i8::Epilogue ep;
-  ep.mode = i8::Epilogue::Mode::kScalar;
-  ep.mul = mul;
-  ep.bias = bias;
-  ep.frac0 = 8;
-  ep.lo = -127;
-  ep.hi = 127;
-  std::vector<std::int64_t> want(static_cast<std::size_t>(m * n));
-  i8::gemm_b_packed(a.data(), *pb, want.data(), m, ep, /*threaded=*/false,
-                    i8::MicroKernel::kScalar);
-  for (const i8::MicroKernel mk :
-       {i8::MicroKernel::kAuto, i8::MicroKernel::kAvx2,
-        i8::MicroKernel::kAvx512}) {
-    std::vector<std::int64_t> got(static_cast<std::size_t>(m * n));
-    i8::gemm_b_packed(a.data(), *pb, got.data(), m, ep, /*threaded=*/false,
-                      mk);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << "mk " << static_cast<int>(mk) << " element " << i;
+  // m = 7 is one partial row block; 17 is two full blocks and a 1-row one.
+  const IsaCapGuard cap_guard;
+  for (const std::int64_t m : {7, 17}) {
+    const std::int64_t n = 33, k = 65;
+    std::vector<std::int64_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int64_t> w(static_cast<std::size_t>(k * n));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<std::int64_t>(i * 31 % 255) - 127;
+    }
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int64_t>(i * 17 % 255) - 127;
+    }
+    const auto pb = i8::pack_b(w.data(), k, n, /*trans_b=*/false);
+    const std::int64_t mul[1] = {16};
+    const std::int64_t bias[1] = {7};
+    i8::Epilogue ep;
+    ep.mode = i8::Epilogue::Mode::kScalar;
+    ep.mul = mul;
+    ep.bias = bias;
+    ep.frac0 = 8;
+    ep.lo = -127;
+    ep.hi = 127;
+    std::vector<std::int64_t> want(static_cast<std::size_t>(m * n));
+    i8::gemm_b_packed(a.data(), *pb, want.data(), m, ep, /*threaded=*/false,
+                      i8::MicroKernel::kScalar);
+    for (const KernelRun& run : kKernelRuns) {
+      util::set_isa_tier_cap(run.cap);
+      std::vector<std::int64_t> got(static_cast<std::size_t>(m * n));
+      i8::gemm_b_packed(a.data(), *pb, got.data(), m, ep, /*threaded=*/false,
+                        run.mk);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << describe(run) << " m " << m << " element " << i;
+      }
     }
   }
 }
@@ -255,6 +310,7 @@ TEST(SolverBitIdentity, ConvKernelsMatchI64ForEveryMicroKernel) {
   // against iconv2d_forward. 3 images of 3x5 fold 45 columns, so the
   // second panel starts inside the third image.
   ThreadGuard tguard;
+  const IsaCapGuard cap_guard;
   struct Geo {
     std::int64_t n, ic, oc, h, w;
     int k, stride, pad, groups;
@@ -293,14 +349,14 @@ TEST(SolverBitIdentity, ConvKernelsMatchI64ForEveryMicroKernel) {
     const auto pa = i8::pack_a(w.data(), ocg, taps, g.groups);
     for (const int threads : {1, 4}) {
       par::set_max_threads(threads);
-      for (const i8::MicroKernel mk :
-           {i8::MicroKernel::kScalar, i8::MicroKernel::kAvx2,
-            i8::MicroKernel::kAvx512}) {
+      for (const KernelRun& run : kKernelRuns) {
+        util::set_isa_tier_cap(run.cap);
         i8::conv_packed(x.data(), g.n, g.h, g.w, s, *pa, got.data(),
-                        i8::Epilogue{}, /*threaded=*/true, mk);
-        expect_same(geo + " packed mk " + std::to_string(static_cast<int>(mk)) +
-                    " @" + std::to_string(threads));
+                        i8::Epilogue{}, /*threaded=*/true, run.mk);
+        expect_same(geo + " packed " + describe(run) + " @" +
+                    std::to_string(threads));
       }
+      util::set_isa_tier_cap(util::kTopIsaTier);
       if (ocg == 1) {
         const auto pw = i8::pack_dw(w.data(), g.oc, taps);
         i8::dwconv(x.data(), g.n, g.h, g.w, s, *pw, got.data(),

@@ -3,8 +3,11 @@
 // modes, and eval-vs-deploy parity.
 #include <gtest/gtest.h>
 
+#include "alloc_count.h"
+#include "core/parallel.h"
 #include "core/registry.h"
 #include "core/t2c.h"
+#include "deploy/vit_ops.h"
 #include "models/models.h"
 #include "models/vit.h"
 #include "tensor/elementwise.h"
@@ -90,6 +93,48 @@ TEST(VitInt, GraphUsesLutAndIntegerAttention) {
   EXPECT_EQ(gelu, 2u);
   EXPECT_EQ(ln, 5u);     // 2 per block + final norm
   EXPECT_EQ(tok, 1u);
+}
+
+TEST(VitInt, NarrowAttentionAllocatesNothingPerCall) {
+  // The int16 streams and per-query rows live in per-thread scratch and
+  // the output is recycled, so a warm attn_i16 call into its previous
+  // output allocates nothing, at 1 and 4 threads; its bits match run().
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  SyntheticImageDataset data(tiny_spec());
+  auto model = make_vit(vit_cfg());
+  train_vit(*model, data);
+  ConvertConfig cfg;
+  cfg.input_shape = {3, 8, 8};
+  T2CConverter conv(cfg);
+  const DeployModel dm = conv.convert(*model);
+  const DeployOp* attn = nullptr;
+  for (std::size_t i = 0; i < dm.num_ops() && attn == nullptr; ++i) {
+    if (dm.op(i).kind() == "IntAttention") attn = &dm.op(i);
+  }
+  ASSERT_NE(attn, nullptr);
+  ASSERT_EQ(attn->kernel(), "attn_i16");
+  const std::int64_t d =
+      dynamic_cast<const IntAttentionOp&>(*attn).params().wqkv.size(1);
+  ITensor x({3, 5, d});  // odd token count: the probability pad slot
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = (i * 7) % 11 - 5;
+  const std::vector<const ITensor*> ins = {&x};
+  const int saved = par::max_threads();
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    const ITensor want = attn->run(ins);
+    ITensor out;
+    attn->run_into(ins, out);  // grows every thread's scratch
+    const std::int64_t before = g_t2c_alloc_count.load();
+    attn->run_into(ins, out);
+    EXPECT_EQ(g_t2c_alloc_count.load() - before, 0) << "@" << threads;
+    ASSERT_TRUE(out.same_shape(want));
+    for (std::int64_t i = 0; i < want.numel(); ++i) {
+      ASSERT_EQ(out[i], want[i]) << "@" << threads << " element " << i;
+    }
+  }
+  par::set_max_threads(saved);
 }
 
 TEST(VitInt, RunningStatsLayerNormAlsoDeploys) {
