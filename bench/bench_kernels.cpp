@@ -156,8 +156,9 @@ int main() {
   }
   const auto pb8 = i8::pack_b(bi.data(), n, n, false);
   // The packed-row tags are the solver the registry would actually pick
-  // for this shape (micro-kernel width included), asked rather than
-  // hard-coded so they can never drift from the registry's table.
+  // for this shape, asked rather than hard-coded so they can never drift
+  // from the registry's table. The micro-kernel behind them is the one of
+  // build_info.isa's rung.
   const auto solver_tag = [&](bool fused) {
     solver::Problem sp;
     sp.op = solver::OpKind::kLinearInt;

@@ -79,10 +79,11 @@ class DeployOp {
   virtual std::string kind() const = 0;
 
   /// Kernel the op would select under the current plan annotations: the
-  /// solver name chosen by the registry ("gemm_i8_fused_avx512",
-  /// "attn_i16", ...) or "gemm_i64(<fallback reason>)" when every narrow
-  /// solver declined — surfaced in the profiler's kernel column and
-  /// --plan-dump. Empty for ops with a single implementation.
+  /// solver name chosen by the registry ("gemm_i8_fused", "attn_i16", ...)
+  /// or "gemm_i64(<fallback reason>)" when every narrow solver declined —
+  /// surfaced in the profiler's kernel column and --plan-dump. It names a
+  /// strategy, not an ISA: the rung its micro-kernel ran at is the run's
+  /// build_info.isa. Empty for ops with a single implementation.
   virtual std::string kernel() const { return {}; }
 
   /// Prepacked static operands for the op's narrow kernel (tensor/

@@ -418,7 +418,7 @@ void IntConv2dOp::run_packed(const std::vector<const ITensor*>& ins,
     i8::dwconv(x.data(), n, h, w, spec_, *pw, out.data(), ep);
   } else {
     i8::conv_packed(x.data(), n, h, w, spec_, *pa, out.data(), ep,
-                    /*threaded=*/true, choice_.mk);
+                    /*threaded=*/true);
   }
   if (prof) fused->record_sats(sats.load(std::memory_order_relaxed));
 }
@@ -486,8 +486,7 @@ void IntLinearOp::run_packed(const std::vector<const ITensor*>& ins,
       ep.count_sat = true;
     }
   }
-  i8::gemm_b_packed(x.data(), *pb, out.data(), rows, ep, /*threaded=*/true,
-                    choice_.mk);
+  i8::gemm_b_packed(x.data(), *pb, out.data(), rows, ep, /*threaded=*/true);
   if (prof) fused->record_sats(sats.load(std::memory_order_relaxed));
 }
 

@@ -15,10 +15,10 @@ namespace t2c {
 // solver::Problem from value-range analysis and graph structure and asks
 // the registry. The default-constructed choice (empty name) is the
 // bit-exact int64 path; `i8` means a packed narrow kernel was chosen
-// (with `mk` naming its micro-kernel), `fuse` folds the single consuming
-// MulQuant into the GEMM epilogue, and `reason` records why a preferred
-// solver was declined ("overflow", "layout", ...) for --plan-dump and
-// the profiler.
+// (its micro-kernel follows util::cpu_isa_tier() on each call), `fuse`
+// folds the single consuming MulQuant into the GEMM epilogue, and
+// `reason` records why a preferred solver was declined ("overflow",
+// "layout", ...) for --plan-dump and the profiler.
 
 /// How a MulQuant's per-entry parameters map onto the value layout.
 enum class MqLayout {

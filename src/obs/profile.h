@@ -45,10 +45,10 @@ struct OpCost {
 struct ProfileRow {
   std::string key;  ///< `<kind>[:<label>]`, the deploy.op_ms key
   /// Kernel the executor selected for this op: the registry's solver name
-  /// ("gemm_i8_fused_avx512", "attn_i16", ...),
-  /// "gemm_i64(<fallback reason>)" when every narrow solver declined, or
-  /// "fused" for a MulQuant folded into its producer's epilogue. Empty for
-  /// single-implementation ops.
+  /// ("gemm_i8_fused", "attn_i16", ...), "gemm_i64(<fallback reason>)"
+  /// when every narrow solver declined, or "fused" for a MulQuant folded
+  /// into its producer's epilogue. Empty for single-implementation ops.
+  /// The ISA rung the kernels ran at is the report's build_info.isa.
   std::string kernel;
   std::int64_t calls = 0;
   double total_ms = 0.0;

@@ -183,35 +183,18 @@ __attribute__((target("avx512bw,avx512vnni"))) void micro_kernel_vnni(
 using MicroKernelFn = void (*)(const std::int16_t*, const std::int16_t*,
                                std::int32_t*, std::int64_t);
 
-/// Maps the caller's MicroKernel request onto a function pointer,
-/// downgrading to the best variant the CPU tier supports. kAuto picks the
-/// widest available — the pre-registry behavior — and kAvx512 takes the
-/// vpdpwssd kernel at the avx512vnni rung. The resolved pointer is
-/// captured once per GEMM call and shared by every worker, so all threads
-/// run the same variant and the determinism contract holds; the variants
-/// compute identical integer arithmetic anyway, so even a mid-run tier
-/// change could not alter the bits.
-MicroKernelFn resolve_micro_kernel(MicroKernel mk) {
+/// The micro-kernel of the current util::cpu_isa_tier() rung: vpdpwssd at
+/// avx512vnni, vpmaddwd + vpaddd at avx512 and avx2, the scalar mirror
+/// below. The pointer is taken once per GEMM call and shared by every
+/// worker, so all threads run the same variant; the variants compute
+/// identical integer arithmetic anyway, so even a mid-run tier change
+/// could not alter the bits.
+MicroKernelFn resolve_micro_kernel() {
 #if T2C_I8_AVX2
   const util::IsaTier tier = util::cpu_isa_tier();
-  if (mk == MicroKernel::kAuto) {
-    mk = tier >= util::IsaTier::kAvx512  ? MicroKernel::kAvx512
-         : tier >= util::IsaTier::kAvx2 ? MicroKernel::kAvx2
-                                         : MicroKernel::kScalar;
-  }
-  if (mk == MicroKernel::kAvx512 && tier < util::IsaTier::kAvx512) {
-    mk = MicroKernel::kAvx2;
-  }
-  if (mk == MicroKernel::kAvx2 && tier < util::IsaTier::kAvx2) {
-    mk = MicroKernel::kScalar;
-  }
-  if (mk == MicroKernel::kAvx512) {
-    return tier >= util::IsaTier::kAvx512Vnni ? micro_kernel_vnni
-                                              : micro_kernel_avx512;
-  }
-  if (mk == MicroKernel::kAvx2) return micro_kernel_avx2;
-#else
-  (void)mk;
+  if (tier >= util::IsaTier::kAvx512Vnni) return micro_kernel_vnni;
+  if (tier >= util::IsaTier::kAvx512) return micro_kernel_avx512;
+  if (tier >= util::IsaTier::kAvx2) return micro_kernel_avx2;
 #endif
   return micro_kernel_i16;
 }
@@ -472,9 +455,8 @@ void pack_a_block_i16(const AT* a, std::int16_t* apack, std::int64_t i0,
 
 template <typename AT, typename OutT>
 void gemm_b_packed_impl(const AT* a, const PackedB& pb, OutT* c,
-                        std::int64_t m, const Epilogue& ep, bool threaded,
-                        MicroKernel mk) {
-  const MicroKernelFn kf = resolve_micro_kernel(mk);
+                        std::int64_t m, const Epilogue& ep, bool threaded) {
+  const MicroKernelFn kf = resolve_micro_kernel();
   const std::int64_t k = pb.k;
   const std::int64_t k2 = pb.k2;
   const std::int64_t n = pb.n;
@@ -1069,21 +1051,18 @@ std::shared_ptr<const PackedA> pack_a(const std::int64_t* a, std::int64_t m,
 }
 
 void gemm_b_packed(const std::int64_t* a, const PackedB& pb, std::int64_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk) {
-  gemm_b_packed_impl(a, pb, c, m, ep, threaded, mk);
+                   std::int64_t m, const Epilogue& ep, bool threaded) {
+  gemm_b_packed_impl(a, pb, c, m, ep, threaded);
 }
 
 void gemm_b_packed(const std::int64_t* a, const PackedB& pb, std::int16_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk) {
-  gemm_b_packed_impl(a, pb, c, m, ep, threaded, mk);
+                   std::int64_t m, const Epilogue& ep, bool threaded) {
+  gemm_b_packed_impl(a, pb, c, m, ep, threaded);
 }
 
 void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk) {
-  gemm_b_packed_impl(a, pb, c, m, ep, threaded, mk);
+                   std::int64_t m, const Epilogue& ep, bool threaded) {
+  gemm_b_packed_impl(a, pb, c, m, ep, threaded);
 }
 
 std::int64_t PackedDw::bytes() const {
@@ -1111,9 +1090,8 @@ std::shared_ptr<const PackedDw> pack_dw(const std::int64_t* w,
 
 void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
                  std::int64_t w, const ConvSpec& spec, const PackedA& pa,
-                 std::int64_t* out, const Epilogue& ep, bool threaded,
-                 MicroKernel mk) {
-  const MicroKernelFn kf = resolve_micro_kernel(mk);
+                 std::int64_t* out, const Epilogue& ep, bool threaded) {
+  const MicroKernelFn kf = resolve_micro_kernel();
   void (*fill)(const std::int64_t*, const ConvGeom&, const PanelTable&,
                std::int64_t, std::int16_t*) = fill_panel_generic;
 #if T2C_I8_AVX2

@@ -71,15 +71,6 @@ inline constexpr std::int64_t kNr = 32;
 /// Largest operand magnitude an int16 lane holds.
 inline constexpr std::int64_t kOperandMax = 32767;
 
-/// Which int16 micro-kernel variant a GEMM call runs. kAuto resolves to
-/// the best variant the CPU (as capped by util::cpu_isa_tier) supports;
-/// an explicit request is likewise downgraded if the hardware lacks it.
-/// kAvx512 runs the vpdpwssd kernel at the avx512vnni rung and the
-/// vpmaddwd + vpaddd one below it. All variants compute the same exact
-/// integer arithmetic, so the choice is purely a performance knob — the
-/// solver registry picks the widest one the ISA tier allows.
-enum class MicroKernel { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
-
 /// True when a K-deep dot product with |a| <= a_max and |w| <= w_max
 /// provably fits the narrow kernel: both operands in int16 and every
 /// partial int32 sum below 2^31 (the accumulation never wraps, so the
@@ -163,18 +154,18 @@ std::shared_ptr<const PackedDw> pack_dw(const std::int64_t* w,
 // writeback. A rows are packed (and narrowed) on the fly per kMr row
 // block; work splits over row blocks via par::parallel_for when
 // `threaded`, and every accumulation is exact integer arithmetic, so
-// results are bit-identical at any thread count. Overloads cover the
-// deploy data paths: int64 activations in, int64 or int16 out (the int16
-// sink requires a clamping epilogue), and int16 scratch in.
+// results are bit-identical at any thread count. The micro-kernel is
+// picked from util::cpu_isa_tier() once per call: vpdpwssd at the
+// avx512vnni rung, vpmaddwd at avx512 and avx2, a scalar loop below. All
+// of them compute the same integers. Overloads cover the deploy data
+// paths: int64 activations in, int64 or int16 out (the int16 sink
+// requires a clamping epilogue), and int16 scratch in.
 void gemm_b_packed(const std::int64_t* a, const PackedB& pb, std::int64_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk = MicroKernel::kAuto);
+                   std::int64_t m, const Epilogue& ep, bool threaded);
 void gemm_b_packed(const std::int64_t* a, const PackedB& pb, std::int16_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk = MicroKernel::kAuto);
+                   std::int64_t m, const Epilogue& ep, bool threaded);
 void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
-                   std::int64_t m, const Epilogue& ep, bool threaded,
-                   MicroKernel mk = MicroKernel::kAuto);
+                   std::int64_t m, const Epilogue& ep, bool threaded);
 
 /// Packed int8 conv over a whole batch: out [n, OC, OH, OW] = x [n, IC,
 /// h, w] ⊛ W, with W prepacked per group by pack_a and the epilogue's
@@ -189,10 +180,11 @@ void gemm_b_packed(const std::int16_t* a, const PackedB& pb, std::int64_t* c,
 /// pairs, split further into row-block slices only when there are fewer
 /// of them than pool threads; each output element is one micro-kernel call
 /// over the full K, so the result is bit-identical at any thread count.
+/// The panel fill and the micro-kernel follow util::cpu_isa_tier(), as in
+/// gemm_b_packed.
 void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
                  std::int64_t w, const ConvSpec& spec, const PackedA& pa,
-                 std::int64_t* out, const Epilogue& ep, bool threaded,
-                 MicroKernel mk = MicroKernel::kAuto);
+                 std::int64_t* out, const Epilogue& ep, bool threaded);
 
 /// Direct int8 conv for one output channel per group (depthwise). A task
 /// is one image x one block of kDwBlock output channels: it copies the

@@ -1,5 +1,7 @@
 #include "tensor/solver.h"
 
+#include "tensor/int8_gemm.h"
+
 namespace t2c::solver {
 
 const char* op_kind_name(OpKind op) {
@@ -17,68 +19,34 @@ Registry& Registry::instance() {
 }
 
 Registry::Registry() {
-  using util::IsaTier;
   const auto always = [](const Problem&) { return std::string(); };
 
   // Packed int8 family for conv and linear ops. List order is the
-  // preference: fused beats unfused, wider micro-kernels beat narrower.
-  // Gates check semantics first (overflow proof, then epilogue
-  // availability) and ISA last, so a decline reason is never "isa" when
-  // the real blocker is the math — and the scalar variants carry no ISA
-  // gate at all, keeping the family reachable on any CPU.
-  struct Mk {
-    const char* suffix;
-    IsaTier need;
-    i8::MicroKernel mk;
-  };
-  const Mk kMks[] = {
-      {"avx512", IsaTier::kAvx512, i8::MicroKernel::kAvx512},
-      {"avx2", IsaTier::kAvx2, i8::MicroKernel::kAvx2},
-      {"scalar", IsaTier::kGeneric, i8::MicroKernel::kScalar},
-  };
+  // preference: fused beats unfused, and for convs the direct depthwise
+  // kernel beats the GEMM. A conv with one output channel per group
+  // (depthwise) is a 1-row GEMM per (image, group): the direct kernel
+  // skips im2col and the 8x32 register tile entirely, and beat the GEMM
+  // on every measured depthwise layer. Gates check the overflow proof,
+  // then the shape, then epilogue availability.
   for (const OpKind op : {OpKind::kConvInt, OpKind::kLinearInt}) {
-    // A conv with one output channel per group (depthwise) is a 1-row GEMM
-    // per (image, group): the direct kernel skips im2col and the 8x32
-    // register tile entirely, and beat the GEMM on every measured
-    // depthwise layer, so it leads the conv list.
-    for (const bool fuse : {true, false}) {
-      if (op != OpKind::kConvInt) continue;
-      Solver s;
-      s.name = fuse ? "dwconv_i8_fused" : "dwconv_i8";
-      s.op = op;
-      s.i8 = true;
-      s.fuse = fuse;
-      s.gates = std::string("i32 accum proof; one output channel per group") +
-                (fuse ? "; fusable requant" : "");
-      s.applicable = [fuse](const Problem& p) -> std::string {
-        if (!i8::accum_fits_i32(p.k, p.a_max, p.w_max)) return "overflow";
-        if (p.m != 1) return "shape";
-        if (fuse && !p.epilogue) {
-          return p.epilogue_reason.empty() ? "consumer" : p.epilogue_reason;
-        }
-        return "";
-      };
-      solvers_.push_back(std::move(s));
-    }
-    for (const bool fuse : {true, false}) {
-      for (const Mk& v : kMks) {
+    for (const bool direct : {true, false}) {
+      if (direct && op != OpKind::kConvInt) continue;
+      for (const bool fuse : {true, false}) {
         Solver s;
-        s.name = std::string("gemm_i8") + (fuse ? "_fused_" : "_") + v.suffix;
+        s.name = std::string(direct ? "dwconv_i8" : "gemm_i8") +
+                 (fuse ? "_fused" : "");
         s.op = op;
         s.i8 = true;
         s.fuse = fuse;
-        s.mk = v.mk;
         s.gates = std::string("i32 accum proof") +
-                  (fuse ? "; fusable requant" : "") +
-                  (v.need == IsaTier::kGeneric
-                       ? ""
-                       : std::string("; ") + util::isa_tier_name(v.need));
-        s.applicable = [fuse, need = v.need](const Problem& p) -> std::string {
+                  (direct ? "; one output channel per group" : "") +
+                  (fuse ? "; fusable requant" : "");
+        s.applicable = [direct, fuse](const Problem& p) -> std::string {
           if (!i8::accum_fits_i32(p.k, p.a_max, p.w_max)) return "overflow";
+          if (direct && p.m != 1) return "shape";
           if (fuse && !p.epilogue) {
             return p.epilogue_reason.empty() ? "consumer" : p.epilogue_reason;
           }
-          if (p.isa < need) return "isa";
           return "";
         };
         solvers_.push_back(std::move(s));
@@ -127,7 +95,6 @@ SolverChoice Registry::choose(const Problem& p) const {
       c.name = s.name;
       c.i8 = s.i8;
       c.fuse = s.fuse;
-      c.mk = s.mk;
       return c;
     }
     // The first decline is what kernel() shows: "gemm_i64(overflow)".

@@ -1,27 +1,25 @@
 // Kernel-solver registry (DESIGN.md §3.12).
 //
-// Every kernel choice a deploy op makes — the int8 packed paths and their
-// micro-kernel width, the direct depthwise conv, fused vs separate
-// requant, the attention int16 fast path — goes through one MIOpen-style
-// registry:
+// Every kernel choice a deploy op makes — the packed int8 GEMM, the
+// direct depthwise conv, fused vs separate requant, the attention int16
+// fast path — goes through one MIOpen-style registry:
 //
 //   Problem  — what a choice depends on: op kind, GEMM geometry, operand
-//              bounds from value-range analysis, epilogue availability
-//              and ISA tier.
-//   Solver   — one concrete kernel strategy with its applicability
-//              predicate (the overflow / consumer / layout / ISA gates).
+//              bounds from value-range analysis and epilogue availability.
+//   Solver   — one kernel strategy with its applicability predicate (the
+//              overflow / shape / consumer / layout gates).
 //   Registry — ordered per-op solver lists. The first applicable solver
-//              wins: list order is the only kernel choice, so a plan
-//              compiles to the same kernels on every run of one host.
+//              wins: list order is the only kernel choice.
+//
+// No gate reads the ISA. A solver names a strategy, and each int8 kernel
+// call picks its micro-kernel from util::cpu_isa_tier(), so a plan is the
+// same on every host and at every T2C_ISA cap.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "tensor/int8_gemm.h"
-#include "util/cpuinfo.h"
 
 namespace t2c::solver {
 
@@ -51,7 +49,6 @@ struct Problem {
   /// Op-specific static precondition (attention: the bound-independent
   /// int16 eligibility checks).
   bool aux_ok = false;
-  util::IsaTier isa = util::cpu_isa_tier();
 };
 
 /// The outcome of a selection, stored on deploy ops and rendered by
@@ -63,18 +60,15 @@ struct SolverChoice {
   std::string name;
   bool i8 = false;
   bool fuse = false;
-  i8::MicroKernel mk = i8::MicroKernel::kAuto;
   std::string reason;
 };
 
-/// One concrete kernel strategy.
+/// One kernel strategy.
 struct Solver {
   std::string name;  ///< stable tag, grammar [a-z0-9_]+ (json_check --bench)
   OpKind op = OpKind::kConvInt;
   bool i8 = false;
   bool fuse = false;
-  /// Micro-kernel width the int8 GEMM solvers force; kAuto elsewhere.
-  i8::MicroKernel mk = i8::MicroKernel::kAuto;
   std::string gates;  ///< human-readable applicability summary (--list-solvers)
   /// Returns "" when applicable, else a short decline reason.
   std::function<std::string(const Problem&)> applicable;

@@ -3,8 +3,9 @@
 // Every kernel family used to repeat its own __builtin_cpu_supports probes
 // (matmul target_clones, the int8 micro-kernel picker, the AVX-512
 // epilogue/elementwise gates, build_info). They are deduplicated here into
-// one ISA *tier* — the coarse level the solver registry gates on — plus
-// the human-readable strings build_info embeds.
+// one ISA *tier* — the coarse level each kernel call picks its variant
+// by — plus the human-readable strings build_info embeds. The solver
+// registry does not read it: solvers name strategies, not ISAs.
 #pragma once
 
 #include <string>
@@ -23,8 +24,8 @@ inline constexpr IsaTier kTopIsaTier = IsaTier::kAvx512Vnni;
 
 /// The tier this process runs kernels at: the hardware probe, capped by
 /// set_isa_tier_cap() / the T2C_ISA environment variable
-/// ("generic" | "avx2" | "avx512" | "avx512vnni"). Solver applicability
-/// and the vectorized elementwise paths both read this one value.
+/// ("generic" | "avx2" | "avx512" | "avx512vnni"). The int8 kernels and
+/// the vectorized elementwise paths all read this one value.
 IsaTier cpu_isa_tier();
 
 /// The cap a T2C_ISA value names: "generic" (or "sse2", "scalar"),
@@ -33,12 +34,12 @@ IsaTier cpu_isa_tier();
 IsaTier isa_tier_cap_from_name(const std::string& name);
 
 /// Caps (never raises) the tier cpu_isa_tier() reports — the test hook for
-/// exercising the scalar/AVX2 solver variants on wider machines. Thread-
+/// exercising the scalar/AVX2 kernel variants on wider machines. Thread-
 /// safe; kernels already in flight keep their resolved function pointers.
 void set_isa_tier_cap(IsaTier cap);
 
-/// "generic" / "avx2" / "avx512" / "avx512vnni" — the token the solver
-/// gate summaries print (--list-solvers) and T2C_ISA accepts.
+/// "generic" / "avx2" / "avx512" / "avx512vnni" — the token T2C_ISA
+/// accepts.
 const char* isa_tier_name(IsaTier tier);
 
 /// The historical build_info string for the current tier (e.g.

@@ -47,6 +47,17 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
+/// Restores the ISA cap in force at construction on scope exit.
+struct IsaCapGuard {
+  util::IsaTier saved = util::cpu_isa_tier();
+  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
+};
+
+constexpr util::IsaTier kIsaCaps[] = {util::IsaTier::kGeneric,
+                                      util::IsaTier::kAvx2,
+                                      util::IsaTier::kAvx512,
+                                      util::IsaTier::kAvx512Vnni};
+
 std::unique_ptr<MulQuantOp> scalar_mq(std::int64_t mul, std::int64_t bias,
                                       int frac, std::int64_t lo,
                                       std::int64_t hi, int bias_frac = 0) {
@@ -769,9 +780,8 @@ void expect_cells_match(const std::vector<ConvCell>& cells) {
   std::int64_t clips = 0;
   for (const ConvCell& cell : cells) clips += cell.want_sat;
   EXPECT_GT(clips, 0);  // the clip-count comparison is not vacuous
-  for (const util::IsaTier cap :
-       {util::IsaTier::kGeneric, util::IsaTier::kAvx2, util::IsaTier::kAvx512,
-        util::IsaTier::kAvx512Vnni}) {
+  const IsaCapGuard cap_guard;
+  for (const util::IsaTier cap : kIsaCaps) {
     util::set_isa_tier_cap(cap);
     for (const int threads : {1, 4, 16}) {
       par::set_max_threads(threads);
@@ -781,21 +791,17 @@ void expect_cells_match(const std::vector<ConvCell>& cells) {
                                std::to_string(threads);
         DeployModel opt = conv_case_graph(cell.c);
         (void)optimize_deploy_graph(opt, 2);
-        const std::string kern = opt.op(0).kernel();
-        if (cell.c.kind == ConvCase::Kind::kDepthwise) {
-          EXPECT_EQ(kern, cell.c.ep == ConvCase::Ep::kNone ? "dwconv_i8"
-                                                           : "dwconv_i8_fused")
-              << at;
-        } else {
-          EXPECT_EQ(kern.rfind("gemm_i8_", 0), 0u) << kern << " " << at;
-        }
+        const std::string family =
+            cell.c.kind == ConvCase::Kind::kDepthwise ? "dwconv_i8" : "gemm_i8";
+        EXPECT_EQ(opt.op(0).kernel(),
+                  cell.c.ep == ConvCase::Ep::kNone ? family : family + "_fused")
+            << at;
         const auto [got, got_sat] = run_counting_sats(opt, cell.x);
         expect_bit_identical(cell.want, got, at);
         EXPECT_EQ(got_sat, cell.want_sat) << at;
       }
     }
   }
-  util::set_isa_tier_cap(util::kTopIsaTier);
 }
 
 TEST(KernelGateTest, ConvMatrixMatchesI64BitsAndSaturation) {
@@ -1036,7 +1042,7 @@ TEST(DeployPlanTest, ConvScratchAllocationsIndependentOfBatchAndChannels) {
   for (const std::int64_t c : {16, 40, 64}) {  // 40: a partial block
     const DeployModel dm = separable_graph(c);
     EXPECT_EQ(dm.op(0).kernel(), "dwconv_i8_fused");
-    EXPECT_EQ(dm.op(2).kernel().rfind("gemm_i8_fused_", 0), 0u);
+    EXPECT_EQ(dm.op(2).kernel(), "gemm_i8_fused");
     for (const std::int64_t batch : {1, 8}) {
       ITensor x({batch, c, 8, 8});
       for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = i % 255 - 127;
@@ -1099,7 +1105,7 @@ TEST(DeployPlanTest, SteadyStateOutputsReuseParkedBuffers) {
     par::set_max_threads(threads);
     for (const int depth : {1, 4}) {
       const DeployModel dm = residual_chain_graph(depth);
-      EXPECT_EQ(dm.op(0).kernel().rfind("gemm_i8_fused_", 0), 0u);
+      EXPECT_EQ(dm.op(0).kernel(), "gemm_i8_fused");
       const ITensor x = residual_input(8, 0);
       for (int i = 0; i < 2; ++i) (void)dm.run_int(x);  // warm
       for (int run = 0; run < 3; ++run) {
@@ -1402,37 +1408,63 @@ TEST(PassesE2E, ArenaPeakIsAtMostHalfOfKeepEverything) {
   EXPECT_LT(mem.plan_slots, dm.num_ops());
 }
 
+TEST(PassesE2E, ConversionUnderAnyIsaCapServesAtTheTopRung) {
+  // The plan names strategies, not ISAs: a model converted under the
+  // generic cap compiles the same plan as one converted at the top rung,
+  // and served at the top rung it gives the same outputs.
+  for (Trained* t : {&trained_resnet(), &trained_vit()}) {
+    const DeployModel low = [&] {
+      const IsaCapGuard cap_guard;
+      util::set_isa_tier_cap(util::IsaTier::kGeneric);
+      DeployModel dm = convert_at(*t, 2);
+      (void)dm.plan();  // packs the weights under the generic cap too
+      return dm;
+    }();
+    const DeployModel top = convert_at(*t, 2);
+    EXPECT_EQ(low.plan().render(low), top.plan().render(top));
+    const ITensor q = top.quantize_input(test_batch(*t, 8));
+    expect_bit_identical(top.run_int(q), low.run_int(q), "generic-cap plan");
+  }
+}
+
 // ---- golden plan text (t2c_plan_golden ctest entry) ----
 
 /// Compares (or regenerates, with T2C_GOLDEN_REGEN=1) the deterministic
-/// plan rendering against tests/golden/<name>. Skips when T2C_GOLDEN_DIR
-/// is not set — the dedicated ctest entry provides it.
-void check_plan_golden(const DeployModel& dm, const std::string& name) {
+/// opt-2 plan rendering of `t` against tests/golden/<name>, converting
+/// under every ISA cap: one golden file holds for all of them. Skips when
+/// T2C_GOLDEN_DIR is not set — the dedicated ctest entry provides it.
+void check_plan_golden(const Trained& t, const std::string& name) {
   const char* dir = std::getenv("T2C_GOLDEN_DIR");
   if (dir == nullptr) GTEST_SKIP() << "T2C_GOLDEN_DIR not set";
   const std::string path = std::string(dir) + "/" + name;
-  const std::string got = dm.plan().render(dm);
-  if (std::getenv("T2C_GOLDEN_REGEN") != nullptr) {
-    std::ofstream os(path, std::ios::binary);
-    os << got;
-    ASSERT_TRUE(os.good()) << "cannot write " << path;
-    return;
+  const IsaCapGuard cap_guard;
+  for (const util::IsaTier cap : kIsaCaps) {
+    util::set_isa_tier_cap(cap);
+    const DeployModel dm = convert_at(t, 2);
+    const std::string got = dm.plan().render(dm);
+    if (std::getenv("T2C_GOLDEN_REGEN") != nullptr) {
+      std::ofstream os(path, std::ios::binary);
+      os << got;
+      ASSERT_TRUE(os.good()) << "cannot write " << path;
+      continue;
+    }
+    std::ifstream is(path, std::ios::binary);
+    ASSERT_TRUE(is.good()) << path
+                           << " missing — regenerate with T2C_GOLDEN_REGEN=1";
+    const std::string want((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want) << "plan drifted for " << name << " at cap "
+                         << util::isa_tier_name(cap)
+                         << " — regenerate with T2C_GOLDEN_REGEN=1 if intended";
   }
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(is.good()) << path
-                         << " missing — regenerate with T2C_GOLDEN_REGEN=1";
-  const std::string want((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_EQ(got, want) << "plan drifted for " << name
-                       << " — regenerate with T2C_GOLDEN_REGEN=1 if intended";
 }
 
 TEST(PlanGolden, ResnetPlanMatchesGoldenText) {
-  check_plan_golden(convert_at(trained_resnet(), 2), "plan_resnet20.txt");
+  check_plan_golden(trained_resnet(), "plan_resnet20.txt");
 }
 
 TEST(PlanGolden, VitPlanMatchesGoldenText) {
-  check_plan_golden(convert_at(trained_vit(), 2), "plan_vit.txt");
+  check_plan_golden(trained_vit(), "plan_vit.txt");
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Kernel-solver registry tests (DESIGN.md §3.12).
 //
 // Covers the registry's choice (first applicable solver in list order),
-// the gate-order contract (semantic decline reasons are never masked by
-// ISA), and the headline bit-identity guarantee: integer outputs are
-// identical at any thread count, and across every forced int8
-// micro-kernel width — for the batch-folded conv and the direct depthwise
-// kernel too.
+// its independence from the ISA (the same choice and decline reason at
+// every cap), and the headline bit-identity guarantee: integer outputs are
+// identical at any thread count, and under every ISA cap, whose int8
+// micro-kernels differ — for the batch-folded conv and the direct
+// depthwise kernel too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -28,31 +28,20 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
-/// Lifts the ISA cap back to the top rung on scope exit.
+/// Restores the ISA cap in force at construction on scope exit.
 struct IsaCapGuard {
-  ~IsaCapGuard() { util::set_isa_tier_cap(util::kTopIsaTier); }
+  util::IsaTier saved = util::cpu_isa_tier();
+  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
 };
 
-/// Every int16 micro-kernel a GEMM can run: each forced width uncapped,
-/// and kAvx512 both at the avx512 rung (vpmaddwd + vpaddd) and at the
-/// avx512vnni rung (vpdpwssd; the avx512 kernel again on a host without
-/// VNNI, which IsaCapNamesParseToTheirRungs reports as a skip).
-struct KernelRun {
-  util::IsaTier cap;
-  i8::MicroKernel mk;
-};
-constexpr KernelRun kKernelRuns[] = {
-    {util::kTopIsaTier, i8::MicroKernel::kScalar},
-    {util::kTopIsaTier, i8::MicroKernel::kAvx2},
-    {util::IsaTier::kAvx512, i8::MicroKernel::kAvx512},
-    {util::IsaTier::kAvx512Vnni, i8::MicroKernel::kAvx512},
-    {util::kTopIsaTier, i8::MicroKernel::kAuto},
-};
-
-std::string describe(const KernelRun& run) {
-  return "mk " + std::to_string(static_cast<int>(run.mk)) + " cap " +
-         util::isa_tier_name(run.cap);
-}
+/// Every ISA cap, each with its own int16 micro-kernel: scalar, vpmaddwd
+/// on ymm, vpmaddwd + vpaddd on zmm, vpdpwssd. A cap above the host's
+/// rung runs the host's top kernel again (IsaCapNamesParseToTheirRungs
+/// reports a host without VNNI as a skip).
+constexpr util::IsaTier kCaps[] = {util::IsaTier::kGeneric,
+                                   util::IsaTier::kAvx2,
+                                   util::IsaTier::kAvx512,
+                                   util::IsaTier::kAvx512Vnni};
 
 /// A linear_int problem deep enough to be interesting but provably safe
 /// for the whole int8 family (k * a_max * w_max far below 2^31).
@@ -101,18 +90,18 @@ TEST(SolverRegistryTest, SolverNamesFollowTheKernelTagGrammar) {
 TEST(SolverRegistryTest, HeuristicFollowsStaticListOrder) {
   const auto& reg = solver::Registry::instance();
 
-  // Fused int8 with the widest micro-kernel this host supports.
+  // Fused int8 first.
   const solver::SolverChoice fused = reg.choose(safe_linear(true));
   EXPECT_TRUE(fused.i8);
   EXPECT_TRUE(fused.fuse);
-  EXPECT_EQ(fused.name.rfind("gemm_i8_fused_", 0), 0u) << fused.name;
+  EXPECT_EQ(fused.name, "gemm_i8_fused");
 
   // No epilogue: the fused family declines with the carried reason and the
   // unfused family is next in line.
   const solver::SolverChoice unfused = reg.choose(safe_linear(false));
   EXPECT_TRUE(unfused.i8);
   EXPECT_FALSE(unfused.fuse);
-  EXPECT_EQ(unfused.name.rfind("gemm_i8_", 0), 0u) << unfused.name;
+  EXPECT_EQ(unfused.name, "gemm_i8");
   EXPECT_EQ(unfused.reason, "consumer");
 }
 
@@ -126,20 +115,21 @@ TEST(SolverRegistryTest, OverflowReasonSurvivesToTheFallback) {
   EXPECT_EQ(c.reason, "overflow");
 }
 
-TEST(SolverRegistryTest, SemanticGateIsNeverMaskedByIsa) {
+TEST(SolverRegistryTest, ChoiceIsTheSameAtEveryIsaCap) {
+  // No gate reads the ISA: the int8 family wins under every cap, and a
+  // problem too deep for the overflow proof declines with "overflow".
   const auto& reg = solver::Registry::instance();
-  // Capped to the generic tier the AVX solvers all decline with "isa" —
-  // but an overflow must still be reported as "overflow", and the scalar
-  // solver (no ISA gate) must keep the int8 family reachable.
   const IsaCapGuard cap_guard;
-  util::set_isa_tier_cap(util::IsaTier::kGeneric);
-  solver::Problem ok = safe_linear(true);
-  ok.isa = util::cpu_isa_tier();
-  const solver::SolverChoice scalar = reg.choose(ok);
-  EXPECT_EQ(scalar.name, "gemm_i8_fused_scalar");
-  solver::Problem bad = ok;
-  bad.k = 1 << 20;
-  EXPECT_EQ(reg.choose(bad).reason, "overflow");
+  for (const util::IsaTier cap : kCaps) {
+    util::set_isa_tier_cap(cap);
+    const solver::Problem ok = safe_linear(true);
+    EXPECT_EQ(reg.choose(ok).name, "gemm_i8_fused") << util::isa_tier_name(cap);
+    solver::Problem bad = ok;
+    bad.k = 1 << 20;
+    const solver::SolverChoice c = reg.choose(bad);
+    EXPECT_EQ(c.name, "gemm_i64") << util::isa_tier_name(cap);
+    EXPECT_EQ(c.reason, "overflow") << util::isa_tier_name(cap);
+  }
 }
 
 TEST(SolverRegistryTest, IsaCapNamesParseToTheirRungs) {
@@ -153,12 +143,6 @@ TEST(SolverRegistryTest, IsaCapNamesParseToTheirRungs) {
   EXPECT_STREQ(util::isa_tier_name(util::kTopIsaTier), "avx512vnni");
   EXPECT_EQ(util::isa_tier_cap_from_name("scalar"), util::IsaTier::kGeneric);
   EXPECT_EQ(util::isa_tier_cap_from_name("bogus"), util::kTopIsaTier);
-  // The VNNI kernel keeps the avx512 solvers' names and gates: the rung
-  // changes which kernel gemm_i8_*_avx512 runs, not which solver wins.
-  solver::Problem p = safe_linear(true);
-  p.isa = util::IsaTier::kAvx512Vnni;
-  EXPECT_EQ(solver::Registry::instance().choose(p).name,
-            "gemm_i8_fused_avx512");
   util::set_isa_tier_cap(util::IsaTier::kAvx512Vnni);
   const util::IsaTier got = util::cpu_isa_tier();
   if (got != util::IsaTier::kAvx512Vnni) {
@@ -189,7 +173,7 @@ TEST(SolverRegistryTest, DepthwiseSolversPrecedeTheGemmFamily) {
   // More than one output channel per group: the GEMM family takes over.
   solver::Problem dense = dw;
   dense.m = 16;
-  EXPECT_EQ(reg.choose(dense).name.rfind("gemm_i8_fused_", 0), 0u);
+  EXPECT_EQ(reg.choose(dense).name, "gemm_i8_fused");
   // The overflow proof gates the direct kernel like the GEMMs.
   solver::Problem deep = dw;
   deep.a_max = deep.w_max = i8::kOperandMax;
@@ -265,8 +249,10 @@ TEST(SolverBitIdentity, ThreadCountsAgreeBitForBit) {
   }
 }
 
-TEST(SolverBitIdentity, ForcedMicroKernelWidthsAgreeBitForBit) {
-  // m = 7 is one partial row block; 17 is two full blocks and a 1-row one.
+TEST(SolverBitIdentity, MicroKernelsAgreeBitForBitAtEveryIsaCap) {
+  // Each cap runs its own micro-kernel, checked against the generic cap's
+  // scalar one. m = 7 is one partial row block; 17 is two full blocks and
+  // a 1-row one.
   const IsaCapGuard cap_guard;
   for (const std::int64_t m : {7, 17}) {
     const std::int64_t n = 33, k = 65;
@@ -288,27 +274,26 @@ TEST(SolverBitIdentity, ForcedMicroKernelWidthsAgreeBitForBit) {
     ep.frac0 = 8;
     ep.lo = -127;
     ep.hi = 127;
+    util::set_isa_tier_cap(util::IsaTier::kGeneric);
     std::vector<std::int64_t> want(static_cast<std::size_t>(m * n));
-    i8::gemm_b_packed(a.data(), *pb, want.data(), m, ep, /*threaded=*/false,
-                      i8::MicroKernel::kScalar);
-    for (const KernelRun& run : kKernelRuns) {
-      util::set_isa_tier_cap(run.cap);
+    i8::gemm_b_packed(a.data(), *pb, want.data(), m, ep, /*threaded=*/false);
+    for (const util::IsaTier cap : kCaps) {
+      util::set_isa_tier_cap(cap);
       std::vector<std::int64_t> got(static_cast<std::size_t>(m * n));
-      i8::gemm_b_packed(a.data(), *pb, got.data(), m, ep, /*threaded=*/false,
-                        run.mk);
+      i8::gemm_b_packed(a.data(), *pb, got.data(), m, ep, /*threaded=*/false);
       for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << describe(run) << " m " << m << " element " << i;
+        ASSERT_EQ(got[i], want[i]) << "cap " << util::isa_tier_name(cap)
+                                   << " m " << m << " element " << i;
       }
     }
   }
 }
 
-TEST(SolverBitIdentity, ConvKernelsMatchI64ForEveryMicroKernel) {
-  // Raw accumulators (no epilogue) of the batch-folded packed conv, under
-  // every forced micro-kernel width, and of the direct depthwise kernel,
-  // against iconv2d_forward. 3 images of 3x5 fold 45 columns, so the
-  // second panel starts inside the third image.
+TEST(SolverBitIdentity, ConvKernelsMatchI64AtEveryIsaCap) {
+  // Raw accumulators (no epilogue) of the batch-folded packed conv and of
+  // the direct depthwise kernel, under every ISA cap (each with its own
+  // panel fill and micro-kernel), against iconv2d_forward. 3 images of 3x5
+  // fold 45 columns, so the second panel starts inside the third image.
   ThreadGuard tguard;
   const IsaCapGuard cap_guard;
   struct Geo {
@@ -347,21 +332,22 @@ TEST(SolverBitIdentity, ConvKernelsMatchI64ForEveryMicroKernel) {
                             std::to_string(g.stride) + " g" +
                             std::to_string(g.groups);
     const auto pa = i8::pack_a(w.data(), ocg, taps, g.groups);
+    const auto pw = ocg == 1 ? i8::pack_dw(w.data(), g.oc, taps) : nullptr;
     for (const int threads : {1, 4}) {
       par::set_max_threads(threads);
-      for (const KernelRun& run : kKernelRuns) {
-        util::set_isa_tier_cap(run.cap);
+      for (const util::IsaTier cap : kCaps) {
+        util::set_isa_tier_cap(cap);
+        const std::string at = std::string(" cap ") +
+                               util::isa_tier_name(cap) + " @" +
+                               std::to_string(threads);
         i8::conv_packed(x.data(), g.n, g.h, g.w, s, *pa, got.data(),
-                        i8::Epilogue{}, /*threaded=*/true, run.mk);
-        expect_same(geo + " packed " + describe(run) + " @" +
-                    std::to_string(threads));
-      }
-      util::set_isa_tier_cap(util::kTopIsaTier);
-      if (ocg == 1) {
-        const auto pw = i8::pack_dw(w.data(), g.oc, taps);
-        i8::dwconv(x.data(), g.n, g.h, g.w, s, *pw, got.data(),
-                   i8::Epilogue{});
-        expect_same(geo + " direct @" + std::to_string(threads));
+                        i8::Epilogue{}, /*threaded=*/true);
+        expect_same(geo + " packed" + at);
+        if (pw != nullptr) {
+          i8::dwconv(x.data(), g.n, g.h, g.w, s, *pw, got.data(),
+                     i8::Epilogue{});
+          expect_same(geo + " direct" + at);
+        }
       }
     }
   }

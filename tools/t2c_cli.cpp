@@ -41,9 +41,10 @@
 // `--audit-golden-dir DIR` writes per-op golden hex vectors for RTL replay,
 // `--audit-threshold-db DB` sets the first-divergence threshold.
 //
-// Kernel solvers: `--list-solvers` prints the solver registry's
-// priority-ordered lists with each solver's gates and exits (DESIGN.md
-// §3.12); every op runs the first solver in its list whose gates accept it.
+// Kernel solvers: `--list-solvers` prints the ISA rung the int8 kernels
+// run at and the solver registry's priority-ordered lists with each
+// solver's gates, and exits (DESIGN.md §3.12); every op runs the first
+// solver in its list whose gates accept it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -72,6 +73,7 @@
 #include "obs/trace.h"
 #include "tensor/solver.h"
 #include "util/build_info.h"
+#include "util/cpuinfo.h"
 #include "xport/verilog.h"
 
 namespace {
@@ -266,8 +268,9 @@ Args parse(int argc, char** argv) {
           "--loop N runs N extra integer inferences across two client\n"
           "threads after deployment (soak mode) so the windowed\n"
           "percentiles on /metrics have live traffic to digest.\n"
-          "--list-solvers prints the registered solver table and exits;\n"
-          "each op runs the first solver in its list whose gates accept it.\n"
+          "--list-solvers prints the ISA rung the int8 kernels run at and\n"
+          "the registered solver table, and exits; each op runs the first\n"
+          "solver in its list whose gates accept it.\n"
           "--version prints the build_info stamp (sha, compiler, flags,\n"
           "ISA level, CPU model, threads) and exits.\n"
           "--postmortem-dir installs async-signal-safe crash handlers\n"
@@ -447,6 +450,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (a.list_solvers) {
+      std::printf("int8 kernels run at %s (T2C_ISA caps the rung)\n",
+                  util::isa_description().c_str());
       std::printf("registered solvers (priority order per op):\n");
       std::printf("  %-10s %-22s %s\n", "op", "solver", "gates");
       for (const auto& s : solver::Registry::instance().solvers()) {

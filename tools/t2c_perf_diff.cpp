@@ -20,7 +20,7 @@
 // the code, so the window widens. delta = new/old - 1 beyond +window is
 // `regressed`, beyond -window is `improved`, inside is `noise`. Rows that
 // carry a "kernel" tag on both sides and disagree are classified `added`:
-// a solver switch (e.g. gemm_i64 -> gemm_i8_fused_avx512 after a registry
+// a solver switch (e.g. gemm_i64 -> gemm_i8_fused after a registry
 // reorder) is a new measurement, not a delta of the old one. So are rows
 // whose "threads" (the pool size they ran at) differ between the sides.
 //
