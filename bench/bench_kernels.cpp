@@ -1,6 +1,7 @@
 // Kernel-level benches for the parallel execution runtime (DESIGN.md
 // "Threading model"): tiled/packed GEMM (float + int64), im2col conv2d,
-// and the deploy element-wise sweeps (MulQuant, LUT softmax).
+// the deploy element-wise sweeps (MulQuant, LUT softmax), and the integer
+// ViT layers (LayerNorm, GELU, attention) at vit_b1's shapes.
 //
 // Two speedup axes are reported separately:
 //   - tiling/packing alone: tiled GEMM at 1 thread vs an in-file naive
@@ -347,6 +348,72 @@ int main() {
     t.row({s.name, std::to_string(threads), fmt(s.mean_ms), "-"});
     if (threads == hw_threads) break;
   }
+  t.rule();
+
+  // ---- integer ViT layers at vit_b1's shapes ----
+  // 16 tokens of dim 64, 4 heads, MLP width 128, batch 1: one block's
+  // LayerNorm, GELU and attention as the served model runs them (run_into
+  // a recycled output, 1 thread). Each rep is 1000 calls, so a row's ms
+  // read as µs per call.
+  par::set_max_threads(1);
+  constexpr int kVitCalls = 1000;
+  Rng vit_rng(9);
+  const auto vit_fill = [&](ITensor& x, float lo, float hi) {
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<std::int64_t>(vit_rng.uniform(lo, hi));
+    }
+  };
+  const auto vit_vec = [&](std::int64_t n, float lo, float hi) {
+    std::vector<std::int64_t> v(static_cast<std::size_t>(n));
+    for (auto& e : v) e = static_cast<std::int64_t>(vit_rng.uniform(lo, hi));
+    return v;
+  };
+  const auto vit_row = [&](const std::string& name, const DeployOp& op,
+                           const ITensor& x, const std::string& kernel) {
+    const std::vector<const ITensor*> ins = {&x};
+    ITensor out;
+    op.run_into(ins, out);
+    BenchStat s = time_reps_kernel(
+        name, kernel,
+        [&] {
+          for (int c = 0; c < kVitCalls; ++c) op.run_into(ins, out);
+        },
+        reps);
+    stats.push_back(s);
+    t.row({s.name, "1", fmt(s.mean_ms), "-"});
+  };
+  ITensor ln_x({1, 16, 64});
+  vit_fill(ln_x, -127.0F, 127.0F);
+  const IntLayerNormOp ln(vit_vec(64, 1000.0F, 8000.0F),
+                          vit_vec(64, -500.0F, 500.0F), 8, -127, 127);
+  vit_row("layernorm_instant_16x64", ln, ln_x, "int_layernorm_instant");
+  std::int64_t gelu_step = 1;
+  const LutGeluOp gelu(build_gelu_lut(0.05F, -127, 127, 0.05F, -127, 127,
+                                      256, gelu_step),
+                       -127, 127, gelu_step);
+  ITensor gelu_x({1, 16, 128});
+  vit_fill(gelu_x, -160.0F, 160.0F);
+  vit_row("lut_gelu_16x128", gelu, gelu_x, "lut_gelu");
+  IntAttentionParams ap;
+  ap.heads = 4;
+  ap.wqkv = ITensor({192, 64});
+  vit_fill(ap.wqkv, -127.0F, 127.0F);
+  ap.qkv_mul = vit_vec(192, 40.0F, 80.0F);
+  ap.qkv_bias = vit_vec(192, -2000.0F, 2000.0F);
+  ap.softmax_lut = build_exp_lut(12.0F / 256.0F, 256, 15);
+  ap.logit_mul = 320;
+  ap.ctx_mul = 257;
+  ap.wproj = ITensor({64, 64});
+  vit_fill(ap.wproj, -127.0F, 127.0F);
+  ap.proj_mul = vit_vec(64, 40.0F, 80.0F);
+  ap.proj_bias = vit_vec(64, -2000.0F, 2000.0F);
+  ap.out_min = -32767;
+  ap.out_max = 32767;
+  IntAttentionOp attn(std::move(ap));
+  attn.set_input_bound(127);
+  ITensor attn_x({1, 16, 64});
+  vit_fill(attn_x, -127.0F, 127.0F);
+  vit_row("attn_i16_t16_d64_h4", attn, attn_x, attn.kernel());
   t.rule();
 
   par::set_max_threads(hw_threads);

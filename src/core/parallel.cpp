@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -196,12 +197,10 @@ const std::vector<double>& imbalance_buckets() {
   return kBuckets;
 }
 
-using Body = std::function<void(std::int64_t, std::int64_t, int)>;
-
 /// One pooled region. The pool's job closure captures only a pointer to
 /// it, which fits std::function's inline buffer: dispatch never allocates.
 struct Region {
-  const Body& fn;
+  BodyRef fn;
   const std::int64_t begin, base, rem;
   const bool met, trace, pmu;
   std::atomic<double> total_ms;
@@ -258,7 +257,7 @@ struct Region {
 }  // namespace
 
 void parallel_for_impl(std::int64_t begin, std::int64_t end,
-                       std::int64_t grain, const Body& fn) {
+                       std::int64_t grain, BodyRef fn) {
   const std::int64_t range = end - begin;
   if (range <= 0) return;
   const std::int64_t g = std::max<std::int64_t>(1, grain);

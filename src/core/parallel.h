@@ -28,9 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
-#include <utility>
 
 namespace t2c::par {
 
@@ -46,14 +44,34 @@ void set_max_threads(int n);
 int max_slots();
 
 namespace detail {
+/// Non-owning view of a chunk body fn(i0, i1, slot). The body outlives
+/// the parallel_for call that views it, so dispatch neither copies nor
+/// heap-allocates a closure, whatever its size.
+class BodyRef {
+ public:
+  template <typename F>
+  explicit BodyRef(F& fn)
+      : obj_(const_cast<void*>(static_cast<const void*>(&fn))),
+        call_([](void* obj, std::int64_t i0, std::int64_t i1, int slot) {
+          (*static_cast<F*>(obj))(i0, i1, slot);
+        }) {}
+
+  void operator()(std::int64_t i0, std::int64_t i1, int slot) const {
+    call_(obj_, i0, i1, slot);
+  }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::int64_t, std::int64_t, int);
+};
+
 /// Type-erased core: splits [begin, end) into at most max_threads()
 /// contiguous chunks of at least `grain` items and runs fn(i0, i1, slot)
 /// for each, slot in [0, max_slots()). Runs inline when only one chunk
 /// results, when called from inside a parallel region, or on a 1-thread
 /// pool. Exceptions from bodies are rethrown on the calling thread.
-void parallel_for_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t, int)>& fn);
+void parallel_for_impl(std::int64_t begin, std::int64_t end,
+                       std::int64_t grain, BodyRef fn);
 }  // namespace detail
 
 /// Parallel map over [begin, end). `fn` is either fn(i0, i1) or
@@ -65,15 +83,12 @@ template <typename Fn>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   Fn&& fn) {
   if constexpr (std::is_invocable_v<Fn&, std::int64_t, std::int64_t, int>) {
-    detail::parallel_for_impl(begin, end, grain,
-                              std::function<void(std::int64_t, std::int64_t,
-                                                 int)>(std::forward<Fn>(fn)));
+    detail::parallel_for_impl(begin, end, grain, detail::BodyRef(fn));
   } else {
     static_assert(std::is_invocable_v<Fn&, std::int64_t, std::int64_t>,
                   "parallel_for body must be fn(i0, i1) or fn(i0, i1, slot)");
-    detail::parallel_for_impl(
-        begin, end, grain,
-        [&fn](std::int64_t i0, std::int64_t i1, int) { fn(i0, i1); });
+    auto body = [&fn](std::int64_t i0, std::int64_t i1, int) { fn(i0, i1); };
+    detail::parallel_for_impl(begin, end, grain, detail::BodyRef(body));
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <numeric>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -22,8 +21,9 @@ namespace {
 
 const ITensor& only_input(const std::vector<const ITensor*>& ins,
                           const char* op) {
-  check(ins.size() == 1 && ins[0] != nullptr,
-        std::string(op) + ": expects exactly one input");
+  if (ins.size() != 1 || ins[0] == nullptr) {
+    fail(std::string(op) + ": expects exactly one input");
+  }
   return *ins[0];
 }
 
@@ -35,18 +35,16 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
 /// d use max(1, kElemGrain / d) so tiny tensors stay serial.
 constexpr std::int64_t kElemGrain = 4096;
 
-/// Per-slot saturation accumulators: parallel bodies clip-count into their
-/// slot, total() merges once per run(). Integer sums are order-independent,
-/// so the merged count is identical at any thread count.
-struct SlotSats {
-  std::vector<std::int64_t> v;
-  SlotSats() : v(static_cast<std::size_t>(par::max_slots()), 0) {}
-  std::int64_t& operator[](int slot) {
-    return v[static_cast<std::size_t>(slot)];
+/// Saturation count of one call: each parallel body counts clips locally
+/// and adds its count once, in one relaxed atomic, as the GEMM epilogue
+/// does. Integer sums are order-independent, so the total is identical at
+/// any thread count.
+struct CallSats {
+  std::atomic<std::int64_t> n{0};
+  void add(std::int64_t sat) {
+    if (sat != 0) n.fetch_add(sat, std::memory_order_relaxed);
   }
-  std::int64_t total() const {
-    return std::accumulate(v.begin(), v.end(), std::int64_t{0});
-  }
+  std::int64_t total() const { return n.load(std::memory_order_relaxed); }
 };
 
 /// Clips to a zero lower bound are ReLU semantics, not saturation — only a
@@ -256,7 +254,7 @@ void MulQuantOp::absorb_upshift(int k) {
 
 void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
   const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  SlotSats sats;
+  CallSats sats;
   const auto apply = [&](std::int64_t v, std::size_t e, std::int64_t& sat) {
     const int f = frac_[e] + bias_frac_;
     const std::int64_t half = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
@@ -269,7 +267,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
     case MqLayout::kPerTensor: {
       par::parallel_for(
           0, x.numel(), kElemGrain,
-          [&](std::int64_t i0, std::int64_t i1, int slot) {
+          [&](std::int64_t i0, std::int64_t i1) {
             std::int64_t sat = 0;
 #if T2C_MQ_AVX512
             if (mq_avx512()) {
@@ -277,14 +275,14 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
                              mul_[0], bias_[0], bias_frac_,
                              frac_[0] + bias_frac_, out_min_, out_max_, prof,
                              sat);
-              sats[slot] += sat;
+              sats.add(sat);
               return;
             }
 #endif
             for (std::int64_t i = i0; i < i1; ++i) {
               out[i] = apply(x[i], 0, sat);
             }
-            sats[slot] += sat;
+            sats.add(sat);
           });
       break;
     }
@@ -296,7 +294,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
             "MulQuant: channel count mismatch");
       par::parallel_for(
           0, n * c, std::max<std::int64_t>(1, kElemGrain / std::max<std::int64_t>(1, hw)),
-          [&](std::int64_t p0, std::int64_t p1, int slot) {
+          [&](std::int64_t p0, std::int64_t p1) {
             std::int64_t sat = 0;
             for (std::int64_t p = p0; p < p1; ++p) {
               const auto ic = static_cast<std::size_t>(p % c);
@@ -314,7 +312,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
                 out[base + i] = apply(x[base + i], ic, sat);
               }
             }
-            sats[slot] += sat;
+            sats.add(sat);
           });
       break;
     }
@@ -325,7 +323,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
       const std::int64_t rows = x.numel() / d;
       par::parallel_for(
           0, rows, std::max<std::int64_t>(1, kElemGrain / d),
-          [&](std::int64_t r0, std::int64_t r1, int slot) {
+          [&](std::int64_t r0, std::int64_t r1) {
             std::int64_t sat = 0;
 #if T2C_MQ_AVX512
             if (mq_avx512()) {
@@ -333,7 +331,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
                              r1 - r0, d, mul_.data(), bias_.data(),
                              frac_.data(), bias_frac_, out_min_, out_max_,
                              prof, sat);
-              sats[slot] += sat;
+              sats.add(sat);
               return;
             }
 #endif
@@ -343,7 +341,7 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
                     apply(x[r * d + i], static_cast<std::size_t>(i), sat);
               }
             }
-            sats[slot] += sat;
+            sats.add(sat);
           });
       break;
     }
@@ -522,16 +520,16 @@ void IntAddOp::run_into(const std::vector<const ITensor*>& ins,
 void IntAddOp::compute(const ITensor& a, const ITensor& b,
                        ITensor& out) const {
   const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  SlotSats sats;
+  CallSats sats;
   par::parallel_for(0, a.numel(), kElemGrain,
-                    [&](std::int64_t i0, std::int64_t i1, int slot) {
+                    [&](std::int64_t i0, std::int64_t i1) {
                       std::int64_t sat = 0;
 #if T2C_MQ_AVX512
                       if (add_avx512()) {
                         add_span_avx512(a.data() + i0, b.data() + i0,
                                         out.data() + i0, i1 - i0, out_min_,
                                         out_max_, prof, sat);
-                        sats[slot] += sat;
+                        sats.add(sat);
                         return;
                       }
 #endif
@@ -540,7 +538,7 @@ void IntAddOp::compute(const ITensor& a, const ITensor& b,
                         if (prof && is_clip(y, out_min_, out_max_)) ++sat;
                         out[i] = clamp64(y, out_min_, out_max_);
                       }
-                      sats[slot] += sat;
+                      sats.add(sat);
                     });
   if (prof) sat_cache_.add("IntAdd", label, sats.total());
 }
@@ -602,10 +600,10 @@ ITensor IntGlobalAvgPoolOp::run(const std::vector<const ITensor*>& ins) const {
       frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;
   check(hw > 0, "IntGlobalAvgPool: empty spatial extent (H*W == 0)");
   const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  SlotSats sats;
+  CallSats sats;
   par::parallel_for(
       0, n * c, std::max<std::int64_t>(1, kElemGrain / hw),
-      [&](std::int64_t p0, std::int64_t p1, int slot) {
+      [&](std::int64_t p0, std::int64_t p1) {
         std::int64_t sat = 0;
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t* plane = x.data() + p * hw;
@@ -615,7 +613,7 @@ ITensor IntGlobalAvgPoolOp::run(const std::vector<const ITensor*>& ins) const {
           if (prof && is_clip(y, out_min_, out_max_)) ++sat;
           out[p] = clamp64(y, out_min_, out_max_);
         }
-        sats[slot] += sat;
+        sats.add(sat);
       });
   if (prof) sat_cache_.add("IntGlobalAvgPool", label, sats.total());
   return out;
@@ -653,10 +651,10 @@ ITensor IntMeanPoolTokensOp::run(
   const std::int64_t half =
       frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;
   const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  SlotSats sats;
+  CallSats sats;
   par::parallel_for(
       0, n * d, std::max<std::int64_t>(1, kElemGrain / t),
-      [&](std::int64_t p0, std::int64_t p1, int slot) {
+      [&](std::int64_t p0, std::int64_t p1) {
         std::int64_t sat = 0;
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t in = p / d, i = p % d;
@@ -668,7 +666,7 @@ ITensor IntMeanPoolTokensOp::run(
           if (prof && is_clip(y, out_min_, out_max_)) ++sat;
           out[p] = clamp64(y, out_min_, out_max_);
         }
-        sats[slot] += sat;
+        sats.add(sat);
       });
   if (prof) sat_cache_.add("IntMeanPoolTokens", label, sats.total());
   return out;

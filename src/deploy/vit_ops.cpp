@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #if defined(__x86_64__)
 #include <emmintrin.h>  // SSE2: baseline on x86_64, no dispatch needed
 #if defined(__GNUC__) || defined(__clang__)
-#define T2C_LN_AVX512 1
+#define T2C_VIT_AVX512 1
 #include <immintrin.h>
 #endif
 #endif
-#ifndef T2C_LN_AVX512
-#define T2C_LN_AVX512 0
+#ifndef T2C_VIT_AVX512
+#define T2C_VIT_AVX512 0
 #endif
 
 #include "core/parallel.h"
@@ -28,19 +29,20 @@ namespace {
 // int_ops.cpp): below this, partitioning overhead dwarfs the work.
 constexpr std::int64_t kElemGrain = 4096;
 
-/// Per-thread scratch of the narrow attention path, grown on demand and
-/// kept for the thread's lifetime, so a steady-state call allocates
-/// nothing. The calling thread's int16 streams (qkv, ctx) and each
-/// worker's per-query rows (logits, exp values, probabilities) are
-/// separate buffers, so the calling thread can run chunks too.
-struct AttnScratch {
-  std::vector<std::int16_t> qkv, ctx, probs;
+/// Per-thread scratch of the narrow attention path and the LUT softmax,
+/// grown on demand and kept for the thread's lifetime, so a steady-state
+/// call allocates nothing. The calling thread's int16 streams (qkv, ctx)
+/// and each worker's per-head packs (kv) and per-query rows (logits, exp
+/// values, probabilities) are separate buffers, so the calling thread can
+/// run chunks too.
+struct VitScratch {
+  std::vector<std::int16_t> qkv, ctx, kv, probs;
   std::vector<std::int32_t> logits;
   std::vector<std::int64_t> expv;
 };
 
-AttnScratch& attn_scratch() {
-  thread_local AttnScratch s;
+VitScratch& vit_scratch() {
+  thread_local VitScratch s;
   return s;
 }
 
@@ -57,26 +59,330 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::min(hi, std::max(lo, v));
 }
 
-/// Integer square root (floor), Newton's method.
+// Two's-complement wrapping arithmetic: the semantics of the 64-bit vector
+// lanes, and defined for every input, so a row of extreme values is no
+// undefined behaviour in the scalar forms either.
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+std::uint64_t uabs(std::int64_t v) {
+  const auto u = static_cast<std::uint64_t>(v);
+  return v < 0 ? 0 - u : u;
+}
+
+/// Integer square root (floor). The estimate is capped at
+/// floor(sqrt(INT64_MAX)), so (x + 1)^2 never overflows.
 std::int64_t isqrt64(std::int64_t v) {
   if (v <= 0) return 0;
-  auto x = static_cast<std::int64_t>(std::sqrt(static_cast<double>(v)));
+  constexpr std::int64_t kRootMax = 3037000499;
+  auto x = std::min(
+      kRootMax, static_cast<std::int64_t>(std::sqrt(static_cast<double>(v))));
   // Fix up double imprecision.
   while (x > 0 && x * x > v) --x;
-  while ((x + 1) * (x + 1) <= v) ++x;
+  while (x < kRootMax && (x + 1) * (x + 1) <= v) ++x;
   return x;
 }
 
-#if T2C_LN_AVX512
+// ---- exact division by an invariant divisor (DESIGN.md §3.4) ----
+//
+// LayerNorm divides a row by its deviation, GELU by the LUT step and the
+// softmaxes by a row sum: one divisor, many numerators. An idiv costs tens
+// of cycles and has no vector form, so numerators below kDivBound go
+// through one double reciprocal, q0 = trunc(n * (1/d)). n converts to
+// double exactly and 1/d and the product round once each, so the product
+// is within (n/d) * 2^-52 < 1 of n/d, and q0 >= floor(n/d) - 1. It never
+// overshoots: reaching k + 1 = floor(n/d) + 1 would take (k + 1) * d >
+// 2^52 with n within (k + 1) * d * 2^-52 of it, i.e. n >= 2^52. So one
+// upward correction gives exactly floor(n / d), the integer divide's bits.
+
+/// Exclusive bound on the numerators and divisors of ExactDiv.
+constexpr std::int64_t kDivBound = std::int64_t{1} << 52;
+
+struct ExactDiv {
+  /// 1 <= divisor < kDivBound.
+  explicit ExactDiv(std::int64_t divisor)
+      : d(divisor), r(1.0 / static_cast<double>(divisor)) {}
+
+  /// floor(n / d) for 0 <= n < kDivBound.
+  std::int64_t operator()(std::int64_t n) const {
+    const auto q = static_cast<std::int64_t>(static_cast<double>(n) * r);
+    return (q + 1) * d <= n ? q + 1 : q;
+  }
+
+  std::int64_t d;
+  double r;
+};
+
+/// Largest numerator e * p_qmax of a LUT softmax's normalizing divide, or
+/// -1 when p_qmax is not positive, an entry is negative or a product
+/// reaches kDivBound, so that no row of this LUT can use the exact divide.
+std::int64_t softmax_num_max(const std::vector<std::int64_t>& lut,
+                             std::int64_t p_qmax) {
+  if (p_qmax <= 0) return -1;
+  const auto [lo, hi] = std::minmax_element(lut.begin(), lut.end());
+  if (*lo < 0 || *hi > (kDivBound - 1) / p_qmax) return -1;
+  return *hi * p_qmax;
+}
+
+/// True when ExactDiv covers a softmax row: sum is a valid divisor and
+/// every numerator e * p_qmax + sum / 2 stays below kDivBound.
+bool softmax_row_exact(std::int64_t num_max, std::int64_t sum) {
+  return num_max >= 0 && sum > 0 && sum < kDivBound &&
+         num_max + sum / 2 < kDivBound;
+}
+
+/// True when every GELU index numerator (q - in_min + step / 2, q clamped
+/// to [in_min, in_max]) and the step itself fit ExactDiv.
+bool gelu_window_exact(std::int64_t in_min, std::int64_t in_max,
+                       std::int64_t step) {
+  return in_min <= in_max && step < kDivBound &&
+         static_cast<std::uint64_t>(in_max) -
+                 static_cast<std::uint64_t>(in_min) <
+             static_cast<std::uint64_t>(kDivBound - step / 2);
+}
+
+/// Variance headroom bits of the instant LayerNorm: its divisor is
+/// isqrt(var << 2 kLnG) = sqrt(var) << kLnG, and xhat * 2^f is
+/// ((x - mean) << (f + kLnG)) / divisor.
+constexpr int kLnG = 10;
+
+/// Constants of one instant-statistics LayerNorm sweep.
+struct LnRows {
+  const std::int64_t* gamma;
+  const std::int64_t* beta;
+  std::int64_t d;
+  int f;
+  std::int64_t half2f, lo, hi;
+
+  /// Exclusive bound on |x - mean| for ExactDiv: (|x - mean| << (f +
+  /// kLnG)) < kDivBound. f < 20, so the exponent is at least 23.
+  std::uint64_t dev_bound() const {
+    return std::uint64_t{1} << (52 - f - kLnG);
+  }
+
+  std::int64_t mean(std::int64_t sum) const {
+    return wrap_add(wrap_mul(2, sum), d) / (2 * d);  // round-nearest
+  }
+
+  std::int64_t divisor(std::int64_t var_sum) const {
+    return std::max<std::int64_t>(1, isqrt64((var_sum / d) << (2 * kLnG)));
+  }
+
+  /// clamp((G * xhat_f + (B << f) + 2^(2f-1)) >> 2f) for lane i.
+  std::int64_t affine(std::int64_t i, std::int64_t xhat) const {
+    const std::int64_t y =
+        wrap_add(wrap_add(wrap_mul(gamma[i], xhat), beta[i] << f), half2f) >>
+        (2 * f);
+    return clamp64(y, lo, hi);
+  }
+
+  /// The integer-divide row: xhat_f = ((x - mean) << (f + kLnG)) / sq,
+  /// truncating as C++ does. Rows past dev_bound() take it on every rung.
+  void row_idiv(const std::int64_t* px, std::int64_t* po, std::int64_t mean,
+                std::int64_t sq) const {
+    for (std::int64_t i = 0; i < d; ++i) {
+      po[i] = affine(i, (wrap_sub(px[i], mean) << (f + kLnG)) / sq);
+    }
+  }
+
+  /// One row on the generic rung, and the reference of the vector form.
+  /// ExactDiv floors |x - mean| << (f + kLnG); the sign goes back on
+  /// after, which is the truncating quotient of the integer divide.
+  void row(const std::int64_t* px, std::int64_t* po) const {
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < d; ++i) sum = wrap_add(sum, px[i]);
+    const std::int64_t m = mean(sum);
+    std::int64_t var_sum = 0;
+    std::uint64_t dev = 0;
+    for (std::int64_t i = 0; i < d; ++i) {
+      const std::int64_t dv = wrap_sub(px[i], m);
+      var_sum = wrap_add(var_sum, wrap_mul(dv, dv));
+      dev = std::max(dev, uabs(dv));
+    }
+    const std::int64_t sq = divisor(var_sum);
+    if (dev >= dev_bound()) {
+      row_idiv(px, po, m, sq);
+      return;
+    }
+    const ExactDiv div(sq);
+    for (std::int64_t i = 0; i < d; ++i) {
+      const std::int64_t dv = wrap_sub(px[i], m);
+      const std::int64_t q =
+          div(static_cast<std::int64_t>(uabs(dv) << (f + kLnG)));
+      po[i] = affine(i, dv < 0 ? -q : q);
+    }
+  }
+};
+
+#if T2C_VIT_AVX512
 // Same -Wmaybe-uninitialized false positive on _mm*_maskz_* as
 // tensor/int8_gemm.cpp; the masked-lane zeroing is architectural.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
+/// The first min(left, 8) lanes.
+__mmask8 tail8(std::int64_t left) {
+  return static_cast<__mmask8>(left >= 8 ? 0xff : (1u << left) - 1u);
+}
+
+/// The first min(left, 16) lanes.
+__mmask16 tail16(std::int64_t left) {
+  return static_cast<__mmask16>(left >= 16 ? 0xffff : (1u << left) - 1u);
+}
+
+/// Wrapping sum of the eight lanes.
+__attribute__((target("avx512f"))) std::int64_t hsum8(__m512i v) {
+  alignas(64) std::int64_t lane[8];
+  _mm512_store_si512(lane, v);
+  std::int64_t s = 0;
+  for (const std::int64_t x : lane) s = wrap_add(s, x);
+  return s;
+}
+
+/// Largest of the eight lanes, as unsigned.
+__attribute__((target("avx512f"))) std::uint64_t hmax8u(__m512i v) {
+  alignas(64) std::uint64_t lane[8];
+  _mm512_store_si512(lane, v);
+  return *std::max_element(lane, lane + 8);
+}
+
+/// Largest of the sixteen int32 lanes.
+__attribute__((target("avx512f"))) std::int32_t hmax16(__m512i v) {
+  alignas(64) std::int32_t lane[16];
+  _mm512_store_si512(lane, v);
+  return *std::max_element(lane, lane + 16);
+}
+
+/// ExactDiv on eight int64 lanes: the same double product, truncation and
+/// correction as the scalar form, so the same bits.
+__attribute__((target("avx512f,avx512dq"))) inline __m512i div8(
+    const ExactDiv& div, __m512i n) {
+  const __m512i vd = _mm512_set1_epi64(div.d);
+  const __m512i q = _mm512_cvttpd_epi64(
+      _mm512_mul_pd(_mm512_cvtepi64_pd(n), _mm512_set1_pd(div.r)));
+  const __mmask8 up = _mm512_cmple_epi64_mask(
+      _mm512_add_epi64(_mm512_mullo_epi64(q, vd), vd), n);
+  return _mm512_mask_add_epi64(q, up, q, _mm512_set1_epi64(1));
+}
+
+/// Masked store of eight int64 lanes into int64 or int16 storage; the
+/// int16 form truncates (vpmovqw) like the scalar static_cast.
+__attribute__((target("avx512f"))) inline void store8(std::int64_t* p,
+                                                      __mmask8 m, __m512i v) {
+  _mm512_mask_storeu_epi64(p, m, v);
+}
+__attribute__((target("avx512f"))) inline void store8(std::int16_t* p,
+                                                      __mmask8 m, __m512i v) {
+  _mm512_mask_cvtepi64_storeu_epi16(p, m, v);
+}
+
+/// p[i] = div(e[i] * p_qmax + h2) for i < n, eight lanes per step.
+template <typename OutT>
+__attribute__((target("avx512f,avx512dq"))) void normalize_avx512(
+    const std::int64_t* e, OutT* p, std::int64_t n, const ExactDiv& div,
+    std::int64_t p_qmax, std::int64_t h2) {
+  const __m512i vq = _mm512_set1_epi64(p_qmax);
+  const __m512i vh = _mm512_set1_epi64(h2);
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const __mmask8 m = tail8(n - i);
+    const __m512i num = _mm512_add_epi64(
+        _mm512_mullo_epi64(_mm512_maskz_loadu_epi64(m, e + i), vq), vh);
+    store8(p + i, m, div8(div, num));
+  }
+}
+
+/// LutGeluOp's sweep, eight lanes per step (caller checked
+/// gelu_window_exact): clamp to the window, index numerator, ExactDiv by
+/// the step, clamp the index, gather from the LUT.
+__attribute__((target("avx512f,avx512dq"))) void gelu_span_avx512(
+    const std::int64_t* x, std::int64_t* out, std::int64_t len,
+    const std::int64_t* lut, std::int64_t last, std::int64_t in_min,
+    std::int64_t in_max, std::int64_t h2, const ExactDiv& div) {
+  const __m512i vlo = _mm512_set1_epi64(in_min);
+  const __m512i vhi = _mm512_set1_epi64(in_max);
+  const __m512i vh2 = _mm512_set1_epi64(h2);
+  const __m512i vlast = _mm512_set1_epi64(last);
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::int64_t i = 0; i < len; i += 8) {
+    const __mmask8 m = tail8(len - i);
+    const __m512i q = _mm512_min_epi64(
+        vhi, _mm512_max_epi64(vlo, _mm512_maskz_loadu_epi64(m, x + i)));
+    const __m512i idx = _mm512_min_epi64(
+        vlast, _mm512_max_epi64(
+                   zero, div8(div, _mm512_add_epi64(
+                                       _mm512_sub_epi64(q, vlo), vh2))));
+    _mm512_mask_storeu_epi64(
+        out + i, m, _mm512_mask_i64gather_epi64(zero, m, idx, lut, 8));
+  }
+}
+
+/// LnRows::row on eight lanes per step: the same wrapping sums and
+/// products, the same row statistics, ExactDiv on |x - mean| with the
+/// sign restored after, and the integer-divide row past the bound.
+__attribute__((target("avx512f,avx512dq"))) void ln_row_avx512(
+    const LnRows& k, const std::int64_t* px, std::int64_t* po) {
+  const std::int64_t d = k.d;
+  __m512i acc = _mm512_setzero_si512();
+  for (std::int64_t i = 0; i < d; i += 8) {
+    acc = _mm512_add_epi64(acc,
+                           _mm512_maskz_loadu_epi64(tail8(d - i), px + i));
+  }
+  const std::int64_t mean = k.mean(hsum8(acc));
+  const __m512i vmean = _mm512_set1_epi64(mean);
+  __m512i var = _mm512_setzero_si512();
+  __m512i dev = _mm512_setzero_si512();
+  for (std::int64_t i = 0; i < d; i += 8) {
+    const __mmask8 m = tail8(d - i);
+    const __m512i dv = _mm512_maskz_sub_epi64(
+        m, _mm512_maskz_loadu_epi64(m, px + i), vmean);
+    var = _mm512_add_epi64(var, _mm512_mullo_epi64(dv, dv));
+    dev = _mm512_max_epu64(dev, _mm512_abs_epi64(dv));
+  }
+  const std::int64_t sq = k.divisor(hsum8(var));
+  if (hmax8u(dev) >= k.dev_bound()) {
+    k.row_idiv(px, po, mean, sq);
+    return;
+  }
+  const ExactDiv div(sq);
+  const auto s = static_cast<unsigned>(k.f + kLnG);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i vhalf = _mm512_set1_epi64(k.half2f);
+  const __m512i vlo = _mm512_set1_epi64(k.lo);
+  const __m512i vhi = _mm512_set1_epi64(k.hi);
+  for (std::int64_t i = 0; i < d; i += 8) {
+    const __mmask8 m = tail8(d - i);
+    const __m512i dv = _mm512_maskz_sub_epi64(
+        m, _mm512_maskz_loadu_epi64(m, px + i), vmean);
+    const __m512i q = div8(div, _mm512_slli_epi64(_mm512_abs_epi64(dv), s));
+    const __m512i xhat = _mm512_mask_sub_epi64(q, _mm512_movepi64_mask(dv),
+                                               zero, q);
+    const __m512i y = _mm512_srai_epi64(
+        _mm512_add_epi64(
+            _mm512_add_epi64(
+                _mm512_mullo_epi64(_mm512_maskz_loadu_epi64(m, k.gamma + i),
+                                   xhat),
+                _mm512_slli_epi64(_mm512_maskz_loadu_epi64(m, k.beta + i),
+                                  static_cast<unsigned>(k.f))),
+            vhalf),
+        static_cast<unsigned>(2 * k.f));
+    _mm512_mask_storeu_epi64(po + i, m,
+                             _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
+  }
+}
+
 /// AVX-512 running-statistics LayerNorm row: xhat plus the fused affine
 /// requant, 8 lanes per step. vpmullq / vpsravq carry the exact 64-bit
 /// wrap semantics of the scalar loop, so the bits are identical.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_row_avx512(
+__attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_running_avx512(
     const std::int64_t* px, std::int64_t* po, std::int64_t d,
     std::int64_t mean, std::int64_t inv_sigma, int sh,
     const std::int64_t* gamma, const std::int64_t* beta, int f,
@@ -87,8 +393,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_row_avx512(
   const __m512i vlo = _mm512_set1_epi64(lo);
   const __m512i vhi = _mm512_set1_epi64(hi);
   for (std::int64_t i = 0; i < d; i += 8) {
-    const auto m = static_cast<__mmask8>(
-        d - i >= 8 ? 0xff : (1u << (d - i)) - 1u);
+    const __mmask8 m = tail8(d - i);
     const __m512i v = _mm512_maskz_loadu_epi64(m, px + i);
     const __m512i xhat = _mm512_srai_epi64(
         _mm512_mullo_epi64(_mm512_sub_epi64(v, vmean), vsig),
@@ -106,11 +411,49 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_row_avx512(
 }
 
 #pragma GCC diagnostic pop
-
-bool ln_avx512() {
-  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
-}
 #endif
+
+/// True when the vector forms run: the AVX-512 rung of util::cpu_isa_tier().
+bool vit_avx512() {
+#if T2C_VIT_AVX512
+  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
+#else
+  return false;
+#endif
+}
+
+/// p[i] = (e[i] * p_qmax + sum / 2) / sum for i < n, or zeros when
+/// sum <= 0: the LUT softmaxes' normalization. A row ExactDiv covers
+/// (num_max from softmax_num_max) divides through it, on eight lanes when
+/// `vec`; any other row through the integer divide.
+template <typename OutT>
+void softmax_normalize(const std::int64_t* e, OutT* p, std::int64_t n,
+                       std::int64_t sum, std::int64_t p_qmax,
+                       std::int64_t num_max, bool vec) {
+  if (sum <= 0) {
+    std::fill(p, p + n, OutT{0});
+    return;
+  }
+  const std::int64_t h2 = sum / 2;
+  if (!softmax_row_exact(num_max, sum)) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      p[i] = static_cast<OutT>((e[i] * p_qmax + h2) / sum);
+    }
+    return;
+  }
+  const ExactDiv div(sum);
+#if T2C_VIT_AVX512
+  if (vec) {
+    normalize_avx512(e, p, n, div, p_qmax, h2);
+    return;
+  }
+#else
+  (void)vec;
+#endif
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = static_cast<OutT>(div(e[i] * p_qmax + h2));
+  }
+}
 
 }  // namespace
 
@@ -157,6 +500,7 @@ LutSoftmaxOp::LutSoftmaxOp(std::vector<std::int64_t> lut, std::int64_t p_qmax)
     : lut_(std::move(lut)), p_qmax_(p_qmax) {
   check(lut_.size() >= 2, "LutSoftmaxOp: LUT too small");
   check(p_qmax > 0, "LutSoftmaxOp: p_qmax must be positive");
+  num_max_ = softmax_num_max(lut_, p_qmax_);
 }
 
 ITensor LutSoftmaxOp::run(const std::vector<const ITensor*>& ins) const {
@@ -166,31 +510,30 @@ ITensor LutSoftmaxOp::run(const std::vector<const ITensor*>& ins) const {
   check(d > 0, "LutSoftmax: empty softmax axis (last dim == 0)");
   const std::int64_t rows = x.numel() / d;
   const auto last = static_cast<std::int64_t>(lut_.size()) - 1;
+  const bool vec = vit_avx512();
   ITensor out(x.shape());
-  // Rows are independent; the exp scratch lives per chunk, not per row.
+  // Rows are independent; the exp scratch is the worker's own.
   par::parallel_for(
       0, rows, std::max<std::int64_t>(1, kElemGrain / d),
       [&](std::int64_t r0, std::int64_t r1) {
-        std::vector<std::int64_t> e(static_cast<std::size_t>(d));
+        std::int64_t* e = grown(vit_scratch().expv, d);
         for (std::int64_t r = r0; r < r1; ++r) {
           const std::int64_t* px = x.data() + r * d;
           std::int64_t m = px[0];
           for (std::int64_t i = 1; i < d; ++i) m = std::max(m, px[i]);
           std::int64_t sum = 0;
           for (std::int64_t i = 0; i < d; ++i) {
-            const std::int64_t idx = std::min(last, m - px[i]);
-            e[static_cast<std::size_t>(i)] =
-                lut_[static_cast<std::size_t>(idx)];
-            sum += e[static_cast<std::size_t>(i)];
+            // m >= px[i]: the unsigned difference is exact even where the
+            // signed one would overflow (a row spanning more than 2^63).
+            const std::uint64_t diff = static_cast<std::uint64_t>(m) -
+                                       static_cast<std::uint64_t>(px[i]);
+            e[i] = lut_[static_cast<std::size_t>(
+                std::min(static_cast<std::uint64_t>(last), diff))];
+            sum += e[i];
           }
-          std::int64_t* po = out.data() + r * d;
-          for (std::int64_t i = 0; i < d; ++i) {
-            // Integer divide with rounding: p = e * qmax / sum.
-            po[i] = sum > 0 ? (e[static_cast<std::size_t>(i)] * p_qmax_ +
-                               sum / 2) /
-                                  sum
-                            : 0;
-          }
+          // Integer divide with rounding: p = e * qmax / sum.
+          softmax_normalize(e, out.data() + r * d, d, sum, p_qmax_, num_max_,
+                            vec);
         }
       });
   return out;
@@ -223,28 +566,29 @@ void LutGeluOp::run_into(const std::vector<const ITensor*>& ins,
 
 void LutGeluOp::compute(const ITensor& x, ITensor& out) const {
   const auto last = static_cast<std::int64_t>(lut_.size()) - 1;
-  // Nearest-entry index = (q - in_min + step/2) / step, computed via a
-  // double reciprocal plus an exact one-off fixup (the numerator is far
-  // below 2^53, so the estimate is within one of the true quotient) —
-  // identical indices to the hardware division at a fraction of the cost.
-  const double rstep = 1.0 / static_cast<double>(index_step_);
+  // Nearest-entry index = (q - in_min + step/2) / step. Inside an exact
+  // window the divide is ExactDiv's; a window past its bound divides in
+  // integers (a negative numerator clamps to index 0 either way).
   const std::int64_t h2 = index_step_ / 2;
-  par::parallel_for(0, x.numel(), kElemGrain,
-                    [&](std::int64_t i0, std::int64_t i1) {
-                      for (std::int64_t i = i0; i < i1; ++i) {
-                        const std::int64_t q = clamp64(x[i], in_min_, in_max_);
-                        const std::int64_t num = q - in_min_ + h2;
-                        auto idx = static_cast<std::int64_t>(
-                            static_cast<double>(num) * rstep);
-                        if ((idx + 1) * index_step_ <= num) {
-                          ++idx;
-                        } else if (idx * index_step_ > num) {
-                          --idx;
-                        }
-                        out[i] = lut_[static_cast<std::size_t>(
-                            clamp64(idx, 0, last))];
-                      }
-                    });
+  const bool exact = gelu_window_exact(in_min_, in_max_, index_step_);
+  const bool vec = exact && vit_avx512();
+  const ExactDiv div(exact ? index_step_ : 1);
+  par::parallel_for(
+      0, x.numel(), kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
+#if T2C_VIT_AVX512
+        if (vec) {
+          gelu_span_avx512(x.data() + i0, out.data() + i0, i1 - i0,
+                           lut_.data(), last, in_min_, in_max_, h2, div);
+          return;
+        }
+#endif
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const std::int64_t num =
+              wrap_add(wrap_sub(clamp64(x[i], in_min_, in_max_), in_min_), h2);
+          const std::int64_t idx = exact ? div(num) : num / index_step_;
+          out[i] = lut_[static_cast<std::size_t>(clamp64(idx, 0, last))];
+        }
+      });
 }
 
 IntLayerNormOp::IntLayerNormOp(std::vector<std::int64_t> gamma_fx,
@@ -276,15 +620,24 @@ IntLayerNormOp::IntLayerNormOp(std::vector<std::int64_t> gamma_fx,
 }
 
 ITensor IntLayerNormOp::run(const std::vector<const ITensor*>& ins) const {
+  ITensor out;
+  run_into(ins, out);
+  return out;
+}
+
+void IntLayerNormOp::run_into(const std::vector<const ITensor*>& ins,
+                              ITensor& out) const {
   check(ins.size() == 1 && ins[0] != nullptr, "IntLayerNorm: one input");
   const ITensor& x = *ins[0];
   const auto d = static_cast<std::int64_t>(gamma_fx_.size());
   check(x.size(x.rank() - 1) == d, "IntLayerNorm: dim mismatch");
+  recycle_tensor(out, x.shape());
   const std::int64_t rows = x.numel() / d;
-  ITensor out(x.shape());
   const int f = frac_bits_;
   const std::int64_t half2f = std::int64_t{1} << (2 * f - 1);
-  constexpr int kG = 10;  // variance headroom bits for the instant isqrt
+  const LnRows k{gamma_fx_.data(), beta_fx_.data(), d, f, half2f,
+                 out_min_, out_max_};
+  const bool vec = vit_avx512();
   // Every row's statistics come from that row alone, so the row sweep
   // parallelizes without touching the accumulation order.
   par::parallel_for(
@@ -297,11 +650,11 @@ ITensor IntLayerNormOp::run(const std::vector<const ITensor*>& ins) const {
             // Running statistics: xhat and the affine requant fuse into a
             // single branch-free pass over the row.
             const int sh = stat_frac_ - f;
-#if T2C_LN_AVX512
-            if (ln_avx512()) {
-              ln_row_avx512(px, po, d, mean_int_, inv_sigma_fx_, sh,
-                            gamma_fx_.data(), beta_fx_.data(), f, half2f,
-                            out_min_, out_max_);
+#if T2C_VIT_AVX512
+            if (vec) {
+              ln_running_avx512(px, po, d, mean_int_, inv_sigma_fx_, sh,
+                                gamma_fx_.data(), beta_fx_.data(), f, half2f,
+                                out_min_, out_max_);
               continue;
             }
 #endif
@@ -317,29 +670,15 @@ ITensor IntLayerNormOp::run(const std::vector<const ITensor*>& ins) const {
             continue;
           }
           // Instant statistics: integer mean/variance over the row.
-          std::int64_t sum = 0;
-          for (std::int64_t i = 0; i < d; ++i) sum += px[i];
-          const std::int64_t mean = (2 * sum + d) / (2 * d);  // round-nearest
-          std::int64_t var_sum = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int64_t dv = px[i] - mean;
-            var_sum += dv * dv;
+#if T2C_VIT_AVX512
+          if (vec) {
+            ln_row_avx512(k, px, po);
+            continue;
           }
-          const std::int64_t var = var_sum / d;
-          const std::int64_t sq = std::max<std::int64_t>(
-              1, isqrt64(var << (2 * kG)));  // sqrt(var) << kG
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int64_t xhat_f =
-                ((px[i] - mean) << (f + kG)) / sq;  // xhat * 2^f
-            const std::int64_t y =
-                (gamma_fx_[static_cast<std::size_t>(i)] * xhat_f +
-                 (beta_fx_[static_cast<std::size_t>(i)] << f) + half2f) >>
-                (2 * f);
-            po[i] = clamp64(y, out_min_, out_max_);
-          }
+#endif
+          k.row(px, po);
         }
       });
-  return out;
 }
 
 IntAttentionOp::IntAttentionOp(IntAttentionParams params)
@@ -358,6 +697,7 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
             p_.proj_bias.size() == p_.proj_mul.size(),
         "IntAttentionOp: proj requant arity mismatch");
   check(!p_.softmax_lut.empty(), "IntAttentionOp: missing softmax LUT");
+  num_max_ = softmax_num_max(p_.softmax_lut, p_.p_qmax);
   wqkv_facts_ = WeightFacts::scan(p_.wqkv);
   wproj_facts_ = WeightFacts::scan(p_.wproj);
   // Both projections consume W as B^T ([rows=out, cols=in] row-major), the
@@ -524,15 +864,323 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
   });
 }
 
+namespace {
+
+/// Constants of the narrow attention core shared by every head: token
+/// count, head and model dims, the softmax LUT and the context requant.
+struct AttnHead {
+  std::int64_t t, dh, d;
+  const std::int64_t* lut;
+  std::int64_t last, logit_mul, half;
+  int f;
+  std::int64_t p_qmax, num_max, ctx_mul, ctx_min, ctx_max;
+};
+
+/// One head's logits, LUT softmax and context on the generic rung. q, k
+/// and v point at the head's lanes of token 0 in the qkv scratch (token
+/// stride 3d), c at its lanes of token 0 in the context scratch (stride
+/// d). On x86_64 the dot products run on SSE2 pmaddwd (pairwise int32
+/// sums are wrap-free: 2 * 32767^2 < 2^31, and the running totals are
+/// covered by the solver gate's accumulation proof); integer adds are
+/// associative, so the reassociated sums match the scalar loops bit for
+/// bit.
+void attn_head_generic(const AttnHead& a, const std::int16_t* qbase,
+                       const std::int16_t* kbase, const std::int16_t* vbase,
+                       std::int16_t* cbase, VitScratch& ws) {
+  const std::int64_t t = a.t, dh = a.dh, rs = 3 * a.d;
+  std::int32_t* logits = grown(ws.logits, t);
+  std::int64_t* expv = grown(ws.expv, t);
+  // One zero pad slot so the paired context kernel can read an even
+  // number of probability lanes.
+  std::int16_t* probs = grown(ws.probs, t + 1);
+  probs[t] = 0;
+  for (std::int64_t iq = 0; iq < t; ++iq) {
+    const std::int16_t* qrow = qbase + iq * rs;
+    std::int32_t m = std::numeric_limits<std::int32_t>::min();
+    for (std::int64_t ik = 0; ik < t; ++ik) {
+      const std::int16_t* krow = kbase + ik * rs;
+      std::int32_t acc = 0;
+      std::int64_t e = 0;
+#if defined(__x86_64__)
+      __m128i acc4 = _mm_setzero_si128();
+      for (; e + 8 <= dh; e += 8) {
+        const __m128i qv =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(qrow + e));
+        const __m128i kv =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(krow + e));
+        acc4 = _mm_add_epi32(acc4, _mm_madd_epi16(qv, kv));
+      }
+      __m128i s4 = _mm_add_epi32(
+          acc4, _mm_shuffle_epi32(acc4, _MM_SHUFFLE(1, 0, 3, 2)));
+      s4 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, _MM_SHUFFLE(2, 3, 0, 1)));
+      acc = _mm_cvtsi128_si32(s4);
+#endif
+      for (; e < dh; ++e) {
+        acc += static_cast<std::int32_t>(qrow[e]) * krow[e];
+      }
+      logits[ik] = acc;
+      m = std::max(m, acc);
+    }
+    std::int64_t sum = 0;
+    for (std::int64_t ik = 0; ik < t; ++ik) {
+      const std::int64_t diff = static_cast<std::int64_t>(m) - logits[ik];
+      const std::int64_t idx =
+          std::min(a.last, (a.logit_mul * diff + a.half) >> a.f);
+      expv[ik] = a.lut[idx];
+      sum += expv[ik];
+    }
+    softmax_normalize(expv, probs, t, sum, a.p_qmax, a.num_max, false);
+    std::int16_t* crow = cbase + iq * a.d;
+    std::int64_t e0 = 0;
+#if defined(__x86_64__)
+    for (; e0 + 8 <= dh; e0 += 8) {
+      // Two probability lanes per madd: interleave the value rows of
+      // tokens ik and ik+1 so each int32 lane is p0*v0 + p1*v1 (the pad
+      // slot zeroes the odd tail).
+      __m128i acc_lo = _mm_setzero_si128();
+      __m128i acc_hi = _mm_setzero_si128();
+      for (std::int64_t ik = 0; ik < t; ik += 2) {
+        const __m128i v0 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(vbase + ik * rs + e0));
+        const __m128i v1 =
+            ik + 1 < t ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                             vbase + (ik + 1) * rs + e0))
+                       : _mm_setzero_si128();
+        const auto pp = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(static_cast<std::uint16_t>(probs[ik])) |
+            (static_cast<std::uint32_t>(
+                 static_cast<std::uint16_t>(probs[ik + 1]))
+             << 16));
+        const __m128i pv = _mm_set1_epi32(pp);
+        acc_lo = _mm_add_epi32(
+            acc_lo, _mm_madd_epi16(_mm_unpacklo_epi16(v0, v1), pv));
+        acc_hi = _mm_add_epi32(
+            acc_hi, _mm_madd_epi16(_mm_unpackhi_epi16(v0, v1), pv));
+      }
+      alignas(16) std::int32_t tmp[8];
+      _mm_store_si128(reinterpret_cast<__m128i*>(tmp), acc_lo);
+      _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4), acc_hi);
+      for (std::int64_t j = 0; j < 8; ++j) {
+        const std::int64_t y = (a.ctx_mul * tmp[j] + a.half) >> a.f;
+        crow[e0 + j] =
+            static_cast<std::int16_t>(clamp64(y, a.ctx_min, a.ctx_max));
+      }
+    }
+#endif
+    for (; e0 < dh; ++e0) {
+      std::int32_t acc = 0;
+      for (std::int64_t ik = 0; ik < t; ++ik) {
+        acc += static_cast<std::int32_t>(probs[ik]) * vbase[ik * rs + e0];
+      }
+      const std::int64_t y = (a.ctx_mul * acc + a.half) >> a.f;
+      crow[e0] = static_cast<std::int16_t>(clamp64(y, a.ctx_min, a.ctx_max));
+    }
+  }
+}
+
+#if T2C_VIT_AVX512
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// Queries per pass of the AVX-512 attention core: four independent
+/// accumulator chains share every panel load.
+constexpr std::int64_t kQueryBlock = 4;
+
+/// out[r][j] = sum over p < k2 of a_r[2p] * panel[p][j][0] + a_r[2p+1] *
+/// panel[p][j][1], for rows r < rows (at most kQueryBlock, a_r = a + r *
+/// lda, out_r = out + r * ldo) and j < 16 * nvec: int16 rows, one lane
+/// pair at a time, broadcast against a pair-interleaved panel of 16 *
+/// nvec columns. A pairwise sum cannot wrap (2 * 32767^2 < 2^31) and the
+/// solver gate bounds the totals, so the int32 lanes are exact.
+using PairDot = void (*)(const std::int16_t*, std::int64_t, std::int64_t,
+                         const std::int16_t*, std::int64_t, std::int64_t,
+                         std::int32_t*, std::int64_t);
+
+/// The lane pair at p, in every int32 lane.
+__attribute__((target("avx512f"))) inline __m512i bcast_pair(
+    const std::int16_t* p) {
+  std::int32_t pair = 0;
+  std::memcpy(&pair, p, sizeof pair);
+  return _mm512_set1_epi32(pair);
+}
+
+/// PairDot on vpmaddwd + vpaddd.
+__attribute__((target("avx512f,avx512bw"))) void pair_dot_avx512(
+    const std::int16_t* a, std::int64_t lda, std::int64_t rows,
+    const std::int16_t* panel, std::int64_t k2, std::int64_t nvec,
+    std::int32_t* out, std::int64_t ldo) {
+  const std::int16_t* ar[kQueryBlock];
+  for (std::int64_t r = 0; r < kQueryBlock; ++r) {
+    ar[r] = a + std::min(r, rows - 1) * lda;
+  }
+  for (std::int64_t v = 0; v < nvec; ++v) {
+    __m512i acc[kQueryBlock];
+    for (auto& x : acc) x = _mm512_setzero_si512();
+    for (std::int64_t p = 0; p < k2; ++p) {
+      const __m512i b = _mm512_loadu_si512(panel + (p * nvec + v) * 32);
+      for (std::int64_t r = 0; r < kQueryBlock; ++r) {
+        acc[r] = _mm512_add_epi32(
+            acc[r], _mm512_madd_epi16(bcast_pair(ar[r] + 2 * p), b));
+      }
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      _mm512_storeu_si512(out + r * ldo + v * 16, acc[r]);
+    }
+  }
+}
+
+/// PairDot on vpdpwssd, the non-saturating form: the same bits.
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void pair_dot_vnni(
+    const std::int16_t* a, std::int64_t lda, std::int64_t rows,
+    const std::int16_t* panel, std::int64_t k2, std::int64_t nvec,
+    std::int32_t* out, std::int64_t ldo) {
+  const std::int16_t* ar[kQueryBlock];
+  for (std::int64_t r = 0; r < kQueryBlock; ++r) {
+    ar[r] = a + std::min(r, rows - 1) * lda;
+  }
+  for (std::int64_t v = 0; v < nvec; ++v) {
+    __m512i acc[kQueryBlock];
+    for (auto& x : acc) x = _mm512_setzero_si512();
+    for (std::int64_t p = 0; p < k2; ++p) {
+      const __m512i b = _mm512_loadu_si512(panel + (p * nvec + v) * 32);
+      for (std::int64_t r = 0; r < kQueryBlock; ++r) {
+        acc[r] = _mm512_dpwssd_epi32(acc[r], bcast_pair(ar[r] + 2 * p), b);
+      }
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      _mm512_storeu_si512(out + r * ldo + v * 16, acc[r]);
+    }
+  }
+}
+
+/// attn_head_generic on AVX-512. K^T and V of the head are packed once
+/// into the worker's scratch, pair-interleaved and zero-padded to whole
+/// vectors, so the logits of kQueryBlock queries at a time are int32
+/// vectors across keys and their contexts int32 vectors across head
+/// dims; the LUT softmax and the context requant run eight int64 lanes at
+/// a time.
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
+attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
+                 const std::int16_t* kbase, const std::int16_t* vbase,
+                 std::int16_t* cbase, VitScratch& ws) {
+  const std::int64_t t = a.t, dh = a.dh, rs = 3 * a.d;
+  const std::int64_t tp = (t + 15) / 16 * 16;    // key lanes
+  const std::int64_t dhp = (dh + 15) / 16 * 16;  // head-dim lanes
+  const std::int64_t dh2 = (dh + 1) / 2, t2 = (t + 1) / 2;
+  // kt[(e2 * tp + ik) * 2 + j] = k[ik][2 * e2 + j] and
+  // vp[(ik2 * dhp + e) * 2 + j] = v[2 * ik2 + j][e], zero past t and dh.
+  std::int16_t* kt = grown(ws.kv, (dh2 * tp + t2 * dhp) * 2);
+  std::int16_t* vp = kt + dh2 * tp * 2;
+  const __m512i zero = _mm512_setzero_si512();
+  // K^T: one gather of 16 keys' (2 e2, 2 e2 + 1) lane pairs per row; an
+  // odd dh's last pair keeps its low lane only.
+  const __m512i krows = _mm512_mullo_epi32(
+      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+      _mm512_set1_epi32(static_cast<std::int32_t>(rs)));
+  for (std::int64_t kb = 0; kb < tp; kb += 16) {
+    const __mmask16 m = tail16(t - kb);
+    const std::int16_t* k0 = kbase + kb * rs;
+    for (std::int64_t e2 = 0; e2 < dh2; ++e2) {
+      __m512i pairs = _mm512_mask_i32gather_epi32(zero, m, krows,
+                                                  k0 + 2 * e2, 2);
+      if (2 * e2 + 1 == dh) {
+        pairs = _mm512_and_si512(pairs, _mm512_set1_epi32(0xffff));
+      }
+      _mm512_storeu_si512(kt + (e2 * tp + kb) * 2, pairs);
+    }
+  }
+  // V: value rows 2 ik2 and 2 ik2 + 1 interleaved lane by lane.
+  for (std::int64_t ik2 = 0; ik2 < t2; ++ik2) {
+    const std::int16_t* v0 = vbase + 2 * ik2 * rs;
+    const bool odd_tail = 2 * ik2 + 1 == t;
+    for (std::int64_t eb = 0; eb < dhp; eb += 16) {
+      const __mmask16 m = tail16(dh - eb);
+      const __m512i lo =
+          _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, v0 + eb));
+      const __m512i hi =
+          odd_tail ? zero
+                   : _mm512_cvtepu16_epi32(
+                         _mm256_maskz_loadu_epi16(m, v0 + rs + eb));
+      _mm512_storeu_si512(vp + (ik2 * dhp + eb) * 2,
+                          _mm512_or_si512(lo, _mm512_slli_epi32(hi, 16)));
+    }
+  }
+  std::int32_t* logits = grown(ws.logits, kQueryBlock * (tp + dhp));
+  std::int32_t* cacc = logits + kQueryBlock * tp;
+  std::int64_t* expv = grown(ws.expv, t);
+  std::int16_t* probs = grown(ws.probs, kQueryBlock * 2 * t2);
+  const __m512i vlmul = _mm512_set1_epi64(a.logit_mul);
+  const __m512i vhalf = _mm512_set1_epi64(a.half);
+  const __m512i vlast = _mm512_set1_epi64(a.last);
+  const __m512i vcmul = _mm512_set1_epi64(a.ctx_mul);
+  const __m512i vclo = _mm512_set1_epi64(a.ctx_min);
+  const __m512i vchi = _mm512_set1_epi64(a.ctx_max);
+  const auto f = static_cast<unsigned>(a.f);
+  for (std::int64_t iq0 = 0; iq0 < t; iq0 += kQueryBlock) {
+    const std::int64_t rows = std::min(kQueryBlock, t - iq0);
+    // Logits against every key. An odd dh reads one lane past the head
+    // (still inside the token's qkv row), which meets K^T's zero pad.
+    dot(qbase + iq0 * rs, rs, rows, kt, dh2, tp / 16, logits, tp);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int32_t* lr = logits + r * tp;
+      __m512i vm =
+          _mm512_set1_epi32(std::numeric_limits<std::int32_t>::min());
+      for (std::int64_t ik = 0; ik < t; ik += 16) {
+        vm = _mm512_mask_max_epi32(vm, tail16(t - ik), vm,
+                                   _mm512_loadu_si512(lr + ik));
+      }
+      const __m512i vmx = _mm512_set1_epi64(hmax16(vm));
+      __m512i vsum = zero;
+      for (std::int64_t ik = 0; ik < t; ik += 8) {
+        const __mmask8 m = tail8(t - ik);
+        const __m512i diff = _mm512_sub_epi64(
+            vmx, _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, lr + ik)));
+        const __m512i idx = _mm512_min_epi64(
+            vlast,
+            _mm512_srai_epi64(
+                _mm512_add_epi64(_mm512_mullo_epi64(vlmul, diff), vhalf), f));
+        const __m512i ev =
+            _mm512_mask_i64gather_epi64(zero, m, idx, a.lut, 8);
+        vsum = _mm512_add_epi64(vsum, ev);
+        _mm512_mask_storeu_epi64(expv + ik, m, ev);
+      }
+      // An odd t leaves the row's last lane stale; V's zero pad row meets
+      // it.
+      softmax_normalize(expv, probs + r * 2 * t2, t, hsum8(vsum), a.p_qmax,
+                        a.num_max, true);
+    }
+    // Contexts: probability pairs against V, then the requant.
+    dot(probs, 2 * t2, rows, vp, t2, dhp / 16, cacc, dhp);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      std::int16_t* crow = cbase + (iq0 + r) * a.d;
+      const std::int32_t* cr = cacc + r * dhp;
+      for (std::int64_t e = 0; e < dh; e += 8) {
+        const __mmask8 m = tail8(dh - e);
+        const __m512i acc64 =
+            _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, cr + e));
+        const __m512i y = _mm512_srai_epi64(
+            _mm512_add_epi64(_mm512_mullo_epi64(vcmul, acc64), vhalf), f);
+        _mm512_mask_cvtepi64_storeu_epi16(
+            crow + e, m, _mm512_min_epi64(vchi, _mm512_max_epi64(vclo, y)));
+      }
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+#endif
+
+}  // namespace
+
 // Narrow-lane twin of run(): identical stage structure and identical
 // values at every stage. The projections run through the prepacked int16
 // panels with the per-stream requant fused into the epilogue (the epilogue
 // arithmetic is MulQuantOp's, and uniform frac0 = frac_bits + bias_frac
 // reproduces the bhalf rounding term of the hand loop above); the
-// logits/softmax/context stages keep the loop order and the int64 softmax
-// arithmetic, narrowing only the stream operands and accumulators that
-// the solver gate proved safe. Integer arithmetic without overflow is
-// exact, so outputs match the int64 path bit for bit at any thread count.
+// logits/softmax/context stages keep the int64 softmax arithmetic,
+// narrowing only the stream operands and accumulators that the solver
+// gate proved safe. Integer arithmetic without overflow is exact, so
+// outputs match the int64 path bit for bit at any thread count and rung.
 void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
   const std::int64_t n = x.size(0), t = x.size(1), d = x.size(2);
   const std::int64_t h = p_.heads, dh = d / h;
@@ -541,7 +1189,7 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
 
   // 1. qkv projection + per-stream requant, fused; clamped streams land in
   // int16 scratch.
-  std::int16_t* qkv = grown(attn_scratch().qkv, n * t * 3 * d);
+  std::int16_t* qkv = grown(vit_scratch().qkv, n * t * 3 * d);
   i8::Epilogue eq;
   eq.mode = i8::Epilogue::Mode::kPerCol;
   eq.mul = p_.qkv_mul.data();
@@ -553,143 +1201,40 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
   i8::gemm_b_packed(x.data(), *pbqkv_, qkv, n * t, eq, /*threaded=*/true);
 
   // 2-4. logits, LUT softmax, context per (sample, head); int32 logit and
-  // context accumulators, int16 normalized probabilities (<= p_qmax). On
-  // x86_64 the dot products run on SSE2 pmaddwd (pairwise int32 sums are
-  // wrap-free: 2 * 32767^2 < 2^31, and the running totals are covered by
-  // the solver gate's accumulation proof); integer adds are associative,
-  // so the reassociated sums match the scalar loops bit for bit.
-  const auto last = static_cast<std::int64_t>(p_.softmax_lut.size()) - 1;
-  const std::int64_t rs = 3 * d;  // token row stride inside the qkv scratch
-  std::int16_t* ctx = grown(attn_scratch().ctx, n * t * d);
+  // context accumulators, int16 normalized probabilities (<= p_qmax).
+  const AttnHead a{t,
+                   dh,
+                   d,
+                   p_.softmax_lut.data(),
+                   static_cast<std::int64_t>(p_.softmax_lut.size()) - 1,
+                   p_.logit_mul,
+                   half,
+                   f,
+                   p_.p_qmax,
+                   num_max_,
+                   p_.ctx_mul,
+                   p_.ctx_min,
+                   p_.ctx_max};
+#if T2C_VIT_AVX512
+  const util::IsaTier tier = util::cpu_isa_tier();
+  const PairDot dot = tier >= util::IsaTier::kAvx512Vnni ? pair_dot_vnni
+                      : tier >= util::IsaTier::kAvx512   ? pair_dot_avx512
+                                                         : nullptr;
+#endif
+  std::int16_t* ctx = grown(vit_scratch().ctx, n * t * d);
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
-    AttnScratch& ws = attn_scratch();
-    std::int32_t* logits = grown(ws.logits, t);
-    std::int64_t* expv = grown(ws.expv, t);
-    // One zero pad slot so the paired context kernel can read an even
-    // number of probability lanes.
-    std::int16_t* probs = grown(ws.probs, t + 1);
-    probs[t] = 0;
+    VitScratch& ws = vit_scratch();
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t in = p / h, ih = p % h;
-      const std::int16_t* qbase = qkv + in * t * rs + 0 * d + ih * dh;
-      const std::int16_t* kbase = qkv + in * t * rs + 1 * d + ih * dh;
-      const std::int16_t* vbase = qkv + in * t * rs + 2 * d + ih * dh;
-      for (std::int64_t iq = 0; iq < t; ++iq) {
-        const std::int16_t* qrow = qbase + iq * rs;
-        std::int32_t m = std::numeric_limits<std::int32_t>::min();
-        for (std::int64_t ik = 0; ik < t; ++ik) {
-          const std::int16_t* krow = kbase + ik * rs;
-          std::int32_t acc = 0;
-          std::int64_t e = 0;
-#if defined(__x86_64__)
-          __m128i acc4 = _mm_setzero_si128();
-          for (; e + 8 <= dh; e += 8) {
-            const __m128i qv = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(qrow + e));
-            const __m128i kv = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(krow + e));
-            acc4 = _mm_add_epi32(acc4, _mm_madd_epi16(qv, kv));
-          }
-          __m128i s4 = _mm_add_epi32(
-              acc4, _mm_shuffle_epi32(acc4, _MM_SHUFFLE(1, 0, 3, 2)));
-          s4 = _mm_add_epi32(s4,
-                             _mm_shuffle_epi32(s4, _MM_SHUFFLE(2, 3, 0, 1)));
-          acc = _mm_cvtsi128_si32(s4);
-#endif
-          for (; e < dh; ++e) {
-            acc += static_cast<std::int32_t>(qrow[e]) * krow[e];
-          }
-          logits[static_cast<std::size_t>(ik)] = acc;
-          m = std::max(m, acc);
-        }
-        std::int64_t sum = 0;
-        for (std::int64_t ik = 0; ik < t; ++ik) {
-          const std::int64_t diff =
-              static_cast<std::int64_t>(m) -
-              logits[static_cast<std::size_t>(ik)];
-          const std::int64_t idx =
-              std::min(last, (p_.logit_mul * diff + half) >> f);
-          expv[static_cast<std::size_t>(ik)] =
-              p_.softmax_lut[static_cast<std::size_t>(idx)];
-          sum += expv[static_cast<std::size_t>(ik)];
-        }
-        if (sum > 0) {
-          // Round-half-up division by the invariant sum via a double
-          // reciprocal plus an exact fixup: the estimate is within one of
-          // floor(num / sum) (num < 2^53 is exactly representable), so the
-          // two corrections make every quotient exactly the hardware-
-          // division result — bit-identical, at a fraction of the latency.
-          const double rinv = 1.0 / static_cast<double>(sum);
-          const std::int64_t h2 = sum / 2;
-          for (std::int64_t ik = 0; ik < t; ++ik) {
-            const std::int64_t num =
-                expv[static_cast<std::size_t>(ik)] * p_.p_qmax + h2;
-            auto q = static_cast<std::int64_t>(static_cast<double>(num) *
-                                               rinv);
-            if ((q + 1) * sum <= num) {
-              ++q;
-            } else if (q * sum > num) {
-              --q;
-            }
-            probs[static_cast<std::size_t>(ik)] =
-                static_cast<std::int16_t>(q);
-          }
-        } else {
-          std::fill(probs, probs + t, std::int16_t{0});
-        }
-        std::int16_t* crow = ctx + (in * t + iq) * d + ih * dh;
-        std::int64_t e0 = 0;
-#if defined(__x86_64__)
-        for (; e0 + 8 <= dh; e0 += 8) {
-          // Two probability lanes per madd: interleave the value rows of
-          // tokens ik and ik+1 so each int32 lane is p0*v0 + p1*v1 (the
-          // pad slot zeroes the odd tail).
-          __m128i acc_lo = _mm_setzero_si128();
-          __m128i acc_hi = _mm_setzero_si128();
-          for (std::int64_t ik = 0; ik < t; ik += 2) {
-            const __m128i v0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(vbase + ik * rs + e0));
-            const __m128i v1 =
-                ik + 1 < t
-                    ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                          vbase + (ik + 1) * rs + e0))
-                    : _mm_setzero_si128();
-            const auto pp = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-                    probs[static_cast<std::size_t>(ik)])) |
-                (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-                     probs[static_cast<std::size_t>(ik + 1)]))
-                 << 16));
-            const __m128i pv = _mm_set1_epi32(pp);
-            acc_lo = _mm_add_epi32(acc_lo,
-                                   _mm_madd_epi16(_mm_unpacklo_epi16(v0, v1),
-                                                  pv));
-            acc_hi = _mm_add_epi32(acc_hi,
-                                   _mm_madd_epi16(_mm_unpackhi_epi16(v0, v1),
-                                                  pv));
-          }
-          alignas(16) std::int32_t tmp[8];
-          _mm_store_si128(reinterpret_cast<__m128i*>(tmp), acc_lo);
-          _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4), acc_hi);
-          for (std::int64_t j = 0; j < 8; ++j) {
-            const std::int64_t y = (p_.ctx_mul * tmp[j] + half) >> f;
-            crow[e0 + j] = static_cast<std::int16_t>(
-                clamp64(y, p_.ctx_min, p_.ctx_max));
-          }
-        }
-#endif
-        for (; e0 < dh; ++e0) {
-          std::int32_t acc = 0;
-          for (std::int64_t ik = 0; ik < t; ++ik) {
-            acc += static_cast<std::int32_t>(
-                       probs[static_cast<std::size_t>(ik)]) *
-                   vbase[ik * rs + e0];
-          }
-          const std::int64_t y = (p_.ctx_mul * acc + half) >> f;
-          crow[e0] = static_cast<std::int16_t>(
-              clamp64(y, p_.ctx_min, p_.ctx_max));
-        }
+      const std::int16_t* q = qkv + in * t * 3 * d + ih * dh;
+      std::int16_t* c = ctx + in * t * d + ih * dh;
+#if T2C_VIT_AVX512
+      if (dot != nullptr) {
+        attn_head_avx512(a, dot, q, q + d, q + 2 * d, c, ws);
+        continue;
       }
+#endif
+      attn_head_generic(a, q, q + d, q + 2 * d, c, ws);
     }
   });
 

@@ -41,9 +41,14 @@ class LutSoftmaxOp final : public DeployOp {
  private:
   std::vector<std::int64_t> lut_;
   std::int64_t p_qmax_;
+  /// Largest normalizing numerator lut * p_qmax, or -1 when the LUT rules
+  /// out the exact reciprocal divide (negative entries, too wide).
+  std::int64_t num_max_ = -1;
 };
 
-/// Integer GELU via direct table lookup.
+/// Integer GELU by table lookup: the input is clamped to [in_min,
+/// in_max] and the nearest of the LUT entries spaced index_step apart is
+/// read, index (q - in_min + index_step / 2) / index_step.
 class LutGeluOp final : public DeployOp {
  public:
   LutGeluOp(std::vector<std::int64_t> lut, std::int64_t in_min,
@@ -86,6 +91,9 @@ class IntLayerNormOp final : public DeployOp {
                  int stat_frac);
 
   ITensor run(const std::vector<const ITensor*>& ins) const override;
+  bool recycles_output(bool) const override { return true; }
+  void run_into(const std::vector<const ITensor*>& ins,
+                ITensor& out) const override;
   std::string kind() const override { return "IntLayerNorm"; }
   bool running_stats() const { return running_; }
   std::int64_t out_min() const { return out_min_; }
@@ -170,6 +178,8 @@ class IntAttentionOp final : public DeployOp {
   void run_i16(const ITensor& x, ITensor& out) const;
 
   IntAttentionParams p_;
+  /// LutSoftmaxOp's num_max_ for the attention softmax.
+  std::int64_t num_max_ = -1;
   solver::SolverChoice choice_;
   std::int64_t input_bound_ = 0;
   WeightFacts wqkv_facts_, wproj_facts_;

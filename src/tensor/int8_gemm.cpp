@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 #include "core/parallel.h"
 #include "util/check.h"
@@ -263,12 +262,27 @@ requant8_avx512(__m512i v, __m512i vmul, __m512i vbias, __m512i vhalf,
   return _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y));
 }
 
-/// AVX-512 requant writeback for int64 C lanes, 8 columns per step, bit-
-/// identical to write_tile through requant8_avx512. Tail lanes are masked
-/// off before the sat popcount so padding never counts.
+/// Masked store of eight int64 lanes into C: int64 lanes as they are,
+/// int16 lanes narrowed by vpmovqw, which truncates like write_tile's
+/// static_cast.
+__attribute__((target("avx512f"))) inline void store_c8(std::int64_t* c,
+                                                        __mmask8 m,
+                                                        __m512i v) {
+  _mm512_mask_storeu_epi64(c, m, v);
+}
+__attribute__((target("avx512f"))) inline void store_c8(std::int16_t* c,
+                                                        __mmask8 m,
+                                                        __m512i v) {
+  _mm512_mask_cvtepi64_storeu_epi16(c, m, v);
+}
+
+/// AVX-512 requant writeback for int64 or int16 C lanes, 8 columns per
+/// step, bit-identical to write_tile through requant8_avx512. Tail lanes
+/// are masked off before the sat popcount so padding never counts.
+template <typename OutT>
 __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
-    const std::int32_t* acc, std::int64_t* c, std::int64_t ldc,
-    std::int64_t mr, std::int64_t jn, std::int64_t row0, std::int64_t col0,
+    const std::int32_t* acc, OutT* c, std::int64_t ldc, std::int64_t mr,
+    std::int64_t jn, std::int64_t row0, std::int64_t col0,
     const Epilogue& ep, std::int64_t& sat) {
   if (ep.mode == Epilogue::Mode::kNone) {
     for (std::int64_t r = 0; r < mr; ++r) {
@@ -276,8 +290,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
         const auto m = static_cast<__mmask8>(
             jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
         const __m256i a = _mm256_maskz_loadu_epi32(m, acc + r * kNr + j);
-        _mm512_mask_storeu_epi64(c + r * ldc + j, m,
-                                 _mm512_cvtepi32_epi64(a));
+        store_c8(c + r * ldc + j, m, _mm512_cvtepi32_epi64(a));
       }
     }
     return;
@@ -302,10 +315,9 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
             jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
         const __m512i v = _mm512_cvtepi32_epi64(
             _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-        _mm512_mask_storeu_epi64(
-            c + r * ldc + j, m,
-            requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo, vhi,
-                            ep.count_sat, check_lo, m, sat));
+        store_c8(c + r * ldc + j, m,
+                 requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo,
+                                 vhi, ep.count_sat, check_lo, m, sat));
       }
     }
     return;
@@ -331,10 +343,9 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
     for (std::int64_t r = 0; r < mr; ++r) {
       const __m512i v = _mm512_cvtepi32_epi64(
           _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-      _mm512_mask_storeu_epi64(
-          c + r * ldc + j, m,
-          requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo, vhi,
-                          ep.count_sat, check_lo, m, sat));
+      store_c8(c + r * ldc + j, m,
+               requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo,
+                               vhi, ep.count_sat, check_lo, m, sat));
     }
   }
 }
@@ -356,11 +367,9 @@ void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
                 std::int64_t mr, std::int64_t jn, std::int64_t row0,
                 std::int64_t col0, const Epilogue& ep, std::int64_t& sat) {
 #if T2C_I8_AVX2
-  if constexpr (std::is_same_v<OutT, std::int64_t>) {
-    if (avx512_epilogue()) {
-      write_tile_avx512(acc, c, ldc, mr, jn, row0, col0, ep, sat);
-      return;
-    }
+  if (avx512_epilogue()) {
+    write_tile_avx512(acc, c, ldc, mr, jn, row0, col0, ep, sat);
+    return;
   }
 #endif
   if (ep.mode == Epilogue::Mode::kNone) {

@@ -3,13 +3,20 @@
 // runner (DeployModel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 
+#include "alloc_count.h"
+#include "core/parallel.h"
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
 #include "nn/activations.h"
 #include "tensor/elementwise.h"
 #include "test_util.h"
+#include "util/cpuinfo.h"
 
 namespace t2c {
 namespace {
@@ -19,6 +26,84 @@ ITensor random_itensor(Shape shape, int lo, int hi, std::uint64_t seed) {
   Rng rng(seed);
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.randint(lo, hi);
   return t;
+}
+
+/// Restores the ISA cap in force at construction on scope exit.
+struct IsaCapGuard {
+  util::IsaTier saved = util::cpu_isa_tier();
+  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
+};
+
+/// `op` on `x` at the generic rung (the scalar forms) and at the host's top
+/// rung (the vector forms, where the host has them).
+std::pair<ITensor, ITensor> generic_and_top(const DeployOp& op,
+                                            const ITensor& x) {
+  const IsaCapGuard guard;
+  util::set_isa_tier_cap(util::IsaTier::kGeneric);
+  ITensor generic = op.run({&x});
+  util::set_isa_tier_cap(util::kTopIsaTier);
+  return {std::move(generic), op.run({&x})};
+}
+
+void expect_same(const ITensor& got, const ITensor& want,
+                 const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+  }
+}
+
+ITensor rows_tensor(const std::vector<std::vector<std::int64_t>>& rows) {
+  const auto d = static_cast<std::int64_t>(rows.front().size());
+  ITensor t({static_cast<std::int64_t>(rows.size()), d});
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r].begin(), rows[r].end(),
+              t.data() + static_cast<std::int64_t>(r) * d);
+  }
+  return t;
+}
+
+using i128 = __int128;
+
+i128 isqrt_wide(i128 v) {
+  i128 lo = 0, hi = i128{1} << 63;
+  while (lo < hi) {
+    const i128 mid = (lo + hi + 1) / 2;
+    if (mid * mid <= v) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+/// IntLayerNormOp's instant-statistics row in 128-bit arithmetic, with
+/// the integer divide: a row whose int64 arithmetic stays in range must
+/// match it exactly.
+std::vector<std::int64_t> layernorm_wide(const std::int64_t* x,
+                                         const std::vector<std::int64_t>& g,
+                                         const std::vector<std::int64_t>& b,
+                                         int f, std::int64_t lo,
+                                         std::int64_t hi) {
+  const auto d = static_cast<std::int64_t>(g.size());
+  i128 sum = 0;
+  for (std::int64_t i = 0; i < d; ++i) sum += x[i];
+  const i128 mean = (2 * sum + d) / (2 * d);
+  i128 var_sum = 0;
+  for (std::int64_t i = 0; i < d; ++i) var_sum += (x[i] - mean) * (x[i] - mean);
+  const i128 sq =
+      std::max<i128>(1, isqrt_wide(var_sum / d * (i128{1} << 20)));
+  std::vector<std::int64_t> y(static_cast<std::size_t>(d));
+  for (std::int64_t i = 0; i < d; ++i) {
+    const auto e = static_cast<std::size_t>(i);
+    const i128 xhat = (x[i] - mean) * (i128{1} << (f + 10)) / sq;
+    const i128 v =
+        (g[e] * xhat + b[e] * (i128{1} << f) + (i128{1} << (2 * f - 1))) >>
+        (2 * f);
+    y[e] = static_cast<std::int64_t>(std::clamp<i128>(v, lo, hi));
+  }
+  return y;
 }
 
 TEST(MulQuantOpTest, LayoutsApplyPerEntry) {
@@ -229,6 +314,281 @@ TEST(IntLayerNorm, RunningModeUsesFrozenStats) {
   // xhat_f = ((12-10)*32768) >> (16-8) = 256 (= 1.0 at f=8)
   // y = (256*256 + 0 + half) >> 16 = 1.
   EXPECT_EQ(y[0], 1);
+}
+
+TEST(IntLayerNorm, HighVarianceRowMatchesWideReference) {
+  // var << 20 sits above 3037000499^2, where the isqrt correction's
+  // (x + 1)^2 used to overflow int64 and never stop.
+  std::vector<std::int64_t> row;
+  for (int i = 0; i < 31; ++i) {
+    row.push_back(2965761);
+    row.push_back(-2965761);
+  }
+  row.push_back(2967674);
+  row.push_back(-2967674);
+  i128 var_sum = 0;
+  for (const std::int64_t v : row) var_sum += i128{v} * v;
+  ASSERT_GT(var_sum / 64 * (i128{1} << 20), i128{3037000499} * 3037000499);
+  std::vector<std::int64_t> g(64), b(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    g[i] = 900 + 37 * static_cast<std::int64_t>(i);
+    b[i] = static_cast<std::int64_t>(i % 7) * 40 - 120;
+  }
+  const IntLayerNormOp ln(g, b, 8, -1000, 1000);
+  const ITensor x = rows_tensor({row});
+  const std::vector<std::int64_t> want =
+      layernorm_wide(x.data(), g, b, 8, -1000, 1000);
+  const auto [generic, top] = generic_and_top(ln, x);
+  expect_same(generic, ITensor::from({1, 64}, want), "generic");
+  expect_same(top, ITensor::from({1, 64}, want), "top rung");
+}
+
+TEST(IntLayerNorm, InstantRungsMatchWideReferenceOnEdgeRows) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // Widths around the 8-lane vector, so every tail length shows up.
+  for (const std::int64_t d : {1, 2, 3, 8, 13, 64, 67}) {
+    Rng rng(static_cast<std::uint64_t>(d));
+    std::vector<std::int64_t> g(static_cast<std::size_t>(d));
+    std::vector<std::int64_t> b(g.size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g[i] = rng.randint(-3000, 3000);
+      b[i] = rng.randint(-400, 400);
+    }
+    const IntLayerNormOp ln(g, b, 8, -127, 127);
+    std::vector<std::vector<std::int64_t>> in_bound;
+    for (int r = 0; r < 6; ++r) {
+      std::vector<std::int64_t> row(g.size());
+      for (auto& v : row) v = rng.randint(-127, 127);
+      in_bound.push_back(row);
+    }
+    // Mostly small positive deviations and one large negative one.
+    std::vector<std::int64_t> skew(g.size(), 40);
+    skew.back() = -90000;
+    in_bound.push_back(skew);
+    in_bound.emplace_back(g.size(), -77);  // zero variance: divisor 1
+    // m -/+ c pairs: var = c^2, divisor c << 10, and every numerator
+    // (c << 18) an exact multiple of it. For c = 49 and 103 the double
+    // estimate of the quotient falls one short.
+    for (const std::int64_t c : {3, 5, 7, 49, 103, 1000003}) {
+      std::vector<std::int64_t> row(g.size(), 500);
+      for (std::size_t i = 0; i + 1 < row.size(); i += 2) {
+        row[i] -= c;
+        row[i + 1] += c;
+      }
+      in_bound.push_back(row);
+    }
+    // Deviations at the divide's bound (2^34 at f = 8) and past it, and
+    // the extremes: these rows take the integer-divide row on every rung.
+    std::vector<std::vector<std::int64_t>> past;
+    for (const std::int64_t v : {std::int64_t{1} << 34, kMax, kMin}) {
+      std::vector<std::int64_t> row(g.size(), 0);
+      for (std::size_t i = 0; i < row.size(); i += 3) row[i] = v;
+      if (row.size() > 1) row[1] = -(v / 2);
+      past.push_back(row);
+    }
+    std::vector<std::int64_t> ext(g.size());
+    for (std::size_t i = 0; i < ext.size(); ++i) ext[i] = i % 2 ? kMin : kMax;
+    past.push_back(ext);
+    // -/+ x pairs whose squares wrap: numerators near 2^63 over small
+    // divisors, where the double estimate is off by far more than one.
+    for (const std::int64_t x : {(std::int64_t{1} << 44) + 12345,
+                                 (std::int64_t{1} << 40) + 7,
+                                 3 * (std::int64_t{1} << 41) + 1}) {
+      std::vector<std::int64_t> row(g.size(), 0);
+      for (std::size_t i = 0; i + 1 < row.size(); i += 2) {
+        row[i] = x;
+        row[i + 1] = -x;
+      }
+      past.push_back(row);
+    }
+
+    const ITensor xi = rows_tensor(in_bound);
+    const auto [gi, ti] = generic_and_top(ln, xi);
+    const std::string tag = "d=" + std::to_string(d);
+    expect_same(ti, gi, tag);
+    for (std::size_t r = 0; r < in_bound.size(); ++r) {
+      const std::vector<std::int64_t> want = layernorm_wide(
+          xi.data() + static_cast<std::int64_t>(r) * d, g, b, 8, -127, 127);
+      for (std::int64_t i = 0; i < d; ++i) {
+        ASSERT_EQ(gi.at(static_cast<std::int64_t>(r), i),
+                  want[static_cast<std::size_t>(i)])
+            << tag << " row " << r << " lane " << i;
+      }
+    }
+    // An unclamped output, so a wrong quotient cannot hide in saturation.
+    const IntLayerNormOp wide(g, b, 8, kMin, kMax);
+    const ITensor xp = rows_tensor(past);
+    for (const IntLayerNormOp* op : {&ln, &wide}) {
+      const auto [gp, tp] = generic_and_top(*op, xp);
+      expect_same(tp, gp, tag + " past the bound");
+    }
+  }
+}
+
+TEST(IntLayerNorm, WarmRunIntoAllocatesNothing) {
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  std::vector<std::int64_t> g(64, 700), b(64, 3);
+  const IntLayerNormOp ln(g, b, 8, -127, 127);
+  const ITensor x = random_itensor({3, 16, 64}, -127, 127, 17);
+  const std::vector<const ITensor*> ins = {&x};
+  const int saved = par::max_threads();
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    // One pooled region first: fresh workers allocate while they start.
+    par::parallel_for(0, threads, 1, [](std::int64_t, std::int64_t) {});
+    ITensor out;
+    ln.run_into(ins, out);
+    const std::int64_t before = g_t2c_alloc_count.load();
+    ln.run_into(ins, out);
+    EXPECT_EQ(g_t2c_alloc_count.load() - before, 0) << "@" << threads;
+    expect_same(out, ln.run(ins), "run_into vs run");
+  }
+  par::set_max_threads(saved);
+}
+
+TEST(LutGelu, RungsMatchIndexReferenceAcrossWindow) {
+  struct Window {
+    std::int64_t in_min, in_max, step;
+  };
+  // vit_b1's window (step 1, 255 entries), coarse steps (for step 49 the
+  // double estimate of an exact multiple falls one short), an off-centre
+  // window, and one past the divide's bound.
+  const Window windows[] = {{-127, 127, 1},
+                            {-127, 127, 3},
+                            {-127, 127, 17},
+                            {-127, 127, 49},
+                            {-100, 37, 7},
+                            {-(std::int64_t{1} << 60), std::int64_t{1} << 60,
+                             std::int64_t{1} << 55}};
+  for (const Window& w : windows) {
+    const std::int64_t entries = (w.in_max - w.in_min) / w.step + 1;
+    std::vector<std::int64_t> lut(static_cast<std::size_t>(entries));
+    for (std::int64_t j = 0; j < entries; ++j) {
+      lut[static_cast<std::size_t>(j)] = 7 * j - 300;  // distinct entries
+    }
+    const LutGeluOp op(lut, w.in_min, w.in_max, w.step);
+    std::vector<std::int64_t> xs = {std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max()};
+    const bool wide = w.in_max - w.in_min > 100000;
+    const std::int64_t stride = wide ? std::int64_t{1} << 53 : 1;
+    for (std::int64_t q = w.in_min - 50 * stride; q <= w.in_max + 50 * stride;
+         q += stride) {
+      xs.push_back(q);
+      if (wide) xs.push_back(q + 12345);
+    }
+    const ITensor x = ITensor::from({static_cast<std::int64_t>(xs.size())}, xs);
+    std::vector<std::int64_t> want(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const std::int64_t q = std::clamp(xs[i], w.in_min, w.in_max);
+      const std::int64_t idx = (q - w.in_min + w.step / 2) / w.step;
+      want[i] = lut[static_cast<std::size_t>(
+          std::clamp<std::int64_t>(idx, 0, entries - 1))];
+    }
+    const auto [generic, top] = generic_and_top(op, x);
+    const ITensor ref = ITensor::from(x.shape(), want);
+    const std::string tag = "step " + std::to_string(w.step);
+    expect_same(generic, ref, tag + " generic");
+    expect_same(top, ref, tag + " top rung");
+  }
+}
+
+TEST(LutSoftmax, RungsMatchIntegerDivideOnTiesAndFlatRows) {
+  const std::vector<std::int64_t> exp_lut = build_exp_lut(0.05F, 256, 15);
+  std::vector<std::int64_t> signed_lut = exp_lut;
+  signed_lut[3] = -5;  // a negative entry rules out the reciprocal divide
+  // Two equal logits over this LUT: sum 98, numerator 49 * 255 + 49, whose
+  // double quotient estimate falls one short.
+  const std::vector<std::int64_t> lut49 = {49, 24, 12, 6, 3, 1};
+  for (const auto& [lut, p_qmax] :
+       std::vector<std::pair<std::vector<std::int64_t>, std::int64_t>>{
+           {exp_lut, 255}, {exp_lut, 32767}, {signed_lut, 255},
+           {lut49, 255}}) {
+    const LutSoftmaxOp sm(lut, p_qmax);
+    for (const std::int64_t d : {1, 2, 5, 8, 13, 16}) {
+      Rng rng(static_cast<std::uint64_t>(d * 31 + p_qmax));
+      std::vector<std::vector<std::int64_t>> rows;
+      rows.emplace_back(static_cast<std::size_t>(d), 42);  // all equal
+      std::vector<std::int64_t> ties(static_cast<std::size_t>(d), 0);
+      ties.front() = 9;
+      ties.back() = 9;
+      rows.push_back(ties);
+      for (int r = 0; r < 4; ++r) {
+        std::vector<std::int64_t> row(static_cast<std::size_t>(d));
+        for (auto& v : row) v = rng.randint(-400, 400);  // past the LUT too
+        rows.push_back(row);
+      }
+      // Logits more than 2^63 apart: the gap saturates at the last entry.
+      std::vector<std::int64_t> extremes(static_cast<std::size_t>(d), 0);
+      extremes.front() = std::numeric_limits<std::int64_t>::min();
+      extremes.back() = std::numeric_limits<std::int64_t>::max();
+      rows.push_back(extremes);
+      const ITensor x = rows_tensor(rows);
+      std::vector<std::int64_t> want;
+      const auto last = static_cast<std::uint64_t>(lut.size()) - 1;
+      for (const auto& row : rows) {
+        const std::int64_t m = *std::max_element(row.begin(), row.end());
+        std::vector<std::int64_t> e;
+        std::int64_t sum = 0;
+        for (const std::int64_t v : row) {
+          const std::uint64_t gap = static_cast<std::uint64_t>(m) -
+                                    static_cast<std::uint64_t>(v);
+          e.push_back(lut[static_cast<std::size_t>(std::min(last, gap))]);
+          sum += e.back();
+        }
+        for (const std::int64_t ei : e) {
+          want.push_back(sum > 0 ? (ei * p_qmax + sum / 2) / sum : 0);
+        }
+      }
+      const auto [generic, top] = generic_and_top(sm, x);
+      const ITensor ref = ITensor::from(x.shape(), want);
+      const std::string tag =
+          "d=" + std::to_string(d) + " qmax=" + std::to_string(p_qmax);
+      expect_same(generic, ref, tag + " generic");
+      expect_same(top, ref, tag + " top rung");
+    }
+  }
+}
+
+TEST(IntOps, WarmMulQuantAndIntAddAllocateNothing) {
+  // A warm call into its previous output allocates nothing: no error
+  // message built on success, one atomic for the clip count, and the
+  // parallel_for body passed by reference, pooled or inline.
+  if (!kT2cAllocCounting) {
+    GTEST_SKIP() << "operator new/delete not replaced under ASan";
+  }
+  const ITensor x = random_itensor({4, 8, 32, 32}, -60000, 60000, 21);
+  const ITensor y = random_itensor({4, 8, 32, 32}, -60000, 60000, 22);
+  const ITensor rows = random_itensor({64, 512}, -60000, 60000, 23);
+  const MulQuantOp per_tensor({181}, {11}, 16, -127, 127,
+                              MqLayout::kPerTensor);
+  const MulQuantOp per_channel(std::vector<std::int64_t>(8, 181),
+                               std::vector<std::int64_t>(8, 11), 16, -127, 127,
+                               MqLayout::kChannelNCHW);
+  const MulQuantOp last_dim(std::vector<std::int64_t>(512, 181),
+                            std::vector<std::int64_t>(512, 11), 16, -127, 127,
+                            MqLayout::kLastDim);
+  const IntAddOp add(-100000, 100000);
+  const std::pair<const DeployOp*, std::vector<const ITensor*>> calls[] = {
+      {&per_tensor, {&x}},
+      {&per_channel, {&x}},
+      {&last_dim, {&rows}},
+      {&add, {&x, &y}}};
+  const int saved = par::max_threads();
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    for (const auto& [op, ins] : calls) {
+      ITensor out;
+      op->run_into(ins, out);
+      const std::int64_t before = g_t2c_alloc_count.load();
+      op->run_into(ins, out);
+      EXPECT_EQ(g_t2c_alloc_count.load() - before, 0)
+          << op->kind() << " @" << threads;
+    }
+  }
+  par::set_max_threads(saved);
 }
 
 TEST(DeployModelTest, GraphRunsTopologicallyAndChecksIds) {

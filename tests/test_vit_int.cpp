@@ -12,6 +12,7 @@
 #include "models/vit.h"
 #include "tensor/elementwise.h"
 #include "test_util.h"
+#include "util/cpuinfo.h"
 
 namespace t2c {
 namespace {
@@ -135,6 +136,84 @@ TEST(VitInt, NarrowAttentionAllocatesNothingPerCall) {
     }
   }
   par::set_max_threads(saved);
+}
+
+/// Attention parameters on int8 grids with a softmax spread over the LUT:
+/// the shape of a converted block, at any dim and head count. A nonzero
+/// `qk_shift` pushes the q streams up and the k streams down by that
+/// many bias units, so that every logit is negative.
+IntAttentionParams attn_params(std::int64_t d, std::int64_t heads,
+                               std::uint64_t seed,
+                               std::int64_t qk_shift = 0) {
+  Rng rng(seed);
+  const auto fill = [&](std::int64_t n, int lo, int hi) {
+    std::vector<std::int64_t> v(static_cast<std::size_t>(n));
+    for (auto& e : v) e = rng.randint(lo, hi);
+    return v;
+  };
+  IntAttentionParams p;
+  p.heads = heads;
+  p.wqkv = ITensor::from({3 * d, d}, fill(3 * d * d, -127, 127));
+  p.qkv_mul = fill(3 * d, 20, 90);
+  p.qkv_bias = fill(3 * d, -3000, 3000);
+  for (std::int64_t j = 0; j < d; ++j) {
+    p.qkv_bias[static_cast<std::size_t>(j)] += qk_shift;
+    p.qkv_bias[static_cast<std::size_t>(d + j)] -= qk_shift;
+  }
+  p.softmax_lut = build_exp_lut(12.0F / 256.0F, 256, 15);
+  p.logit_mul = 24;
+  p.ctx_mul = 257;
+  p.wproj = ITensor::from({d, d}, fill(d * d, -127, 127));
+  p.proj_mul = fill(d, 20, 90);
+  p.proj_bias = fill(d, -3000, 3000);
+  p.out_min = -32767;
+  p.out_max = 32767;
+  return p;
+}
+
+TEST(VitInt, NarrowAttentionMatchesInt64AtEveryRung) {
+  // attn_i16 against the attn_i64 oracle: head dims 16 (vit_b1), 8 and an
+  // odd 3 (a qkv row tail past the last full 8 columns), token counts
+  // around the 16-lane key vectors, batch 1 and 3, at every ISA cap; the
+  // second d = 64 block has only negative logits, so a padded key lane
+  // (logit 0) must never reach a row max.
+  const util::IsaTier saved = util::cpu_isa_tier();
+  struct Config {
+    std::int64_t d, heads, qk_shift;
+  };
+  for (const Config& sh : {Config{64, 4, 0}, Config{64, 4, 60000000},
+                           Config{16, 2, 0}, Config{12, 4, 0}}) {
+    const std::int64_t d = sh.d, heads = sh.heads;
+    const IntAttentionOp wide(attn_params(d, heads, 40 + d, sh.qk_shift));
+    IntAttentionOp narrow(attn_params(d, heads, 40 + d, sh.qk_shift));
+    narrow.set_input_bound(127);
+    ASSERT_EQ(narrow.kernel(), "attn_i16") << "d=" << d;
+    ASSERT_NE(wide.kernel(), "attn_i16");
+    for (const std::int64_t t : {1, 16, 17, 64}) {
+      for (const std::int64_t n : {1, 3}) {
+        ITensor x({n, t, d});
+        Rng rng(static_cast<std::uint64_t>(d * 100 + t * 10 + n));
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+          x[i] = rng.randint(-127, 127);
+        }
+        const std::vector<const ITensor*> ins = {&x};
+        const ITensor want = wide.run(ins);
+        for (const util::IsaTier cap :
+             {util::IsaTier::kGeneric, util::IsaTier::kAvx2,
+              util::IsaTier::kAvx512, util::IsaTier::kAvx512Vnni}) {
+          util::set_isa_tier_cap(cap);
+          const ITensor got = narrow.run(ins);
+          util::set_isa_tier_cap(saved);
+          ASSERT_TRUE(got.same_shape(want));
+          for (std::int64_t i = 0; i < want.numel(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "d=" << d << " t=" << t << " n=" << n << " cap "
+                << util::isa_tier_name(cap) << " element " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(VitInt, RunningStatsLayerNormAlsoDeploys) {
