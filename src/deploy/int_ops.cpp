@@ -11,6 +11,7 @@
 #include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "tensor/avx512_lanes.h"
 #include "tensor/matmul.h"
 #include "util/cpuinfo.h"
 #include "util/textio.h"
@@ -78,8 +79,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void mq_span_avx512(
   const __m512i vhi = _mm512_set1_epi64(hi);
   const bool check_lo = lo != 0;
   for (std::int64_t i = 0; i < len; i += 8) {
-    const auto m = static_cast<__mmask8>(
-        len - i >= 8 ? 0xff : (1u << (len - i)) - 1u);
+    const __mmask8 m = avx512::tail8(len - i);
     const __m512i v = _mm512_maskz_loadu_epi64(m, x + i);
     const __m512i t = _mm512_add_epi64(
         _mm512_slli_epi64(v, static_cast<unsigned>(bias_frac)), vbias);
@@ -106,8 +106,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void mq_rows_avx512(
   const __m512i vhi = _mm512_set1_epi64(hi);
   const bool check_lo = lo != 0;
   for (std::int64_t j = 0; j < d; j += 8) {
-    const auto m = static_cast<__mmask8>(
-        d - j >= 8 ? 0xff : (1u << (d - j)) - 1u);
+    const __mmask8 m = avx512::tail8(d - j);
     const __m512i vmul = _mm512_maskz_loadu_epi64(m, mul + j);
     const __m512i vbias = _mm512_maskz_loadu_epi64(m, bias + j);
     const __m512i vf = _mm512_add_epi64(
@@ -145,8 +144,7 @@ __attribute__((target("avx512f"))) void add_span_avx512(
   const __m512i vhi = _mm512_set1_epi64(hi);
   const bool check_lo = lo != 0;
   for (std::int64_t i = 0; i < len; i += 8) {
-    const auto m = static_cast<__mmask8>(
-        len - i >= 8 ? 0xff : (1u << (len - i)) - 1u);
+    const __mmask8 m = avx512::tail8(len - i);
     const __m512i y = _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, a + i),
                                        _mm512_maskz_loadu_epi64(m, b + i));
     if (count) {

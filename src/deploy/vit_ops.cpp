@@ -18,6 +18,7 @@
 
 #include "core/parallel.h"
 #include "nn/activations.h"
+#include "tensor/avx512_lanes.h"
 #include "util/cpuinfo.h"
 #include "util/textio.h"
 
@@ -229,16 +230,6 @@ struct LnRows {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/// The first min(left, 8) lanes.
-__mmask8 tail8(std::int64_t left) {
-  return static_cast<__mmask8>(left >= 8 ? 0xff : (1u << left) - 1u);
-}
-
-/// The first min(left, 16) lanes.
-__mmask16 tail16(std::int64_t left) {
-  return static_cast<__mmask16>(left >= 16 ? 0xffff : (1u << left) - 1u);
-}
-
 /// Wrapping sum of the eight lanes.
 __attribute__((target("avx512f"))) std::int64_t hsum8(__m512i v) {
   alignas(64) std::int64_t lane[8];
@@ -274,17 +265,6 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i div8(
   return _mm512_mask_add_epi64(q, up, q, _mm512_set1_epi64(1));
 }
 
-/// Masked store of eight int64 lanes into int64 or int16 storage; the
-/// int16 form truncates (vpmovqw) like the scalar static_cast.
-__attribute__((target("avx512f"))) inline void store8(std::int64_t* p,
-                                                      __mmask8 m, __m512i v) {
-  _mm512_mask_storeu_epi64(p, m, v);
-}
-__attribute__((target("avx512f"))) inline void store8(std::int16_t* p,
-                                                      __mmask8 m, __m512i v) {
-  _mm512_mask_cvtepi64_storeu_epi16(p, m, v);
-}
-
 /// p[i] = div(e[i] * p_qmax + h2) for i < n, eight lanes per step.
 template <typename OutT>
 __attribute__((target("avx512f,avx512dq"))) void normalize_avx512(
@@ -293,10 +273,10 @@ __attribute__((target("avx512f,avx512dq"))) void normalize_avx512(
   const __m512i vq = _mm512_set1_epi64(p_qmax);
   const __m512i vh = _mm512_set1_epi64(h2);
   for (std::int64_t i = 0; i < n; i += 8) {
-    const __mmask8 m = tail8(n - i);
+    const __mmask8 m = avx512::tail8(n - i);
     const __m512i num = _mm512_add_epi64(
         _mm512_mullo_epi64(_mm512_maskz_loadu_epi64(m, e + i), vq), vh);
-    store8(p + i, m, div8(div, num));
+    avx512::store8(p + i, m, div8(div, num));
   }
 }
 
@@ -313,7 +293,7 @@ __attribute__((target("avx512f,avx512dq"))) void gelu_span_avx512(
   const __m512i vlast = _mm512_set1_epi64(last);
   const __m512i zero = _mm512_setzero_si512();
   for (std::int64_t i = 0; i < len; i += 8) {
-    const __mmask8 m = tail8(len - i);
+    const __mmask8 m = avx512::tail8(len - i);
     const __m512i q = _mm512_min_epi64(
         vhi, _mm512_max_epi64(vlo, _mm512_maskz_loadu_epi64(m, x + i)));
     const __m512i idx = _mm512_min_epi64(
@@ -333,15 +313,15 @@ __attribute__((target("avx512f,avx512dq"))) void ln_row_avx512(
   const std::int64_t d = k.d;
   __m512i acc = _mm512_setzero_si512();
   for (std::int64_t i = 0; i < d; i += 8) {
-    acc = _mm512_add_epi64(acc,
-                           _mm512_maskz_loadu_epi64(tail8(d - i), px + i));
+    acc = _mm512_add_epi64(
+        acc, _mm512_maskz_loadu_epi64(avx512::tail8(d - i), px + i));
   }
   const std::int64_t mean = k.mean(hsum8(acc));
   const __m512i vmean = _mm512_set1_epi64(mean);
   __m512i var = _mm512_setzero_si512();
   __m512i dev = _mm512_setzero_si512();
   for (std::int64_t i = 0; i < d; i += 8) {
-    const __mmask8 m = tail8(d - i);
+    const __mmask8 m = avx512::tail8(d - i);
     const __m512i dv = _mm512_maskz_sub_epi64(
         m, _mm512_maskz_loadu_epi64(m, px + i), vmean);
     var = _mm512_add_epi64(var, _mm512_mullo_epi64(dv, dv));
@@ -359,7 +339,7 @@ __attribute__((target("avx512f,avx512dq"))) void ln_row_avx512(
   const __m512i vlo = _mm512_set1_epi64(k.lo);
   const __m512i vhi = _mm512_set1_epi64(k.hi);
   for (std::int64_t i = 0; i < d; i += 8) {
-    const __mmask8 m = tail8(d - i);
+    const __mmask8 m = avx512::tail8(d - i);
     const __m512i dv = _mm512_maskz_sub_epi64(
         m, _mm512_maskz_loadu_epi64(m, px + i), vmean);
     const __m512i q = div8(div, _mm512_slli_epi64(_mm512_abs_epi64(dv), s));
@@ -393,7 +373,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_running_avx512(
   const __m512i vlo = _mm512_set1_epi64(lo);
   const __m512i vhi = _mm512_set1_epi64(hi);
   for (std::int64_t i = 0; i < d; i += 8) {
-    const __mmask8 m = tail8(d - i);
+    const __mmask8 m = avx512::tail8(d - i);
     const __m512i v = _mm512_maskz_loadu_epi64(m, px + i);
     const __m512i xhat = _mm512_srai_epi64(
         _mm512_mullo_epi64(_mm512_sub_epi64(v, vmean), vsig),
@@ -986,16 +966,6 @@ void attn_head_generic(const AttnHead& a, const std::int16_t* qbase,
 /// accumulator chains share every panel load.
 constexpr std::int64_t kQueryBlock = 4;
 
-/// out[r][j] = sum over p < k2 of a_r[2p] * panel[p][j][0] + a_r[2p+1] *
-/// panel[p][j][1], for rows r < rows (at most kQueryBlock, a_r = a + r *
-/// lda, out_r = out + r * ldo) and j < 16 * nvec: int16 rows, one lane
-/// pair at a time, broadcast against a pair-interleaved panel of 16 *
-/// nvec columns. A pairwise sum cannot wrap (2 * 32767^2 < 2^31) and the
-/// solver gate bounds the totals, so the int32 lanes are exact.
-using PairDot = void (*)(const std::int16_t*, std::int64_t, std::int64_t,
-                         const std::int16_t*, std::int64_t, std::int64_t,
-                         std::int32_t*, std::int64_t);
-
 /// The lane pair at p, in every int32 lane.
 __attribute__((target("avx512f"))) inline __m512i bcast_pair(
     const std::int16_t* p) {
@@ -1004,7 +974,13 @@ __attribute__((target("avx512f"))) inline __m512i bcast_pair(
   return _mm512_set1_epi32(pair);
 }
 
-/// PairDot on vpmaddwd + vpaddd.
+/// out[r][j] = sum over p < k2 of a_r[2p] * panel[p][j][0] + a_r[2p+1] *
+/// panel[p][j][1], for rows r < rows (at most kQueryBlock, a_r = a + r *
+/// lda, out_r = out + r * ldo) and j < 16 * nvec: int16 rows, one lane
+/// pair at a time, broadcast against a pair-interleaved panel of 16 *
+/// nvec columns, through vpmaddwd + vpaddd. A pairwise sum cannot wrap
+/// (2 * 32767^2 < 2^31) and the solver gate bounds the totals, so the
+/// int32 lanes are exact.
 __attribute__((target("avx512f,avx512bw"))) void pair_dot_avx512(
     const std::int16_t* a, std::int64_t lda, std::int64_t rows,
     const std::int16_t* panel, std::int64_t k2, std::int64_t nvec,
@@ -1029,30 +1005,6 @@ __attribute__((target("avx512f,avx512bw"))) void pair_dot_avx512(
   }
 }
 
-/// PairDot on vpdpwssd, the non-saturating form: the same bits.
-__attribute__((target("avx512f,avx512bw,avx512vnni"))) void pair_dot_vnni(
-    const std::int16_t* a, std::int64_t lda, std::int64_t rows,
-    const std::int16_t* panel, std::int64_t k2, std::int64_t nvec,
-    std::int32_t* out, std::int64_t ldo) {
-  const std::int16_t* ar[kQueryBlock];
-  for (std::int64_t r = 0; r < kQueryBlock; ++r) {
-    ar[r] = a + std::min(r, rows - 1) * lda;
-  }
-  for (std::int64_t v = 0; v < nvec; ++v) {
-    __m512i acc[kQueryBlock];
-    for (auto& x : acc) x = _mm512_setzero_si512();
-    for (std::int64_t p = 0; p < k2; ++p) {
-      const __m512i b = _mm512_loadu_si512(panel + (p * nvec + v) * 32);
-      for (std::int64_t r = 0; r < kQueryBlock; ++r) {
-        acc[r] = _mm512_dpwssd_epi32(acc[r], bcast_pair(ar[r] + 2 * p), b);
-      }
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      _mm512_storeu_si512(out + r * ldo + v * 16, acc[r]);
-    }
-  }
-}
-
 /// attn_head_generic on AVX-512. K^T and V of the head are packed once
 /// into the worker's scratch, pair-interleaved and zero-padded to whole
 /// vectors, so the logits of kQueryBlock queries at a time are int32
@@ -1060,7 +1012,7 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void pair_dot_vnni(
 /// dims; the LUT softmax and the context requant run eight int64 lanes at
 /// a time.
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
-attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
+attn_head_avx512(const AttnHead& a, const std::int16_t* qbase,
                  const std::int16_t* kbase, const std::int16_t* vbase,
                  std::int16_t* cbase, VitScratch& ws) {
   const std::int64_t t = a.t, dh = a.dh, rs = 3 * a.d;
@@ -1078,7 +1030,7 @@ attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
       _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
       _mm512_set1_epi32(static_cast<std::int32_t>(rs)));
   for (std::int64_t kb = 0; kb < tp; kb += 16) {
-    const __mmask16 m = tail16(t - kb);
+    const __mmask16 m = avx512::tail16(t - kb);
     const std::int16_t* k0 = kbase + kb * rs;
     for (std::int64_t e2 = 0; e2 < dh2; ++e2) {
       __m512i pairs = _mm512_mask_i32gather_epi32(zero, m, krows,
@@ -1094,7 +1046,7 @@ attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
     const std::int16_t* v0 = vbase + 2 * ik2 * rs;
     const bool odd_tail = 2 * ik2 + 1 == t;
     for (std::int64_t eb = 0; eb < dhp; eb += 16) {
-      const __mmask16 m = tail16(dh - eb);
+      const __mmask16 m = avx512::tail16(dh - eb);
       const __m512i lo =
           _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, v0 + eb));
       const __m512i hi =
@@ -1120,19 +1072,20 @@ attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
     const std::int64_t rows = std::min(kQueryBlock, t - iq0);
     // Logits against every key. An odd dh reads one lane past the head
     // (still inside the token's qkv row), which meets K^T's zero pad.
-    dot(qbase + iq0 * rs, rs, rows, kt, dh2, tp / 16, logits, tp);
+    pair_dot_avx512(qbase + iq0 * rs, rs, rows, kt, dh2, tp / 16, logits,
+                    tp);
     for (std::int64_t r = 0; r < rows; ++r) {
       const std::int32_t* lr = logits + r * tp;
       __m512i vm =
           _mm512_set1_epi32(std::numeric_limits<std::int32_t>::min());
       for (std::int64_t ik = 0; ik < t; ik += 16) {
-        vm = _mm512_mask_max_epi32(vm, tail16(t - ik), vm,
+        vm = _mm512_mask_max_epi32(vm, avx512::tail16(t - ik), vm,
                                    _mm512_loadu_si512(lr + ik));
       }
       const __m512i vmx = _mm512_set1_epi64(hmax16(vm));
       __m512i vsum = zero;
       for (std::int64_t ik = 0; ik < t; ik += 8) {
-        const __mmask8 m = tail8(t - ik);
+        const __mmask8 m = avx512::tail8(t - ik);
         const __m512i diff = _mm512_sub_epi64(
             vmx, _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, lr + ik)));
         const __m512i idx = _mm512_min_epi64(
@@ -1150,12 +1103,12 @@ attn_head_avx512(const AttnHead& a, PairDot dot, const std::int16_t* qbase,
                         a.num_max, true);
     }
     // Contexts: probability pairs against V, then the requant.
-    dot(probs, 2 * t2, rows, vp, t2, dhp / 16, cacc, dhp);
+    pair_dot_avx512(probs, 2 * t2, rows, vp, t2, dhp / 16, cacc, dhp);
     for (std::int64_t r = 0; r < rows; ++r) {
       std::int16_t* crow = cbase + (iq0 + r) * a.d;
       const std::int32_t* cr = cacc + r * dhp;
       for (std::int64_t e = 0; e < dh; e += 8) {
-        const __mmask8 m = tail8(dh - e);
+        const __mmask8 m = avx512::tail8(dh - e);
         const __m512i acc64 =
             _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, cr + e));
         const __m512i y = _mm512_srai_epi64(
@@ -1215,12 +1168,7 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
                    p_.ctx_mul,
                    p_.ctx_min,
                    p_.ctx_max};
-#if T2C_VIT_AVX512
-  const util::IsaTier tier = util::cpu_isa_tier();
-  const PairDot dot = tier >= util::IsaTier::kAvx512Vnni ? pair_dot_vnni
-                      : tier >= util::IsaTier::kAvx512   ? pair_dot_avx512
-                                                         : nullptr;
-#endif
+  const bool vec = vit_avx512();
   std::int16_t* ctx = grown(vit_scratch().ctx, n * t * d);
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
     VitScratch& ws = vit_scratch();
@@ -1229,8 +1177,8 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
       const std::int16_t* q = qkv + in * t * 3 * d + ih * dh;
       std::int16_t* c = ctx + in * t * d + ih * dh;
 #if T2C_VIT_AVX512
-      if (dot != nullptr) {
-        attn_head_avx512(a, dot, q, q + d, q + 2 * d, c, ws);
+      if (vec) {
+        attn_head_avx512(a, q, q + d, q + 2 * d, c, ws);
         continue;
       }
 #endif

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/parallel.h"
+#include "tensor/avx512_lanes.h"
 #include "util/check.h"
 #include "util/cpuinfo.h"
 
@@ -262,20 +263,6 @@ requant8_avx512(__m512i v, __m512i vmul, __m512i vbias, __m512i vhalf,
   return _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y));
 }
 
-/// Masked store of eight int64 lanes into C: int64 lanes as they are,
-/// int16 lanes narrowed by vpmovqw, which truncates like write_tile's
-/// static_cast.
-__attribute__((target("avx512f"))) inline void store_c8(std::int64_t* c,
-                                                        __mmask8 m,
-                                                        __m512i v) {
-  _mm512_mask_storeu_epi64(c, m, v);
-}
-__attribute__((target("avx512f"))) inline void store_c8(std::int16_t* c,
-                                                        __mmask8 m,
-                                                        __m512i v) {
-  _mm512_mask_cvtepi64_storeu_epi16(c, m, v);
-}
-
 /// AVX-512 requant writeback for int64 or int16 C lanes, 8 columns per
 /// step, bit-identical to write_tile through requant8_avx512. Tail lanes
 /// are masked off before the sat popcount so padding never counts.
@@ -287,10 +274,9 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
   if (ep.mode == Epilogue::Mode::kNone) {
     for (std::int64_t r = 0; r < mr; ++r) {
       for (std::int64_t j = 0; j < jn; j += 8) {
-        const auto m = static_cast<__mmask8>(
-            jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
+        const __mmask8 m = avx512::tail8(jn - j);
         const __m256i a = _mm256_maskz_loadu_epi32(m, acc + r * kNr + j);
-        store_c8(c + r * ldc + j, m, _mm512_cvtepi32_epi64(a));
+        avx512::store8(c + r * ldc + j, m, _mm512_cvtepi32_epi64(a));
       }
     }
     return;
@@ -311,13 +297,13 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
           _mm512_set1_epi64(f > 0 ? (std::int64_t{1} << (f - 1)) : 0);
       const __m512i vf = _mm512_set1_epi64(f);
       for (std::int64_t j = 0; j < jn; j += 8) {
-        const auto m = static_cast<__mmask8>(
-            jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
+        const __mmask8 m = avx512::tail8(jn - j);
         const __m512i v = _mm512_cvtepi32_epi64(
             _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-        store_c8(c + r * ldc + j, m,
-                 requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo,
-                                 vhi, ep.count_sat, check_lo, m, sat));
+        avx512::store8(c + r * ldc + j, m,
+                       requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac,
+                                       vlo, vhi, ep.count_sat, check_lo, m,
+                                       sat));
       }
     }
     return;
@@ -325,8 +311,7 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
   // Per-column: the requant entries are contiguous in j, so the constants
   // load as vectors and amortize over the tile's rows.
   for (std::int64_t j = 0; j < jn; j += 8) {
-    const auto m = static_cast<__mmask8>(
-        jn - j >= 8 ? 0xff : (1u << (jn - j)) - 1u);
+    const __mmask8 m = avx512::tail8(jn - j);
     const std::size_t e0 = static_cast<std::size_t>(ep.base + col0 + j);
     const __m512i vmul = _mm512_maskz_loadu_epi64(m, ep.mul + e0);
     const __m512i vbias = _mm512_maskz_loadu_epi64(m, ep.bias + e0);
@@ -343,9 +328,10 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
     for (std::int64_t r = 0; r < mr; ++r) {
       const __m512i v = _mm512_cvtepi32_epi64(
           _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-      store_c8(c + r * ldc + j, m,
-               requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac, vlo,
-                               vhi, ep.count_sat, check_lo, m, sat));
+      avx512::store8(c + r * ldc + j, m,
+                     requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac,
+                                     vlo, vhi, ep.count_sat, check_lo, m,
+                                     sat));
     }
   }
 }

@@ -28,11 +28,7 @@ ITensor random_itensor(Shape shape, int lo, int hi, std::uint64_t seed) {
   return t;
 }
 
-/// Restores the ISA cap in force at construction on scope exit.
-struct IsaCapGuard {
-  util::IsaTier saved = util::cpu_isa_tier();
-  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
-};
+using testing::IsaCapGuard;
 
 /// `op` on `x` at the generic rung (the scalar forms) and at the host's top
 /// rung (the vector forms, where the host has them).

@@ -47,11 +47,7 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
-/// Restores the ISA cap in force at construction on scope exit.
-struct IsaCapGuard {
-  util::IsaTier saved = util::cpu_isa_tier();
-  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
-};
+using testing::IsaCapGuard;
 
 constexpr util::IsaTier kIsaCaps[] = {util::IsaTier::kGeneric,
                                       util::IsaTier::kAvx2,

@@ -17,6 +17,7 @@
 #include "tensor/conv_ops.h"
 #include "tensor/int8_gemm.h"
 #include "tensor/solver.h"
+#include "test_util.h"
 #include "util/cpuinfo.h"
 
 namespace t2c {
@@ -28,11 +29,7 @@ struct ThreadGuard {
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
 
-/// Restores the ISA cap in force at construction on scope exit.
-struct IsaCapGuard {
-  util::IsaTier saved = util::cpu_isa_tier();
-  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
-};
+using testing::IsaCapGuard;
 
 /// Every ISA cap, each with its own int16 micro-kernel: scalar, vpmaddwd
 /// on ymm, vpmaddwd + vpaddd on zmm, vpdpwssd. A cap above the host's

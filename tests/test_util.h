@@ -1,5 +1,6 @@
-// Shared helpers for the test suite: deterministic tensor builders and
-// central-difference gradient checking for modules and losses.
+// Shared helpers for the test suite: deterministic tensor builders,
+// central-difference gradient checking for modules and losses, and a guard
+// for the ISA cap.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,9 +10,17 @@
 
 #include "nn/module.h"
 #include "tensor/tensor.h"
+#include "util/cpuinfo.h"
 #include "util/rng.h"
 
 namespace t2c::testing {
+
+/// Restores the ISA cap in force at construction on scope exit, so a test
+/// that caps the kernel rung cannot leak it (nor lift a T2C_ISA cap).
+struct IsaCapGuard {
+  util::IsaTier saved = util::cpu_isa_tier();
+  ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
+};
 
 /// Deterministic pseudo-random tensor (values in roughly [-1, 1]).
 inline Tensor random_tensor(Shape shape, std::uint64_t seed = 1,
