@@ -551,7 +551,7 @@ void LutGeluOp::compute(const ITensor& x, ITensor& out) const {
   // integers (a negative numerator clamps to index 0 either way).
   const std::int64_t h2 = index_step_ / 2;
   const bool exact = gelu_window_exact(in_min_, in_max_, index_step_);
-  const bool vec = exact && vit_avx512();
+  [[maybe_unused]] const bool vec = exact && vit_avx512();
   const ExactDiv div(exact ? index_step_ : 1);
   par::parallel_for(
       0, x.numel(), kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
@@ -617,7 +617,7 @@ void IntLayerNormOp::run_into(const std::vector<const ITensor*>& ins,
   const std::int64_t half2f = std::int64_t{1} << (2 * f - 1);
   const LnRows k{gamma_fx_.data(), beta_fx_.data(), d, f, half2f,
                  out_min_, out_max_};
-  const bool vec = vit_avx512();
+  [[maybe_unused]] const bool vec = vit_avx512();
   // Every row's statistics come from that row alone, so the row sweep
   // parallelizes without touching the accumulation order.
   par::parallel_for(
@@ -1168,7 +1168,7 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
                    p_.ctx_mul,
                    p_.ctx_min,
                    p_.ctx_max};
-  const bool vec = vit_avx512();
+  [[maybe_unused]] const bool vec = vit_avx512();
   std::int16_t* ctx = grown(vit_scratch().ctx, n * t * d);
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
     VitScratch& ws = vit_scratch();
