@@ -1,8 +1,8 @@
 // Masked eight-lane helpers shared by the AVX-512 kernels of the int8 GEMM
 // writeback (tensor/int8_gemm.cpp), the deploy ops (deploy/int_ops.cpp) and
-// the ViT ops (deploy/vit_ops.cpp). Internal to those sources: every
-// function carries its own target attribute, so including the header
-// enables no ISA; the caller picks the rung through util::cpu_isa_tier().
+// the ViT ops (deploy/vit_ops.cpp). Internal to those sources. The stores
+// carry their own target attribute, so including the header enables no
+// ISA; the caller picks the rung through util::cpu_isa_tier().
 #pragma once
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
