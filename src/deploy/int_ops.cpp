@@ -15,6 +15,7 @@
 #include "tensor/matmul.h"
 #include "util/cpuinfo.h"
 #include "util/textio.h"
+#include "xport/writers.h"
 
 namespace t2c {
 
@@ -350,8 +351,13 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
 IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
     : weight_(std::move(weight)), spec_(spec) {
   spec_.validate();
-  check(weight_.rank() == 4 && weight_.size(0) == spec_.out_channels,
-        "IntConv2dOp: weight shape mismatch");
+  // pack_weights() and the kernels size their weight reads from the spec.
+  const Shape want = {spec_.out_channels, spec_.in_channels / spec_.groups,
+                      spec_.kernel, spec_.kernel};
+  if (weight_.shape() != want) {
+    fail("IntConv2dOp: weight " + shape_str(weight_.shape()) +
+         " is not [OC, IC/groups, K, K] = " + shape_str(want));
+  }
   facts_ = WeightFacts::scan(weight_);
 }
 
@@ -687,11 +693,13 @@ void MulQuantOp::save_params(std::string& out) const {
 void IntConv2dOp::save_params(std::string& out) const {
   textio::put_line(out, {spec_.in_channels, spec_.out_channels, spec_.kernel,
                          spec_.stride, spec_.padding, spec_.groups});
-  textio::put_tensor(out, weight_.shape(), weight_.vec());
+  textio::put_tensor(out, weight_.shape(), weight_.vec(),
+                     required_word_bits(facts_.lo, facts_.hi));
 }
 
 void IntLinearOp::save_params(std::string& out) const {
-  textio::put_tensor(out, weight_.shape(), weight_.vec());
+  textio::put_tensor(out, weight_.shape(), weight_.vec(),
+                     required_word_bits(facts_.lo, facts_.hi));
 }
 
 void IntAddOp::save_params(std::string& out) const {

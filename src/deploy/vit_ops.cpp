@@ -21,6 +21,7 @@
 #include "tensor/avx512_lanes.h"
 #include "util/cpuinfo.h"
 #include "util/textio.h"
+#include "xport/writers.h"
 
 namespace t2c {
 
@@ -677,6 +678,14 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
             p_.proj_bias.size() == p_.proj_mul.size(),
         "IntAttentionOp: proj requant arity mismatch");
   check(!p_.softmax_lut.empty(), "IntAttentionOp: missing softmax LUT");
+  // The softmax indexes its LUT at (logit_mul · diff + half) >> f with
+  // diff >= 0, and the requants shift by f - 1 and f + bias_frac - 1: the
+  // ranges MulQuantOp accepts, with f >= 1.
+  check(p_.logit_mul >= 0, "IntAttentionOp: negative logit_mul");
+  check(p_.frac_bits >= 1 && p_.frac_bits < 31,
+        "IntAttentionOp: frac_bits outside [1, 31)");
+  check(p_.bias_frac >= 0 && p_.bias_frac <= 16,
+        "IntAttentionOp: bias_frac outside [0, 16]");
   num_max_ = softmax_num_max(p_.softmax_lut, p_.p_qmax);
   wqkv_facts_ = WeightFacts::scan(p_.wqkv);
   wproj_facts_ = WeightFacts::scan(p_.wproj);
@@ -1225,11 +1234,13 @@ void IntAttentionOp::save_params(std::string& out) const {
   textio::put_line(out, {p_.heads, p_.frac_bits, p_.bias_frac, p_.stream_min,
                          p_.stream_max, p_.logit_mul, p_.p_qmax, p_.ctx_mul,
                          p_.ctx_min, p_.ctx_max, p_.out_min, p_.out_max});
-  textio::put_tensor(out, p_.wqkv.shape(), p_.wqkv.vec());
+  textio::put_tensor(out, p_.wqkv.shape(), p_.wqkv.vec(),
+                     required_word_bits(wqkv_facts_.lo, wqkv_facts_.hi));
   textio::put_vec(out, p_.qkv_mul);
   textio::put_vec(out, p_.qkv_bias);
   textio::put_vec(out, p_.softmax_lut);
-  textio::put_tensor(out, p_.wproj.shape(), p_.wproj.vec());
+  textio::put_tensor(out, p_.wproj.shape(), p_.wproj.vec(),
+                     required_word_bits(wproj_facts_.lo, wproj_facts_.hi));
   textio::put_vec(out, p_.proj_mul);
   textio::put_vec(out, p_.proj_bias);
 }

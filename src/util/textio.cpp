@@ -1,6 +1,8 @@
 #include "util/textio.h"
 
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -18,6 +20,36 @@ bool is_space(char c) {
 
 bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
+// Block bodies are copied to and from int8/16/32/64 with memcpy, which is
+// the format's little-endian layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint blocks assume a little-endian host");
+
+constexpr std::uint64_t kSumSeed = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kSumMul = 0xBF58476D1CE4E5B9ULL;  // odd
+constexpr int kSumDigits = 16;
+
+/// Stores each value as an Int into `dst`; false when one does not fit.
+template <typename Int>
+bool narrow(const std::int64_t* src, std::size_t n, char* dst) {
+  bool fits = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<Int>(src[i]);
+    fits &= v == src[i];
+    std::memcpy(dst + i * sizeof(Int), &v, sizeof(Int));
+  }
+  return fits;
+}
+
+template <typename Int>
+void widen(const char* src, std::size_t n, std::int64_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    Int v = 0;
+    std::memcpy(&v, src + i * sizeof(Int), sizeof(Int));
+    dst[i] = v;
+  }
+}
+
 }  // namespace
 
 void put_int(std::string& out, std::int64_t v) {
@@ -34,17 +66,6 @@ void put_float(std::string& out, float v) {
   out.append(buf, res.ptr);
 }
 
-void put_hex(std::string& out, std::uint64_t raw, int digits) {
-  char buf[16];
-  int n = 0;
-  do {
-    buf[n++] = "0123456789ABCDEF"[raw & 0xFU];
-    raw >>= 4;
-  } while (raw != 0);
-  if (digits > n) out.append(static_cast<std::size_t>(digits - n), '0');
-  while (n > 0) out += buf[--n];
-}
-
 void put_line(std::string& out, std::initializer_list<std::int64_t> vals) {
   const char* sep = "";
   for (const std::int64_t v : vals) {
@@ -56,12 +77,43 @@ void put_line(std::string& out, std::initializer_list<std::int64_t> vals) {
 }
 
 void put_tensor(std::string& out, const std::vector<std::int64_t>& shape,
-                const std::vector<std::int64_t>& data) {
+                const std::vector<std::int64_t>& data, int bits) {
+  check(bits >= 1 && bits <= 64, "put_tensor: bits outside [1, 64]");
+  const int width = bits <= 8 ? 1 : bits <= 16 ? 2 : bits <= 32 ? 4 : 8;
   put_vec(out, shape);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    put_int(out, data[i]);
-    out += i + 1 == data.size() ? '\n' : ' ';
+  out += static_cast<char>('0' + width);
+  out += ' ';
+  const std::size_t sum_at = out.size();
+  out.append(kSumDigits, '0');
+  out += '\n';
+  const std::size_t body_at = out.size();
+  const std::size_t bytes = data.size() * static_cast<std::size_t>(width);
+  out.resize(body_at + bytes + 1);
+  char* body = out.data() + body_at;
+  const bool fits =
+      width == 1   ? narrow<std::int8_t>(data.data(), data.size(), body)
+      : width == 2 ? narrow<std::int16_t>(data.data(), data.size(), body)
+      : width == 4 ? narrow<std::int32_t>(data.data(), data.size(), body)
+                   : narrow<std::int64_t>(data.data(), data.size(), body);
+  check(fits, "put_tensor: a value is wider than the given bits");
+  body[bytes] = '\n';
+  put_hex(out.data() + sum_at, block_checksum(body, bytes), kSumDigits);
+}
+
+std::uint64_t block_checksum(const char* body, std::size_t bytes) {
+  std::uint64_t h = kSumSeed;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, body + i, 8);
+    h = (h ^ w) * kSumMul;
   }
+  if (i < bytes) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, body + i, bytes - i);
+    h = (h ^ w) * kSumMul;
+  }
+  return h;
 }
 
 std::string read_file(const std::string& path, const char* who) {
@@ -92,15 +144,18 @@ Reader Reader::from_file(const std::string& path, const char* who) {
   return Reader(read_file(path, who), std::string(who) + " " + path);
 }
 
-void Reader::fail(const char* field, const std::string& what) const {
+void Reader::fail_at(std::size_t at, const std::string& field,
+                     const std::string& what) const {
   std::string msg = name_ + ": '" + field + "' at byte " +
-                    std::to_string(pos_) + ": " + what;
-  std::size_t end = pos_;
-  while (end < text_.size() && end - pos_ < 16 && !is_space(text_[end])) {
+                    std::to_string(at) + ": " + what;
+  // Printable characters only: the offset may lie inside a binary block.
+  std::size_t end = at;
+  while (end < text_.size() && end - at < 16 && text_[end] > ' ' &&
+         text_[end] < 0x7F) {
     ++end;
   }
-  if (end > pos_) msg += ", got '" + text_.substr(pos_, end - pos_) + "'";
-  t2c::fail(msg);
+  if (end > at) msg += ", got '" + text_.substr(at, end - at) + "'";
+  throw ParseError("t2c: " + msg);
 }
 
 void Reader::skip_ws() {
@@ -243,6 +298,59 @@ std::vector<std::int64_t> Reader::values(
   }
   std::vector<std::int64_t> data(static_cast<std::size_t>(numel));
   for (std::int64_t& x : data) x = i64(field);
+  return data;
+}
+
+std::vector<std::int64_t> Reader::block(
+    const std::vector<std::int64_t>& shape, const char* field) {
+  skip_ws();
+  const std::size_t start = pos_;
+  const int width = i32(field);
+  if (width != 1 && width != 2 && width != 4 && width != 8) {
+    pos_ = start;
+    fail(field, "block width must be 1, 2, 4 or 8");
+  }
+  skip_ws();
+  const std::size_t sum_at = pos_;
+  const std::uint64_t sum = hex(field);
+  if (pos_ == text_.size() || text_[pos_] != '\n') {
+    fail(field, "expected a newline after the block checksum");
+  }
+  ++pos_;
+  // The body and its newline must fit in the bytes left.
+  const auto left = static_cast<std::int64_t>(text_.size() - pos_);
+  const std::int64_t numel =
+      left < 1 ? -1 : bounded_numel(shape, (left - 1) / width);
+  if (numel < 0) {
+    pos_ = start;
+    fail(field, "shape is negative or its block exceeds the rest of the file");
+  }
+  const auto n = static_cast<std::size_t>(numel);
+  const std::size_t bytes = n * static_cast<std::size_t>(width);
+  const char* body = text_.data() + pos_;
+  if (body[bytes] != '\n') {
+    pos_ += bytes;
+    fail(field, "expected a newline after the block body");
+  }
+  if (block_checksum(body, bytes) != sum) {
+    pos_ = sum_at;
+    fail(field, "block checksum mismatch");
+  }
+  std::vector<std::int64_t> data(n);
+  switch (width) {
+    case 1:
+      widen<std::int8_t>(body, n, data.data());
+      break;
+    case 2:
+      widen<std::int16_t>(body, n, data.data());
+      break;
+    case 4:
+      widen<std::int32_t>(body, n, data.data());
+      break;
+    default:
+      widen<std::int64_t>(body, n, data.data());
+  }
+  pos_ += bytes + 1;
   return data;
 }
 

@@ -1,17 +1,20 @@
-// Buffered text codec for every text artifact the toolkit writes or reads:
+// Buffered codec for every export artifact the toolkit writes or reads:
 // the integer checkpoint (xport/checkpoint.h), the $readmemh hex images and
 // decimal dumps (xport/writers.h), and pass_dedup's parameter fingerprints.
 //
 // Writing appends to a std::string with std::to_chars — no locale, no
 // stream state, no per-element allocation — and produces exactly the
 // characters the classic iostream expressions produced (tests/test_textio
-// pins this), so the on-disk formats are unchanged.
+// pins this). The one binary part is the checkpoint's tensor block
+// (put_tensor / Reader::block): a tensor body stored at the narrowest of
+// 1, 2, 4 or 8 bytes per element, little-endian two's complement, under a
+// 64-bit checksum.
 //
 // Reading holds the whole file in memory and walks it with a cursor that
 // parses through std::from_chars. Every read is checked; a failure throws
 // t2c::Error naming the file, the field and the byte offset, e.g.
 //   t2c: load_checkpoint model.t2c: 'IntConv2d weight' at byte 5123:
-//   expected an integer, got 'q7'
+//   block checksum mismatch, got '9F02C4A51B7E33D0'
 // The message is only built on failure. Element counts are bounded by the
 // bytes left in the text before anything is allocated, so a corrupted
 // size field cannot trigger a huge allocation.
@@ -23,7 +26,15 @@
 #include <string_view>
 #include <vector>
 
+#include "util/check.h"
+
 namespace t2c::textio {
+
+/// What Reader throws: a field that failed to parse, with its byte offset.
+class ParseError : public Error {
+ public:
+  using Error::Error;
+};
 
 // ---- writing ----
 
@@ -32,10 +43,16 @@ void put_int(std::string& out, std::int64_t v);
 /// `%.9g` (max_digits10 for float): the text of
 /// `os << std::setprecision(9) << v`; round-trips bit-exactly.
 void put_float(std::string& out, float v);
-/// `raw` in upper-case hex, zero-padded to at least `digits` characters.
-void put_hex(std::string& out, std::uint64_t raw, int digits);
 /// Space-separated integers ending in '\n' (a lone '\n' when empty).
 void put_line(std::string& out, std::initializer_list<std::int64_t> vals);
+/// The low 4 · `digits` bits of `raw` as exactly `digits` upper-case hex
+/// characters at `dst` (zero-padded; higher bits are dropped).
+inline void put_hex(char* dst, std::uint64_t raw, int digits) {
+  for (int d = digits - 1; d >= 0; --d) {
+    dst[d] = "0123456789ABCDEF"[raw & 0xFU];
+    raw >>= 4;
+  }
+}
 
 /// Checkpoint vector field: "n v0 v1 ...\n".
 template <typename Int>
@@ -49,9 +66,19 @@ void put_vec(std::string& out, const std::vector<Int>& v) {
 }
 
 /// Checkpoint tensor field: the shape as a vector field ("rank d0 d1
-/// ...\n"), then "v0 v1 ...\n" (no data line when `data` is empty).
+/// ...\n"), then the block "<width> <checksum>\n", data.size() × width
+/// body bytes and "\n". `bits` is the two's-complement width the values
+/// need (xport's required_word_bits of their range); width is the
+/// narrowest of 1, 2, 4 and 8 bytes that holds it, and every value must
+/// fit (checked). The checksum is block_checksum of the body as 16
+/// upper-case hex digits.
 void put_tensor(std::string& out, const std::vector<std::int64_t>& shape,
-                const std::vector<std::int64_t>& data);
+                const std::vector<std::int64_t>& data, int bits);
+
+/// 64-bit checksum of a block body: h = (h ^ w) · odd constant over its
+/// little-endian 8-byte words, the last one zero-padded. Each step is a
+/// bijection of w and of h, so changing any one byte changes the result.
+std::uint64_t block_checksum(const char* body, std::size_t bytes);
 
 // ---- whole-file I/O ----
 
@@ -111,6 +138,13 @@ class Reader {
   /// non-negative and the product must fit in the rest of the text.
   std::vector<std::int64_t> values(const std::vector<std::int64_t>& shape,
                                    const char* field);
+  /// The put_tensor block that follows a shape line, sign-extended to
+  /// int64. The width, the body's length against the bytes left, its
+  /// trailing newline and its checksum are checked before anything is
+  /// allocated; exactly one newline separates the header from the body,
+  /// whose bytes may themselves be blanks or newlines.
+  std::vector<std::int64_t> block(const std::vector<std::int64_t>& shape,
+                                  const char* field);
 
   /// Skips blanks on the current line; true when a token follows on it.
   bool more_on_line();
@@ -121,9 +155,17 @@ class Reader {
   /// Skips all whitespace; true when the text is exhausted.
   bool done();
 
+  /// Byte offset of the cursor.
+  std::size_t offset() const { return pos_; }
+
   /// Throws t2c::Error "<name>: '<field>' at byte <offset>: <what>, got
-  /// '<text at the offset>'".
-  [[noreturn]] void fail(const char* field, const std::string& what) const;
+  /// '<printable text at the offset>'".
+  [[noreturn]] void fail(const char* field, const std::string& what) const {
+    fail_at(pos_, field, what);
+  }
+  /// fail() at byte `at` rather than at the cursor.
+  [[noreturn]] void fail_at(std::size_t at, const std::string& field,
+                            const std::string& what) const;
 
  private:
   void skip_ws();

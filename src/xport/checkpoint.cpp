@@ -8,7 +8,9 @@ namespace t2c {
 
 namespace {
 
-constexpr const char* kHeader = "T2C-DEPLOY-V1";
+constexpr const char* kHeader = "T2C-DEPLOY-V2";
+// V1 stored tensor bodies as decimal text; it is read, never written.
+constexpr const char* kHeaderV1 = "T2C-DEPLOY-V1";
 
 std::string escape_token(const std::string& s) {
   if (s.empty()) return "-";
@@ -23,15 +25,17 @@ std::string unescape_token(std::string_view s) {
   return s == "-" ? std::string() : std::string(s);
 }
 
-ITensor read_tensor(textio::Reader& r, const char* field) {
+ITensor read_tensor(textio::Reader& r, const char* field, bool v1) {
   Shape shape = r.shape(field);
-  std::vector<std::int64_t> data = r.values(shape, field);
+  std::vector<std::int64_t> data =
+      v1 ? r.values(shape, field) : r.block(shape, field);
   return ITensor::from(std::move(shape), std::move(data));
 }
 
 // Fields are read one statement at a time: the order of evaluation of
 // function arguments is unspecified, the order of the file is not.
-std::unique_ptr<DeployOp> load_op(std::string_view kind, textio::Reader& r) {
+std::unique_ptr<DeployOp> load_op(std::string_view kind, textio::Reader& r,
+                                  bool v1) {
   if (kind == "MulQuant") {
     const std::int64_t lo = r.i64("MulQuant out_min");
     const std::int64_t hi = r.i64("MulQuant out_max");
@@ -55,11 +59,12 @@ std::unique_ptr<DeployOp> load_op(std::string_view kind, textio::Reader& r) {
     spec.stride = r.i32("IntConv2d stride");
     spec.padding = r.i32("IntConv2d padding");
     spec.groups = r.i32("IntConv2d groups");
-    ITensor w = read_tensor(r, "IntConv2d weight");
+    ITensor w = read_tensor(r, "IntConv2d weight", v1);
     return std::make_unique<IntConv2dOp>(std::move(w), spec);
   }
   if (kind == "IntLinear") {
-    return std::make_unique<IntLinearOp>(read_tensor(r, "IntLinear weight"));
+    return std::make_unique<IntLinearOp>(
+        read_tensor(r, "IntLinear weight", v1));
   }
   if (kind == "IntAdd") {
     const std::int64_t lo = r.i64("IntAdd out_min");
@@ -130,11 +135,11 @@ std::unique_ptr<DeployOp> load_op(std::string_view kind, textio::Reader& r) {
     p.ctx_max = r.i64("IntAttention ctx_max");
     p.out_min = r.i64("IntAttention out_min");
     p.out_max = r.i64("IntAttention out_max");
-    p.wqkv = read_tensor(r, "IntAttention wqkv");
+    p.wqkv = read_tensor(r, "IntAttention wqkv", v1);
     p.qkv_mul = r.vec<std::int64_t>("IntAttention qkv_mul");
     p.qkv_bias = r.vec<std::int64_t>("IntAttention qkv_bias");
     p.softmax_lut = r.vec<std::int64_t>("IntAttention softmax_lut");
-    p.wproj = read_tensor(r, "IntAttention wproj");
+    p.wproj = read_tensor(r, "IntAttention wproj", v1);
     p.proj_mul = r.vec<std::int64_t>("IntAttention proj_mul");
     p.proj_bias = r.vec<std::int64_t>("IntAttention proj_bias");
     return std::make_unique<IntAttentionOp>(std::move(p));
@@ -191,10 +196,12 @@ DeployModel load_checkpoint(const std::string& path) {
   // Every field the writer emits is followed by a separator and the file
   // ends in a newline; without it, the last number may have been cut.
   if (text.empty() || text.back() != '\n') {
-    fail("load_checkpoint " + path + ": truncated (no final newline)");
+    fail("load_checkpoint " + path + ": 'end of file' at byte " +
+         std::to_string(text.size()) + ": truncated (no final newline)");
   }
   textio::Reader r(std::move(text), "load_checkpoint " + path);
-  r.expect(kHeader);
+  const bool v1 = r.next_is(kHeaderV1);
+  r.expect(v1 ? kHeaderV1 : kHeader);
 
   DeployModel dm;
   r.expect("input");
@@ -204,18 +211,32 @@ DeployModel load_checkpoint(const std::string& path) {
   dm.input_qmax = r.i64("input qmax");
   r.expect("output");
   dm.output_scale = r.f32("output scale");
+  r.more_on_line();
+  const std::size_t out_at = r.offset();
   const int out_id = r.i32("output id");
   r.expect("ops");
   const std::size_t n = r.count("ops");
   for (std::size_t i = 0; i < n; ++i) {
     r.expect("op");
+    const std::size_t at = r.offset();
     const std::string_view kind = r.token("op kind");
     const std::string_view label = r.token("op label");
     std::vector<int> inputs = r.vec<int>("op inputs");
-    auto op = load_op(kind, r);
-    op->inputs = std::move(inputs);
-    op->label = unescape_token(label);
-    const int id = dm.add_op(std::move(op));
+    int id = 0;
+    try {
+      auto op = load_op(kind, r, v1);
+      op->inputs = std::move(inputs);
+      op->label = unescape_token(label);
+      id = dm.add_op(std::move(op));
+    } catch (const textio::ParseError&) {
+      throw;
+    } catch (const Error& e) {
+      // Every field parsed, but the op's constructor or the graph rejects
+      // them together: report it at the op.
+      std::string_view why = e.what();
+      if (why.starts_with("t2c: ")) why.remove_prefix(5);
+      r.fail_at(at, std::string(kind), std::string(why));
+    }
     // Optional audit metadata line (absent in pre-audit checkpoints).
     if (r.next_is("audit")) {
       r.expect("audit");
@@ -228,6 +249,9 @@ DeployModel load_checkpoint(const std::string& path) {
     }
   }
   if (!r.done()) r.fail("end of file", "unexpected data after the last op");
+  if (out_id < 0 || static_cast<std::size_t>(out_id) > n) {
+    r.fail_at(out_at, "output id", "names no value of the graph");
+  }
   dm.set_output(out_id);
   return dm;
 }

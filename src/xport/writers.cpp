@@ -68,17 +68,22 @@ void write_hex(const std::string& path, const ITensor& t, int word_bits) {
   const int digits = (word_bits + 3) / 4;
   const std::uint64_t mask = (std::uint64_t{1} << word_bits) - 1;
   std::string out;
-  out.reserve(static_cast<std::size_t>(t.numel()) * (digits + 1) + 64);
   put_shape_line(out, t, "//");
   out += "// word_bits ";
   textio::put_line(out, {word_bits});
+  // Every word is `digits` upper-case hex characters and a newline: a
+  // value that fits word_bits needs no more digits than that.
+  const std::size_t header = out.size();
+  out.resize(header + static_cast<std::size_t>(t.numel()) * (digits + 1));
+  char* line = out.data() + header;
   for (std::int64_t i = 0; i < t.numel(); ++i) {
     if (t[i] < lo || t[i] > hi) {
       fail("write_hex: value does not fit in " + std::to_string(word_bits) +
            " bits");
     }
-    textio::put_hex(out, static_cast<std::uint64_t>(t[i]) & mask, digits);
-    out += '\n';
+    textio::put_hex(line, static_cast<std::uint64_t>(t[i]) & mask, digits);
+    line[digits] = '\n';
+    line += digits + 1;
   }
   textio::write_file(path, out, "write_hex");
 }

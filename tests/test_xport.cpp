@@ -5,21 +5,25 @@
 // precisely what an RTL testbench consumes and checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string_view>
 
 #include "audit/dualpath_audit.h"
 #include "core/registry.h"
 #include "core/t2c.h"
+#include "deploy/exec_plan.h"
 #include "deploy/int_ops.h"
 #include "deploy/passes.h"
 #include "fusion/mulquant.h"
 #include "models/models.h"
 #include "obs/capture.h"
 #include "test_util.h"
+#include "util/textio.h"
 #include "xport/checkpoint.h"
 #include "xport/writers.h"
 
@@ -234,11 +238,161 @@ std::string read_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+std::vector<std::string_view> split_ws(std::string_view s) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (true) {
+    i = s.find_first_not_of(" \n", i);
+    if (i == std::string_view::npos) return out;
+    const std::size_t j = std::min(s.find_first_of(" \n", i), s.size());
+    out.push_back(s.substr(i, j - i));
+    i = j;
+  }
+}
+
+bool parse_int(std::string_view tok, std::int64_t& v) {
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  return ec == std::errc() && ptr == tok.data() + tok.size();
+}
+
+bool numeric(std::string_view tok) {
+  return tok.find_first_not_of("0123456789-.e") == std::string_view::npos &&
+         tok.find_first_of("0123456789") != std::string_view::npos;
+}
+
+/// The element count of a plausible shape line "rank d0 d1 ...", else -1.
+std::int64_t shape_line_numel(std::string_view line) {
+  const auto toks = split_ws(line);
+  std::int64_t rank = 0;
+  if (toks.empty() || !parse_int(toks[0], rank) || rank < 1 || rank > 8 ||
+      rank + 1 != static_cast<std::int64_t>(toks.size())) {
+    return -1;
+  }
+  std::int64_t numel = 1;
+  for (std::size_t d = 1; d < toks.size(); ++d) {
+    std::int64_t dim = 0;
+    if (!parse_int(toks[d], dim) || dim < 0 || dim >= (1 << 20) ||
+        numel >= (1 << 30)) {
+      return -1;
+    }
+    numel *= dim;
+  }
+  return numel;
+}
+
+/// One tensor block of a V2 checkpoint, as offsets into the file.
+struct Block {
+  std::size_t shape = 0;   ///< start of its shape line
+  std::size_t header = 0;  ///< start of its "<width> <checksum>" line
+  std::size_t body = 0;    ///< first body byte
+  std::size_t bytes = 0;   ///< numel × width; the body's newline follows
+  int width = 0;
+};
+
+/// The blocks of a V2 checkpoint. Body bytes may be newlines, so the walk
+/// goes line by line and jumps over a body once a line "<w> <16 hex
+/// digits>" after a shape line heads a body that ends in a newline and
+/// matches its checksum.
+std::vector<Block> blocks_of(const std::string& v2) {
+  std::vector<Block> out;
+  std::size_t prev = std::string::npos;  // start of the previous line
+  for (std::size_t pos = 0; pos < v2.size();) {
+    const std::size_t eol = std::min(v2.find('\n', pos), v2.size());
+    const std::string_view line(v2.data() + pos, eol - pos);
+    const std::int64_t numel =
+        prev == std::string::npos
+            ? -1
+            : shape_line_numel(std::string_view(v2).substr(prev, pos - prev));
+    std::uint64_t sum = 0;
+    if (numel >= 0 && line.size() == 18 && (line[0] == '1' ||
+        line[0] == '2' || line[0] == '4' || line[0] == '8') &&
+        line[1] == ' ' &&
+        std::from_chars(line.data() + 2, line.data() + 18, sum, 16).ptr ==
+            line.data() + 18) {
+      Block b;
+      b.shape = prev;
+      b.header = pos;
+      b.body = eol + 1;
+      b.width = line[0] - '0';
+      b.bytes = static_cast<std::size_t>(numel * b.width);
+      if (b.body + b.bytes < v2.size() && v2[b.body + b.bytes] == '\n' &&
+          textio::block_checksum(v2.data() + b.body, b.bytes) == sum) {
+        out.push_back(b);
+        pos = b.body + b.bytes + 1;
+        prev = std::string::npos;
+        continue;
+      }
+    }
+    prev = pos;
+    pos = eol + 1;
+  }
+  return out;
+}
+
+/// Body element `i` of a block: little-endian two's complement, assembled
+/// byte by byte and sign-extended.
+std::int64_t block_value(const std::string& v2, const Block& b,
+                         std::size_t i) {
+  std::uint64_t u = 0;
+  for (int k = b.width - 1; k >= 0; --k) {
+    u = (u << 8) | static_cast<unsigned char>(
+                       v2[b.body + i * static_cast<std::size_t>(b.width) +
+                          static_cast<std::size_t>(k)]);
+  }
+  const int shift = 64 - 8 * b.width;
+  return static_cast<std::int64_t>(u << shift) >> shift;
+}
+
+/// The V1 rendering of a V2 checkpoint: the V1 header, and each block
+/// decoded into the decimal data line V1 wrote (none for an empty tensor).
+std::string to_v1(const std::string& v2) {
+  const std::string_view header = "T2C-DEPLOY-V2\n";
+  EXPECT_EQ(v2.compare(0, header.size(), header), 0);
+  std::string out = "T2C-DEPLOY-V1\n";
+  std::size_t at = header.size();
+  for (const Block& b : blocks_of(v2)) {
+    out.append(v2, at, b.header - at);
+    const std::size_t n = b.bytes / static_cast<std::size_t>(b.width);
+    for (std::size_t i = 0; i < n; ++i) {
+      textio::put_int(out, block_value(v2, b, i));
+      out += i + 1 == n ? '\n' : ' ';
+    }
+    at = b.body + b.bytes + 1;
+  }
+  out.append(v2, at);
+  return out;
+}
+
+/// The lines of a checkpoint, block bodies left out.
+std::vector<std::string_view> text_lines(const std::string& full,
+                                         const std::vector<Block>& blocks) {
+  std::vector<std::string_view> ls;
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < full.size();) {
+    if (b < blocks.size() && i == blocks[b].body) {
+      i += blocks[b++].bytes + 1;
+      continue;
+    }
+    const std::size_t j = full.find('\n', i);
+    ls.emplace_back(full.data() + i, j - i);
+    i = j + 1;
+  }
+  return ls;
+}
+
 /// Checkpoints of a trained ResNet-20 and a trained ViT, written once and
-/// shared by the round-trip and corruption tests (training dominates).
+/// shared by the round-trip and corruption tests (training dominates),
+/// with their V1 renderings.
 struct CheckpointCorpus {
   std::string cnn;
   std::string vit;
+  std::string cnn_v1;
+  std::string vit_v1;
 };
 
 const CheckpointCorpus& corpus() {
@@ -265,164 +419,330 @@ const CheckpointCorpus& corpus() {
     auto vit = make_vit(mc);
     make_trainer("qat", *vit, data, o)->fit();
     freeze_quantizers(*vit);
-    CheckpointCorpus out{tmp_path("corpus_cnn.t2c"), tmp_path("corpus_vit.t2c")};
+    CheckpointCorpus out{tmp_path("corpus_cnn.t2c"), tmp_path("corpus_vit.t2c"),
+                         tmp_path("corpus_cnn_v1.t2c"),
+                         tmp_path("corpus_vit_v1.t2c")};
     save_checkpoint(conv.convert(*cnn), out.cnn);
     save_checkpoint(conv.convert(*vit), out.vit);
+    write_bytes(out.cnn_v1, to_v1(read_bytes(out.cnn)));
+    write_bytes(out.vit_v1, to_v1(read_bytes(out.vit)));
     return out;
   }();
   return c;
 }
 
 TEST(TextIo, CheckpointSaveLoadSaveIsByteIdentical) {
-  for (const std::string& p : {corpus().cnn, corpus().vit}) {
-    const std::string again = p + ".again";
-    save_checkpoint(load_checkpoint(p), again);
-    EXPECT_EQ(read_bytes(again), read_bytes(p)) << p;
+  // V2 -> load -> save, and its V1 rendering -> load -> save, both give
+  // the V2 file back.
+  for (const auto& [v2, v1] : {std::pair(corpus().cnn, corpus().cnn_v1),
+                               std::pair(corpus().vit, corpus().vit_v1)}) {
+    for (const std::string& p : {v2, v1}) {
+      const std::string again = p + ".again";
+      save_checkpoint(load_checkpoint(p), again);
+      EXPECT_EQ(read_bytes(again), read_bytes(v2)) << p;
+    }
   }
 }
 
-/// Loads `text` as a checkpoint; true when it is rejected with t2c::Error.
-/// Any other exception (bad_alloc, std::length_error, ...) fails the test.
+TEST(Checkpoint, VersionOneLoadsToTheSamePlanAndOutputs) {
+  SyntheticImageDataset data(xport_spec());
+  Tensor x({4, 3, 8, 8});
+  for (int i = 0; i < 4; ++i) x.set0(i, data.test_images().select0(i));
+  for (const auto& [v2, v1] : {std::pair(corpus().cnn, corpus().cnn_v1),
+                               std::pair(corpus().vit, corpus().vit_v1)}) {
+    const std::string text = read_bytes(v2);
+    // Every weight tensor is a block (an attention op holds two), each at
+    // one byte per element for these 8-bit models.
+    const std::vector<Block> blocks = blocks_of(text);
+    std::size_t tensors = 0;
+    for (const auto& [kind, per_op] :
+         {std::pair("\nop IntConv2d ", std::size_t{1}),
+          std::pair("\nop IntLinear ", std::size_t{1}),
+          std::pair("\nop IntAttention ", std::size_t{2})}) {
+      for (std::size_t at = text.find(kind); at != std::string::npos;
+           at = text.find(kind, at + 1)) {
+        tensors += per_op;
+      }
+    }
+    EXPECT_EQ(blocks.size(), tensors) << v2;
+    for (const Block& b : blocks) {
+      EXPECT_EQ(b.width, 1) << v2 << " block at " << b.header;
+    }
+    ASSERT_EQ(read_bytes(v1).rfind("T2C-DEPLOY-V1\n", 0), 0u);
+
+    DeployModel a = load_checkpoint(v2);
+    DeployModel b = load_checkpoint(v1);
+    EXPECT_EQ(a.plan().render(a), b.plan().render(b)) << v1;
+    const ITensor ya = a.run_int(a.quantize_input(x));
+    const ITensor yb = b.run_int(b.quantize_input(x));
+    ASSERT_TRUE(ya.same_shape(yb));
+    EXPECT_EQ(ya.vec(), yb.vec()) << v1;
+  }
+}
+
+/// Loads `text` as a checkpoint; true when it is rejected with a
+/// t2c::Error naming a field and its byte offset. Any other exception
+/// (bad_alloc, std::length_error, ...) fails the test.
 bool rejected(const std::string& text, const std::string& path) {
-  std::ofstream(path, std::ios::binary) << text;
+  write_bytes(path, text);
   try {
     (void)load_checkpoint(path);
-  } catch (const Error&) {
-    return true;
+  } catch (const Error& e) {
+    return std::string_view(e.what()).find("' at byte ") !=
+           std::string_view::npos;
   }
   return false;
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (true) {
-    i = s.find_first_not_of(" \n", i);
-    if (i == std::string_view::npos) return out;
-    const std::size_t j = std::min(s.find_first_of(" \n", i), s.size());
-    out.push_back(s.substr(i, j - i));
-    i = j;
+/// `full` with the first tensor after its first IntLinear op cut to a
+/// zero extent ([OUT, 0], no values). It still parses; building the op
+/// must reject it.
+std::string zero_extent_linear(const std::string& full,
+                               const std::vector<Block>& blocks) {
+  const std::size_t op = full.find("\nop IntLinear ");
+  EXPECT_NE(op, std::string::npos);
+  const std::size_t shape = full.find('\n', op + 1) + 1;
+  const std::size_t eol = full.find('\n', shape);
+  const std::size_t last_dim = full.rfind(' ', eol);
+  EXPECT_GT(last_dim, shape);
+  std::string zero = full.substr(shape, last_dim - shape) + " 0\n";
+  std::size_t end = full.find('\n', eol + 1) + 1;  // V1: the data line
+  for (const Block& b : blocks) {
+    if (b.shape == shape) {
+      zero.clear();
+      std::int64_t out = 0;
+      const auto dims =
+          split_ws(std::string_view(full).substr(shape, eol - shape));
+      EXPECT_TRUE(parse_int(dims[1], out));
+      textio::put_tensor(zero, {out, 0}, {}, 1);
+      end = b.body + b.bytes + 1;
+    }
   }
+  return full.substr(0, shape) + zero + full.substr(end);
 }
 
-bool parse_int(std::string_view tok, std::int64_t& v) {
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return ec == std::errc() && ptr == tok.data() + tok.size();
-}
-
-bool numeric(std::string_view tok) {
-  return tok.find_first_not_of("0123456789-.e") == std::string_view::npos &&
-         tok.find_first_of("0123456789") != std::string_view::npos;
-}
-
-TEST(Checkpoint, TruncatedAndCorruptedFilesThrow) {
+/// Mutants of a V2 file or of its V1 rendering (`blocks` empty): cuts,
+/// trailing data, a zero-extent weight, digits flipped to a letter and
+/// huge size fields. Each must be rejected with a diagnostic.
+void expect_text_mutants_rejected(const std::string& full,
+                                  const std::vector<Block>& blocks,
+                                  const std::string& tag) {
   const std::string scratch = tmp_path("mutant.t2c");
   const std::string huge = "999999999999";
-  for (const std::string& p : {corpus().vit, corpus().cnn}) {
-    const std::string full = read_bytes(p);
-    ASSERT_FALSE(rejected(full, scratch)) << p;
-    EXPECT_TRUE(rejected(full + "7\n", scratch)) << p << " trailing data";
+  ASSERT_FALSE(rejected(full, scratch)) << tag;
+  EXPECT_TRUE(rejected(full + "7\n", scratch)) << tag << " trailing data";
 
-    // ~256 prefix lengths over the file, plus every cut in the last line.
-    std::vector<std::size_t> cuts;
-    for (std::size_t k = 0; k < 256; ++k) cuts.push_back(full.size() * k / 256);
-    for (std::size_t len = full.rfind('\n', full.size() - 2);
-         len < full.size(); ++len) {
-      cuts.push_back(len);
+  // ~256 prefix lengths over the file, plus every cut in the last line.
+  std::vector<std::size_t> cuts;
+  for (std::size_t k = 0; k < 256; ++k) cuts.push_back(full.size() * k / 256);
+  for (std::size_t len = full.rfind('\n', full.size() - 2);
+       len < full.size(); ++len) {
+    cuts.push_back(len);
+  }
+  for (const std::size_t len : cuts) {
+    // Cutting exactly before a final audit line leaves a valid checkpoint:
+    // audit lines are optional.
+    if (full.compare(len, 6, "audit ") == 0 &&
+        full.find('\n', len) + 1 == full.size()) {
+      continue;
     }
-    for (const std::size_t len : cuts) {
-      // Cutting exactly before a final audit line leaves a valid checkpoint:
-      // audit lines are optional.
-      if (full.compare(len, 6, "audit ") == 0 &&
-          full.find('\n', len) + 1 == full.size()) {
-        continue;
-      }
-      EXPECT_TRUE(rejected(full.substr(0, len), scratch))
-          << p << " cut at " << len;
-    }
+    EXPECT_TRUE(rejected(full.substr(0, len), scratch))
+        << tag << " cut at " << len;
+  }
 
-    // A linear weight cut to a zero extent ([OUT, 0], no data line) still
-    // parses; building the op must reject it.
-    {
-      const std::size_t op = full.find("\nop IntLinear ");
-      ASSERT_NE(op, std::string::npos) << p;
-      const std::size_t shape = full.find('\n', op + 1) + 1;
-      const std::size_t data = full.find('\n', shape) + 1;
-      const std::size_t end = full.find('\n', data) + 1;
-      const std::size_t last_dim = full.rfind(' ', data - 1);
-      ASSERT_GT(last_dim, shape) << p;
-      const std::string mutant =
-          full.substr(0, last_dim) + " 0\n" + full.substr(end);
-      EXPECT_TRUE(rejected(mutant, scratch)) << p << " zero-extent IntLinear";
-    }
+  EXPECT_TRUE(rejected(zero_extent_linear(full, blocks), scratch))
+      << tag << " zero-extent IntLinear";
 
-    // Single digits of numeric fields flipped to a letter.
-    std::vector<std::size_t> digits;
-    for (const std::string_view tok : split_ws(full)) {
+  const std::vector<std::string_view> lines = text_lines(full, blocks);
+  const auto starts_at = [&](std::string_view line, std::size_t at) {
+    return static_cast<std::size_t>(line.data() - full.data()) == at;
+  };
+
+  // Single digits of numeric fields flipped to a letter.
+  std::vector<std::size_t> digits;
+  for (const std::string_view line : lines) {
+    for (const std::string_view tok : split_ws(line)) {
       if (!numeric(tok)) continue;
-      const std::size_t at = static_cast<std::size_t>(tok.data() - full.data());
+      const std::size_t at =
+          static_cast<std::size_t>(tok.data() - full.data());
       for (std::size_t j = 0; j < tok.size(); ++j) {
         if (tok[j] >= '0' && tok[j] <= '9') digits.push_back(at + j);
       }
     }
-    ASSERT_GT(digits.size(), 256u);
-    for (std::size_t k = 0; k < 256; ++k) {
-      std::string mutant = full;
-      const std::size_t at = digits[digits.size() * k / 256];
-      mutant[at] = 'q';
-      EXPECT_TRUE(rejected(mutant, scratch)) << p << " digit at " << at;
-    }
+  }
+  ASSERT_GT(digits.size(), 256u) << tag;
+  for (std::size_t k = 0; k < 256; ++k) {
+    std::string mutant = full;
+    const std::size_t at = digits[digits.size() * k / 256];
+    mutant[at] = 'q';
+    EXPECT_TRUE(rejected(mutant, scratch)) << tag << " digit at " << at;
+  }
 
-    // Huge size fields: the op count, each op's input count, every vector
-    // length and tensor rank, and the first dim of every tensor.
-    const std::vector<std::string_view> lines = [&] {
-      std::vector<std::string_view> ls;
-      for (std::size_t i = 0; i < full.size();) {
-        const std::size_t j = full.find('\n', i);
-        ls.emplace_back(full.data() + i, j - i);
-        i = j + 1;
-      }
-      return ls;
-    }();
-    std::size_t mutated = 0;
-    bool data_line = false;  // the line after a tensor shape holds values
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      const auto toks = split_ws(lines[li]);
-      std::vector<std::string_view> targets;
-      std::int64_t n = 0;
-      if (data_line || toks.empty()) {
-        data_line = false;
-      } else if (toks[0] == "ops" || toks[0] == "op") {
-        targets.push_back(toks[toks[0] == "ops" ? 1 : 3]);
-      } else if (parse_int(toks[0], n) &&
-                 n + 1 == static_cast<std::int64_t>(toks.size())) {
-        targets.push_back(toks[0]);
-        // A shape line: the next line holds exactly numel values.
-        std::int64_t numel = n >= 1 && n <= 8 ? 1 : -1;
-        for (std::size_t d = 1; numel > 0 && d < toks.size(); ++d) {
-          std::int64_t dim = 0;
-          const bool plausible = parse_int(toks[d], dim) && dim > 0 &&
-                                 dim < (1 << 20) && numel < (1 << 30);
-          numel = plausible ? numel * dim : -1;
-        }
-        if (numel > 0 && li + 1 < lines.size() &&
-            static_cast<std::int64_t>(split_ws(lines[li + 1]).size()) ==
-                numel) {
-          targets.push_back(toks[1]);
-          data_line = true;
-        }
-      }
-      for (const std::string_view t : targets) {
-        std::string mutant = full;
-        mutant.replace(static_cast<std::size_t>(t.data() - full.data()),
-                       t.size(), huge);
-        EXPECT_TRUE(rejected(mutant, scratch))
-            << p << " line " << li << ": " << lines[li].substr(0, 40);
-        ++mutated;
+  // Huge size fields: the op count, each op's input count, every vector
+  // length and tensor rank, and the first dim of every tensor.
+  std::size_t mutated = 0;
+  bool data_line = false;  // V1: the line after a tensor shape holds values
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const auto toks = split_ws(lines[li]);
+    const bool block_header = std::any_of(
+        blocks.begin(), blocks.end(),
+        [&](const Block& b) { return starts_at(lines[li], b.header); });
+    const bool block_shape = std::any_of(
+        blocks.begin(), blocks.end(),
+        [&](const Block& b) { return starts_at(lines[li], b.shape); });
+    std::vector<std::string_view> targets;
+    std::int64_t n = 0;
+    if (data_line || block_header || toks.empty()) {
+      data_line = false;
+    } else if (toks[0] == "ops" || toks[0] == "op") {
+      targets.push_back(toks[toks[0] == "ops" ? 1 : 3]);
+    } else if (parse_int(toks[0], n) &&
+               n + 1 == static_cast<std::int64_t>(toks.size())) {
+      targets.push_back(toks[0]);
+      // A shape line: a block (V2) or exactly numel values (V1) follow.
+      const std::int64_t numel = shape_line_numel(lines[li]);
+      if (block_shape ||
+          (blocks.empty() && numel > 0 && li + 1 < lines.size() &&
+           static_cast<std::int64_t>(split_ws(lines[li + 1]).size()) ==
+               numel)) {
+        targets.push_back(toks[1]);
+        data_line = !block_shape;
       }
     }
-    EXPECT_GT(mutated, 20u) << p;
+    for (const std::string_view t : targets) {
+      std::string mutant = full;
+      mutant.replace(static_cast<std::size_t>(t.data() - full.data()),
+                     t.size(), huge);
+      EXPECT_TRUE(rejected(mutant, scratch))
+          << tag << " line " << li << ": " << lines[li].substr(0, 40);
+      ++mutated;
+    }
+  }
+  EXPECT_GT(mutated, 20u) << tag;
+}
+
+/// Mutants of each block of a V2 file: cuts inside it, one flipped body
+/// byte (only the checksum sees it), widths the format does not have, and
+/// a first dim whose block runs just past the end of the file.
+void expect_block_mutants_rejected(const std::string& v2,
+                                   const std::vector<Block>& blocks,
+                                   const std::string& tag) {
+  const std::string scratch = tmp_path("mutant.t2c");
+  for (const Block& b : blocks) {
+    const std::string at = tag + " block at byte " + std::to_string(b.header);
+    for (const std::size_t len :
+         {b.header + 1, b.header + 10, b.body, b.body + b.bytes / 2,
+          b.body + b.bytes}) {
+      EXPECT_TRUE(rejected(v2.substr(0, len), scratch)) << at << " cut "
+                                                        << len;
+    }
+    if (b.bytes > 0) {
+      std::string flipped = v2;
+      flipped[b.body + b.bytes / 2] ^= 0x21;
+      EXPECT_TRUE(rejected(flipped, scratch)) << at << " flipped byte";
+    }
+    for (const char* w : {"0", "3", "16"}) {
+      std::string mutant = v2;
+      mutant.replace(b.header, 1, w);
+      EXPECT_TRUE(rejected(mutant, scratch)) << at << " width " << w;
+    }
+    const std::string_view shape(v2.data() + b.shape, b.header - b.shape - 1);
+    const auto dims = split_ws(shape);
+    std::int64_t first = 0;
+    ASSERT_TRUE(parse_int(dims[1], first)) << at;
+    const std::size_t row =
+        first > 0 ? b.bytes / static_cast<std::size_t>(first) : 0;
+    if (row > 0) {
+      // Every extra digit moves the body later; 32 bytes cover that.
+      const std::size_t past = (v2.size() - b.body + 32) / row + 1;
+      std::string mutant = v2;
+      mutant.replace(static_cast<std::size_t>(dims[1].data() - v2.data()),
+                     dims[1].size(), std::to_string(past));
+      EXPECT_TRUE(rejected(mutant, scratch)) << at << " first dim " << past;
+    }
+  }
+}
+
+TEST(Checkpoint, TruncatedAndCorruptedFilesThrow) {
+  for (const std::string& p : {corpus().vit, corpus().cnn}) {
+    const std::string v2 = read_bytes(p);
+    const std::vector<Block> blocks = blocks_of(v2);
+    ASSERT_GE(blocks.size(), 3u) << p;
+    expect_text_mutants_rejected(v2, blocks, p + " (V2)");
+    expect_block_mutants_rejected(v2, blocks, p);
+    expect_text_mutants_rejected(to_v1(v2), {}, p + " (V1)");
+  }
+}
+
+/// `full` with token `k` of the parameter line of its first `kind` op set
+/// to `value` (to the result of `edit` on the old token).
+std::string with_param(const std::string& full, const std::string& kind,
+                       std::size_t k,
+                       const std::function<std::string(std::int64_t)>& edit) {
+  const std::size_t op = full.find("\nop " + kind + " ");
+  EXPECT_NE(op, std::string::npos) << kind;
+  const std::size_t line = full.find('\n', op + 1) + 1;
+  const std::size_t eol = full.find('\n', line);
+  const auto toks = split_ws(std::string_view(full).substr(line, eol - line));
+  std::int64_t old = 0;
+  EXPECT_TRUE(k < toks.size() && parse_int(toks[k], old)) << kind;
+  std::string out = full;
+  out.replace(static_cast<std::size_t>(toks[k].data() - full.data()),
+              toks[k].size(), edit(old));
+  return out;
+}
+
+/// The message a checkpoint load fails with ("" when it loads).
+std::string load_error(const std::string& text) {
+  const std::string path = tmp_path("contract.t2c");
+  write_bytes(path, text);
+  try {
+    (void)load_checkpoint(path);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
+  const auto set = [](std::int64_t v) {
+    return [v](std::int64_t) { return std::to_string(v); };
+  };
+  struct Case {
+    const std::string* file;
+    const char* kind;
+    std::size_t param;
+    std::function<std::string(std::int64_t)> edit;
+    const char* names;
+  };
+  // IntConv2d params: in_channels out_channels kernel stride padding
+  // groups. IntAttention params: heads frac_bits bias_frac stream_min
+  // stream_max logit_mul ...
+  const std::vector<Case> cases = {
+      {&corpus().cnn, "IntConv2d", 2,
+       [](std::int64_t k) {
+         EXPECT_EQ(k, 3);  // the stem conv's 3x3 weights stay
+         return std::string("5");
+       },
+       "IntConv2dOp"},
+      {&corpus().cnn, "IntConv2d", 0,
+       [](std::int64_t ic) { return std::to_string(2 * ic); }, "IntConv2dOp"},
+      {&corpus().vit, "IntAttention", 5, set(-1), "IntAttentionOp"},
+      {&corpus().vit, "IntAttention", 1, set(0), "IntAttentionOp"},
+      {&corpus().vit, "IntAttention", 1, set(31), "IntAttentionOp"},
+      {&corpus().vit, "IntAttention", 2, set(-1), "IntAttentionOp"},
+      {&corpus().vit, "IntAttention", 2, set(17), "IntAttentionOp"},
+  };
+  for (const Case& c : cases) {
+    const std::string v2 = with_param(read_bytes(*c.file), c.kind, c.param,
+                                      c.edit);
+    for (const std::string& text : {v2, to_v1(v2)}) {
+      const std::string e = load_error(text);
+      const std::string tag = std::string(c.kind) + " param " +
+                              std::to_string(c.param) + ": " + e;
+      EXPECT_NE(e.find("' at byte "), std::string::npos) << tag;
+      EXPECT_NE(e.find(c.names), std::string::npos) << tag;
+    }
   }
 }
 
