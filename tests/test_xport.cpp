@@ -480,18 +480,23 @@ TEST(Checkpoint, VersionOneLoadsToTheSamePlanAndOutputs) {
   }
 }
 
-/// Loads `text` as a checkpoint; true when it is rejected with a
-/// t2c::Error naming a field and its byte offset. Any other exception
-/// (bad_alloc, std::length_error, ...) fails the test.
-bool rejected(const std::string& text, const std::string& path) {
+/// The t2c::Error message loading `text` (written to `path`) fails with,
+/// "" when it loads. Any other exception (bad_alloc, std::length_error,
+/// ...) fails the test.
+std::string load_error(const std::string& text, const std::string& path) {
   write_bytes(path, text);
   try {
     (void)load_checkpoint(path);
   } catch (const Error& e) {
-    return std::string_view(e.what()).find("' at byte ") !=
-           std::string_view::npos;
+    return e.what();
   }
-  return false;
+  return "";
+}
+
+/// True when loading `text` fails with a t2c::Error naming a field and its
+/// byte offset.
+bool rejected(const std::string& text, const std::string& path) {
+  return load_error(text, path).find("' at byte ") != std::string::npos;
 }
 
 /// `full` with the first tensor after its first IntLinear op cut to a
@@ -692,18 +697,6 @@ std::string with_param(const std::string& full, const std::string& kind,
   return out;
 }
 
-/// The message a checkpoint load fails with ("" when it loads).
-std::string load_error(const std::string& text) {
-  const std::string path = tmp_path("contract.t2c");
-  write_bytes(path, text);
-  try {
-    (void)load_checkpoint(path);
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
-
 TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
   const auto set = [](std::int64_t v) {
     return [v](std::int64_t) { return std::to_string(v); };
@@ -737,7 +730,7 @@ TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
     const std::string v2 = with_param(read_bytes(*c.file), c.kind, c.param,
                                       c.edit);
     for (const std::string& text : {v2, to_v1(v2)}) {
-      const std::string e = load_error(text);
+      const std::string e = load_error(text, tmp_path("contract.t2c"));
       const std::string tag = std::string(c.kind) + " param " +
                               std::to_string(c.param) + ": " + e;
       EXPECT_NE(e.find("' at byte "), std::string::npos) << tag;
