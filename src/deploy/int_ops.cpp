@@ -4,16 +4,11 @@
 #include <atomic>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
-
 #include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "tensor/avx512_lanes.h"
 #include "tensor/matmul.h"
-#include "util/cpuinfo.h"
+#include "tensor/requant.h"
 #include "util/textio.h"
 #include "xport/writers.h"
 
@@ -29,167 +24,65 @@ const ITensor& only_input(const std::vector<const ITensor*>& ins,
   return *ins[0];
 }
 
-std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  return std::min(hi, std::max(lo, v));
-}
-
 /// Minimum items per parallel chunk for element-wise sweeps; rows of width
 /// d use max(1, kElemGrain / d) so tiny tensors stay serial.
 constexpr std::int64_t kElemGrain = 4096;
 
-/// Saturation count of one call: each parallel body counts clips locally
-/// and adds its count once, in one relaxed atomic, as the GEMM epilogue
-/// does. Integer sums are order-independent, so the total is identical at
-/// any thread count.
-struct CallSats {
-  std::atomic<std::int64_t> n{0};
-  void add(std::int64_t sat) {
-    if (sat != 0) n.fetch_add(sat, std::memory_order_relaxed);
-  }
-  std::int64_t total() const { return n.load(std::memory_order_relaxed); }
-};
-
-/// Clips to a zero lower bound are ReLU semantics, not saturation — only a
-/// nonzero floor counts as a clipped value on the low side.
-bool is_clip(std::int64_t y, std::int64_t lo, std::int64_t hi) {
-  return y > hi || (lo != 0 && y < lo);
+/// True while ops count saturation: metrics or telemetry is on.
+bool counting_sats() {
+  return obs::metrics_enabled() || obs::telemetry_enabled();
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define T2C_MQ_AVX512 1
+#if T2C_AVX512_LANES
 // GCC 12's inliner trips -Wmaybe-uninitialized on the _mm*_maskz_*
 // builtins; the masked-lane zeroing is architectural, so it is a false
 // positive (same note as tensor/int8_gemm.cpp).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-/// AVX-512 sweep of the MulQuant datapath over a contiguous span with one
-/// requant entry (per-tensor, or one channel's plane). vpmullq / vpsravq /
-/// min / max have the exact 64-bit wrap semantics of the scalar
-/// expression, so bits and clip counts match MulQuantOp::compute verbatim.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void mq_span_avx512(
-    const std::int64_t* x, std::int64_t* out, std::int64_t len,
-    std::int64_t mul, std::int64_t bias, int bias_frac, int f,
-    std::int64_t lo, std::int64_t hi, bool count, std::int64_t& sat) {
-  const __m512i vmul = _mm512_set1_epi64(mul);
-  const __m512i vbias = _mm512_set1_epi64(bias);
-  const __m512i vhalf =
-      _mm512_set1_epi64(f > 0 ? (std::int64_t{1} << (f - 1)) : 0);
-  const __m512i vf = _mm512_set1_epi64(f);
-  const __m512i vlo = _mm512_set1_epi64(lo);
-  const __m512i vhi = _mm512_set1_epi64(hi);
-  const bool check_lo = lo != 0;
-  for (std::int64_t i = 0; i < len; i += 8) {
-    const __mmask8 m = avx512::tail8(len - i);
-    const __m512i v = _mm512_maskz_loadu_epi64(m, x + i);
-    const __m512i t = _mm512_add_epi64(
-        _mm512_slli_epi64(v, static_cast<unsigned>(bias_frac)), vbias);
-    const __m512i y = _mm512_srav_epi64(
-        _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
-    if (count) {
-      __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-      if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-      sat += __builtin_popcount(static_cast<unsigned>(sm & m));
-    }
-    _mm512_mask_storeu_epi64(
-        out + i, m, _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
-  }
-}
-
-/// AVX-512 sweep for the per-entry last-dim layout: entry constants load
-/// as vectors over an 8-column block and amortize across the row batch.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void mq_rows_avx512(
-    const std::int64_t* x, std::int64_t* out, std::int64_t rows,
-    std::int64_t d, const std::int64_t* mul, const std::int64_t* bias,
-    const int* frac, int bias_frac, std::int64_t lo, std::int64_t hi,
-    bool count, std::int64_t& sat) {
-  const __m512i vlo = _mm512_set1_epi64(lo);
-  const __m512i vhi = _mm512_set1_epi64(hi);
-  const bool check_lo = lo != 0;
-  for (std::int64_t j = 0; j < d; j += 8) {
-    const __mmask8 m = avx512::tail8(d - j);
-    const __m512i vmul = _mm512_maskz_loadu_epi64(m, mul + j);
-    const __m512i vbias = _mm512_maskz_loadu_epi64(m, bias + j);
-    const __m512i vf = _mm512_add_epi64(
-        _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, frac + j)),
-        _mm512_set1_epi64(bias_frac));
-    const __mmask8 pos = _mm512_cmpgt_epi64_mask(vf, _mm512_setzero_si512());
-    const __m512i vhalf = _mm512_maskz_sllv_epi64(
-        pos, _mm512_set1_epi64(1),
-        _mm512_sub_epi64(vf, _mm512_set1_epi64(1)));
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const __m512i v = _mm512_maskz_loadu_epi64(m, x + r * d + j);
-      const __m512i t = _mm512_add_epi64(
-          _mm512_slli_epi64(v, static_cast<unsigned>(bias_frac)), vbias);
-      const __m512i y = _mm512_srav_epi64(
-          _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
-      if (count) {
-        __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-        if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-        sat += __builtin_popcount(static_cast<unsigned>(sm & m));
-      }
-      _mm512_mask_storeu_epi64(
-          out + r * d + j, m,
-          _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
-    }
-  }
-}
-
-/// AVX-512 clamped element-wise add (the residual-join datapath). Lane
-/// adds wrap exactly like the scalar +, and min/max clamp identically.
+/// AVX-512 clamped element-wise add (the residual-join datapath): lane
+/// adds wrap like rq::wrap_add, and rq::clip8_avx512 is rq::clip1.
 __attribute__((target("avx512f"))) void add_span_avx512(
     const std::int64_t* a, const std::int64_t* b, std::int64_t* out,
-    std::int64_t len, std::int64_t lo, std::int64_t hi, bool count,
-    std::int64_t& sat) {
-  const __m512i vlo = _mm512_set1_epi64(lo);
-  const __m512i vhi = _mm512_set1_epi64(hi);
-  const bool check_lo = lo != 0;
+    std::int64_t len, const rq::Clip& clip, std::int64_t& sat) {
+  const __m512i vlo = _mm512_set1_epi64(clip.lo);
+  const __m512i vhi = _mm512_set1_epi64(clip.hi);
   for (std::int64_t i = 0; i < len; i += 8) {
     const __mmask8 m = avx512::tail8(len - i);
-    const __m512i y = _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, a + i),
-                                       _mm512_maskz_loadu_epi64(m, b + i));
-    if (count) {
-      __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-      if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-      sat += __builtin_popcount(static_cast<unsigned>(sm & m));
-    }
-    _mm512_mask_storeu_epi64(
-        out + i, m, _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y)));
+    const __m512i y =
+        _mm512_add_epi64(avx512::load8(a + i, m), avx512::load8(b + i, m));
+    avx512::store8(out + i, m, rq::clip8_avx512(y, vlo, vhi, clip, m, sat));
   }
 }
-
 #pragma GCC diagnostic pop
-
-/// Elementwise AVX-512 paths gate on the shared cpuinfo tier (bit-exact
-/// vs. their scalar mirrors, so the tier cap only affects speed).
-bool mq_avx512() {
-  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
-}
-bool add_avx512() {
-  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
-}
-#else
-#define T2C_MQ_AVX512 0
 #endif
 
-/// Builds the fused-GEMM epilogue view of a MulQuant (tensor/int8_gemm.h).
-/// `per_row` selects how the per-entry axis maps onto the GEMM tile: conv
-/// (kChannelNCHW) entries follow output rows, linear (kLastDim) entries
-/// follow output columns. The pointers borrow the op's parameter vectors,
-/// so the epilogue must not outlive the op.
-i8::Epilogue mq_epilogue(const MulQuantOp& mq, bool per_row) {
+/// Runs `body` on the epilogue view (tensor/int8_gemm.h) of `mq` — kNone
+/// when mq is null — and feeds the clips it counts into mq's saturation
+/// counters. `per_row` selects how the per-entry axis maps onto the
+/// block: channel entries follow rows (conv, NCHW planes), last-dim
+/// entries follow columns (linear, token rows). The pointers borrow the
+/// op's parameter vectors.
+template <typename Body>
+void with_epilogue(const MulQuantOp* mq, bool per_row, const Body& body) {
+  std::atomic<std::int64_t> sats{0};
   i8::Epilogue ep;
-  ep.mode = mq.layout() == MqLayout::kPerTensor
-                ? i8::Epilogue::Mode::kScalar
-                : (per_row ? i8::Epilogue::Mode::kPerRow
-                           : i8::Epilogue::Mode::kPerCol);
-  ep.mul = mq.mul().data();
-  ep.bias = mq.bias().data();
-  ep.frac = mq.frac_bits().data();
-  ep.bias_frac = mq.bias_frac();
-  ep.lo = mq.out_min();
-  ep.hi = mq.out_max();
-  return ep;
+  if (mq != nullptr) {
+    ep.mode = mq->layout() == MqLayout::kPerTensor
+                  ? i8::Epilogue::Mode::kScalar
+                  : (per_row ? i8::Epilogue::Mode::kPerRow
+                             : i8::Epilogue::Mode::kPerCol);
+    ep.mul = mq->mul().data();
+    ep.bias = mq->bias().data();
+    ep.frac = mq->frac_bits().data();
+    ep.bias_frac = mq->bias_frac();
+    ep.lo = mq->out_min();
+    ep.hi = mq->out_max();
+    if (counting_sats()) ep.sat = &sats;
+  }
+  body(ep);
+  if (ep.sat != nullptr) {
+    mq->record_sats(sats.load(std::memory_order_relaxed));
+  }
 }
 
 }  // namespace
@@ -252,100 +145,59 @@ void MulQuantOp::absorb_upshift(int k) {
 }
 
 void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
-  const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  CallSats sats;
-  const auto apply = [&](std::int64_t v, std::size_t e, std::int64_t& sat) {
-    const int f = frac_[e] + bias_frac_;
-    const std::int64_t half = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
-    const std::int64_t y =
-        (mul_[e] * ((v << bias_frac_) + bias_[e]) + half) >> f;
-    if (prof && is_clip(y, out_min_, out_max_)) ++sat;
-    return clamp64(y, out_min_, out_max_);
+  const std::int64_t* src = x.data();
+  std::int64_t* dst = out.data();
+  // A per-tensor chunk is one block row of elements; channel entries
+  // follow the rows of the NCHW plane block (row0 = the channel), last-dim
+  // entries the columns of the token rows.
+  const auto sweep = [&](const i8::Epilogue& ep) {
+    switch (layout_) {
+      case MqLayout::kPerTensor:
+        par::parallel_for(
+            0, x.numel(), kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
+              std::int64_t sat = 0;
+              i8::requant(src + i0, 0, dst + i0, 0, 1, i1 - i0, 0, 0, ep, sat);
+              rq::add_sats(ep.sat, sat);
+            });
+        return;
+      case MqLayout::kChannelNCHW: {
+        check(x.rank() == 4, "MulQuant(kChannelNCHW): input must be NCHW");
+        const std::int64_t c = x.size(1), hw = x.size(2) * x.size(3);
+        check(static_cast<std::int64_t>(mul_.size()) == c,
+              "MulQuant: channel count mismatch");
+        const std::int64_t grain = std::max<std::int64_t>(
+            1, kElemGrain / std::max<std::int64_t>(1, hw));
+        par::parallel_for(
+            0, x.size(0) * c, grain, [&](std::int64_t p0, std::int64_t p1) {
+              std::int64_t sat = 0;
+              // One block per run of consecutive channels of one image.
+              for (std::int64_t p = p0; p < p1;) {
+                const std::int64_t run = std::min(p1 - p, c - p % c);
+                i8::requant(src + p * hw, hw, dst + p * hw, hw, run, hw,
+                            p % c, 0, ep, sat);
+                p += run;
+              }
+              rq::add_sats(ep.sat, sat);
+            });
+        return;
+      }
+      case MqLayout::kLastDim: {
+        const std::int64_t d = x.size(x.rank() - 1);
+        check(static_cast<std::int64_t>(mul_.size()) == d,
+              "MulQuant: last-dim count mismatch");
+        par::parallel_for(
+            0, x.numel() / d, std::max<std::int64_t>(1, kElemGrain / d),
+            [&](std::int64_t r0, std::int64_t r1) {
+              std::int64_t sat = 0;
+              i8::requant(src + r0 * d, d, dst + r0 * d, d, r1 - r0, d, 0, 0,
+                          ep, sat);
+              rq::add_sats(ep.sat, sat);
+            });
+        return;
+      }
+    }
   };
-  switch (layout_) {
-    case MqLayout::kPerTensor: {
-      par::parallel_for(
-          0, x.numel(), kElemGrain,
-          [&](std::int64_t i0, std::int64_t i1) {
-            std::int64_t sat = 0;
-#if T2C_MQ_AVX512
-            if (mq_avx512()) {
-              mq_span_avx512(x.data() + i0, out.data() + i0, i1 - i0,
-                             mul_[0], bias_[0], bias_frac_,
-                             frac_[0] + bias_frac_, out_min_, out_max_, prof,
-                             sat);
-              sats.add(sat);
-              return;
-            }
-#endif
-            for (std::int64_t i = i0; i < i1; ++i) {
-              out[i] = apply(x[i], 0, sat);
-            }
-            sats.add(sat);
-          });
-      break;
-    }
-    case MqLayout::kChannelNCHW: {
-      check(x.rank() == 4, "MulQuant(kChannelNCHW): input must be NCHW");
-      const std::int64_t n = x.size(0), c = x.size(1),
-                         hw = x.size(2) * x.size(3);
-      check(static_cast<std::int64_t>(mul_.size()) == c,
-            "MulQuant: channel count mismatch");
-      par::parallel_for(
-          0, n * c, std::max<std::int64_t>(1, kElemGrain / std::max<std::int64_t>(1, hw)),
-          [&](std::int64_t p0, std::int64_t p1) {
-            std::int64_t sat = 0;
-            for (std::int64_t p = p0; p < p1; ++p) {
-              const auto ic = static_cast<std::size_t>(p % c);
-              const std::int64_t base = p * hw;
-#if T2C_MQ_AVX512
-              if (mq_avx512()) {
-                mq_span_avx512(x.data() + base, out.data() + base, hw,
-                               mul_[ic], bias_[ic], bias_frac_,
-                               frac_[ic] + bias_frac_, out_min_, out_max_,
-                               prof, sat);
-                continue;
-              }
-#endif
-              for (std::int64_t i = 0; i < hw; ++i) {
-                out[base + i] = apply(x[base + i], ic, sat);
-              }
-            }
-            sats.add(sat);
-          });
-      break;
-    }
-    case MqLayout::kLastDim: {
-      const std::int64_t d = x.size(x.rank() - 1);
-      check(static_cast<std::int64_t>(mul_.size()) == d,
-            "MulQuant: last-dim count mismatch");
-      const std::int64_t rows = x.numel() / d;
-      par::parallel_for(
-          0, rows, std::max<std::int64_t>(1, kElemGrain / d),
-          [&](std::int64_t r0, std::int64_t r1) {
-            std::int64_t sat = 0;
-#if T2C_MQ_AVX512
-            if (mq_avx512()) {
-              mq_rows_avx512(x.data() + r0 * d, out.data() + r0 * d,
-                             r1 - r0, d, mul_.data(), bias_.data(),
-                             frac_.data(), bias_frac_, out_min_, out_max_,
-                             prof, sat);
-              sats.add(sat);
-              return;
-            }
-#endif
-            for (std::int64_t r = r0; r < r1; ++r) {
-              for (std::int64_t i = 0; i < d; ++i) {
-                out[r * d + i] =
-                    apply(x[r * d + i], static_cast<std::size_t>(i), sat);
-              }
-            }
-            sats.add(sat);
-          });
-      break;
-    }
-  }
-  if (prof) sat_cache_.add("MulQuant", label, sats.total());
+  with_epilogue(this, layout_ == MqLayout::kChannelNCHW, sweep);
 }
 
 IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
@@ -402,27 +254,16 @@ void IntConv2dOp::run_packed(const std::vector<const ITensor*>& ins,
   const std::int64_t ow = spec_.out_hw(w);
   check(oh > 0 && ow > 0, "IntConv2d: output size would be non-positive");
   recycle_tensor(out, {n, spec_.out_channels, oh, ow});
-  i8::Epilogue ep;
-  std::atomic<std::int64_t> sats{0};
-  const bool prof =
-      fused != nullptr &&
-      (obs::metrics_enabled() || obs::telemetry_enabled());
-  if (fused != nullptr) {
-    ep = mq_epilogue(*fused, /*per_row=*/true);
-    if (prof) {
-      ep.sat = &sats;
-      ep.count_sat = true;
-    }
-  }
   // Both kernels write disjoint output elements, each from one fixed-order
   // integer accumulation, so results are bit-identical at any thread count.
-  if (pw != nullptr) {
-    i8::dwconv(x.data(), n, h, w, spec_, *pw, out.data(), ep);
-  } else {
-    i8::conv_packed(x.data(), n, h, w, spec_, *pa, out.data(), ep,
-                    /*threaded=*/true);
-  }
-  if (prof) fused->record_sats(sats.load(std::memory_order_relaxed));
+  with_epilogue(fused, /*per_row=*/true, [&](const i8::Epilogue& ep) {
+    if (pw != nullptr) {
+      i8::dwconv(x.data(), n, h, w, spec_, *pw, out.data(), ep);
+    } else {
+      i8::conv_packed(x.data(), n, h, w, spec_, *pa, out.data(), ep,
+                      /*threaded=*/true);
+    }
+  });
 }
 
 IntLinearOp::IntLinearOp(ITensor weight) : weight_(std::move(weight)) {
@@ -476,20 +317,9 @@ void IntLinearOp::run_packed(const std::vector<const ITensor*>& ins,
   Shape s = x.shape();
   s.back() = o;
   recycle_tensor(out, s);
-  i8::Epilogue ep;
-  std::atomic<std::int64_t> sats{0};
-  const bool prof =
-      fused != nullptr &&
-      (obs::metrics_enabled() || obs::telemetry_enabled());
-  if (fused != nullptr) {
-    ep = mq_epilogue(*fused, /*per_row=*/false);
-    if (prof) {
-      ep.sat = &sats;
-      ep.count_sat = true;
-    }
-  }
-  i8::gemm_b_packed(x.data(), *pb, out.data(), rows, ep, /*threaded=*/true);
-  if (prof) fused->record_sats(sats.load(std::memory_order_relaxed));
+  with_epilogue(fused, /*per_row=*/false, [&](const i8::Epilogue& ep) {
+    i8::gemm_b_packed(x.data(), *pb, out.data(), rows, ep, /*threaded=*/true);
+  });
 }
 
 IntAddOp::IntAddOp(std::int64_t out_min, std::int64_t out_max)
@@ -523,28 +353,27 @@ void IntAddOp::run_into(const std::vector<const ITensor*>& ins,
 
 void IntAddOp::compute(const ITensor& a, const ITensor& b,
                        ITensor& out) const {
-  const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  CallSats sats;
+  const rq::Clip clip{out_min_, out_max_, counting_sats()};
+  std::atomic<std::int64_t> sats{0};
   par::parallel_for(0, a.numel(), kElemGrain,
                     [&](std::int64_t i0, std::int64_t i1) {
                       std::int64_t sat = 0;
-#if T2C_MQ_AVX512
-                      if (add_avx512()) {
+#if T2C_AVX512_LANES
+                      if (rq::avx512_tier()) {
                         add_span_avx512(a.data() + i0, b.data() + i0,
-                                        out.data() + i0, i1 - i0, out_min_,
-                                        out_max_, prof, sat);
-                        sats.add(sat);
+                                        out.data() + i0, i1 - i0, clip, sat);
+                        rq::add_sats(&sats, sat);
                         return;
                       }
 #endif
                       for (std::int64_t i = i0; i < i1; ++i) {
-                        const std::int64_t y = a[i] + b[i];
-                        if (prof && is_clip(y, out_min_, out_max_)) ++sat;
-                        out[i] = clamp64(y, out_min_, out_max_);
+                        out[i] = rq::clip1(rq::wrap_add(a[i], b[i]), clip, sat);
                       }
-                      sats.add(sat);
+                      rq::add_sats(&sats, sat);
                     });
-  if (prof) sat_cache_.add("IntAdd", label, sats.total());
+  if (clip.count) {
+    sat_cache_.add("IntAdd", label, sats.load(std::memory_order_relaxed));
+  }
 }
 
 IntMaxPool2dOp::IntMaxPool2dOp(int kernel, int stride, int padding)
@@ -600,11 +429,10 @@ ITensor IntGlobalAvgPoolOp::run(const std::vector<const ITensor*>& ins) const {
   check(x.rank() == 4, "IntGlobalAvgPool: input must be NCHW");
   const std::int64_t n = x.size(0), c = x.size(1), hw = x.size(2) * x.size(3);
   ITensor out({n, c});
-  const std::int64_t half =
-      frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;
   check(hw > 0, "IntGlobalAvgPool: empty spatial extent (H*W == 0)");
-  const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  CallSats sats;
+  const std::int64_t half = rq::round_half(frac_bits_);
+  const rq::Clip clip{out_min_, out_max_, counting_sats()};
+  std::atomic<std::int64_t> sats{0};
   par::parallel_for(
       0, n * c, std::max<std::int64_t>(1, kElemGrain / hw),
       [&](std::int64_t p0, std::int64_t p1) {
@@ -612,14 +440,17 @@ ITensor IntGlobalAvgPoolOp::run(const std::vector<const ITensor*>& ins) const {
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t* plane = x.data() + p * hw;
           std::int64_t acc = 0;
-          for (std::int64_t i = 0; i < hw; ++i) acc += plane[i];
-          const std::int64_t y = (mul_ * acc + half) >> frac_bits_;
-          if (prof && is_clip(y, out_min_, out_max_)) ++sat;
-          out[p] = clamp64(y, out_min_, out_max_);
+          for (std::int64_t i = 0; i < hw; ++i) {
+            acc = rq::wrap_add(acc, plane[i]);
+          }
+          out[p] = rq::requant1(acc, mul_, 0, half, frac_bits_, 0, clip, sat);
         }
-        sats.add(sat);
+        rq::add_sats(&sats, sat);
       });
-  if (prof) sat_cache_.add("IntGlobalAvgPool", label, sats.total());
+  if (clip.count) {
+    sat_cache_.add("IntGlobalAvgPool", label,
+                   sats.load(std::memory_order_relaxed));
+  }
   return out;
 }
 
@@ -643,7 +474,9 @@ ITensor TokenizeOp::run(const std::vector<const ITensor*>& ins) const {
 IntMeanPoolTokensOp::IntMeanPoolTokensOp(std::int64_t mul, int frac_bits,
                                          std::int64_t out_min,
                                          std::int64_t out_max)
-    : mul_(mul), frac_bits_(frac_bits), out_min_(out_min), out_max_(out_max) {}
+    : mul_(mul), frac_bits_(frac_bits), out_min_(out_min), out_max_(out_max) {
+  check(frac_bits >= 0 && frac_bits < 40, "IntMeanPoolTokens: bad frac_bits");
+}
 
 ITensor IntMeanPoolTokensOp::run(
     const std::vector<const ITensor*>& ins) const {
@@ -652,10 +485,9 @@ ITensor IntMeanPoolTokensOp::run(
   const std::int64_t n = x.size(0), t = x.size(1), d = x.size(2);
   check(t > 0, "IntMeanPoolTokens: no tokens to pool (T == 0)");
   ITensor out({n, d});
-  const std::int64_t half =
-      frac_bits_ > 0 ? (std::int64_t{1} << (frac_bits_ - 1)) : 0;
-  const bool prof = obs::metrics_enabled() || obs::telemetry_enabled();
-  CallSats sats;
+  const std::int64_t half = rq::round_half(frac_bits_);
+  const rq::Clip clip{out_min_, out_max_, counting_sats()};
+  std::atomic<std::int64_t> sats{0};
   par::parallel_for(
       0, n * d, std::max<std::int64_t>(1, kElemGrain / t),
       [&](std::int64_t p0, std::int64_t p1) {
@@ -664,15 +496,16 @@ ITensor IntMeanPoolTokensOp::run(
           const std::int64_t in = p / d, i = p % d;
           std::int64_t acc = 0;
           for (std::int64_t it = 0; it < t; ++it) {
-            acc += x[(in * t + it) * d + i];
+            acc = rq::wrap_add(acc, x[(in * t + it) * d + i]);
           }
-          const std::int64_t y = (mul_ * acc + half) >> frac_bits_;
-          if (prof && is_clip(y, out_min_, out_max_)) ++sat;
-          out[p] = clamp64(y, out_min_, out_max_);
+          out[p] = rq::requant1(acc, mul_, 0, half, frac_bits_, 0, clip, sat);
         }
-        sats.add(sat);
+        rq::add_sats(&sats, sat);
       });
-  if (prof) sat_cache_.add("IntMeanPoolTokens", label, sats.total());
+  if (clip.count) {
+    sat_cache_.add("IntMeanPoolTokens", label,
+                   sats.load(std::memory_order_relaxed));
+  }
   return out;
 }
 

@@ -7,19 +7,11 @@
 
 #if defined(__x86_64__)
 #include <emmintrin.h>  // SSE2: baseline on x86_64, no dispatch needed
-#if defined(__GNUC__) || defined(__clang__)
-#define T2C_VIT_AVX512 1
-#include <immintrin.h>
-#endif
-#endif
-#ifndef T2C_VIT_AVX512
-#define T2C_VIT_AVX512 0
 #endif
 
 #include "core/parallel.h"
 #include "nn/activations.h"
-#include "tensor/avx512_lanes.h"
-#include "util/cpuinfo.h"
+#include "tensor/requant.h"
 #include "util/textio.h"
 #include "xport/writers.h"
 
@@ -57,25 +49,13 @@ T* grown(std::vector<T>& v, std::int64_t n) {
   return v.data();
 }
 
-std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  return std::min(hi, std::max(lo, v));
-}
+// The wrapping forms keep a row of extreme values free of undefined
+// behaviour in the scalar kernels.
+using rq::clamp64;
+using rq::wrap_add;
+using rq::wrap_mul;
+using rq::wrap_sub;
 
-// Two's-complement wrapping arithmetic: the semantics of the 64-bit vector
-// lanes, and defined for every input, so a row of extreme values is no
-// undefined behaviour in the scalar forms either.
-std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                   static_cast<std::uint64_t>(b));
-}
-std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
-                                   static_cast<std::uint64_t>(b));
-}
-std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
-                                   static_cast<std::uint64_t>(b));
-}
 std::uint64_t uabs(std::int64_t v) {
   const auto u = static_cast<std::uint64_t>(v);
   return v < 0 ? 0 - u : u;
@@ -225,7 +205,7 @@ struct LnRows {
   }
 };
 
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
 // Same -Wmaybe-uninitialized false positive on _mm*_maskz_* as
 // tensor/int8_gemm.cpp; the masked-lane zeroing is architectural.
 #pragma GCC diagnostic push
@@ -394,15 +374,6 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void ln_running_avx512(
 #pragma GCC diagnostic pop
 #endif
 
-/// True when the vector forms run: the AVX-512 rung of util::cpu_isa_tier().
-bool vit_avx512() {
-#if T2C_VIT_AVX512
-  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
-#else
-  return false;
-#endif
-}
-
 /// p[i] = (e[i] * p_qmax + sum / 2) / sum for i < n, or zeros when
 /// sum <= 0: the LUT softmaxes' normalization. A row ExactDiv covers
 /// (num_max from softmax_num_max) divides through it, on eight lanes when
@@ -423,7 +394,7 @@ void softmax_normalize(const std::int64_t* e, OutT* p, std::int64_t n,
     return;
   }
   const ExactDiv div(sum);
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
   if (vec) {
     normalize_avx512(e, p, n, div, p_qmax, h2);
     return;
@@ -491,7 +462,7 @@ ITensor LutSoftmaxOp::run(const std::vector<const ITensor*>& ins) const {
   check(d > 0, "LutSoftmax: empty softmax axis (last dim == 0)");
   const std::int64_t rows = x.numel() / d;
   const auto last = static_cast<std::int64_t>(lut_.size()) - 1;
-  const bool vec = vit_avx512();
+  const bool vec = rq::avx512_tier();
   ITensor out(x.shape());
   // Rows are independent; the exp scratch is the worker's own.
   par::parallel_for(
@@ -552,11 +523,11 @@ void LutGeluOp::compute(const ITensor& x, ITensor& out) const {
   // integers (a negative numerator clamps to index 0 either way).
   const std::int64_t h2 = index_step_ / 2;
   const bool exact = gelu_window_exact(in_min_, in_max_, index_step_);
-  [[maybe_unused]] const bool vec = exact && vit_avx512();
+  [[maybe_unused]] const bool vec = exact && rq::avx512_tier();
   const ExactDiv div(exact ? index_step_ : 1);
   par::parallel_for(
       0, x.numel(), kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
         if (vec) {
           gelu_span_avx512(x.data() + i0, out.data() + i0, i1 - i0,
                            lut_.data(), last, in_min_, in_max_, h2, div);
@@ -618,7 +589,7 @@ void IntLayerNormOp::run_into(const std::vector<const ITensor*>& ins,
   const std::int64_t half2f = std::int64_t{1} << (2 * f - 1);
   const LnRows k{gamma_fx_.data(), beta_fx_.data(), d, f, half2f,
                  out_min_, out_max_};
-  [[maybe_unused]] const bool vec = vit_avx512();
+  [[maybe_unused]] const bool vec = rq::avx512_tier();
   // Every row's statistics come from that row alone, so the row sweep
   // parallelizes without touching the accumulation order.
   par::parallel_for(
@@ -631,7 +602,7 @@ void IntLayerNormOp::run_into(const std::vector<const ITensor*>& ins,
             // Running statistics: xhat and the affine requant fuse into a
             // single branch-free pass over the row.
             const int sh = stat_frac_ - f;
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
             if (vec) {
               ln_running_avx512(px, po, d, mean_int_, inv_sigma_fx_, sh,
                                 gamma_fx_.data(), beta_fx_.data(), f, half2f,
@@ -651,7 +622,7 @@ void IntLayerNormOp::run_into(const std::vector<const ITensor*>& ins,
             continue;
           }
           // Instant statistics: integer mean/variance over the row.
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
           if (vec) {
             ln_row_avx512(k, px, po);
             continue;
@@ -862,7 +833,8 @@ struct AttnHead {
   const std::int64_t* lut;
   std::int64_t last, logit_mul, half;
   int f;
-  std::int64_t p_qmax, num_max, ctx_mul, ctx_min, ctx_max;
+  std::int64_t p_qmax, num_max, ctx_mul;
+  rq::Clip ctx;  ///< the context stream's window, clips not counted
 };
 
 /// One head's logits, LUT softmax and context on the generic rung. q, k
@@ -883,6 +855,7 @@ void attn_head_generic(const AttnHead& a, const std::int16_t* qbase,
   // number of probability lanes.
   std::int16_t* probs = grown(ws.probs, t + 1);
   probs[t] = 0;
+  std::int64_t sat = 0;  // a.ctx counts no clips
   for (std::int64_t iq = 0; iq < t; ++iq) {
     const std::int16_t* qrow = qbase + iq * rs;
     std::int32_t m = std::numeric_limits<std::int32_t>::min();
@@ -950,9 +923,8 @@ void attn_head_generic(const AttnHead& a, const std::int16_t* qbase,
       _mm_store_si128(reinterpret_cast<__m128i*>(tmp), acc_lo);
       _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4), acc_hi);
       for (std::int64_t j = 0; j < 8; ++j) {
-        const std::int64_t y = (a.ctx_mul * tmp[j] + a.half) >> a.f;
-        crow[e0 + j] =
-            static_cast<std::int16_t>(clamp64(y, a.ctx_min, a.ctx_max));
+        crow[e0 + j] = static_cast<std::int16_t>(
+            rq::requant1(tmp[j], a.ctx_mul, 0, a.half, a.f, 0, a.ctx, sat));
       }
     }
 #endif
@@ -961,13 +933,13 @@ void attn_head_generic(const AttnHead& a, const std::int16_t* qbase,
       for (std::int64_t ik = 0; ik < t; ++ik) {
         acc += static_cast<std::int32_t>(probs[ik]) * vbase[ik * rs + e0];
       }
-      const std::int64_t y = (a.ctx_mul * acc + a.half) >> a.f;
-      crow[e0] = static_cast<std::int16_t>(clamp64(y, a.ctx_min, a.ctx_max));
+      crow[e0] = static_cast<std::int16_t>(
+          rq::requant1(acc, a.ctx_mul, 0, a.half, a.f, 0, a.ctx, sat));
     }
   }
 }
 
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
@@ -1074,9 +1046,11 @@ attn_head_avx512(const AttnHead& a, const std::int16_t* qbase,
   const __m512i vhalf = _mm512_set1_epi64(a.half);
   const __m512i vlast = _mm512_set1_epi64(a.last);
   const __m512i vcmul = _mm512_set1_epi64(a.ctx_mul);
-  const __m512i vclo = _mm512_set1_epi64(a.ctx_min);
-  const __m512i vchi = _mm512_set1_epi64(a.ctx_max);
+  const __m512i vclo = _mm512_set1_epi64(a.ctx.lo);
+  const __m512i vchi = _mm512_set1_epi64(a.ctx.hi);
+  const __m512i vf = _mm512_set1_epi64(a.f);
   const auto f = static_cast<unsigned>(a.f);
+  std::int64_t sat = 0;  // a.ctx counts no clips
   for (std::int64_t iq0 = 0; iq0 < t; iq0 += kQueryBlock) {
     const std::int64_t rows = std::min(kQueryBlock, t - iq0);
     // Logits against every key. An odd dh reads one lane past the head
@@ -1118,12 +1092,10 @@ attn_head_avx512(const AttnHead& a, const std::int16_t* qbase,
       const std::int32_t* cr = cacc + r * dhp;
       for (std::int64_t e = 0; e < dh; e += 8) {
         const __mmask8 m = avx512::tail8(dh - e);
-        const __m512i acc64 =
-            _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(m, cr + e));
-        const __m512i y = _mm512_srai_epi64(
-            _mm512_add_epi64(_mm512_mullo_epi64(vcmul, acc64), vhalf), f);
-        _mm512_mask_cvtepi64_storeu_epi16(
-            crow + e, m, _mm512_min_epi64(vchi, _mm512_max_epi64(vclo, y)));
+        avx512::store8(crow + e, m,
+                       rq::requant8_avx512(avx512::load8(cr + e, m), vcmul,
+                                           zero, vhalf, vf, 0, vclo, vchi,
+                                           a.ctx, m, sat));
       }
     }
   }
@@ -1175,9 +1147,8 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
                    p_.p_qmax,
                    num_max_,
                    p_.ctx_mul,
-                   p_.ctx_min,
-                   p_.ctx_max};
-  [[maybe_unused]] const bool vec = vit_avx512();
+                   {p_.ctx_min, p_.ctx_max, false}};
+  [[maybe_unused]] const bool vec = rq::avx512_tier();
   std::int16_t* ctx = grown(vit_scratch().ctx, n * t * d);
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
     VitScratch& ws = vit_scratch();
@@ -1185,7 +1156,7 @@ void IntAttentionOp::run_i16(const ITensor& x, ITensor& out) const {
       const std::int64_t in = p / h, ih = p % h;
       const std::int16_t* q = qkv + in * t * 3 * d + ih * dh;
       std::int16_t* c = ctx + in * t * d + ih * dh;
-#if T2C_VIT_AVX512
+#if T2C_AVX512_LANES
       if (vec) {
         attn_head_avx512(a, q, q + d, q + 2 * d, c, ws);
         continue;

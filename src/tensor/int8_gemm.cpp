@@ -5,6 +5,7 @@
 
 #include "core/parallel.h"
 #include "tensor/avx512_lanes.h"
+#include "tensor/requant.h"
 #include "util/check.h"
 #include "util/cpuinfo.h"
 
@@ -199,22 +200,6 @@ MicroKernelFn resolve_micro_kernel() {
   return micro_kernel_i16;
 }
 
-std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  return std::min(hi, std::max(lo, v));
-}
-
-/// MulQuantOp::compute's fixed-point requant of one accumulator with one
-/// entry's constants (f includes bias_frac): returns clamp(y, lo, hi) and,
-/// with ep.count_sat, counts a clip. A zero floor is exempt: it is
-/// activation semantics, not saturation.
-std::int64_t requant1(std::int64_t v, std::int64_t mul, std::int64_t bias,
-                      std::int64_t half, int f, const Epilogue& ep,
-                      std::int64_t& sat) {
-  const std::int64_t y = (mul * ((v << ep.bias_frac) + bias) + half) >> f;
-  if (ep.count_sat && (y > ep.hi || (ep.lo != 0 && y < ep.lo))) ++sat;
-  return clamp64(y, ep.lo, ep.hi);
-}
-
 /// Worker-local scratch of `n` lanes, grown on demand and kept for the
 /// thread's lifetime: every pool worker (and every calling thread) owns
 /// one buffer per lane type and reuses it across calls, so steady-state
@@ -229,10 +214,61 @@ T* worker_scratch(std::int64_t n) {
   return buf.data();
 }
 
-/// Merges one worker's clip count into the epilogue's shared counter.
-void add_sats(const Epilogue& ep, std::int64_t sat) {
-  if (ep.sat != nullptr && sat != 0) {
-    ep.sat->fetch_add(sat, std::memory_order_relaxed);
+/// The constants of requant entry `e` (an index into ep's arrays): f
+/// includes bias_frac, half is its rounding term.
+struct Entry {
+  std::int64_t mul, bias, half;
+  int f;
+};
+
+Entry entry(const Epilogue& ep, std::int64_t e) {
+  const auto i = static_cast<std::size_t>(e);
+  const int f = (ep.frac != nullptr ? ep.frac[i] : ep.frac0) + ep.bias_frac;
+  return {ep.mul[i], ep.bias[i], rq::round_half(f), f};
+}
+
+/// The entry of block row r for kScalar and kPerRow.
+std::int64_t row_entry(const Epilogue& ep, std::int64_t row) {
+  return ep.mode == Epilogue::Mode::kPerRow ? ep.base + row : 0;
+}
+
+/// i8::requant through requant1.
+template <typename SrcT, typename DstT>
+void requant_scalar(const SrcT* src, std::int64_t lds, DstT* dst,
+                    std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+                    std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+                    std::int64_t& sat) {
+  if (ep.mode == Epilogue::Mode::kNone) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        dst[r * ldd + j] = static_cast<DstT>(src[r * lds + j]);
+      }
+    }
+    return;
+  }
+  const rq::Clip clip{ep.lo, ep.hi, ep.sat != nullptr};
+  if (ep.mode != Epilogue::Mode::kPerCol) {
+    // One entry covers a whole row, so its constants hoist out of the
+    // column loop.
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const Entry q = entry(ep, row_entry(ep, row0 + r));
+      for (std::int64_t j = 0; j < cols; ++j) {
+        dst[r * ldd + j] = static_cast<DstT>(
+            rq::requant1(src[r * lds + j], q.mul, q.bias, q.half, q.f,
+                         ep.bias_frac, clip, sat));
+      }
+    }
+    return;
+  }
+  // Per column: walk columns in the outer loop so each entry's constants
+  // amortize over the rows.
+  for (std::int64_t j = 0; j < cols; ++j) {
+    const Entry q = entry(ep, ep.base + col0 + j);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      dst[r * ldd + j] = static_cast<DstT>(
+          rq::requant1(src[r * lds + j], q.mul, q.bias, q.half, q.f,
+                       ep.bias_frac, clip, sat));
+    }
   }
 }
 
@@ -242,162 +278,82 @@ void add_sats(const Epilogue& ep, std::int64_t sat) {
 // semantics are architectural, so the warning is a false positive.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/// write_tile's requant on eight int64 lanes: returns clamp(y, lo, hi) and,
-/// with `count`, adds the lanes of `valid` that clip to `sat` (a zero
-/// floor is exempt, as in write_tile). Every lane op (vpmullq multiply,
-/// vpsravq shift, min/max clamp) has the exact 64-bit wrap semantics of
-/// the scalar expression, so the bits and the count match it verbatim.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) inline __m512i
-requant8_avx512(__m512i v, __m512i vmul, __m512i vbias, __m512i vhalf,
-                __m512i vf, unsigned bias_frac, __m512i vlo, __m512i vhi,
-                bool count, bool check_lo, __mmask8 valid,
-                std::int64_t& sat) {
-  const __m512i t = _mm512_add_epi64(_mm512_slli_epi64(v, bias_frac), vbias);
-  const __m512i y = _mm512_srav_epi64(
-      _mm512_add_epi64(_mm512_mullo_epi64(t, vmul), vhalf), vf);
-  if (count) {
-    __mmask8 sm = _mm512_cmpgt_epi64_mask(y, vhi);
-    if (check_lo) sm |= _mm512_cmplt_epi64_mask(y, vlo);
-    sat += __builtin_popcount(static_cast<unsigned>(sm & valid));
-  }
-  return _mm512_min_epi64(vhi, _mm512_max_epi64(vlo, y));
-}
-
-/// AVX-512 requant writeback for int64 or int16 C lanes, 8 columns per
-/// step, bit-identical to write_tile through requant8_avx512. Tail lanes
-/// are masked off before the sat popcount so padding never counts.
-template <typename OutT>
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void write_tile_avx512(
-    const std::int32_t* acc, OutT* c, std::int64_t ldc, std::int64_t mr,
-    std::int64_t jn, std::int64_t row0, std::int64_t col0,
-    const Epilogue& ep, std::int64_t& sat) {
+/// i8::requant through requant8_avx512, eight columns per step. Tail lanes
+/// are masked off, so padding is neither stored nor counted.
+template <typename SrcT, typename DstT>
+__attribute__((target("avx512f,avx512dq,avx512vl"))) void requant_avx512(
+    const SrcT* src, std::int64_t lds, DstT* dst, std::int64_t ldd,
+    std::int64_t rows, std::int64_t cols, std::int64_t row0,
+    std::int64_t col0, const Epilogue& ep, std::int64_t& sat) {
   if (ep.mode == Epilogue::Mode::kNone) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      for (std::int64_t j = 0; j < jn; j += 8) {
-        const __mmask8 m = avx512::tail8(jn - j);
-        const __m256i a = _mm256_maskz_loadu_epi32(m, acc + r * kNr + j);
-        avx512::store8(c + r * ldc + j, m, _mm512_cvtepi32_epi64(a));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = 0; j < cols; j += 8) {
+        const __mmask8 m = avx512::tail8(cols - j);
+        avx512::store8(dst + r * ldd + j, m,
+                       avx512::load8(src + r * lds + j, m));
       }
     }
     return;
   }
+  const rq::Clip clip{ep.lo, ep.hi, ep.sat != nullptr};
   const __m512i vlo = _mm512_set1_epi64(ep.lo);
   const __m512i vhi = _mm512_set1_epi64(ep.hi);
-  const bool check_lo = ep.lo != 0;
   const auto bias_frac = static_cast<unsigned>(ep.bias_frac);
   if (ep.mode != Epilogue::Mode::kPerCol) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const auto e = static_cast<std::size_t>(
-          ep.mode == Epilogue::Mode::kPerRow ? ep.base + row0 + r : 0);
-      const int f = (ep.frac != nullptr ? ep.frac[e] : ep.frac0) +
-                    ep.bias_frac;
-      const __m512i vmul = _mm512_set1_epi64(ep.mul[e]);
-      const __m512i vbias = _mm512_set1_epi64(ep.bias[e]);
-      const __m512i vhalf =
-          _mm512_set1_epi64(f > 0 ? (std::int64_t{1} << (f - 1)) : 0);
-      const __m512i vf = _mm512_set1_epi64(f);
-      for (std::int64_t j = 0; j < jn; j += 8) {
-        const __mmask8 m = avx512::tail8(jn - j);
-        const __m512i v = _mm512_cvtepi32_epi64(
-            _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-        avx512::store8(c + r * ldc + j, m,
-                       requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac,
-                                       vlo, vhi, ep.count_sat, check_lo, m,
-                                       sat));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const Entry q = entry(ep, row_entry(ep, row0 + r));
+      const __m512i vmul = _mm512_set1_epi64(q.mul);
+      const __m512i vbias = _mm512_set1_epi64(q.bias);
+      const __m512i vhalf = _mm512_set1_epi64(q.half);
+      const __m512i vf = _mm512_set1_epi64(q.f);
+      for (std::int64_t j = 0; j < cols; j += 8) {
+        const __mmask8 m = avx512::tail8(cols - j);
+        avx512::store8(dst + r * ldd + j, m,
+                       rq::requant8_avx512(avx512::load8(src + r * lds + j, m),
+                                           vmul, vbias, vhalf, vf, bias_frac,
+                                           vlo, vhi, clip, m, sat));
       }
     }
     return;
   }
-  // Per-column: the requant entries are contiguous in j, so the constants
-  // load as vectors and amortize over the tile's rows.
-  for (std::int64_t j = 0; j < jn; j += 8) {
-    const __mmask8 m = avx512::tail8(jn - j);
-    const std::size_t e0 = static_cast<std::size_t>(ep.base + col0 + j);
-    const __m512i vmul = _mm512_maskz_loadu_epi64(m, ep.mul + e0);
-    const __m512i vbias = _mm512_maskz_loadu_epi64(m, ep.bias + e0);
+  // Per column: the entries are contiguous in j, so the constants load as
+  // vectors and amortize over the rows.
+  for (std::int64_t j = 0; j < cols; j += 8) {
+    const __mmask8 m = avx512::tail8(cols - j);
+    const std::int64_t e0 = ep.base + col0 + j;
+    const __m512i vmul = avx512::load8(ep.mul + e0, m);
+    const __m512i vbias = avx512::load8(ep.bias + e0, m);
     const __m512i vf = _mm512_add_epi64(
-        ep.frac != nullptr
-            ? _mm512_cvtepi32_epi64(
-                  _mm256_maskz_loadu_epi32(m, ep.frac + e0))
-            : _mm512_set1_epi64(ep.frac0),
+        ep.frac != nullptr ? avx512::load8(ep.frac + e0, m)
+                           : _mm512_set1_epi64(ep.frac0),
         _mm512_set1_epi64(ep.bias_frac));
     const __mmask8 pos = _mm512_cmpgt_epi64_mask(vf, _mm512_setzero_si512());
     const __m512i vhalf = _mm512_maskz_sllv_epi64(
         pos, _mm512_set1_epi64(1),
         _mm512_sub_epi64(vf, _mm512_set1_epi64(1)));
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const __m512i v = _mm512_cvtepi32_epi64(
-          _mm256_maskz_loadu_epi32(m, acc + r * kNr + j));
-      avx512::store8(c + r * ldc + j, m,
-                     requant8_avx512(v, vmul, vbias, vhalf, vf, bias_frac,
-                                     vlo, vhi, ep.count_sat, check_lo, m,
-                                     sat));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      avx512::store8(dst + r * ldd + j, m,
+                     rq::requant8_avx512(avx512::load8(src + r * lds + j, m),
+                                         vmul, vbias, vhalf, vf, bias_frac,
+                                         vlo, vhi, clip, m, sat));
     }
   }
 }
-
 #pragma GCC diagnostic pop
-
-/// The AVX-512 writeback is bit-identical to the scalar expression, so it
-/// engages on tier alone (the micro-kernel choice does not constrain it).
-bool avx512_epilogue() {
-  return util::cpu_isa_tier() >= util::IsaTier::kAvx512;
-}
 #endif
 
-/// Writes one accumulator tile into C, applying the fused requant through
-/// requant1 (MulQuantOp::compute verbatim, clip count included), so a
-/// fused run emits the exact bits the separate GEMM + MulQuant pair would.
-template <typename OutT>
-void write_tile(const std::int32_t* acc, OutT* c, std::int64_t ldc,
-                std::int64_t mr, std::int64_t jn, std::int64_t row0,
-                std::int64_t col0, const Epilogue& ep, std::int64_t& sat) {
+template <typename SrcT, typename DstT>
+void requant_block(const SrcT* src, std::int64_t lds, DstT* dst,
+                   std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+                   std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+                   std::int64_t& sat) {
 #if T2C_I8_AVX2
-  if (avx512_epilogue()) {
-    write_tile_avx512(acc, c, ldc, mr, jn, row0, col0, ep, sat);
+  if (rq::avx512_tier()) {
+    requant_avx512(src, lds, dst, ldd, rows, cols, row0, col0, ep, sat);
     return;
   }
 #endif
-  if (ep.mode == Epilogue::Mode::kNone) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      for (std::int64_t j = 0; j < jn; ++j) {
-        c[r * ldc + j] = static_cast<OutT>(acc[r * kNr + j]);
-      }
-    }
-    return;
-  }
-  if (ep.mode != Epilogue::Mode::kPerCol) {
-    // Scalar / per-row: one requant entry covers a whole output row, so
-    // the fixed-point constants hoist out of the column loop.
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const auto e = static_cast<std::size_t>(
-          ep.mode == Epilogue::Mode::kPerRow ? ep.base + row0 + r : 0);
-      const int f = (ep.frac != nullptr ? ep.frac[e] : ep.frac0) +
-                    ep.bias_frac;
-      const std::int64_t half = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
-      const std::int64_t mul_e = ep.mul[e];
-      const std::int64_t bias_e = ep.bias[e];
-      for (std::int64_t j = 0; j < jn; ++j) {
-        c[r * ldc + j] = static_cast<OutT>(requant1(
-            acc[r * kNr + j], mul_e, bias_e, half, f, ep, sat));
-      }
-    }
-    return;
-  }
-  // Per-column: walk columns in the outer loop so each entry's constants
-  // amortize over the tile's rows.
-  for (std::int64_t j = 0; j < jn; ++j) {
-    const auto e = static_cast<std::size_t>(ep.base + col0 + j);
-    const int f = (ep.frac != nullptr ? ep.frac[e] : ep.frac0) +
-                  ep.bias_frac;
-    const std::int64_t half = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
-    const std::int64_t mul_e = ep.mul[e];
-    const std::int64_t bias_e = ep.bias[e];
-    for (std::int64_t r = 0; r < mr; ++r) {
-      c[r * ldc + j] = static_cast<OutT>(requant1(
-          acc[r * kNr + j], mul_e, bias_e, half, f, ep, sat));
-    }
-  }
+  requant_scalar(src, lds, dst, ldd, rows, cols, row0, col0, ep, sat);
 }
 
 /// Packs columns [j0, j0 + jn) of a row-major B (all k rows) into a
@@ -466,11 +422,11 @@ void gemm_b_packed_impl(const AT* a, const PackedB& pb, OutT* c,
       pack_a_block_i16(a, apack, i0, mr, k);
       for (std::int64_t jp = 0; jp < pb.npanels; ++jp) {
         kf(apack, pb.panels.data() + jp * k2 * kNr * 2, acc, k2);
-        write_tile(acc, c + i0 * n + jp * kNr, n, mr,
-                   std::min(kNr, n - jp * kNr), i0, jp * kNr, ep, sat);
+        requant(acc, kNr, c + i0 * n + jp * kNr, n, mr,
+                std::min(kNr, n - jp * kNr), i0, jp * kNr, ep, sat);
       }
     }
-    add_sats(ep, sat);
+    rq::add_sats(ep.sat, sat);
   };
   if (threaded) {
     par::parallel_for(0, mblocks, 1, row_blocks);
@@ -754,26 +710,25 @@ fill_panel_avx512(const std::int64_t* x, const ConvGeom& g,
 constexpr std::int64_t kDwGrain = std::int64_t{1} << 16;
 constexpr std::int64_t kConvGrain = std::int64_t{1} << 19;
 
-/// The requant constants of a channel block, one lane per channel, with
-/// write_tile's entry selection, shift and rounding half. Lanes past the
+/// The requant constants of a channel block, one lane per channel (the
+/// channels are the entry rows), plus the clamp window. Lanes past the
 /// block's channels stay zero.
 struct DwQuant {
   std::int64_t mul[kDwBlock] = {}, bias[kDwBlock] = {};
   std::int64_t half[kDwBlock] = {}, f[kDwBlock] = {};
+  rq::Clip clip;
 };
 
 DwQuant dw_quant(const Epilogue& ep, std::int64_t c0, std::int64_t nb) {
   DwQuant q;
   if (ep.mode == Epilogue::Mode::kNone) return q;
+  q.clip = {ep.lo, ep.hi, ep.sat != nullptr};
   for (std::int64_t b = 0; b < nb; ++b) {
-    const auto e = static_cast<std::size_t>(
-        ep.mode == Epilogue::Mode::kPerRow ? ep.base + c0 + b : 0);
-    const int f = (ep.frac != nullptr ? ep.frac[e] : ep.frac0) +
-                  ep.bias_frac;
-    q.mul[b] = ep.mul[e];
-    q.bias[b] = ep.bias[e];
-    q.half[b] = f > 0 ? (std::int64_t{1} << (f - 1)) : 0;
-    q.f[b] = f;
+    const Entry e = entry(ep, row_entry(ep, c0 + b));
+    q.mul[b] = e.mul;
+    q.bias[b] = e.bias;
+    q.half[b] = e.half;
+    q.f[b] = e.f;
   }
   return q;
 }
@@ -827,8 +782,9 @@ void dw_store_scalar(const DwTask& k, const std::int32_t* a,
     out[b * k.g.ohw] =
         k.ep.mode == Epilogue::Mode::kNone
             ? v
-            : requant1(v, k.q.mul[b], k.q.bias[b], k.q.half[b],
-                       static_cast<int>(k.q.f[b]), k.ep, sat);
+            : rq::requant1(v, k.q.mul[b], k.q.bias[b], k.q.half[b],
+                           static_cast<int>(k.q.f[b]), k.ep.bias_frac,
+                           k.q.clip, sat);
   }
 }
 
@@ -891,7 +847,7 @@ __attribute__((target("avx2"))) void dw_block_avx2(const DwTask& k,
   }
 }
 
-// The same GCC 12 false positive as write_tile_avx512's.
+// The same GCC 12 false positive as requant_avx512's.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// AVX-512 variant. The fill gathers each padded pixel's 16 channel lanes
@@ -943,7 +899,6 @@ dw_block_avx512(const DwTask& k, std::int64_t& sat) {
   const __m512i vhi = _mm512_set1_epi64(ep.hi);
   const auto bias_frac = static_cast<unsigned>(ep.bias_frac);
   const bool requant = ep.mode != Epilogue::Mode::kNone;
-  const bool check_lo = ep.lo != 0;
   for (std::int64_t oy = 0; oy < g.oh; ++oy) {
     for (std::int64_t ox = 0; ox < g.ow; ++ox) {
       const std::int32_t* base =
@@ -958,10 +913,10 @@ dw_block_avx512(const DwTask& k, std::int64_t& sat) {
       __m512i y0 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
       __m512i y1 = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1));
       if (requant) {
-        y0 = requant8_avx512(y0, vmul0, vbias0, vhalf0, vf0, bias_frac, vlo,
-                             vhi, ep.count_sat, check_lo, m0, sat);
-        y1 = requant8_avx512(y1, vmul1, vbias1, vhalf1, vf1, bias_frac, vlo,
-                             vhi, ep.count_sat, check_lo, m1, sat);
+        y0 = rq::requant8_avx512(y0, vmul0, vbias0, vhalf0, vf0, bias_frac,
+                                 vlo, vhi, k.q.clip, m0, sat);
+        y1 = rq::requant8_avx512(y1, vmul1, vbias1, vhalf1, vf1, bias_frac,
+                                 vlo, vhi, k.q.clip, m1, sat);
       }
       std::int64_t* o = k.out + oy * g.ow + ox;
       _mm512_mask_i64scatter_epi64(o, m0, idx0, y0, 8);
@@ -1043,6 +998,27 @@ std::shared_ptr<const PackedA> pack_a(const std::int64_t* a, std::int64_t m,
     }
   }
   return pa;
+}
+
+void requant(const std::int32_t* src, std::int64_t lds, std::int64_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat) {
+  requant_block(src, lds, dst, ldd, rows, cols, row0, col0, ep, sat);
+}
+
+void requant(const std::int32_t* src, std::int64_t lds, std::int16_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat) {
+  requant_block(src, lds, dst, ldd, rows, cols, row0, col0, ep, sat);
+}
+
+void requant(const std::int64_t* src, std::int64_t lds, std::int64_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat) {
+  requant_block(src, lds, dst, ldd, rows, cols, row0, col0, ep, sat);
 }
 
 void gemm_b_packed(const std::int64_t* a, const PackedB& pb, std::int64_t* c,
@@ -1144,14 +1120,14 @@ void conv_packed(const std::int64_t* x, std::int64_t n, std::int64_t h,
           const std::int64_t img = (j0 + j) / g.ohw;
           const std::int64_t pix = j0 + j - img * g.ohw;
           const std::int64_t len = std::min(jn - j, g.ohw - pix);
-          write_tile(acc + j,
-                     out + (img * g.oc + grp * g.ocg + i0) * g.ohw + pix,
-                     g.ohw, mr, len, i0, j, epg, sat);
+          requant(acc + j, kNr,
+                  out + (img * g.oc + grp * g.ocg + i0) * g.ohw + pix, g.ohw,
+                  mr, len, i0, j, epg, sat);
           j += len;
         }
       }
     }
-    add_sats(ep, sat);
+    rq::add_sats(ep.sat, sat);
   };
   const std::int64_t ntasks = panel_tasks * slices;
   if (threaded) {
@@ -1216,7 +1192,7 @@ void dwconv(const std::int64_t* x, std::int64_t n, std::int64_t h,
                        wp, pitch, nb, out + (img * g.oc + c0) * g.ohw},
                 sat);
         }
-        add_sats(ep, sat);
+        rq::add_sats(ep.sat, sat);
       });
 }
 

@@ -77,15 +77,16 @@ inline constexpr std::int64_t kOperandMax = 32767;
 /// widened result equals the int64 reference bit for bit).
 bool accum_fits_i32(std::int64_t k, std::int64_t a_max, std::int64_t w_max);
 
-/// Fused requant applied on the int32 accumulators at tile writeback. The
-/// arithmetic replicates MulQuantOp::compute exactly:
+/// The requant of a consuming MulQuant (DESIGN.md §3.2), applied by
+/// i8::requant below at every GEMM tile writeback and by the standalone
+/// MulQuant step alike:
 ///   f    = frac[e] + bias_frac          (frac == nullptr: uniform frac0)
 ///   half = f > 0 ? 1 << (f - 1) : 0
 ///   y    = (mul[e] * ((acc << bias_frac) + bias[e]) + half) >> f
 ///   out  = clamp(y, lo, hi)
-/// Entry selection: kScalar uses e = 0, kPerRow e = base + output row
-/// (conv: base is the group's first channel), kPerCol e = base + output
-/// column (token layouts). kNone skips the requant and writes the raw
+/// in wrapping 64-bit arithmetic. Entry selection: kScalar uses e = 0,
+/// kPerRow e = base + row, kPerCol e = base + column (conv: base is the
+/// group's first channel). kNone skips the requant and writes the raw
 /// accumulator — the bit-exact drop-in for the i64 GEMM.
 struct Epilogue {
   enum class Mode { kNone, kScalar, kPerRow, kPerCol };
@@ -97,12 +98,32 @@ struct Epilogue {
   int bias_frac = 0;
   std::int64_t lo = 0, hi = 0;
   std::int64_t base = 0;  ///< entry offset (conv group channel origin)
-  /// Saturation telemetry: when `sat` is non-null and `count_sat` is set,
-  /// each worker accumulates its clip count locally and adds it once —
-  /// an order-independent integer sum, identical at any thread count.
+  /// Saturation telemetry: with `sat` set, each worker counts its clips
+  /// locally (a zero floor is exempt) and adds them once — an
+  /// order-independent integer sum, identical at any thread count.
   std::atomic<std::int64_t>* sat = nullptr;
-  bool count_sat = false;
 };
+
+/// The epilogue over a rows × cols block: dst[r·ldd + j] = the requant of
+/// src[r·lds + j], with entry base + row0 + r (kPerRow) or base + col0 + j
+/// (kPerCol). When ep.sat is set the block's clips add to the worker's
+/// `sat`, which the caller merges into *ep.sat once. dst may alias src at
+/// the same strides. The AVX-512 form runs at that rung of
+/// util::cpu_isa_tier(), the scalar form below it; both compute the same
+/// bits and counts. The overloads cover int32 accumulators into int64 or
+/// int16 lanes and int64 values into int64 lanes.
+void requant(const std::int32_t* src, std::int64_t lds, std::int64_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat);
+void requant(const std::int32_t* src, std::int64_t lds, std::int16_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat);
+void requant(const std::int64_t* src, std::int64_t lds, std::int64_t* dst,
+             std::int64_t ldd, std::int64_t rows, std::int64_t cols,
+             std::int64_t row0, std::int64_t col0, const Epilogue& ep,
+             std::int64_t& sat);
 
 /// op(B) packed as pair-major kNr-wide column panels (int16 lanes, depth
 /// pairs adjacent), plus the per-column zero-point-correction offsets.

@@ -48,13 +48,4 @@ std::vector<std::int64_t> to_fixed(const std::vector<double>& xs,
   return out;
 }
 
-std::int64_t fixed_mul_shift(std::int64_t acc, std::int64_t raw_mul,
-                             int frac_bits) {
-  const std::int64_t prod = acc * raw_mul;
-  if (frac_bits == 0) return prod;
-  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
-  // Round-to-nearest with arithmetic shift; matches an RTL adder + shifter.
-  return (prod + half) >> frac_bits;
-}
-
 }  // namespace t2c

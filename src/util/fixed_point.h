@@ -39,10 +39,4 @@ double fixed_round(double x, const FixedPointFormat& fmt);
 std::vector<std::int64_t> to_fixed(const std::vector<double>& xs,
                                    const FixedPointFormat& fmt);
 
-/// Multiplies an int32 accumulator by a fixed-point raw multiplier and
-/// shifts back down with round-to-nearest: (acc * m + 2^(f-1)) >> f.
-/// This is exactly the datapath MulQuant implements in hardware.
-std::int64_t fixed_mul_shift(std::int64_t acc, std::int64_t raw_mul,
-                             int frac_bits);
-
 }  // namespace t2c

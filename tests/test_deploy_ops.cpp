@@ -14,6 +14,7 @@
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
 #include "nn/activations.h"
+#include "obs/metrics.h"
 #include "tensor/elementwise.h"
 #include "test_util.h"
 #include "util/cpuinfo.h"
@@ -130,6 +131,204 @@ TEST(MulQuantOpTest, RoundsToNearest) {
   ITensor y = mq.run(ins);
   EXPECT_EQ(y[0], 2);  // 1.5 -> 2 (round half up)
   EXPECT_EQ(y[1], 3);  // 2.5 -> 3
+}
+
+constexpr util::IsaTier kIsaCaps[] = {util::IsaTier::kGeneric,
+                                      util::IsaTier::kAvx2,
+                                      util::IsaTier::kAvx512,
+                                      util::IsaTier::kAvx512Vnni};
+
+/// What `run` adds to the counter `name` (metrics must be on).
+template <typename Run>
+std::int64_t sat_delta(const std::string& name, const Run& run) {
+  obs::Counter& c = obs::metrics().counter(name);
+  const std::int64_t before = c.value();
+  run();
+  return c.value() - before;
+}
+
+/// MulQuantOp's requant of x with one entry's constants in 128-bit
+/// arithmetic, and whether it counts as a clip (a zero floor does not).
+std::pair<std::int64_t, bool> mulquant_wide(std::int64_t x, std::int64_t mul,
+                                            std::int64_t bias, int frac,
+                                            int bias_frac, std::int64_t lo,
+                                            std::int64_t hi) {
+  const int f = frac + bias_frac;
+  const i128 half = f > 0 ? i128{1} << (f - 1) : 0;
+  const i128 y = (mul * (i128{x} * (i128{1} << bias_frac) + bias) + half) >> f;
+  return {static_cast<std::int64_t>(std::clamp<i128>(y, lo, hi)),
+          y > hi || (lo != 0 && y < lo)};
+}
+
+TEST(MulQuantOpTest, LayoutsMatchWideReferenceAtEveryRung) {
+  struct Case {
+    Shape shape;
+    MqLayout layout;
+  };
+  // Channel-NCHW at batch 2, whose 4-thread chunks straddle the images
+  // (entry p % C), and at 1x1 planes (every chunk spans images);
+  // last-dim with d = 13 (an 8-lane tail); per-tensor over 3 chunks.
+  const Case cases[] = {{{2, 24, 15, 20}, MqLayout::kChannelNCHW},
+                        {{5, 3, 1, 1}, MqLayout::kChannelNCHW},
+                        {{4, 200, 13}, MqLayout::kLastDim},
+                        {{3, 5000}, MqLayout::kPerTensor}};
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const IsaCapGuard guard;
+  const int saved = par::max_threads();
+  std::int64_t clips = 0;
+  for (const Case& c : cases) {
+    const ITensor x = random_itensor(c.shape, -60000, 60000, 31);
+    const std::int64_t entries =
+        c.layout == MqLayout::kPerTensor
+            ? 1
+            : c.shape[c.layout == MqLayout::kLastDim ? c.shape.size() - 1 : 1];
+    const auto entry_of = [&](std::int64_t i) -> std::size_t {
+      if (c.layout == MqLayout::kPerTensor) return 0;
+      const std::int64_t plane = c.shape.size() == 4 ? c.shape[2] * c.shape[3]
+                                                     : 1;
+      return static_cast<std::size_t>((i / plane) % entries);
+    };
+    Rng rng(static_cast<std::uint64_t>(entries));
+    std::vector<std::int64_t> mul, bias;
+    std::vector<int> frac;
+    for (std::int64_t e = 0; e < entries; ++e) {
+      frac.push_back(14 + static_cast<int>(e % 5));  // per-entry shifts
+      const std::int64_t m = (std::int64_t{1} << frac.back()) / 300;
+      mul.push_back(rng.randint(-m / 4, m));
+      bias.push_back(rng.randint(-2000, 2000));
+    }
+    for (const int bias_frac : {0, 5}) {
+      for (const std::int64_t lo : {std::int64_t{0}, std::int64_t{-127}}) {
+        MulQuantOp mq(mul, bias, frac, lo, 127, c.layout, bias_frac);
+        mq.label = "wide";
+        std::vector<std::int64_t> want(static_cast<std::size_t>(x.numel()));
+        std::int64_t want_sat = 0;
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+          const std::size_t e = entry_of(i);
+          const auto [y, clip] = mulquant_wide(x[i], mul[e], bias[e], frac[e],
+                                               bias_frac, lo, 127);
+          want[static_cast<std::size_t>(i)] = y;
+          want_sat += clip ? 1 : 0;
+        }
+        clips += want_sat;
+        const ITensor ref = ITensor::from(x.shape(), want);
+        for (const util::IsaTier cap : kIsaCaps) {
+          util::set_isa_tier_cap(cap);
+          for (const int threads : {1, 4}) {
+            par::set_max_threads(threads);
+            const std::string at = shape_str(c.shape) + " bias_frac " +
+                                   std::to_string(bias_frac) + " lo " +
+                                   std::to_string(lo) + " cap " +
+                                   util::isa_tier_name(cap) + " @" +
+                                   std::to_string(threads);
+            ITensor out;
+            EXPECT_EQ(sat_delta("deploy.sat.MulQuant:wide",
+                                [&] { mq.run_into({&x}, out); }),
+                      want_sat)
+                << at;
+            expect_same(out, ref, at + " out of place");
+            ITensor in_place = x;
+            EXPECT_EQ(sat_delta("deploy.sat.MulQuant:wide",
+                                [&] { mq.run_into({&in_place}, in_place); }),
+                      want_sat)
+                << at;
+            expect_same(in_place, ref, at + " in place");
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(clips, 0);  // the clip-count comparison is not vacuous
+  par::set_max_threads(saved);
+  obs::set_metrics_enabled(metrics_were_on);
+}
+
+/// MulQuant's requant in uint64 arithmetic: the wrapped bits of the 64-bit
+/// vector lanes, which every rung must produce.
+std::int64_t requant_wrapped(std::int64_t v, std::int64_t mul,
+                             std::int64_t bias, int f) {
+  const std::uint64_t y =
+      static_cast<std::uint64_t>(mul) *
+          (static_cast<std::uint64_t>(v) + static_cast<std::uint64_t>(bias)) +
+      (std::uint64_t{1} << (f - 1));
+  return static_cast<std::int64_t>(y) >> f;
+}
+
+TEST(IntOps, ScalarFormsWrapLikeVectorLanesAtEveryRung) {
+  // A checkpoint bounds neither MulQuant's multiplier nor an add's
+  // operands: products and sums past int64 wrap on every rung, and the
+  // scalar forms compute them without undefined behaviour.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMul = std::int64_t{1} << 40;
+  constexpr int kFrac = 20;
+  const std::vector<std::int64_t> xs = {std::int64_t{1} << 30,
+                                        (std::int64_t{1} << 30) + 12345,
+                                        -(std::int64_t{1} << 30) - 7,
+                                        kMax, kMin, 3, -5, 1 << 20, 99999,
+                                        -123456789, 1 << 24};
+  const ITensor x = ITensor::from({static_cast<std::int64_t>(xs.size())}, xs);
+  MulQuantOp mq({kMul}, {3}, kFrac, -127, 127, MqLayout::kPerTensor);
+  mq.label = "wrap";
+  IntAddOp add(-100, 100);
+  add.label = "wrap";
+  std::vector<std::int64_t> ys(xs.size()), want_mq, want_add;
+  std::int64_t mq_sat = 0, add_sat = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ys[i] = i % 2 ? -1 : 1;  // kMax + 1 and kMin - 1 wrap
+    const std::int64_t y = requant_wrapped(xs[i], kMul, 3, kFrac);
+    want_mq.push_back(std::clamp<std::int64_t>(y, -127, 127));
+    mq_sat += y > 127 || y < -127 ? 1 : 0;
+    const auto sum = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(xs[i]) + static_cast<std::uint64_t>(ys[i]));
+    want_add.push_back(std::clamp<std::int64_t>(sum, -100, 100));
+    add_sat += sum > 100 || sum < -100 ? 1 : 0;
+  }
+  const ITensor y = ITensor::from(x.shape(), ys);
+  // The same MulQuant fused into a linear: |x|, |w| <= 32767 at depth 1
+  // pass the int32 accumulation proof, and acc ~ 2^30 times 2^40 wraps.
+  const std::int64_t out_f = 13;  // an 8-lane tail
+  ITensor w({out_f, 1});
+  for (std::int64_t o = 0; o < out_f; ++o) {
+    w[o] = o % 3 == 0 ? 32767 : (o % 3 == 1 ? -32767 : 1000 * o);
+  }
+  IntLinearOp lin(w);
+  lin.set_solver_choice({"gemm_i8_fused", true, true, ""});
+  const auto packed = lin.pack_weights();
+  ASSERT_NE(packed, nullptr);
+  const ITensor rows = ITensor::from({4, 1}, {32767, -32767, 32766, 17});
+  const ITensor acc = lin.run({&rows});  // the int64 reference GEMM
+  std::vector<std::int64_t> want_fused;
+  std::int64_t fused_sat = 0;
+  for (std::int64_t i = 0; i < acc.numel(); ++i) {
+    const std::int64_t v = requant_wrapped(acc[i], kMul, 3, kFrac);
+    want_fused.push_back(std::clamp<std::int64_t>(v, -127, 127));
+    fused_sat += v > 127 || v < -127 ? 1 : 0;
+  }
+  EXPECT_GT(mq_sat, 0);
+  EXPECT_GT(add_sat, 0);
+  EXPECT_GT(fused_sat, 0);
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const IsaCapGuard guard;
+  for (const util::IsaTier cap : kIsaCaps) {
+    util::set_isa_tier_cap(cap);
+    const std::string at = std::string("cap ") + util::isa_tier_name(cap);
+    ITensor got;
+    const auto standalone = [&] { got = mq.run({&x}); };
+    EXPECT_EQ(sat_delta("deploy.sat.MulQuant:wrap", standalone), mq_sat) << at;
+    expect_same(got, ITensor::from(x.shape(), want_mq), at + " MulQuant");
+    const auto residual = [&] { got = add.run({&x, &y}); };
+    EXPECT_EQ(sat_delta("deploy.sat.IntAdd:wrap", residual), add_sat) << at;
+    expect_same(got, ITensor::from(x.shape(), want_add), at + " IntAdd");
+    const auto fused = [&] {
+      lin.run_packed({&rows}, packed.get(), &mq, got);
+    };
+    EXPECT_EQ(sat_delta("deploy.sat.MulQuant:wrap", fused), fused_sat) << at;
+    expect_same(got, ITensor::from(acc.shape(), want_fused), at + " fused");
+  }
+  obs::set_metrics_enabled(metrics_were_on);
 }
 
 TEST(IntOps, ConvLinearAddPoolsAgainstReference) {

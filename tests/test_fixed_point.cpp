@@ -1,9 +1,11 @@
 // Fixed-point arithmetic tests: round-trip error bounds, saturation, the
-// MulQuant datapath helper, and parameterized sweeps over formats.
+// MulQuant datapath against real arithmetic, and parameterized sweeps over
+// formats.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "deploy/int_ops.h"
 #include "util/check.h"
 #include "util/fixed_point.h"
 #include "util/rng.h"
@@ -53,13 +55,19 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FixedPointFormats,
                                            FixedPointFormat{2, 6}));
 
 TEST(FixedPoint, MulShiftMatchesRealArithmetic) {
+  // The datapath that runs: a per-tensor MulQuant, bias 0, whose clamp
+  // window is far wider than any product here.
   FixedPointFormat fmt{4, 12};
   Rng rng(5);
+  constexpr std::int64_t kWide = std::int64_t{1} << 40;
   for (int i = 0; i < 200; ++i) {
     const double m = rng.uniform(0.001F, 6.0F);
     const std::int64_t acc = rng.randint(-100000, 100000);
     const std::int64_t raw = to_fixed(m, fmt);
-    const std::int64_t got = fixed_mul_shift(acc, raw, fmt.frac_bits);
+    const MulQuantOp mq({raw}, {0}, fmt.frac_bits, -kWide, kWide,
+                        MqLayout::kPerTensor);
+    const ITensor x = ITensor::from({1}, {acc});
+    const std::int64_t got = mq.run({&x})[0];
     const double want = m * static_cast<double>(acc);
     // Error = multiplier quantization + final rounding.
     const double bound =

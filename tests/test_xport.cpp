@@ -710,7 +710,8 @@ TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
   };
   // IntConv2d params: in_channels out_channels kernel stride padding
   // groups. IntAttention params: heads frac_bits bias_frac stream_min
-  // stream_max logit_mul ...
+  // stream_max logit_mul ... The pools' params: mul frac_bits out_min
+  // out_max.
   const std::vector<Case> cases = {
       {&corpus().cnn, "IntConv2d", 2,
        [](std::int64_t k) {
@@ -725,6 +726,12 @@ TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
       {&corpus().vit, "IntAttention", 1, set(31), "IntAttentionOp"},
       {&corpus().vit, "IntAttention", 2, set(-1), "IntAttentionOp"},
       {&corpus().vit, "IntAttention", 2, set(17), "IntAttentionOp"},
+      {&corpus().vit, "IntMeanPoolTokens", 1, set(70),
+       "IntMeanPoolTokens: bad frac_bits"},
+      {&corpus().vit, "IntMeanPoolTokens", 1, set(-1),
+       "IntMeanPoolTokens: bad frac_bits"},
+      {&corpus().cnn, "IntGlobalAvgPool", 1, set(40),
+       "IntGlobalAvgPool: bad frac_bits"},
   };
   for (const Case& c : cases) {
     const std::string v2 = with_param(read_bytes(*c.file), c.kind, c.param,
