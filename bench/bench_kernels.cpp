@@ -1,7 +1,8 @@
 // Kernel-level benches for the parallel execution runtime (DESIGN.md
-// "Threading model"): tiled/packed GEMM (float + int64), im2col conv2d,
-// the deploy element-wise sweeps (MulQuant, LUT softmax), and the integer
-// ViT layers (LayerNorm, GELU, attention) at vit_b1's shapes.
+// "Threading model"): tiled/packed GEMM (float + int64), the int8 and int64
+// deploy convs, im2col conv2d, the deploy element-wise sweeps (MulQuant,
+// LUT softmax), and the integer ViT layers (LayerNorm, GELU, attention) at
+// vit_b1's shapes.
 //
 // Two speedup axes are reported separately:
 //   - tiling/packing alone: tiled GEMM at 1 thread vs an in-file naive
@@ -289,6 +290,46 @@ int main() {
     }
   }
 
+  // ---- int64 convs (iconv2d_forward) ----
+  // The kernel every conv of a loaded checkpoint and of an opt-0 model
+  // runs, in each regime of its batch-folded GEMM and its direct depthwise
+  // loop: mobilenet_b8's depthwise and pointwise convs on 2x2 and 1x1
+  // maps, resnet50_sparse24_b8's 3x3 at 4x4 and 1x1 expand at 16x16, and
+  // resnet20_ckpt_b1's 3x3 at batch 1.
+  {
+    struct Wide {
+      const char* name;
+      std::int64_t ic, oc, hw, batch;
+      int k, groups;
+    };
+    for (const Wide& d :
+         {Wide{"conv_i64_dw3x3_256_2x2_b8", 256, 256, 2, 8, 3, 256},
+          Wide{"conv_i64_1x1_512_1x1_b8", 512, 512, 1, 8, 1, 1},
+          Wide{"conv_i64_1x1_256_2x2_b8", 256, 256, 2, 8, 1, 1},
+          Wide{"conv_i64_3x3_64_4x4_b8", 64, 64, 4, 8, 3, 1},
+          Wide{"conv_i64_1x1_16to64_16x16_b8", 16, 64, 16, 8, 1, 1},
+          Wide{"conv_i64_3x3_8_16x16_b1", 8, 8, 16, 1, 3, 1}}) {
+      ConvSpec cs;
+      cs.in_channels = d.ic;
+      cs.out_channels = d.oc;
+      cs.kernel = d.k;
+      cs.padding = d.k / 2;
+      cs.groups = d.groups;
+      const std::int64_t icg = d.ic / d.groups;
+      ITensor w({d.oc, icg, d.k, d.k});
+      Rng wr(9);
+      for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = wr.randint(-7, 7);
+      const IntConv2dOp op(std::move(w), cs);
+      ITensor x({d.batch, d.ic, d.hw, d.hw});
+      Rng xr(10);
+      for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = xr.randint(-127, 127);
+      gemm_row(d.name,
+               static_cast<double>(d.batch * d.oc * d.hw * d.hw * icg * d.k *
+                                   d.k),
+               [&] { (void)op.run({&x}); }, 1, op.kernel());
+    }
+  }
+
   // ---- conv2d forward: ResNet-ish mid-stage shape ----
   const ConvSpec cs = [] {
     ConvSpec s;
@@ -331,6 +372,21 @@ int main() {
   Rng sm_rng(8);
   for (std::int64_t i = 0; i < smx.numel(); ++i) {
     smx[i] = static_cast<std::int64_t>(sm_rng.uniform(0.0F, 4000.0F));
+  }
+  // The same elements as 25088 rows of 64 under a last-dim MulQuant (the
+  // token-row layout), into a recycled output.
+  {
+    par::set_max_threads(1);
+    const ITensor rows = ITensor::from({8 * 56 * 56, mq_c}, mqx.vec());
+    const MulQuantOp mq_rows(std::vector<std::int64_t>(mq_c, 181),
+                             std::vector<std::int64_t>(mq_c, 11), 16, -127,
+                             127, MqLayout::kLastDim);
+    ITensor rows_out;
+    BenchStat s = time_reps("mulquant_lastdim_25088x64",
+                            [&] { mq_rows.run_into({&rows}, rows_out); },
+                            reps);
+    stats.push_back(s);
+    t.row({s.name, "1", fmt(s.mean_ms), "-"});
   }
   double mq_1t = 0.0, sm_1t = 0.0;
   for (const int threads : {1, hw_threads}) {

@@ -185,12 +185,17 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
         const std::int64_t d = x.size(x.rank() - 1);
         check(static_cast<std::int64_t>(mul_.size()) == d,
               "MulQuant: last-dim count mismatch");
+        // The per-column requant walks a block once per 8 columns, so a
+        // chunk goes in blocks of about kElemGrain elements that stay in
+        // cache across those walks.
+        const std::int64_t block = std::max<std::int64_t>(1, kElemGrain / d);
         par::parallel_for(
-            0, x.numel() / d, std::max<std::int64_t>(1, kElemGrain / d),
-            [&](std::int64_t r0, std::int64_t r1) {
+            0, x.numel() / d, block, [&](std::int64_t r0, std::int64_t r1) {
               std::int64_t sat = 0;
-              i8::requant(src + r0 * d, d, dst + r0 * d, d, r1 - r0, d, 0, 0,
-                          ep, sat);
+              for (std::int64_t r = r0; r < r1; r += block) {
+                i8::requant(src + r * d, d, dst + r * d, d,
+                            std::min(block, r1 - r), d, 0, 0, ep, sat);
+              }
               rq::add_sats(ep.sat, sat);
             });
         return;
@@ -214,8 +219,7 @@ IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
 }
 
 ITensor IntConv2dOp::run(const std::vector<const ITensor*>& ins) const {
-  return iconv2d_forward(only_input(ins, "IntConv2d"), weight_, nullptr,
-                         spec_);
+  return iconv2d_forward(only_input(ins, "IntConv2d"), weight_, spec_);
 }
 
 std::string IntConv2dOp::kernel() const {
@@ -597,8 +601,9 @@ obs::OpCost MulQuantOp::cost(const std::vector<const ITensor*>& ins,
 
 // GEMM-backed ops model the packed execution actually performed, not an
 // abstract dense pass (DESIGN.md §3.8/§3.11):
-//   * im2col materializes the patches (written once, then re-read by the
-//     GEMM) — except on the direct depthwise kernel, which has none;
+//   * a conv fills each patch panel straight from x (written once, read
+//     back by the GEMM) — except on the direct depthwise kernels, which
+//     have none;
 //   * packed panels are streamed from cache across every row block, so
 //     each panel counts ONCE, not once per block (packed-panel reuse);
 //   * the int8 kernels move 2-byte lanes for packed operands and skip the
@@ -631,10 +636,15 @@ obs::OpCost IntConv2dOp::cost(const std::vector<const ITensor*>& ins,
       c.flops += 3 * out.numel();
     }
   } else {
-    // i64 GEMM: cols written by im2col, re-read by the panel pack, panels
-    // written then streamed once; weights read once per task set.
-    c.bytes_read = lane_bytes(ins[0]->numel() + 2 * cols + weight_.numel());
-    c.bytes_written = lane_bytes(out.numel() + cols);
+    // i64 conv: each int64 panel is filled straight from x, then streamed
+    // once by the register tile, which reads the weights in place. The
+    // direct depthwise loop (one input and one output channel per group)
+    // has no panel.
+    const bool dw = spec_.groups == spec_.in_channels &&
+                    spec_.groups == spec_.out_channels;
+    const std::int64_t panels = dw ? 0 : cols;
+    c.bytes_read = lane_bytes(ins[0]->numel() + panels + weight_.numel());
+    c.bytes_written = lane_bytes(out.numel() + panels);
   }
   return c;
 }

@@ -81,7 +81,7 @@ Tensor QConv2d::int_path_forward(const Tensor& x) {
         "QConv2d int path requires an input activation quantizer");
   const ITensor xq = aq_->quantize(x);
   const ITensor wq_int = wq_->quantize(masked_weight());
-  const ITensor acc = iconv2d_forward(xq, wq_int, nullptr, spec_);
+  const ITensor acc = iconv2d_forward(xq, wq_int, spec_);
 
   const float sx = aq_->scale()[0];
   const float zx = aq_->zero_point()[0];

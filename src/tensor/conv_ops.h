@@ -1,5 +1,7 @@
-// 2-D convolution kernels via im2col, with grouped / depthwise support and
-// an integer-only twin of the forward pass for the deployment path.
+// 2-D convolution kernels: the float training conv via im2col, with grouped
+// / depthwise support, and the integer-only forward of the deployment path
+// (a batch-folded GEMM whose panels fill straight from the input, and a
+// direct depthwise loop).
 //
 // Layouts: activations NCHW, weights [OC, IC/groups, KH, KW].
 #pragma once
@@ -50,10 +52,13 @@ Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& w,
 Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& x,
                               const ConvSpec& spec, Tensor* grad_bias);
 
-/// Integer-only forward: int operands, int64 accumulation, optional int
-/// bias added to every output position of channel oc. This is the MAC-array
-/// semantics the deploy graph and the RTL testbench share.
+/// Integer-only forward: int operands, int64 accumulation that wraps mod
+/// 2^64. This is the MAC-array semantics the deploy graph and the RTL
+/// testbench share, and the oracle the int8 conv kernels are checked
+/// against. One batch-folded GEMM per group (its columns run over every
+/// pixel of the batch, its panels filled straight from x); a conv with one
+/// input and one output channel per group runs a direct depthwise loop.
 ITensor iconv2d_forward(const ITensor& x, const ITensor& w,
-                        const ITensor* bias, const ConvSpec& spec);
+                        const ConvSpec& spec);
 
 }  // namespace t2c

@@ -1,6 +1,7 @@
 #include "tensor/matmul.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/parallel.h"
@@ -27,7 +28,7 @@ struct Tile<float> {
 };
 template <>
 struct Tile<std::int64_t> {
-  static constexpr std::int64_t kMr = 4, kNr = 8;
+  static constexpr std::int64_t kMr = kI64TileRows, kNr = kI64TileCols;
 };
 
 // Per-CPU dispatch for the micro-kernel: GCC clones it for the wider SIMD
@@ -58,29 +59,101 @@ void pack_b_panel(const T* b, T* dst, std::int64_t k, std::int64_t jn,
   }
 }
 
-/// C[mr, jn] += Apack[k, kMr] * Bpanel[k, kNr]. Both packs are k-major
-/// (A interleaved kMr-wide, B kNr-wide), so every p-step is kMr broadcast
-/// loads plus kNr-wide FMAs over a fixed-size accumulator tile.
-template <typename T, typename Acc>
-T2C_MICROKERNEL_SIMD void micro_kernel(const T* apack, const T* bpanel,
-                                       Acc* c, std::int64_t ldc,
-                                       std::int64_t mr, std::int64_t jn,
-                                       std::int64_t k) {
-  constexpr std::int64_t MR = Tile<T>::kMr;
-  constexpr std::int64_t NR = Tile<T>::kNr;
-  Acc acc[MR][NR] = {};
+/// C[mr, jn] += Apack[k, kMr] * Bpanel[k, kNr] in float. Both packs are
+/// k-major (A interleaved kMr-wide, B kNr-wide), so every p-step is kMr
+/// broadcast loads plus kNr-wide FMAs over a fixed-size accumulator tile.
+T2C_MICROKERNEL_SIMD void micro_kernel_f32(const float* apack,
+                                           const float* bpanel, float* c,
+                                           std::int64_t ldc, std::int64_t mr,
+                                           std::int64_t jn, std::int64_t k) {
+  constexpr std::int64_t MR = Tile<float>::kMr;
+  constexpr std::int64_t NR = Tile<float>::kNr;
+  float acc[MR][NR] = {};
   for (std::int64_t p = 0; p < k; ++p) {
-    const T* bp = bpanel + p * NR;
-    const T* ap = apack + p * MR;
+    const float* bp = bpanel + p * NR;
+    const float* ap = apack + p * MR;
     for (std::int64_t r = 0; r < MR; ++r) {
-      const Acc a = static_cast<Acc>(ap[r]);
+      const float a = ap[r];
       for (std::int64_t j = 0; j < NR; ++j) {
-        acc[r][j] += a * static_cast<Acc>(bp[j]);
+        acc[r][j] += a * bp[j];
       }
     }
   }
   for (std::int64_t r = 0; r < mr; ++r) {
     for (std::int64_t j = 0; j < jn; ++j) c[r * ldc + j] += acc[r][j];
+  }
+}
+
+/// One row of the int64 register tile: eight uint64_t lanes as a GCC
+/// vector, which the clones compile to one vpmullq / vpaddq on AVX-512 and
+/// to split lanes elsewhere. Unsigned lanes wrap mod 2^64, as the vector
+/// unit does, so a sum that leaves int64 is its two's-complement value at
+/// every rung, never undefined.
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+static_assert(kI64TileRows == 4 && kI64TileCols * 8 == sizeof(U64x8),
+              "one U64x8 per tile row");
+
+/// The int64 register tile: D[r, j] = sum over p < k of op(A)[r, p] *
+/// panel[p * NR + j], stored at dst[r * ldd + j] for r < mr and j < jn.
+/// op(A)[r, p] is a[r * a_rs + p * a_cs]: the interleaved A pack (a_rs 1,
+/// a_cs MR) or a row-major matrix read in place (a_rs its row stride, a_cs
+/// 1). Rows at or past `mr` repeat row mr - 1, so a short block reads
+/// nothing past its last row. Every p-step is one panel-row load plus MR
+/// broadcast multiply-adds, whatever A's layout.
+T2C_MICROKERNEL_SIMD void tile_i64(const std::int64_t* a, std::int64_t a_rs,
+                                   std::int64_t a_cs, std::int64_t mr,
+                                   const std::int64_t* panel, std::int64_t k,
+                                   std::int64_t* dst, std::int64_t ldd,
+                                   std::int64_t jn) {
+  const std::int64_t* a0 = a;
+  const std::int64_t* a1 = a + std::min<std::int64_t>(1, mr - 1) * a_rs;
+  const std::int64_t* a2 = a + std::min<std::int64_t>(2, mr - 1) * a_rs;
+  const std::int64_t* a3 = a + std::min<std::int64_t>(3, mr - 1) * a_rs;
+  U64x8 c0 = {}, c1 = {}, c2 = {}, c3 = {};
+  for (std::int64_t p = 0; p < k; ++p) {
+    U64x8 b;
+    std::memcpy(&b, panel + p * kI64TileCols, sizeof b);
+    const std::int64_t q = p * a_cs;
+    c0 += static_cast<std::uint64_t>(a0[q]) * b;
+    c1 += static_cast<std::uint64_t>(a1[q]) * b;
+    c2 += static_cast<std::uint64_t>(a2[q]) * b;
+    c3 += static_cast<std::uint64_t>(a3[q]) * b;
+  }
+  const auto store = [&](std::int64_t r, const U64x8& c) {
+    std::int64_t* d = dst + r * ldd;
+    if (jn == kI64TileCols) {
+      std::memcpy(d, &c, sizeof c);
+    } else {
+      for (std::int64_t j = 0; j < jn; ++j) {
+        d[j] = static_cast<std::int64_t>(c[j]);
+      }
+    }
+  };
+  store(0, c0);
+  if (mr > 1) store(1, c1);
+  if (mr > 2) store(2, c2);
+  if (mr > 3) store(3, c3);
+}
+
+/// C[mr, jn] += Apack[k, kMr] * Bpanel[k, kNr], per element type: the
+/// float micro-kernel, or the int64 tile plus a wrapping add into C.
+void block_tile(const float* apack, const float* bpanel, float* c,
+                std::int64_t ldc, std::int64_t mr, std::int64_t jn,
+                std::int64_t k) {
+  micro_kernel_f32(apack, bpanel, c, ldc, mr, jn, k);
+}
+void block_tile(const std::int64_t* apack, const std::int64_t* bpanel,
+                std::int64_t* c, std::int64_t ldc, std::int64_t mr,
+                std::int64_t jn, std::int64_t k) {
+  constexpr std::int64_t NR = kI64TileCols;
+  std::int64_t tile[kI64TileRows * NR];
+  tile_i64(apack, 1, kI64TileRows, mr, bpanel, k, tile, NR, NR);
+  for (std::int64_t r = 0; r < mr; ++r) {
+    for (std::int64_t j = 0; j < jn; ++j) {
+      c[r * ldc + j] = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(c[r * ldc + j]) +
+          static_cast<std::uint64_t>(tile[r * NR + j]));
+    }
   }
 }
 
@@ -116,9 +189,8 @@ void gemm_tiled(const T* a, const T* b, Acc* c, std::int64_t m, std::int64_t n,
         for (std::int64_t r = mr; r < MR; ++r) ap[r] = T{};
       }
       for (std::int64_t jp = 0; jp < npanels; ++jp) {
-        micro_kernel<T, Acc>(apack.data(), packed.data() + jp * k * NR,
-                             c + i0 * n + jp * NR, n, mr,
-                             std::min(NR, n - jp * NR), k);
+        block_tile(apack.data(), packed.data() + jp * k * NR,
+                   c + i0 * n + jp * NR, n, mr, std::min(NR, n - jp * NR), k);
       }
     }
   };
@@ -214,6 +286,12 @@ void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
               std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
               bool trans_b, bool threaded) {
   gemm_tiled(a, b, c, m, n, k, trans_a, trans_b, threaded);
+}
+
+void gemm_i64_tile(const std::int64_t* a, std::int64_t lda, std::int64_t rows,
+                   const std::int64_t* panel, std::int64_t k,
+                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols) {
+  tile_i64(a, lda, 1, rows, panel, k, dst, ldd, cols);
 }
 
 }  // namespace t2c

@@ -19,7 +19,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
 Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a = false,
            bool trans_b = false);
 
-/// Integer matmul with int64 accumulation: C[M,N] = A[M,K] * B[K,N].
+/// Integer matmul with int64 accumulation: C[M,N] = A[M,K] * B[K,N]. Every
+/// integer sum wraps mod 2^64 (two's complement), so no operand size is
+/// undefined behaviour.
 ITensor imatmul(const ITensor& a, const ITensor& b, bool trans_a = false,
                 bool trans_b = false);
 
@@ -27,8 +29,8 @@ ITensor imatmul(const ITensor& a, const ITensor& b, bool trans_a = false,
 ITensor ibmm(const ITensor& a, const ITensor& b, bool trans_a = false,
              bool trans_b = false);
 
-// Raw GEMM entry points for kernels that own their output buffer (conv
-// im2col product, integer linear): C[M,N] += op(A) * op(B), with C
+// Raw GEMM entry points for kernels that own their output buffer (float
+// conv im2col product, integer linear): C[M,N] += op(A) * op(B), with C
 // pre-initialized by the caller (zeroed or carrying bias). Both run the
 // cache-blocked, register-tiled kernel. `threaded` parallelizes over row
 // blocks and B packing — pass false from call sites that already run
@@ -41,5 +43,15 @@ void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
               std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
               bool trans_b, bool threaded);
+
+/// The int64 register tile behind gemm_i64, for a kernel that fills its own
+/// k-major B panels (the integer conv): dst[r * ldd + j] = the sum over
+/// p < k of a[r * lda + p] * panel[p * kI64TileCols + j], wrapping like
+/// gemm_i64, for r < rows (1..kI64TileRows) and j < cols
+/// (1..kI64TileCols). A is read in place; rows past `rows` are not read.
+inline constexpr std::int64_t kI64TileRows = 4, kI64TileCols = 8;
+void gemm_i64_tile(const std::int64_t* a, std::int64_t lda, std::int64_t rows,
+                   const std::int64_t* panel, std::int64_t k,
+                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols);
 
 }  // namespace t2c

@@ -167,10 +167,13 @@ TEST(MulQuantOpTest, LayoutsMatchWideReferenceAtEveryRung) {
   };
   // Channel-NCHW at batch 2, whose 4-thread chunks straddle the images
   // (entry p % C), and at 1x1 planes (every chunk spans images);
-  // last-dim with d = 13 (an 8-lane tail); per-tensor over 3 chunks.
+  // last-dim with d = 13 (an 8-lane tail), and with d = 64 over 1000 rows,
+  // which a chunk walks in several 64-row blocks and a short last one;
+  // per-tensor over 3 chunks.
   const Case cases[] = {{{2, 24, 15, 20}, MqLayout::kChannelNCHW},
                         {{5, 3, 1, 1}, MqLayout::kChannelNCHW},
                         {{4, 200, 13}, MqLayout::kLastDim},
+                        {{1000, 64}, MqLayout::kLastDim},
                         {{3, 5000}, MqLayout::kPerTensor}};
   const bool metrics_were_on = obs::metrics_enabled();
   obs::set_metrics_enabled(true);

@@ -114,10 +114,11 @@ TEST_F(ProfileTest, ConvAndLinearCostsFollowShapes) {
   const std::int64_t expect_macs = y.numel() * 4 * 3 * 3;
   EXPECT_EQ(cc.macs, expect_macs);
   EXPECT_EQ(cc.flops, 2 * expect_macs);
-  // i64 path: the im2col scratch (written once, read back by the GEMM) is
-  // part of the modeled traffic — cols = n * ic * k^2 * oh * ow patches.
+  // i64 path: the patch panels (filled once straight from x, read back
+  // once by the register tile) are part of the modeled traffic — cols = n
+  // * ic * k^2 * oh * ow patches; the weights are read in place.
   const std::int64_t cols = 2 * 4 * 3 * 3 * 8 * 8;
-  EXPECT_EQ(cc.bytes_read, (x.numel() + 2 * cols + 6 * 4 * 3 * 3) * 8);
+  EXPECT_EQ(cc.bytes_read, (x.numel() + cols + 6 * 4 * 3 * 3) * 8);
   EXPECT_EQ(cc.bytes_written, (y.numel() + cols) * 8);
 
   const IntLinearOp fc(ITensor({5, 16}));
@@ -145,24 +146,29 @@ TEST_F(ProfileTest, ConvAndLinearCostsFollowShapes) {
 }
 
 TEST_F(ProfileTest, DirectDepthwiseCostHasNoPatchTraffic) {
-  // 2x8x8x8 depthwise k3 p1 on the direct solver: the input is read once,
-  // the int16 weight rows once, no im2col patches either way, and the
-  // fused requant adds its per-output work.
+  // 2x8x8x8 depthwise k3 p1 on the direct kernels: the input is read once,
+  // the weights once, no patch panels on either path, and the fused
+  // requant adds its per-output work.
   ConvSpec spec;
   spec.in_channels = spec.out_channels = 8;
   spec.groups = 8;
   spec.kernel = 3;
   spec.padding = 1;
   IntConv2dOp conv(ITensor({8, 1, 3, 3}), spec);
+  ITensor x({2, 8, 8, 8});
+  ITensor y({2, 8, 8, 8});
+  const std::int64_t macs = y.numel() * 1 * 3 * 3;
+  // The int64 direct loop: int64 weights, no epilogue.
+  const obs::OpCost wide = conv.cost({&x}, y);
+  EXPECT_EQ(wide.macs, macs);
+  EXPECT_EQ(wide.bytes_read, (x.numel() + 8 * 9) * 8);
+  EXPECT_EQ(wide.bytes_written, y.numel() * 8);
   solver::SolverChoice c;
   c.name = "dwconv_i8_fused";
   c.i8 = true;
   c.fuse = true;
   conv.set_solver_choice(c);
-  ITensor x({2, 8, 8, 8});
-  ITensor y({2, 8, 8, 8});
   const obs::OpCost cc = conv.cost({&x}, y);
-  const std::int64_t macs = y.numel() * 1 * 3 * 3;
   EXPECT_EQ(cc.macs, macs + y.numel());
   EXPECT_EQ(cc.flops, 2 * macs + 3 * y.numel());
   EXPECT_EQ(cc.bytes_read, x.numel() * 8 + 2 * 8 * 9);
