@@ -293,9 +293,9 @@ int main() {
   // ---- int64 convs (iconv2d_forward) ----
   // The kernel every conv of a loaded checkpoint and of an opt-0 model
   // runs, in each regime of its batch-folded GEMM and its direct depthwise
-  // loop: mobilenet_b8's depthwise and pointwise convs on 2x2 and 1x1
-  // maps, resnet50_sparse24_b8's 3x3 at 4x4 and 1x1 expand at 16x16, and
-  // resnet20_ckpt_b1's 3x3 at batch 1.
+  // loop: mobilenet_b8's depthwise convs on 2x2 and 16x16 maps and its
+  // pointwise convs on 2x2 and 1x1 maps, resnet50_sparse24_b8's 3x3 at 4x4
+  // and 1x1 expand at 16x16, and resnet20_ckpt_b1's 3x3 at batch 1.
   {
     struct Wide {
       const char* name;
@@ -304,6 +304,7 @@ int main() {
     };
     for (const Wide& d :
          {Wide{"conv_i64_dw3x3_256_2x2_b8", 256, 256, 2, 8, 3, 256},
+          Wide{"conv_i64_dw3x3_32_16x16_b8", 32, 32, 16, 8, 3, 32},
           Wide{"conv_i64_1x1_512_1x1_b8", 512, 512, 1, 8, 1, 1},
           Wide{"conv_i64_1x1_256_2x2_b8", 256, 256, 2, 8, 1, 1},
           Wide{"conv_i64_3x3_64_4x4_b8", 64, 64, 4, 8, 3, 1},

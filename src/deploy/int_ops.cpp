@@ -219,7 +219,8 @@ IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
 }
 
 ITensor IntConv2dOp::run(const std::vector<const ITensor*>& ins) const {
-  return iconv2d_forward(only_input(ins, "IntConv2d"), weight_, spec_);
+  return iconv2d_forward(only_input(ins, "IntConv2d"), weight_, facts_.lo,
+                         facts_.hi, spec_);
 }
 
 std::string IntConv2dOp::kernel() const {

@@ -657,6 +657,24 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
         "IntAttentionOp: frac_bits outside [1, 31)");
   check(p_.bias_frac >= 0 && p_.bias_frac <= 16,
         "IntAttentionOp: bias_frac outside [0, 16]");
+  // A logit sums dh stream products, so |logit| <= dh * sb^2 (sb bounds
+  // the stream); a logit difference is at most twice that, and the LUT
+  // index's numerator logit_mul * diff + 2^(f-1) must not wrap negative.
+  // Both bounds are checked in 128 bits, the first by division.
+  using U128 = unsigned __int128;
+  constexpr auto kMax =
+      static_cast<U128>(std::numeric_limits<std::int64_t>::max());
+  const std::int64_t sb = abs_bound(p_.stream_min, p_.stream_max);
+  const U128 sb2 = static_cast<U128>(sb) * static_cast<U128>(sb);
+  const auto dh = static_cast<U128>(d / p_.heads);
+  check(sb2 == 0 || dh <= kMax / sb2,
+        "IntAttentionOp: head dim x stream bound^2 (the largest logit) "
+        "overflows int64");
+  check(static_cast<U128>(p_.logit_mul) * 2 * dh * sb2 +
+                static_cast<U128>(rq::round_half(p_.frac_bits)) <=
+            kMax,
+        "IntAttentionOp: logit_mul x 2 x head dim x stream bound^2 + "
+        "2^(frac_bits-1) (the softmax LUT index) overflows int64");
   num_max_ = softmax_num_max(p_.softmax_lut, p_.p_qmax);
   wqkv_facts_ = WeightFacts::scan(p_.wqkv);
   wproj_facts_ = WeightFacts::scan(p_.wproj);
@@ -725,25 +743,34 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
   const int bf = p_.bias_frac;
   const std::int64_t half = std::int64_t{1} << (f - 1);
   const std::int64_t bhalf = std::int64_t{1} << (f + bf - 1);
+  // Products and sums of unchecked operands wrap through uint64_t
+  // (rq::wrap_*, rq::requant1); the logits are bounded at construction.
+  const rq::Clip stream{p_.stream_min, p_.stream_max, false};
+  const rq::Clip ctx_clip{p_.ctx_min, p_.ctx_max, false};
+  const rq::Clip out_clip{p_.out_min, p_.out_max, false};
+  // dot(a, b) over d lanes, wrapping.
+  const auto dot = [d](const std::int64_t* a, const std::int64_t* b) {
+    std::int64_t acc = 0;
+    for (std::int64_t k = 0; k < d; ++k) {
+      acc = wrap_add(acc, wrap_mul(a[k], b[k]));
+    }
+    return acc;
+  };
 
   // 1. qkv projection + per-output-channel requant to the stream grids.
   // Each (sample, token) row is one task; the k-loop stays ascending per
   // output element, so the split never changes the accumulation order.
   ITensor qkv({n, t, 3 * d});
   par::parallel_for(0, n * t, 1, [&](std::int64_t r0, std::int64_t r1) {
+    std::int64_t sat = 0;  // no clip is counted
     for (std::int64_t r = r0; r < r1; ++r) {
       const std::int64_t* row = x.data() + r * d;
       std::int64_t* orow = qkv.data() + r * 3 * d;
       for (std::int64_t j = 0; j < 3 * d; ++j) {
-        const std::int64_t* w = p_.wqkv.data() + j * d;
-        std::int64_t acc = 0;
-        for (std::int64_t k = 0; k < d; ++k) acc += row[k] * w[k];
-        const std::int64_t y =
-            (p_.qkv_mul[static_cast<std::size_t>(j)] *
-                 ((acc << bf) + p_.qkv_bias[static_cast<std::size_t>(j)]) +
-             bhalf) >>
-            (f + bf);
-        orow[j] = clamp64(y, p_.stream_min, p_.stream_max);
+        const auto u = static_cast<std::size_t>(j);
+        orow[j] = rq::requant1(dot(row, p_.wqkv.data() + j * d),
+                               p_.qkv_mul[u], p_.qkv_bias[u], bhalf, f + bf,
+                               bf, stream, sat);
       }
     }
   });
@@ -755,6 +782,7 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
   par::parallel_for(0, n * h, 1, [&](std::int64_t p0, std::int64_t p1) {
     std::vector<std::int64_t> logits(static_cast<std::size_t>(t));
     std::vector<std::int64_t> probs(static_cast<std::size_t>(t));
+    std::int64_t sat = 0;  // no clip is counted
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t in = p / h, ih = p % h;
       for (std::int64_t iq = 0; iq < t; ++iq) {
@@ -771,22 +799,21 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
           m = std::max(m, acc);
         }
         // LUT softmax: rescale the logit difference onto the LUT grid.
+        // The constructor's bound keeps logit_mul * diff + half in int64
+        // (diff wraps only with logit_mul 0, which zeroes it).
         std::int64_t sum = 0;
         for (std::int64_t ik = 0; ik < t; ++ik) {
           const std::int64_t diff =
-              m - logits[static_cast<std::size_t>(ik)];
+              wrap_sub(m, logits[static_cast<std::size_t>(ik)]);
           const std::int64_t idx =
               std::min(last, (p_.logit_mul * diff + half) >> f);
           probs[static_cast<std::size_t>(ik)] =
               p_.softmax_lut[static_cast<std::size_t>(idx)];
-          sum += probs[static_cast<std::size_t>(ik)];
+          sum = wrap_add(sum, probs[static_cast<std::size_t>(ik)]);
         }
         for (std::int64_t ik = 0; ik < t; ++ik) {
-          probs[static_cast<std::size_t>(ik)] =
-              sum > 0 ? (probs[static_cast<std::size_t>(ik)] * p_.p_qmax +
-                         sum / 2) /
-                            sum
-                      : 0;
+          auto& pr = probs[static_cast<std::size_t>(ik)];
+          pr = sum > 0 ? wrap_add(wrap_mul(pr, p_.p_qmax), sum / 2) / sum : 0;
         }
         // context = p * v, then scalar requant
         for (std::int64_t e = 0; e < dh; ++e) {
@@ -794,11 +821,11 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
           for (std::int64_t ik = 0; ik < t; ++ik) {
             const std::int64_t v =
                 qkv[(in * t + ik) * 3 * d + 2 * d + ih * dh + e];
-            acc += probs[static_cast<std::size_t>(ik)] * v;
+            acc = wrap_add(acc,
+                           wrap_mul(probs[static_cast<std::size_t>(ik)], v));
           }
-          const std::int64_t y = (p_.ctx_mul * acc + half) >> f;
           ctx[(in * t + iq) * d + ih * dh + e] =
-              clamp64(y, p_.ctx_min, p_.ctx_max);
+              rq::requant1(acc, p_.ctx_mul, 0, half, f, 0, ctx_clip, sat);
         }
       }
     }
@@ -806,19 +833,15 @@ void IntAttentionOp::run_into(const std::vector<const ITensor*>& ins,
 
   // 6. output projection + requant to the residual-stream grid.
   par::parallel_for(0, n * t, 1, [&](std::int64_t r0, std::int64_t r1) {
+    std::int64_t sat = 0;  // no clip is counted
     for (std::int64_t r = r0; r < r1; ++r) {
       const std::int64_t* row = ctx.data() + r * d;
       std::int64_t* orow = out.data() + r * d;
       for (std::int64_t j = 0; j < d; ++j) {
-        const std::int64_t* w = p_.wproj.data() + j * d;
-        std::int64_t acc = 0;
-        for (std::int64_t k = 0; k < d; ++k) acc += row[k] * w[k];
-        const std::int64_t y =
-            (p_.proj_mul[static_cast<std::size_t>(j)] *
-                 ((acc << bf) + p_.proj_bias[static_cast<std::size_t>(j)]) +
-             bhalf) >>
-            (f + bf);
-        orow[j] = clamp64(y, p_.out_min, p_.out_max);
+        const auto u = static_cast<std::size_t>(j);
+        orow[j] = rq::requant1(dot(row, p_.wproj.data() + j * d),
+                               p_.proj_mul[u], p_.proj_bias[u], bhalf, f + bf,
+                               bf, out_clip, sat);
       }
     }
   });

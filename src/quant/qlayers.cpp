@@ -1,5 +1,7 @@
 #include "quant/qlayers.h"
 
+#include <algorithm>
+
 #include "tensor/elementwise.h"
 
 namespace t2c {
@@ -81,7 +83,9 @@ Tensor QConv2d::int_path_forward(const Tensor& x) {
         "QConv2d int path requires an input activation quantizer");
   const ITensor xq = aq_->quantize(x);
   const ITensor wq_int = wq_->quantize(masked_weight());
-  const ITensor acc = iconv2d_forward(xq, wq_int, spec_);
+  const auto [wlo, whi] =
+      std::minmax_element(wq_int.data(), wq_int.data() + wq_int.numel());
+  const ITensor acc = iconv2d_forward(xq, wq_int, *wlo, *whi, spec_);
 
   const float sx = aq_->scale()[0];
   const float zx = aq_->zero_point()[0];

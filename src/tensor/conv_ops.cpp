@@ -5,6 +5,7 @@
 
 #include "core/parallel.h"
 #include "tensor/matmul.h"
+#include "tensor/requant.h"
 
 namespace t2c {
 
@@ -120,6 +121,21 @@ std::int64_t* i64_scratch(std::int64_t n) {
   return buf.data();
 }
 
+#if T2C_AVX512_LANES
+/// True when every value of [p, p + n) lies in [-2^31, 2^31), the operand
+/// range of the narrow lanes: v + 2^31 (wrapping) is below 2^32 exactly
+/// there. One branch-free pass, which GCC vectorizes on zmm lanes.
+__attribute__((target("avx512f"))) bool fits_i32(const std::int64_t* p,
+                                                 std::int64_t n) {
+  std::uint64_t high = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::uint64_t>(p[i]);
+    high |= (u + (std::uint64_t{1} << 31)) >> 32;
+  }
+  return high == 0;
+}
+#endif
+
 /// Output positions [lo[t], hi[t]) whose input index o * stride + t - pad
 /// lies in [0, extent), per kernel tap t: the padding test, made once per
 /// tap instead of once per output.
@@ -203,6 +219,79 @@ void fill_panel(const std::int64_t* x, const ConvSpec& s, const Geometry& g,
   }
 }
 
+#if T2C_AVX512_LANES
+/// fill_panel on the AVX-512 rung, for strides 1 and 2: each depth row of a
+/// run is one masked store of eight lanes, and the run's last store also
+/// zeroes the columns at or past jn. At stride 1 the row's valid columns
+/// [qa, qb) are one masked load; at stride 2 two masked loads cover the 16
+/// map values the run spans and vpermt2q picks the even ones. Masked-off
+/// lanes are never read, so a load's start may lie outside the map.
+__attribute__((target("avx512f"))) void fill_panel_avx512(
+    const std::int64_t* x, const ConvSpec& s, const Geometry& g,
+    std::int64_t grp, std::int64_t j0, std::int64_t jn,
+    const std::int64_t* xlo, const std::int64_t* xhi, std::int64_t* span,
+    std::int64_t* panel) {
+  const std::int64_t k = s.kernel, st = s.stride, pad = s.padding;
+  const std::int64_t h = g.h, w = g.w, ow = g.ow, oh = g.oh;
+  const std::int64_t icg = g.icg, hw = h * w, ohw = oh * ow;
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  std::int64_t* a = span;
+  std::int64_t* b = span + k;
+  std::int64_t img = j0 / ohw;
+  std::int64_t oy = (j0 - img * ohw) / ow;
+  std::int64_t ox = j0 - img * ohw - oy * ow;
+  for (std::int64_t j = 0; j < jn;) {
+    const std::int64_t len = std::min(jn - j, ow - ox);
+    const __mmask8 store = avx512::tail8(j + len == jn ? kNr - j : len);
+    for (std::int64_t kj = 0; kj < k; ++kj) {
+      a[kj] = std::clamp<std::int64_t>(xlo[kj] - ox, 0, len);
+      b[kj] = std::clamp<std::int64_t>(xhi[kj] - ox, a[kj], len);
+    }
+    const std::int64_t* plane = x + (img * s.in_channels + grp * icg) * hw;
+    std::int64_t* row = panel + j;
+    for (std::int64_t c = 0; c < icg; ++c, plane += hw) {
+      for (std::int64_t ki = 0; ki < k; ++ki) {
+        const std::int64_t iy = oy * st + ki - pad;
+        const bool inside = iy >= 0 && iy < h;
+        for (std::int64_t kj = 0; kj < k; ++kj, row += kNr) {
+          // Column q reads src[q * st], inside for q in [a[kj], b[kj]).
+          const auto valid = static_cast<__mmask8>(
+              inside ? avx512::tail8(b[kj]) & ~avx512::tail8(a[kj]) : 0);
+          __m512i v = _mm512_setzero_si512();
+          if (valid != 0) {
+            const std::int64_t* src = plane + iy * w + ox * st + kj - pad;
+            if (st == 1) {
+              v = _mm512_maskz_loadu_epi64(valid, src);
+            } else {
+              // Map values src[2 * a[kj]] .. src[2 * b[kj] - 2].
+              const unsigned span16 =
+                  avx512::tail16(2 * b[kj] - 1) & ~avx512::tail16(2 * a[kj]);
+              v = _mm512_maskz_permutex2var_epi64(
+                  valid,
+                  _mm512_maskz_loadu_epi64(static_cast<__mmask8>(span16),
+                                           src),
+                  even,
+                  _mm512_maskz_loadu_epi64(
+                      static_cast<__mmask8>(span16 >> 8), src + 8));
+            }
+          }
+          _mm512_mask_storeu_epi64(row, store, v);
+        }
+      }
+    }
+    j += len;
+    ox += len;
+    if (ox == ow) {
+      ox = 0;
+      if (++oy == oh) {
+        oy = 0;
+        ++img;
+      }
+    }
+  }
+}
+#endif
+
 /// The batch-folded conv: per group, the GEMM W_g [OCg, K] x P [K, N*OH*OW]
 /// whose columns are every pixel of the batch. A task fills one kNr-wide
 /// panel of P (fill_panel) into worker scratch and runs the int64 register
@@ -213,9 +302,11 @@ void fill_panel(const std::int64_t* x, const ConvSpec& s, const Geometry& g,
 /// panels would idle pool workers (a 1x1 map folds a whole batch into one
 /// panel), so then the row blocks split into slices, as in the int8 packed
 /// conv; a worker fills a panel once for its consecutive slices, and a lone
-/// thread never splits.
+/// thread never splits. `vec` (the AVX-512 rung) picks fill_panel_avx512
+/// for strides 1 and 2; `narrow` runs the narrow tile.
 void conv_i64(const std::int64_t* x, const std::int64_t* w, const ConvSpec& s,
-              const Geometry& g, std::int64_t n, std::int64_t* out) {
+              const Geometry& g, std::int64_t n, bool vec, bool narrow,
+              std::int64_t* out) {
   const std::int64_t k = s.kernel;
   const std::int64_t depth = g.icg * k * k;
   const std::int64_t ohw = g.oh * g.ow;
@@ -245,7 +336,16 @@ void conv_i64(const std::int64_t* x, const std::int64_t* w, const ConvSpec& s,
       const std::int64_t j0 = (pt - grp * npanels) * kNr;
       if (pt != filled) {
         jn = std::min(kNr, cols - j0);
+#if T2C_AVX512_LANES
+        if (vec && s.stride <= 2) {
+          fill_panel_avx512(x, s, g, grp, j0, jn, xlo, xhi, xhi + k, panel);
+        } else {
+          fill_panel(x, s, g, grp, j0, jn, xlo, xhi, xhi + k, panel);
+        }
+#else
+        (void)vec;
         fill_panel(x, s, g, grp, j0, jn, xlo, xhi, xhi + k, panel);
+#endif
         for (std::int64_t j = 0; j < jn; ++j) {
           const std::int64_t img = (j0 + j) / ohw;
           col[j] = img * s.out_channels * ohw + (j0 + j - img * ohw);
@@ -260,11 +360,11 @@ void conv_i64(const std::int64_t* x, const std::int64_t* w, const ConvSpec& s,
         const std::int64_t mr = std::min(kMr, g.ocg - ib * kMr);
         if (one_image) {
           gemm_i64_tile(w + oc0 * depth, depth, mr, panel, depth,
-                        out + col[0] + oc0 * ohw, ohw, jn);
+                        out + col[0] + oc0 * ohw, ohw, jn, narrow);
           continue;
         }
         gemm_i64_tile(w + oc0 * depth, depth, mr, panel, depth, tile, kNr,
-                      kNr);
+                      kNr, narrow);
         for (std::int64_t r = 0; r < mr; ++r) {
           std::int64_t* o = out + (oc0 + r) * ohw;
           for (std::int64_t j = 0; j < jn; ++j) o[col[j]] = tile[r * kNr + j];
@@ -315,16 +415,101 @@ void depthwise_planes(const std::int64_t* x, const std::int64_t* w,
   }
 }
 
+#if T2C_AVX512_LANES
+// The GCC 12 false positive of tile_i64_narrow's _mm512_mul_epi32.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// The direct depthwise conv on narrow operands at the AVX-512 rung: blocks
+/// [b0, b1) of eight consecutive planes (numbered as in depthwise_planes,
+/// `planes` in all), one int64 lane each. A block's planes are gathered
+/// pixel-major into worker scratch inside a zero ring of `pad` pixels
+/// (zeroed once per chunk), so each output pixel adds every tap as one
+/// vpmuldq + vpaddq with no bounds test, and its eight sums scatter back
+/// to their planes. With every value in [-2^31, 2^31) each product is
+/// exact, so the wrapped sums equal depthwise_planes' bit for bit. Lanes
+/// past the last plane (a short final block) are masked off.
+__attribute__((target("avx512f"))) void depthwise_narrow_avx512(
+    const std::int64_t* x, const std::int64_t* w, const ConvSpec& s,
+    const Geometry& g, std::int64_t planes, std::int64_t b0, std::int64_t b1,
+    std::int64_t* out) {
+  const std::int64_t k = s.kernel, st = s.stride, pad = s.padding;
+  const std::int64_t c = s.out_channels, taps = k * k;
+  const std::int64_t h = g.h, iw = g.w, oh = g.oh, ow = g.ow;
+  const std::int64_t hw = h * iw, ohw = oh * ow, wp = iw + 2 * pad;
+  const std::int64_t padded = (h + 2 * pad) * wp * 8;
+  std::int64_t* xs = i64_scratch(padded + taps * 8);
+  std::int64_t* wv = xs + padded;  // [taps][8]: each lane's channel weights
+  std::fill(xs, xs + padded, 0);
+  const __m512i xidx = _mm512_set_epi64(7 * hw, 6 * hw, 5 * hw, 4 * hw,
+                                        3 * hw, 2 * hw, hw, 0);
+  const __m512i oidx = _mm512_set_epi64(7 * ohw, 6 * ohw, 5 * ohw, 4 * ohw,
+                                        3 * ohw, 2 * ohw, ohw, 0);
+  std::int64_t* inner = xs + (pad * wp + pad) * 8;
+  for (std::int64_t b = b0; b < b1; ++b) {
+    const std::int64_t p0 = b * 8;
+    const __mmask8 m = avx512::tail8(planes - p0);
+    // Lane l holds channel (p0 + l) % C; lanes past the last plane are
+    // masked off.
+    std::int64_t ch = p0 % c;
+    for (std::int64_t l = 0; l < 8; ++l) {
+      for (std::int64_t t = 0; t < taps; ++t) wv[t * 8 + l] = w[ch * taps + t];
+      ch = ch + 1 == c ? 0 : ch + 1;
+    }
+    const std::int64_t* xb = x + p0 * hw;
+    for (std::int64_t iy = 0; iy < h; ++iy) {
+      for (std::int64_t ix = 0; ix < iw; ++ix) {
+        _mm512_storeu_si512(
+            inner + (iy * wp + ix) * 8,
+            _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), m, xidx,
+                                        xb + iy * iw + ix, 8));
+      }
+    }
+    std::int64_t* ob = out + p0 * ohw;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const std::int64_t* base = xs + (oy * wp + ox) * st * 8;
+        __m512i acc = _mm512_setzero_si512();
+        for (std::int64_t ki = 0; ki < k; ++ki) {
+          for (std::int64_t kj = 0; kj < k; ++kj) {
+            acc = _mm512_add_epi64(
+                acc, _mm512_mul_epi32(
+                         _mm512_loadu_si512(base + (ki * wp + kj) * 8),
+                         _mm512_loadu_si512(wv + (ki * k + kj) * 8)));
+          }
+        }
+        _mm512_mask_i64scatter_epi64(ob + oy * ow + ox, m, oidx, acc, 8);
+      }
+    }
+  }
+}
+#pragma GCC diagnostic pop
+#endif
+
+/// The direct depthwise conv: blocks of eight planes on narrow lanes when
+/// `narrow` (the AVX-512 rung, operands in [-2^31, 2^31)), the scalar
+/// loop otherwise.
 void depthwise_i64(const std::int64_t* x, const std::int64_t* w,
                    const ConvSpec& s, const Geometry& g, std::int64_t n,
-                   std::uint64_t* out) {
-  const std::int64_t taps = s.kernel * s.kernel;
-  par::parallel_for(
-      0, n * s.out_channels,
-      std::max<std::int64_t>(1, kDwGrain / (g.oh * g.ow * taps)),
-      [&](std::int64_t p0, std::int64_t p1) {
-        depthwise_planes(x, w, s, g, p0, p1, out);
-      });
+                   bool narrow, std::int64_t* out) {
+  const std::int64_t planes = n * s.out_channels;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kDwGrain / (g.oh * g.ow * s.kernel * s.kernel));
+#if T2C_AVX512_LANES
+  if (narrow) {
+    par::parallel_for(0, (planes + 7) / 8, std::max<std::int64_t>(1, grain / 8),
+                      [&](std::int64_t b0, std::int64_t b1) {
+                        depthwise_narrow_avx512(x, w, s, g, planes, b0, b1,
+                                                out);
+                      });
+    return;
+  }
+#endif
+  (void)narrow;
+  // Sums wrap through uint64_t, the unsigned twin of the output's lanes.
+  par::parallel_for(0, planes, grain, [&](std::int64_t p0, std::int64_t p1) {
+    depthwise_planes(x, w, s, g, p0, p1,
+                     reinterpret_cast<std::uint64_t*>(out));
+  });
 }
 
 }  // namespace
@@ -407,17 +592,29 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
   return out;
 }
 
-ITensor iconv2d_forward(const ITensor& x, const ITensor& w,
-                        const ConvSpec& spec) {
+ITensor iconv2d_forward(const ITensor& x, const ITensor& w, std::int64_t w_lo,
+                        std::int64_t w_hi, const ConvSpec& spec) {
   check_conv_operands(x, w, spec);
   const Geometry g = geom(x.shape(), spec);
   ITensor out({x.size(0), spec.out_channels, g.oh, g.ow});
+  // Decided once per call: the weights' half from the caller's bounds, the
+  // input's from one pass over x.
+  const bool vec = rq::avx512_tier();
+#if T2C_AVX512_LANES
+  constexpr std::int64_t kLo = -(std::int64_t{1} << 31);
+  constexpr std::int64_t kHi = (std::int64_t{1} << 31) - 1;
+  const bool narrow = vec && w_lo >= kLo && w_hi <= kHi &&
+                      fits_i32(x.data(), x.numel());
+#else
+  const bool narrow = false;
+  (void)w_lo, (void)w_hi;
+#endif
   if (g.icg == 1 && g.ocg == 1) {
-    // Sums wrap through uint64_t, the unsigned twin of the output's lanes.
-    depthwise_i64(x.data(), w.data(), spec, g, x.size(0),
-                  reinterpret_cast<std::uint64_t*>(out.data()));
+    depthwise_i64(x.data(), w.data(), spec, g, x.size(0), narrow,
+                  out.data());
   } else {
-    conv_i64(x.data(), w.data(), spec, g, x.size(0), out.data());
+    conv_i64(x.data(), w.data(), spec, g, x.size(0), vec, narrow,
+             out.data());
   }
   return out;
 }

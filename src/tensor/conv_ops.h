@@ -58,7 +58,11 @@ Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& x,
 /// against. One batch-folded GEMM per group (its columns run over every
 /// pixel of the batch, its panels filled straight from x); a conv with one
 /// input and one output channel per group runs a direct depthwise loop.
-ITensor iconv2d_forward(const ITensor& x, const ITensor& w,
-                        const ConvSpec& spec);
+/// [w_lo, w_hi] must hold every weight (an op's cached WeightFacts, or a
+/// scan): with it and one pass over x the call decides whether its
+/// multiplies run on narrow lanes (every operand in [-2^31, 2^31), on the
+/// AVX-512 rung), which give the same bits as the wide ones.
+ITensor iconv2d_forward(const ITensor& x, const ITensor& w, std::int64_t w_lo,
+                        std::int64_t w_hi, const ConvSpec& spec);
 
 }  // namespace t2c

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "tensor/avx512_lanes.h"
 
 namespace t2c {
 
@@ -135,6 +136,41 @@ T2C_MICROKERNEL_SIMD void tile_i64(const std::int64_t* a, std::int64_t a_rs,
   if (mr > 3) store(3, c3);
 }
 
+#if T2C_AVX512_LANES
+// GCC 12 reports _mm512_mul_epi32's undefined pass-through operand as
+// maybe-uninitialized; the intrinsic never reads it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// tile_i64 on narrow operands, for A read in place (a_cs 1): vpmuldq
+/// multiplies each lane's low 32 bits as signed values, one µop where
+/// vpmullq takes three. When every A and panel value lies in [-2^31, 2^31)
+/// the low 32 bits are the value, each product (at most 2^62 in magnitude)
+/// is exact, and the wrapped sums equal tile_i64's bit for bit.
+__attribute__((target("avx512f"))) void tile_i64_narrow(
+    const std::int64_t* a, std::int64_t lda, std::int64_t mr,
+    const std::int64_t* panel, std::int64_t k, std::int64_t* dst,
+    std::int64_t ldd, std::int64_t jn) {
+  const std::int64_t* a0 = a;
+  const std::int64_t* a1 = a + std::min<std::int64_t>(1, mr - 1) * lda;
+  const std::int64_t* a2 = a + std::min<std::int64_t>(2, mr - 1) * lda;
+  const std::int64_t* a3 = a + std::min<std::int64_t>(3, mr - 1) * lda;
+  __m512i c0 = _mm512_setzero_si512(), c1 = c0, c2 = c0, c3 = c0;
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m512i b = _mm512_loadu_si512(panel + p * kI64TileCols);
+    c0 = _mm512_add_epi64(c0, _mm512_mul_epi32(_mm512_set1_epi64(a0[p]), b));
+    c1 = _mm512_add_epi64(c1, _mm512_mul_epi32(_mm512_set1_epi64(a1[p]), b));
+    c2 = _mm512_add_epi64(c2, _mm512_mul_epi32(_mm512_set1_epi64(a2[p]), b));
+    c3 = _mm512_add_epi64(c3, _mm512_mul_epi32(_mm512_set1_epi64(a3[p]), b));
+  }
+  const __mmask8 m = avx512::tail8(jn);
+  avx512::store8(dst, m, c0);
+  if (mr > 1) avx512::store8(dst + ldd, m, c1);
+  if (mr > 2) avx512::store8(dst + 2 * ldd, m, c2);
+  if (mr > 3) avx512::store8(dst + 3 * ldd, m, c3);
+}
+#pragma GCC diagnostic pop
+#endif
+
 /// C[mr, jn] += Apack[k, kMr] * Bpanel[k, kNr], per element type: the
 /// float micro-kernel, or the int64 tile plus a wrapping add into C.
 void block_tile(const float* apack, const float* bpanel, float* c,
@@ -157,8 +193,8 @@ void block_tile(const std::int64_t* apack, const std::int64_t* bpanel,
   }
 }
 
-template <typename T, typename Acc>
-void gemm_tiled(const T* a, const T* b, Acc* c, std::int64_t m, std::int64_t n,
+template <typename T>
+void gemm_tiled(const T* a, const T* b, T* c, std::int64_t m, std::int64_t n,
                 std::int64_t k, bool trans_a, bool trans_b, bool threaded) {
   constexpr std::int64_t MR = Tile<T>::kMr;
   constexpr std::int64_t NR = Tile<T>::kNr;
@@ -203,10 +239,8 @@ void gemm_tiled(const T* a, const T* b, Acc* c, std::int64_t m, std::int64_t n,
   }
 }
 
-template <typename T>
-void check_mm(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
-              bool trans_b, std::int64_t& m, std::int64_t& n, std::int64_t& k,
-              int offset) {
+void check_mm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
+              std::int64_t& m, std::int64_t& n, std::int64_t& k, int offset) {
   const std::int64_t ar = a.size(offset), ac = a.size(offset + 1);
   const std::int64_t br = b.size(offset), bc = b.size(offset + 1);
   m = trans_a ? ac : ar;
@@ -217,27 +251,25 @@ void check_mm(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
                      " x " + shape_str(b.shape()));
 }
 
-template <typename T, typename Acc>
-TensorT<Acc> mm_impl(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
-                     bool trans_b) {
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   check(a.rank() == 2 && b.rank() == 2, "matmul expects rank-2 operands");
   std::int64_t m = 0, n = 0, k = 0;
   check_mm(a, b, trans_a, trans_b, m, n, k, 0);
-  TensorT<Acc> c({m, n});
+  Tensor c({m, n});
   gemm_tiled(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
              /*threaded=*/true);
   return c;
 }
 
-template <typename T, typename Acc>
-TensorT<Acc> bmm_impl(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
-                      bool trans_b) {
+Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   check(a.rank() == 3 && b.rank() == 3, "bmm expects rank-3 operands");
   check(a.size(0) == b.size(0), "bmm: batch dim mismatch");
   std::int64_t m = 0, n = 0, k = 0;
   check_mm(a, b, trans_a, trans_b, m, n, k, 1);
   const std::int64_t batch = a.size(0);
-  TensorT<Acc> c({batch, m, n});
+  Tensor c({batch, m, n});
   const std::int64_t a_sz = a.size(1) * a.size(2);
   const std::int64_t b_sz = b.size(1) * b.size(2);
   if (batch == 1) {
@@ -257,25 +289,6 @@ TensorT<Acc> bmm_impl(const TensorT<T>& a, const TensorT<T>& b, bool trans_a,
   return c;
 }
 
-}  // namespace
-
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  return mm_impl<float, float>(a, b, trans_a, trans_b);
-}
-
-Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  return bmm_impl<float, float>(a, b, trans_a, trans_b);
-}
-
-ITensor imatmul(const ITensor& a, const ITensor& b, bool trans_a,
-                bool trans_b) {
-  return mm_impl<std::int64_t, std::int64_t>(a, b, trans_a, trans_b);
-}
-
-ITensor ibmm(const ITensor& a, const ITensor& b, bool trans_a, bool trans_b) {
-  return bmm_impl<std::int64_t, std::int64_t>(a, b, trans_a, trans_b);
-}
-
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
               bool threaded) {
@@ -290,7 +303,15 @@ void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
 
 void gemm_i64_tile(const std::int64_t* a, std::int64_t lda, std::int64_t rows,
                    const std::int64_t* panel, std::int64_t k,
-                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols) {
+                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols,
+                   bool narrow) {
+#if T2C_AVX512_LANES
+  if (narrow) {
+    tile_i64_narrow(a, lda, rows, panel, k, dst, ldd, cols);
+    return;
+  }
+#endif
+  (void)narrow;
   tile_i64(a, lda, 1, rows, panel, k, dst, ldd, cols);
 }
 

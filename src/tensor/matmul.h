@@ -19,24 +19,14 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
 Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a = false,
            bool trans_b = false);
 
-/// Integer matmul with int64 accumulation: C[M,N] = A[M,K] * B[K,N]. Every
-/// integer sum wraps mod 2^64 (two's complement), so no operand size is
-/// undefined behaviour.
-ITensor imatmul(const ITensor& a, const ITensor& b, bool trans_a = false,
-                bool trans_b = false);
-
-/// Integer batched matmul, trailing-dim transposes as in bmm().
-ITensor ibmm(const ITensor& a, const ITensor& b, bool trans_a = false,
-             bool trans_b = false);
-
 // Raw GEMM entry points for kernels that own their output buffer (float
 // conv im2col product, integer linear): C[M,N] += op(A) * op(B), with C
 // pre-initialized by the caller (zeroed or carrying bias). Both run the
 // cache-blocked, register-tiled kernel. `threaded` parallelizes over row
 // blocks and B packing — pass false from call sites that already run
-// inside a parallel region. Accumulation over K is always ascending and
-// independent of the partition, so integer results are bit-identical for
-// any thread count.
+// inside a parallel region. Every integer product and sum wraps mod 2^64
+// (two's complement), so no operand size is undefined behaviour and
+// integer results are bit-identical for any thread count.
 void gemm_f32(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
               bool threaded);
@@ -49,9 +39,14 @@ void gemm_i64(const std::int64_t* a, const std::int64_t* b, std::int64_t* c,
 /// p < k of a[r * lda + p] * panel[p * kI64TileCols + j], wrapping like
 /// gemm_i64, for r < rows (1..kI64TileRows) and j < cols
 /// (1..kI64TileCols). A is read in place; rows past `rows` are not read.
+/// With `narrow`, which the caller sets only on the AVX-512 rung of
+/// util::cpu_isa_tier() and only when every value of A and of the panel
+/// lies in [-2^31, 2^31), the tile multiplies with vpmuldq; its products
+/// are then exact, so the sums equal the wide tile's bit for bit.
 inline constexpr std::int64_t kI64TileRows = 4, kI64TileCols = 8;
 void gemm_i64_tile(const std::int64_t* a, std::int64_t lda, std::int64_t rows,
                    const std::int64_t* panel, std::int64_t k,
-                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols);
+                   std::int64_t* dst, std::int64_t ldd, std::int64_t cols,
+                   bool narrow);
 
 }  // namespace t2c

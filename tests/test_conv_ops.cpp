@@ -1,7 +1,8 @@
 // Convolution kernel tests: im2col forward vs a naive direct convolution,
 // grouped/depthwise paths, geometry, the integer conv against a direct loop
-// at several thread counts, the int64 kernels' wrapping on 2^40-scale
-// operands, and backward passes against central differences.
+// at every ISA cap and several thread counts, on operands at and just past
+// the int32 edges, the int64 kernels' wrapping on 2^40-scale operands, and
+// backward passes against central differences.
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
@@ -9,6 +10,7 @@
 #include "tensor/elementwise.h"
 #include "tensor/matmul.h"
 #include "test_util.h"
+#include "util/cpuinfo.h"
 
 namespace t2c {
 namespace {
@@ -18,6 +20,16 @@ struct ThreadGuard {
   int saved = par::max_threads();
   ~ThreadGuard() { par::set_max_threads(saved); }
 };
+
+using testing::iconv_scanned;
+using testing::IsaCapGuard;
+
+/// Every ISA cap: the scalar panel fill and wide tile at generic and avx2,
+/// the AVX-512 fill and (on narrow operands) the narrow lanes above.
+constexpr util::IsaTier kCaps[] = {util::IsaTier::kGeneric,
+                                   util::IsaTier::kAvx2,
+                                   util::IsaTier::kAvx512,
+                                   util::IsaTier::kAvx512Vnni};
 
 /// Direct integer convolution whose every product and sum wraps mod 2^64
 /// (through uint64_t): the reference for iconv2d_forward on any operands.
@@ -174,7 +186,7 @@ TEST(ConvOps, IntegerConvMatchesFloatOnIntegerData) {
   for (std::int64_t i = 0; i < xi.numel(); ++i) xi[i] = rng.randint(-127, 127);
   ITensor wi({3, 2, 3, 3});
   for (std::int64_t i = 0; i < wi.numel(); ++i) wi[i] = rng.randint(-7, 7);
-  ITensor yi = iconv2d_forward(xi, wi, s);
+  ITensor yi = iconv_scanned(xi, wi, s);
   Tensor yf = conv2d_forward(to_float(xi), to_float(wi), nullptr, s);
   for (std::int64_t i = 0; i < yi.numel(); ++i) {
     EXPECT_EQ(yi[i], static_cast<std::int64_t>(std::lround(yf[i])));
@@ -185,8 +197,14 @@ TEST(ConvOps, IntegerConvMatchesDirectLoop) {
   // Every regime of the batch-folded conv and the direct depthwise loop:
   // batches 1, 3 and 8 on 1x1, 2x2, 3x5 and 16x16 maps, where 3x5 maps
   // (15 columns per image) and odd output-channel counts leave panels that
-  // straddle images and row blocks shorter than the tile.
+  // straddle images and row blocks shorter than the tile. Each runs at
+  // every ISA cap and at 1, 4 and 16 threads. The AVX-512 rung fills
+  // panels with vector loads and, when every operand lies in [-2^31,
+  // 2^31), multiplies on narrow lanes; the operands sit at those int32
+  // edges, and then one value just outside, first, in the middle and last
+  // of x and then of w, sends the call back to the wide lanes.
   ThreadGuard guard;
+  const IsaCapGuard cap_guard;
   struct Geo {
     std::int64_t n, ic, oc, h, w;
     int k, stride, pad, groups;
@@ -209,6 +227,22 @@ TEST(ConvOps, IntegerConvMatchesDirectLoop) {
       {8, 16, 16, 1, 1, 3, 1, 1, 16},   // depthwise on 1x1 maps
       {3, 4, 4, 3, 5, 5, 1, 2, 4},      // depthwise 5x5, padding 2
   };
+  constexpr std::int64_t kLo = -(std::int64_t{1} << 31);
+  constexpr std::int64_t kHi = (std::int64_t{1} << 31) - 1;
+  const auto expect_everywhere = [](const ITensor& x, const ITensor& w,
+                                    const ConvSpec& s,
+                                    const std::string& what) {
+    const ITensor want = direct_iconv(x, w, s);
+    for (const util::IsaTier cap : kCaps) {
+      util::set_isa_tier_cap(cap);
+      for (const int threads : {1, 4, 16}) {
+        par::set_max_threads(threads);
+        expect_same(iconv_scanned(x, w, s), want,
+                    what + " cap " + util::isa_tier_name(cap) + " @" +
+                        std::to_string(threads));
+      }
+    }
+  };
   for (const Geo& g : geos) {
     ConvSpec s;
     s.in_channels = g.ic;
@@ -217,24 +251,39 @@ TEST(ConvOps, IntegerConvMatchesDirectLoop) {
     s.stride = g.stride;
     s.padding = g.pad;
     s.groups = g.groups;
+    const std::string geo =
+        "n" + std::to_string(g.n) + " " + std::to_string(g.h) + "x" +
+        std::to_string(g.w) + " k" + std::to_string(g.k) + " s" +
+        std::to_string(g.stride) + " p" + std::to_string(g.pad) + " g" +
+        std::to_string(g.groups);
     const ITensor x = int_tensor({g.n, g.ic, g.h, g.w}, 0, 127, 11);
     const ITensor w =
         int_tensor({g.oc, g.ic / g.groups, g.k, g.k}, 0, 127, 12);
-    const ITensor want = direct_iconv(x, w, s);
-    for (const int threads : {1, 4, 16}) {
-      par::set_max_threads(threads);
-      expect_same(iconv2d_forward(x, w, s), want,
-                  "n" + std::to_string(g.n) + " " + std::to_string(g.h) +
-                      "x" + std::to_string(g.w) + " k" +
-                      std::to_string(g.k) + " s" + std::to_string(g.stride) +
-                      " p" + std::to_string(g.pad) + " g" +
-                      std::to_string(g.groups) + " @" +
-                      std::to_string(threads));
+    ITensor xe = x, we = w;
+    for (ITensor* t : {&xe, &we}) {
+      const std::int64_t last = t->numel() - 1;
+      (*t)[0] = kLo;
+      (*t)[last / 2] = kHi;
+      (*t)[last] = t == &xe ? kHi : kLo;
+    }
+    expect_everywhere(xe, we, s, geo + " int32 edges");
+    for (const bool in_x : {true, false}) {
+      const std::int64_t last = (in_x ? x : w).numel() - 1;
+      for (const std::int64_t at : {std::int64_t{0}, last / 2, last}) {
+        for (const std::int64_t v : {kLo - 1, kHi + 1}) {
+          ITensor xv = x, wv = w;
+          (in_x ? xv : wv)[at] = v;
+          expect_everywhere(xv, wv, s,
+                            geo + (in_x ? " x[" : " w[") +
+                                std::to_string(at) + "] = " +
+                                std::to_string(v));
+        }
+      }
     }
   }
 }
 
-TEST(IntWrap, GemmMatmulBmmAndConvWrapLikeUint64) {
+TEST(IntWrap, GemmAndConvWrapLikeUint64) {
   // Operands near +-2^40 make every product leave int64; the int64 kernels
   // wrap mod 2^64 (no signed-overflow UB, which a UBSan build stops on)
   // and match a uint64_t reference bit for bit.
@@ -243,54 +292,21 @@ TEST(IntWrap, GemmMatmulBmmAndConvWrapLikeUint64) {
   const std::int64_t m = 6, k = 13, n = 11;
   ITensor a = int_tensor({m, k}, kBig, 1000, 1);
   ITensor b = int_tensor({k, n}, -kBig, 1000, 2);
-  // C = op(A) * op(B) in uint64_t, for A [M,K] and B [K,N] as stored.
-  const auto ref = [&](const ITensor& x, const ITensor& y) {
-    ITensor c({m, n});
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        std::uint64_t acc = 0;
-        for (std::int64_t p = 0; p < k; ++p) {
-          acc += u(x[i * k + p]) * u(y[p * n + j]);
-        }
-        c[i * n + j] = static_cast<std::int64_t>(acc);
-      }
-    }
-    return c;
-  };
-  const ITensor want = ref(a, b);
-  expect_same(imatmul(a, b), want, "imatmul");
-  // The transposed forms read the same matrices through strides.
-  ITensor at({k, m}), bt({n, k});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    for (std::int64_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
-  }
-  expect_same(imatmul(at, bt, true, true), want, "imatmul transposed");
-  // gemm_i64 accumulates into a C that already holds 2^40-scale values.
+  // gemm_i64 accumulates A [M,K] * B [K,N] into a C that already holds
+  // 2^40-scale values.
   ITensor c = int_tensor({m, n}, kBig, 1000, 3);
-  ITensor acc_want = c;
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    acc_want[i] = static_cast<std::int64_t>(u(acc_want[i]) + u(want[i]));
+  ITensor want = c;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::uint64_t acc = u(want[i * n + j]);
+      for (std::int64_t p = 0; p < k; ++p) {
+        acc += u(a[i * k + p]) * u(b[p * n + j]);
+      }
+      want[i * n + j] = static_cast<std::int64_t>(acc);
+    }
   }
   gemm_i64(a.data(), b.data(), c.data(), m, n, k, false, false, true);
-  expect_same(c, acc_want, "gemm_i64");
-  // ibmm: one batch entry runs the threaded GEMM, several the per-entry one.
-  for (const std::int64_t batch : {1, 3}) {
-    ITensor ba({batch, m, k}), bb({batch, k, n});
-    for (std::int64_t e = 0; e < batch; ++e) {
-      std::copy(a.data(), a.data() + m * k, ba.data() + e * m * k);
-      std::copy(b.data(), b.data() + k * n, bb.data() + e * k * n);
-    }
-    const ITensor got = ibmm(ba, bb);
-    for (std::int64_t e = 0; e < batch; ++e) {
-      for (std::int64_t i = 0; i < m * n; ++i) {
-        ASSERT_EQ(got[e * m * n + i], want[i])
-            << "ibmm batch " << batch << " entry " << e << " element " << i;
-      }
-    }
-  }
+  expect_same(c, want, "gemm_i64");
   // iconv2d_forward on its batch-folded GEMM and its depthwise loop.
   for (const int groups : {1, 4}) {
     ConvSpec s;
@@ -300,7 +316,7 @@ TEST(IntWrap, GemmMatmulBmmAndConvWrapLikeUint64) {
     s.groups = groups;
     const ITensor x = int_tensor({2, 4, 3, 5}, -kBig, 1000, 4);
     const ITensor w = int_tensor({4, 4 / groups, 3, 3}, kBig, 1000, 5);
-    expect_same(iconv2d_forward(x, w, s), direct_iconv(x, w, s),
+    expect_same(iconv_scanned(x, w, s), direct_iconv(x, w, s),
                 "iconv2d_forward groups " + std::to_string(groups));
   }
 }

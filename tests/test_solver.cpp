@@ -30,6 +30,7 @@ struct ThreadGuard {
 };
 
 using testing::IsaCapGuard;
+using testing::iconv_scanned;
 
 /// Every ISA cap, each with its own int16 micro-kernel: scalar, vpmaddwd
 /// on ymm, vpmaddwd + vpaddd on zmm, vpdpwssd. A cap above the host's
@@ -318,7 +319,7 @@ TEST(SolverBitIdentity, ConvKernelsMatchI64AtEveryIsaCap) {
     ITensor x({g.n, g.ic, g.h, g.w});
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = (i * 13 % 255) - 127;
     par::set_max_threads(1);
-    const ITensor want = iconv2d_forward(x, w, s);
+    const ITensor want = iconv_scanned(x, w, s);
     ITensor got(want.shape());
     const auto expect_same = [&](const std::string& what) {
       for (std::int64_t i = 0; i < want.numel(); ++i) {

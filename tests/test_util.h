@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
 #include "nn/module.h"
+#include "tensor/conv_ops.h"
 #include "tensor/tensor.h"
 #include "util/cpuinfo.h"
 #include "util/rng.h"
@@ -21,6 +23,13 @@ struct IsaCapGuard {
   util::IsaTier saved = util::cpu_isa_tier();
   ~IsaCapGuard() { util::set_isa_tier_cap(saved); }
 };
+
+/// iconv2d_forward with the weight bounds of a scan of w.
+inline ITensor iconv_scanned(const ITensor& x, const ITensor& w,
+                             const ConvSpec& s) {
+  const auto [lo, hi] = std::minmax_element(w.data(), w.data() + w.numel());
+  return iconv2d_forward(x, w, *lo, *hi, s);
+}
 
 /// Deterministic pseudo-random tensor (values in roughly [-1, 1]).
 inline Tensor random_tensor(Shape shape, std::uint64_t seed = 1,

@@ -216,6 +216,55 @@ TEST(VitInt, NarrowAttentionMatchesInt64AtEveryRung) {
   }
 }
 
+TEST(VitInt, Int64AttentionWrapsOnWideProjections) {
+  // Projection weights near +-2^40 push the qkv and output requants past
+  // int64; the int64 reference wraps them (a UBSan build stops on a
+  // signed overflow), keeps every output in its window, and gives the
+  // same bits at 1 and 4 threads.
+  const int saved = par::max_threads();
+  const std::int64_t d = 16;
+  IntAttentionParams p = attn_params(d, 2, 71);
+  Rng rng(72);
+  for (ITensor* w : {&p.wqkv, &p.wproj}) {
+    for (std::int64_t i = 0; i < w->numel(); ++i) {
+      (*w)[i] = (std::int64_t{1} << 40) + rng.randint(-1000, 1000);
+      if (rng.randint(0, 1) == 0) (*w)[i] = -(*w)[i];
+    }
+  }
+  const IntAttentionOp attn(std::move(p));
+  ASSERT_EQ(attn.kernel(), "attn_i64");
+  ITensor x({2, 9, d});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.randint(-127, 127);
+  const std::vector<const ITensor*> ins = {&x};
+  par::set_max_threads(1);
+  const ITensor want = attn.run(ins);
+  par::set_max_threads(4);
+  const ITensor got = attn.run(ins);
+  par::set_max_threads(saved);
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "element " << i;
+    ASSERT_GE(want[i], attn.params().out_min) << "element " << i;
+    ASSERT_LE(want[i], attn.params().out_max) << "element " << i;
+  }
+}
+
+TEST(VitInt, AttentionRejectsALutIndexThatLeavesInt64) {
+  // logit_mul 2^39 on +-2^20 streams: a logit difference of 2^24 + 1
+  // would make the LUT index wrap negative, so construction refuses it,
+  // as it refuses streams whose largest logit leaves int64.
+  IntAttentionParams p = attn_params(16, 2, 73);
+  p.stream_min = -(std::int64_t{1} << 20);
+  p.stream_max = std::int64_t{1} << 20;
+  p.logit_mul = std::int64_t{1} << 39;
+  EXPECT_THROW(IntAttentionOp{p}, Error);
+  p.logit_mul = 1;
+  p.stream_max = std::int64_t{1} << 30;
+  EXPECT_THROW(IntAttentionOp{p}, Error);
+  p.stream_max = std::int64_t{1} << 20;
+  EXPECT_NO_THROW(IntAttentionOp{p});
+}
+
 TEST(VitInt, RunningStatsLayerNormAlsoDeploys) {
   SyntheticImageDataset data(tiny_spec());
   auto model = make_vit(vit_cfg());

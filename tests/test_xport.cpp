@@ -726,6 +726,11 @@ TEST(Checkpoint, OpContractViolationsFailAtLoadNamingTheOp) {
       {&corpus().vit, "IntAttention", 1, set(31), "IntAttentionOp"},
       {&corpus().vit, "IntAttention", 2, set(-1), "IntAttentionOp"},
       {&corpus().vit, "IntAttention", 2, set(17), "IntAttentionOp"},
+      // The LUT index's numerator leaves int64: without the bound this
+      // loads, and a logit difference of 2^13 or more then wraps the
+      // index negative.
+      {&corpus().vit, "IntAttention", 5, set(std::int64_t{1} << 50),
+       "IntAttentionOp"},
       {&corpus().vit, "IntMeanPoolTokens", 1, set(70),
        "IntMeanPoolTokens: bad frac_bits"},
       {&corpus().vit, "IntMeanPoolTokens", 1, set(-1),
